@@ -3,8 +3,7 @@
 Rows are resampled i.i.d. with replacement; each replicate re-estimates the
 joint and recomputes the requested gain and Shapley statistics.  Replicate b
 draws from its own random stream derived from (seed, b), so results are a pure
-function of (data, spec) and never depend on how replicates are scheduled
-across workers.
+function of (data, spec); replicates run in index order.
 
 The resampling scheme treats rows as exchangeable.  Datasets with repeated
 measures (the same video or participant on many rows) violate that, so the
@@ -14,7 +13,6 @@ distribution.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -28,7 +26,8 @@ from .shapley import shapley_exact, shapley_sampled
 QUANTILE_LEVELS = (2.5, 25.0, 50.0, 75.0, 97.5)
 
 
-def _set_label(names: Iterable[str]) -> str:
+def set_label(names: Iterable[str]) -> str:
+    """Label of a variable set in statistic names: sorted, comma-joined, or "none"."""
     names = tuple(sorted(names))
     return ",".join(names) if names else "none"
 
@@ -45,7 +44,7 @@ class GainStat:
         object.__setattr__(self, "v1", tuple(sorted(set(self.v1))))
         object.__setattr__(self, "ground", tuple(sorted(set(self.ground))))
         if self.name is None:
-            object.__setattr__(self, "name", f"gain({_set_label(self.v1)};{_set_label(self.ground)})")
+            object.__setattr__(self, "name", f"gain({set_label(self.v1)};{set_label(self.ground)})")
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ class ShapleyStat:
         if self.signals is not None:
             object.__setattr__(self, "signals", tuple(self.signals))
         if self.name is None:
-            object.__setattr__(self, "name", f"shapley(ground={_set_label(self.ground)})")
+            object.__setattr__(self, "name", f"shapley(ground={set_label(self.ground)})")
 
 
 StatSpec = Union[GainStat, ShapleyStat]
@@ -184,19 +183,10 @@ def bootstrap_run(
     spec: BootstrapSpec,
     *,
     alpha: float = 0.0,
-    threads: int | None = None,
 ) -> BootstrapResult:
     """Run the bootstrap; output depends only on (data, problem, spec, alpha)."""
     layout = _expand_layout(data, spec)
-
-    def run_one(b: int) -> list[float]:
-        return _replicate_values(data, problem, spec, alpha, b)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, range(spec.replicates)))
-    else:
-        rows = [run_one(b) for b in range(spec.replicates)]
+    rows = [_replicate_values(data, problem, spec, alpha, b) for b in range(spec.replicates)]
     samples = np.array(rows, dtype=np.float64)  # (B, n_stats), ordered by replicate index
 
     stats = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -217,7 +216,7 @@ def cmd_bootstrap(args) -> int:
     cfg, data = _load_inputs(args.schema, args.data)
     alpha = args.alpha if args.alpha is not None else cfg.smoothing
     spec = _bootstrap_spec(args, cfg, data.schema.decision_names)
-    result = bootstrap_run(data, cfg.problem, spec, alpha=alpha, threads=args.threads)
+    result = bootstrap_run(data, cfg.problem, spec, alpha=alpha)
     print(summary_table(result))
     prov = _provenance(args.schema, args.data, seed=spec.seed, alpha=alpha, replicates=spec.replicates,
                        resampling="rows", decision_bins=cfg.decision_bins)
@@ -330,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gain", action="append", metavar="V1:GROUND", help="gain statistic (repeatable)")
     p.add_argument("--shapley", action="append", metavar="GROUND", help="Shapley statistic (repeatable)")
     p.add_argument("--spec", default=None, help="JSON file with replicates/seed/statistics")
-    p.add_argument("--threads", type=int, default=os.cpu_count(), help="worker threads (never affects output bits)")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_bootstrap)

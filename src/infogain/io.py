@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .bootstrap import BootstrapResult, StatResult
+from .bootstrap import BootstrapResult, StatResult, set_label
 from .errors import ValidationError
 from .joint import Dataset
 from .model import (
@@ -458,11 +458,11 @@ def _result_csv_rows(obj: Result) -> list[list]:
               "q2.5", "q25", "q50", "q75", "q97.5"]
     rows: list[list] = [header]
     if isinstance(obj, GainValue):
-        rows.append([f"gain({_set_label(obj.v1)};{_set_label(obj.ground)})", "gain", "",
+        rows.append([f"gain({set_label(obj.v1)};{set_label(obj.ground)})", "gain", "",
                      ",".join(obj.v1), ",".join(obj.ground), "", repr(obj.value), "", "", "", "", "", ""])
     elif isinstance(obj, ShapleyReport):
         for s, v in zip(obj.signals, obj.values):
-            rows.append([f"shapley(ground={_set_label(obj.ground)}).{s}", "shapley", s, "",
+            rows.append([f"shapley(ground={set_label(obj.ground)}).{s}", "shapley", s, "",
                          ",".join(obj.ground), "", repr(v), "", "", "", "", "", ""])
     elif isinstance(obj, BootstrapResult):
         for s in obj.statistics:
@@ -475,11 +475,6 @@ def _result_csv_rows(obj: Result) -> list[list]:
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     return rows
-
-
-def _set_label(names) -> str:
-    names = tuple(names)
-    return ",".join(names) if names else "none"
 
 
 def write_results(obj: Result, path, fmt: str = "json", provenance: Provenance | None = None) -> None:

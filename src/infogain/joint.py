@@ -15,6 +15,7 @@ information gains; it is an escape hatch for sparse data, not the default.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -28,7 +29,7 @@ MASS_TOL = 1e-12
 
 # A posterior is a non-negative probability vector over the state space.
 Posterior = np.ndarray
-# Ceiling on any dense product space we are willing to enumerate (smoothing paths).
+# Ceiling on the dense marginal mapping of a smoothed joint.
 DENSE_CELL_LIMIT = 20_000_000
 
 
@@ -160,61 +161,64 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
     )
 
 
-def _dense_shape(joint: JointDistribution, cols: tuple[int, ...]) -> tuple[int, ...]:
-    sizes = joint.domain_sizes
-    shape = tuple(sizes[c] for c in cols)
-    if math.prod(shape) > DENSE_CELL_LIMIT:
-        raise ProductSpaceError(
-            f"smoothed marginal over {math.prod(shape)} cells exceeds the "
-            f"{DENSE_CELL_LIMIT}-cell limit; reduce the variable set or use smoothing=0"
-        )
-    return shape
-
-
 def _excluded_cells(joint: JointDistribution, cols: tuple[int, ...]) -> int:
     sizes = joint.domain_sizes
     excluded = [sizes[c] for c in range(len(sizes)) if c not in cols]
     return math.prod(excluded)
 
 
-def _dense_realizations(shape: tuple[int, ...]) -> np.ndarray:
-    """All index tuples of a product space, lexicographically ordered, as rows."""
-    if not shape:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.unravel_index(np.arange(math.prod(shape)), shape)
-    return np.stack(grids, axis=1).astype(np.int64)
-
-
-def grouped_mass(joint: JointDistribution, cols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def grouped_mass(
+    joint: JointDistribution, cols: tuple[int, ...], inner: np.ndarray | int = 0, width: int = 1
+) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Aggregate probability by distinct realization of the selected columns.
 
-    Returns ``(realizations, mass)`` with realizations sorted lexicographically.
-    With a smoothed joint the realizations cover the full product space of the
-    selected columns; otherwise only realizations with explicit mass appear.
+    Returns ``(realizations, mass, absent, background)``.  The realizations
+    with an explicit tuple come sorted lexicographically; ``mass`` has shape
+    (G, width), and ``inner`` (one value, or one per tuple) is the column each
+    tuple's probability goes to.  Every cell starts from the background mass
+    of the product cells it covers and each explicit tuple replaces one of
+    them.  The single ``bincount`` adds the start values first and then the
+    tuples in key order, so every cell is summed in the same order at any
+    smoothing level.  Other realizations are not listed: with smoothing they
+    are counted in ``absent`` and each of their cells has mass ``background``;
+    without smoothing they have no mass and ``absent`` is 0.
     """
-    if joint.background == 0.0:
-        enc = joint._encode_cols(cols)
-        uniq, first, inverse = np.unique(enc, return_index=True, return_inverse=True)
-        mass = np.bincount(inverse, weights=joint.probs, minlength=len(uniq))
-        return joint.keys[first][:, list(cols)], mass
-    shape = _dense_shape(joint, cols)
-    n_group = math.prod(shape)
-    rest = _excluded_cells(joint, cols)
-    mass = np.full(n_group, joint.background * rest, dtype=np.float64)
     enc = joint._encode_cols(cols)
-    # each explicit cell replaces one background cell within its group
-    np.add.at(mass, enc, joint.probs - joint.background)
-    return _dense_realizations(shape), mass
+    uniq, first, inverse = np.unique(enc, return_index=True, return_inverse=True)
+    n_cells = len(uniq) * width
+    rest = _excluded_cells(joint, cols) // width
+    background = joint.background * rest
+    mass = np.bincount(
+        np.concatenate([np.arange(n_cells), inverse * width + inner]),
+        weights=np.concatenate([np.full(n_cells, background), joint.probs - joint.background]),
+        minlength=n_cells,
+    )
+    absent = 0
+    if joint.background > 0.0:
+        sizes = joint.domain_sizes
+        absent = math.prod(sizes[c] for c in cols) - len(uniq)
+    return joint.keys[first][:, list(cols)], mass.reshape(len(uniq), width), absent, background
 
 
 def marginal(joint: JointDistribution, variables: Iterable[str]) -> dict[tuple[int, ...], float]:
     """Marginal over the named variables (state name allowed), as a sparse mapping.
 
     Realization tuples are ordered by schema position (state first when included).
+    With a smoothed joint every realization has mass, so the mapping covers the
+    whole product space of the variables, up to ``DENSE_CELL_LIMIT`` entries.
     """
     cols = joint.columns(variables)
-    reals, mass = grouped_mass(joint, cols)
-    return {tuple(int(v) for v in row): float(m) for row, m in zip(reals, mass)}
+    reals, mass, absent, background = grouped_mass(joint, cols)
+    explicit = {tuple(int(v) for v in row): float(m) for row, m in zip(reals, mass[:, 0])}
+    if not absent:
+        return explicit
+    shape = [joint.domain_sizes[c] for c in cols]
+    if math.prod(shape) > DENSE_CELL_LIMIT:
+        raise ProductSpaceError(
+            f"smoothed marginal over {math.prod(shape)} cells exceeds the "
+            f"{DENSE_CELL_LIMIT}-cell limit; reduce the variable set or use smoothing=0"
+        )
+    return {real: explicit.get(real, background) for real in itertools.product(*(range(s) for s in shape))}
 
 
 def support(joint: JointDistribution, variables: Iterable[str]) -> Iterator[tuple[tuple[int, ...], float]]:
@@ -224,35 +228,23 @@ def support(joint: JointDistribution, variables: Iterable[str]) -> Iterator[tupl
             yield real, mass
 
 
-def state_mass(joint: JointDistribution, variables: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+def state_mass(
+    joint: JointDistribution, variables: Iterable[str]
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Per-realization state-mass table for the named (non-state) variables.
 
-    Returns ``(realizations, mass)`` where mass has shape (G, |states|) and
-    ``mass[g, w] = P(realization g, state w)``.  This is the workhorse behind
+    Returns ``(realizations, mass, absent, background_row)`` where mass has
+    shape (G, |states|) and ``mass[g, w] = P(realization g, state w)`` for the
+    G realizations with an explicit tuple.  This is the workhorse behind
     rational-benchmark payoffs: row sums are realization probabilities and row
-    normalization gives the posterior.
+    normalization gives the posterior.  Under smoothing each of the ``absent``
+    other realizations has the state-mass row ``background_row``; without
+    smoothing ``absent`` is 0.
     """
     cols = joint.columns(variables, allow_state=False)
     n_states = joint.states.size
-    state_col = joint.keys[:, 0]
-    if joint.background == 0.0:
-        enc = joint._encode_cols(cols)
-        uniq, first, inverse = np.unique(enc, return_index=True, return_inverse=True)
-        mass = np.zeros((len(uniq), n_states), dtype=np.float64)
-        for w in range(n_states):
-            sel = state_col == w
-            if sel.any():
-                mass[:, w] = np.bincount(inverse[sel], weights=joint.probs[sel], minlength=len(uniq))
-        return joint.keys[first][:, list(cols)], mass
-    shape = _dense_shape(joint, cols)
-    n_group = math.prod(shape)
-    if n_group * n_states > DENSE_CELL_LIMIT:
-        raise ProductSpaceError("smoothed state-mass table exceeds the dense-cell limit")
-    rest = _excluded_cells(joint, cols) // n_states
-    mass = np.full((n_group, n_states), joint.background * rest, dtype=np.float64)
-    enc = joint._encode_cols(cols)
-    np.add.at(mass, (enc, state_col), joint.probs - joint.background)
-    return _dense_realizations(shape), mass
+    reals, mass, absent, background = grouped_mass(joint, cols, joint.keys[:, 0], n_states)
+    return reals, mass, absent, np.full(n_states, background)
 
 
 def posterior(joint: JointDistribution, assignment: Mapping[str, int]) -> Posterior:

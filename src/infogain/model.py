@@ -102,7 +102,7 @@ class DecisionSpace:
     def size(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def is_numeric(self) -> bool:
         return bool(self.points) and all(isinstance(p, Fraction) for p in self.points)
 
@@ -114,14 +114,17 @@ class DecisionSpace:
         arr.setflags(write=False)
         return arr
 
-    def nearest_index(self, value: float) -> int:
-        """Index of the grid point nearest to ``value`` (lower point on exact ties)."""
+    def nearest_index(self, value):
+        """Index of the grid point nearest to ``value`` (lower point on exact ties).
+
+        ``value`` may be an array, giving an index array of its shape.
+        """
         grid = self.grid_floats
-        if len(grid) == 1:
-            return 0
         mids = (grid[:-1] + grid[1:]) / 2.0
-        # side="left": a value exactly on a midpoint resolves to the lower point
-        return int(np.searchsorted(mids, value, side="left"))
+        # side="left": a value exactly on a midpoint resolves to the lower point;
+        # a one-point grid has no midpoints, so every value maps to index 0
+        idx = np.searchsorted(mids, value, side="left")
+        return int(idx) if np.ndim(idx) == 0 else idx
 
 
 @dataclass(frozen=True)

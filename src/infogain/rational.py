@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,6 +32,18 @@ class GainValue:
     raw: float
     v1: tuple[str, ...]
     ground: tuple[str, ...]
+
+
+def clamp_gain(raw: float) -> float:
+    """The reported gain: ``raw``, or exactly 0 within ``CLAMP_TOL`` of zero."""
+    return 0.0 if abs(raw) <= CLAMP_TOL else raw
+
+
+def _gain_value(payoff: Callable[[set], float], v1: Iterable[str], ground: Iterable[str]) -> GainValue:
+    v1 = tuple(sorted(set(v1)))
+    ground = tuple(sorted(set(ground)))
+    raw = payoff(set(v1) | set(ground)) - payoff(set(ground))
+    return GainValue(value=clamp_gain(raw), raw=raw, v1=v1, ground=ground)
 
 
 def best_response(post: Posterior, problem: DecisionProblem) -> int:
@@ -60,12 +72,7 @@ def _group_contributions(mass: np.ndarray, problem: DecisionProblem) -> np.ndarr
         p = mass[:, 0] + mass[:, 1]
         with np.errstate(invalid="ignore", divide="ignore"):
             mu = np.where(p > 0, mass[:, 1] / p, 0.0)
-        if len(grid) == 1:
-            idx = np.zeros(len(mu), dtype=np.int64)
-        else:
-            mids = (grid[:-1] + grid[1:]) / 2.0
-            idx = np.searchsorted(mids, mu, side="left")
-        d = grid[idx]
+        d = grid[problem.decisions.nearest_index(mu)]
         return p - (mass[:, 0] * d * d + mass[:, 1] * (1.0 - d) * (1.0 - d))
     payoffs = problem.payoff_matrix  # (|D|, |W|)
     best = mass @ payoffs[0]
@@ -81,8 +88,13 @@ def rational_payoff(joint: JointDistribution, problem: DecisionProblem, variable
     """
     if problem.states.size != joint.states.size:
         raise SchemaError("problem and joint disagree on the number of states")
-    _, mass = state_mass(joint, variables)
-    return math.fsum(_group_contributions(mass, problem))
+    _, mass, absent, background_row = state_mass(joint, variables)
+    terms = _group_contributions(mass, problem)
+    if absent:
+        # absent * c, added exactly as the terms of absent's binary expansion
+        c = float(_group_contributions(background_row[None, :], problem)[0])
+        terms = np.append(terms, [math.ldexp(c, k) for k in range(absent.bit_length()) if absent >> k & 1])
+    return math.fsum(terms)
 
 
 def information_gain(
@@ -97,13 +109,7 @@ def information_gain(
     the gain of signals over behavioral decisions, of behavioral decisions over
     signals, and of one decision column over another.
     """
-    v1 = tuple(sorted(set(v1)))
-    ground = tuple(sorted(set(ground)))
-    r_both = rational_payoff(joint, problem, set(v1) | set(ground))
-    r_ground = rational_payoff(joint, problem, ground)
-    raw = r_both - r_ground
-    value = 0.0 if abs(raw) <= CLAMP_TOL else raw
-    return GainValue(value=value, raw=raw, v1=v1, ground=ground)
+    return RationalCache(joint, problem).gain(v1, ground)
 
 
 def gain_of_decisions_over_signals(
@@ -121,8 +127,8 @@ def gain_of_decisions_over_signals(
 class RationalCache:
     """Memoized benchmark payoffs for one (joint, problem) pair, keyed by variable set.
 
-    Values are pure functions of the key, so concurrent duplicate evaluation is
-    harmless and results never depend on evaluation order.
+    Values are pure functions of the key, so results never depend on
+    evaluation order.
     """
 
     def __init__(self, joint: JointDistribution, problem: DecisionProblem):
@@ -139,11 +145,7 @@ class RationalCache:
         return value
 
     def gain(self, v1: Iterable[str], ground: Iterable[str] = ()) -> GainValue:
-        v1 = tuple(sorted(set(v1)))
-        ground = tuple(sorted(set(ground)))
-        raw = self.payoff(set(v1) | set(ground)) - self.payoff(ground)
-        value = 0.0 if abs(raw) <= CLAMP_TOL else raw
-        return GainValue(value=value, raw=raw, v1=v1, ground=ground)
+        return _gain_value(self.payoff, v1, ground)
 
 
 def cross_fit_payoff(
@@ -157,9 +159,10 @@ def cross_fit_payoff(
     Rows alternate between two folds by index; each fold is scored with the
     decision rule fitted on the other and the two halves are averaged by row
     count.  Realizations unseen in the fitting fold fall back to its best fixed
-    action.  Unlike the in-sample benchmark this can decrease when variables
-    are added, which is the point: conditioning on fine-grained columns
-    in-sample overstates the benchmark in small samples.
+    action, or, when smoothed, to the best action for its background row.
+    Unlike the in-sample benchmark this can decrease when variables are added,
+    which is the point: conditioning on fine-grained columns in-sample
+    overstates the benchmark in small samples.
     """
     n = data.n_rows
     if n < 2:
@@ -174,15 +177,15 @@ def cross_fit_payoff(
     for f in (0, 1):
         train = Dataset(data.states, data.schema, data.rows[fold != f], state_name=data.state_name)
         train_joint = estimate_joint(train, smoothing)
-        reals, mass = state_mass(train_joint, variables)
+        reals, mass, absent, background_row = state_mass(train_joint, variables)
         rule = {}
         for real, row in zip(reals, mass):
             d = int(np.argmax(payoffs @ row))
             rule[tuple(int(v) for v in real)] = d
-        prior_action = int(np.argmax(payoffs @ mass.sum(axis=0)))
+        unseen_action = int(np.argmax(payoffs @ (background_row if absent else mass.sum(axis=0))))
         for row in data.rows[fold == f]:
             key = tuple(int(row[c]) for c in cols)
-            d = rule.get(key, prior_action)
+            d = rule.get(key, unseen_action)
             total.append(float(payoffs[d, row[0]]))
     return math.fsum(total) / n
 
@@ -195,10 +198,4 @@ def cross_fit_gain(
     smoothing: float = 0.0,
 ) -> GainValue:
     """Cross-fit analogue of ``information_gain``; may be legitimately negative."""
-    v1 = tuple(sorted(set(v1)))
-    ground = tuple(sorted(set(ground)))
-    raw = cross_fit_payoff(data, problem, set(v1) | set(ground), smoothing) - cross_fit_payoff(
-        data, problem, ground, smoothing
-    )
-    value = 0.0 if abs(raw) <= CLAMP_TOL else raw
-    return GainValue(value=value, raw=raw, v1=v1, ground=ground)
+    return _gain_value(lambda names: cross_fit_payoff(data, problem, names, smoothing), v1, ground)

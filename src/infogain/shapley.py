@@ -8,8 +8,7 @@ so individually worthless but jointly valuable signals still get credit.
 Coalition values are memoized by subset bitmask; since the ground set only
 shifts which benchmark payoffs are needed, one payoff cache serves every
 ground set in a comparison.  All accumulation uses exact float summation, so
-results do not depend on evaluation order and parallel subset evaluation
-cannot change output bits.
+results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import SchemaError, ShapleyCeilingError
 from .joint import JointDistribution
 from .model import DecisionProblem
-from .rational import CLAMP_TOL, RationalCache
+from .rational import RationalCache, clamp_gain
 
 EXACT_CEILING_DEFAULT = 15
 
@@ -73,8 +72,7 @@ class _CoalitionGame:
         v = self._values.get(mask)
         if v is None:
             members = {s for i, s in enumerate(self.signals) if mask >> i & 1}
-            raw = self.cache.payoff(members | self.ground) - self._r_ground
-            v = 0.0 if abs(raw) <= CLAMP_TOL else raw
+            v = clamp_gain(self.cache.payoff(members | self.ground) - self._r_ground)
             self._values[mask] = v
         return v
 

@@ -104,7 +104,7 @@ def _agent_informed_rule(
     for name in agent.used_signals:
         if joint.schema.is_decision(name):
             raise SchemaError(f"agent {agent.name!r} uses {name!r}, which is a decision column")
-    reals, mass = state_mass(joint, agent.used_signals)
+    reals, mass, _, _ = state_mass(joint, agent.used_signals)
     rule: dict[tuple[int, ...], int] = {}
     for real, row in zip(reals, mass):
         total = row.sum()

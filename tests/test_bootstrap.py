@@ -46,14 +46,6 @@ def test_bootstrap_deterministic(brier):
     assert a == b
 
 
-def test_bootstrap_thread_count_does_not_change_bits(brier):
-    data = small_xor_dataset(32)
-    spec = BootstrapSpec(replicates=16, seed=3, statistics=(ShapleyStat(),))
-    seq = bootstrap_run(data, brier, spec, threads=1)
-    par = bootstrap_run(data, brier, spec, threads=4)
-    assert seq == par
-
-
 def test_xor_gain_distribution_centers_on_population_value(xor_joint, brier):
     data = generate_dataset(xor_joint, brier, n_rows=10_000, seed=6)
     spec = BootstrapSpec(replicates=200, seed=1, statistics=(GainStat(v1=("s1", "s2")),))

@@ -1,3 +1,4 @@
+import csv
 import json
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from infogain.io import (
     write_results,
     write_schema,
 )
-from infogain.rational import information_gain
+from infogain.rational import GainValue, information_gain
 from infogain.joint import estimate_joint
 from infogain.shapley import shapley_exact
 from infogain.synth import make_deepfake_dataset, make_xor_joint, generate_dataset, xor_problem
@@ -216,6 +217,15 @@ def test_shapley_csv_has_one_row_per_signal(tmp_path):
     write_results(report, path, fmt="csv")
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + 7
+
+
+def test_gain_csv_label_sorts_like_bootstrap_stat_names(tmp_path):
+    gain = GainValue(value=0.25, raw=0.25, v1=("s2", "s1"), ground=())
+    path = tmp_path / "g.csv"
+    write_results(gain, path, fmt="csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        label = list(csv.reader(fh))[1][0]
+    assert label == GainStat(v1=("s2", "s1")).name == "gain(s1,s2;none)"
 
 
 def test_fraction_to_str_roundtrips():

@@ -141,3 +141,7 @@ def test_nearest_index_ties_resolve_low():
     grid = DecisionSpace.numeric([0, Fraction(1, 2), 1])
     assert grid.nearest_index(0.25) == 0
     assert grid.nearest_index(0.75) == 1
+    assert grid.nearest_index(np.array([0.25, 0.75, 0.8])).tolist() == [0, 1, 2]
+    single = DecisionSpace.numeric([Fraction(1, 2)])
+    assert single.nearest_index(0.9) == 0
+    assert single.nearest_index(np.array([0.0, 1.0])).tolist() == [0, 0]
