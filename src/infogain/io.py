@@ -35,6 +35,7 @@ from .model import (
     ROLES,
     SignalSchema,
     StateSpace,
+    is_numeric_domain,
     validate_problem,
     validate_schema,
 )
@@ -232,7 +233,7 @@ def schema_to_doc(cfg: SchemaConfig) -> dict:
     signals = [{"column": s.name, "values": list(s.domain)} for s in cfg.schema.signals]
     decisions = []
     for d in cfg.schema.decisions:
-        if all(isinstance(v, Fraction) for v in d.domain) and d.domain:
+        if is_numeric_domain(d.domain):
             decisions.append({"column": d.name, "role": d.role, "grid": {"points": [fraction_to_str(v) for v in d.domain]}})
         else:
             decisions.append({"column": d.name, "role": d.role, "values": [str(v) for v in d.domain]})
@@ -280,16 +281,13 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
     entries = list(cfg.schema.entries)
     wanted = [cfg.state_column] + [e.name for e in entries]
 
-    lookups: list[dict] = [{label: i for i, label in enumerate(cfg.states.labels)}]
-    for e in entries:
-        if all(isinstance(v, Fraction) for v in e.domain) and e.domain:
-            lookups.append({v: i for i, v in enumerate(e.domain)})
-        else:
-            lookups.append({str(v): i for i, v in enumerate(e.domain)})
+    domains = [cfg.states.labels] + [e.domain for e in entries]
+    numeric = [False] + [is_numeric_domain(e.domain) for e in entries]
+    lookups = [{v if num else str(v): i for i, v in enumerate(dom)} for dom, num in zip(domains, numeric)]
 
     rows = []
     dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -307,20 +305,23 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
             raise ValidationError(f"dataset: missing column(s) {missing_cols}", path=",".join(missing_cols))
         col_pos = [header.index(c) for c in wanted]
 
-        for lineno, record in enumerate(reader, start=2):
+        records = enumerate(reader, start=2)
+        for lineno, record in records:
+            if not record and all(not rest for _, rest in records):
+                break  # trailing empty records; an empty record before data fails below
             if len(record) != len(header):
                 raise ValidationError(
                     f"dataset row {lineno}: expected {len(header)} cells, got {len(record)}", path=f"row {lineno}"
                 )
             out = []
             bad = None
-            for col_name, pos, lookup, entry in zip(wanted, col_pos, lookups, [None] + entries):
+            for col_name, pos, lookup, num in zip(wanted, col_pos, lookups, numeric):
                 cell = record[pos].strip()
                 if cell == "":
                     bad = ("missing", col_name)
                     break
                 key = cell
-                if entry is not None and isinstance(next(iter(lookup)), Fraction):
+                if num:
                     try:
                         key = Fraction(cell)
                     except (ValueError, ZeroDivisionError):
@@ -350,7 +351,7 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
     if cfg.decision_bins:
         new_decisions = []
         for j, dec in enumerate(cfg.schema.decisions):
-            if not (dec.domain and all(isinstance(v, Fraction) for v in dec.domain)):
+            if not is_numeric_domain(dec.domain):
                 new_decisions.append(dec)
                 continue
             centers, mapping = _bin_domain(dec.domain, cfg.decision_bins)

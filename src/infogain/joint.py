@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,38 @@ MASS_TOL = 1e-12
 Posterior = np.ndarray
 # Ceiling on the dense marginal mapping of a smoothed joint.
 DENSE_CELL_LIMIT = 20_000_000
+CODE_LIMIT = 2**62
+
+
+def encode(table: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """One int64 code per row of ``table``, whose column j holds values in range(sizes[j]).
+
+    Columns fold in as mixed-radix digits, first column most significant, so
+    codes sort like the rows do lexicographically and are equal exactly when the
+    rows are.  Before a digit that would carry the code past ``CODE_LIMIT``, the
+    code so far is replaced by its rank; while the product of sizes fits, the
+    code is the plain mixed-radix value.
+    """
+    table = np.asarray(table, dtype=np.int64)
+    code = np.zeros(table.shape[0], dtype=np.int64)
+    span = 1  # every code lies in range(span)
+    for column, size in zip(table.T, sizes):
+        if span * size > CODE_LIMIT:
+            uniq, code = np.unique(code, return_inverse=True)
+            span = len(uniq)
+        code = code * size + column
+        span *= size
+    return code
+
+
+def locate(realizations: np.ndarray, rows: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Index of each row of ``rows`` in the sorted, distinct ``realizations``,
+    or ``len(realizations)`` for a row that is not among them."""
+    codes = encode(np.concatenate([realizations, rows]), sizes)
+    known, probe = codes[: len(realizations)], codes[len(realizations) :]
+    pos = np.searchsorted(known, probe)
+    # codes are non-negative, so the appended -1 matches no row past the end
+    return np.where(np.append(known, -1)[pos] == probe, pos, len(known))
 
 
 @dataclass(frozen=True)
@@ -86,7 +118,7 @@ class JointDistribution:
             raise ValueError("key indices out of domain range")
         if (probs < 0).any() or self.background < 0:
             raise ValueError("probabilities must be non-negative")
-        if keys.shape[0] and len(np.unique(keys, axis=0)) != keys.shape[0]:
+        if len(np.unique(encode(keys, sizes))) != keys.shape[0]:
             raise ValueError("keys must be distinct")
         total = math.fsum(probs) + self.background * (self.n_cells - keys.shape[0])
         if abs(total - 1.0) > MASS_TOL:
@@ -118,18 +150,6 @@ class JointDistribution:
                 cols.append(1 + self.schema.position(name))
         return tuple(sorted(cols))
 
-    def _encode_cols(self, cols: tuple[int, ...]) -> np.ndarray:
-        """Mixed-radix encode the selected key columns; preserves lexicographic order."""
-        if not cols:
-            return np.zeros(self.keys.shape[0], dtype=np.int64)
-        sizes = self.domain_sizes
-        if math.prod(sizes[c] for c in cols) > 2**62:
-            raise ProductSpaceError("product space too large to encode without overflow")
-        radix = np.ones(len(cols), dtype=np.int64)
-        for i in range(len(cols) - 2, -1, -1):
-            radix[i] = radix[i + 1] * sizes[cols[i + 1]]
-        return self.keys[:, list(cols)] @ radix
-
 
 def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
     """Plug-in estimate of the joint from dataset rows.
@@ -141,13 +161,15 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
         raise ValueError("smoothing must be non-negative")
     if data is None or data.n_rows == 0:
         raise EstimationError("cannot estimate a joint from an empty dataset")
-    keys, counts = np.unique(data.rows, axis=0, return_counts=True)
+    sizes = (data.states.size,) + data.schema.domain_sizes()
+    _, first, counts = np.unique(encode(data.rows, sizes), return_index=True, return_counts=True)
+    keys = data.rows[first]
     n = data.n_rows
     if smoothing == 0.0:
         probs = counts / n
         background = 0.0
     else:
-        n_cells = math.prod((data.states.size,) + data.schema.domain_sizes())
+        n_cells = math.prod(sizes)
         denom = n + smoothing * n_cells
         probs = (counts + smoothing) / denom
         background = smoothing / denom
@@ -159,12 +181,6 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
         background=background,
         state_name=data.state_name,
     )
-
-
-def _excluded_cells(joint: JointDistribution, cols: tuple[int, ...]) -> int:
-    sizes = joint.domain_sizes
-    excluded = [sizes[c] for c in range(len(sizes)) if c not in cols]
-    return math.prod(excluded)
 
 
 def grouped_mass(
@@ -183,10 +199,11 @@ def grouped_mass(
     are counted in ``absent`` and each of their cells has mass ``background``;
     without smoothing they have no mass and ``absent`` is 0.
     """
-    enc = joint._encode_cols(cols)
+    sizes = joint.domain_sizes
+    enc = encode(joint.keys[:, list(cols)], [sizes[c] for c in cols])
     uniq, first, inverse = np.unique(enc, return_index=True, return_inverse=True)
     n_cells = len(uniq) * width
-    rest = _excluded_cells(joint, cols) // width
+    rest = math.prod(s for c, s in enumerate(sizes) if c not in cols) // width
     background = joint.background * rest
     mass = np.bincount(
         np.concatenate([np.arange(n_cells), inverse * width + inner]),
@@ -195,7 +212,6 @@ def grouped_mass(
     )
     absent = 0
     if joint.background > 0.0:
-        sizes = joint.domain_sizes
         absent = math.prod(sizes[c] for c in cols) - len(uniq)
     return joint.keys[first][:, list(cols)], mass.reshape(len(uniq), width), absent, background
 
@@ -260,16 +276,8 @@ def posterior(joint: JointDistribution, assignment: Mapping[str, int]) -> Poster
     for c, v in zip(cols, values):
         if not (0 <= v < sizes[c]):
             raise SchemaError(f"value index {v} out of range for variable {joint.variables[c]!r}")
-    mask = (joint.keys[:, list(cols)] == values).all(axis=1) if cols else np.ones(len(joint.probs), dtype=bool)
-    n_states = joint.states.size
-    mass = np.zeros(n_states, dtype=np.float64)
-    counts = np.zeros(n_states, dtype=np.int64)
-    state_col = joint.keys[mask, 0]
-    np.add.at(mass, state_col, joint.probs[mask])
-    np.add.at(counts, state_col, 1)
-    if joint.background > 0.0:
-        rest = _excluded_cells(joint, (0,) + cols)
-        mass += joint.background * (rest - counts)
+    reals, mass, _, background_row = state_mass(joint, assignment.keys())
+    mass = np.vstack([mass, background_row])[locate(reals, values[None, :], [sizes[c] for c in cols])[0]]
     total = float(mass.sum())
     if total <= 0.0:
         raise ConditioningError(f"assignment {dict(assignment)!r} has zero marginal probability")

@@ -71,6 +71,11 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a grid point")
 
 
+def is_numeric_domain(values: Sequence) -> bool:
+    """True for a non-empty domain of exact rationals, i.e. a numeric grid."""
+    return bool(values) and all(isinstance(v, Fraction) for v in values)
+
+
 @dataclass(frozen=True)
 class DecisionSpace:
     """Ordered space of decisions: categorical labels or a numeric grid in [0, 1]."""
@@ -104,7 +109,7 @@ class DecisionSpace:
 
     @cached_property
     def is_numeric(self) -> bool:
-        return bool(self.points) and all(isinstance(p, Fraction) for p in self.points)
+        return is_numeric_domain(self.points)
 
     @cached_property
     def grid_floats(self) -> np.ndarray:

@@ -16,12 +16,14 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import SchemaError
-from .joint import Dataset, JointDistribution, Posterior, estimate_joint, state_mass
+from .joint import Dataset, JointDistribution, Posterior, estimate_joint, locate, state_mass
 from .model import DecisionProblem
 
 # Gains within this tolerance of zero are floating-point noise, not negative
 # information value; they are reported as exactly 0 with the raw value kept.
 CLAMP_TOL = 1e-9
+# Rows per batched matrix-vector product in _best_actions (bounds its temporary).
+ACTION_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,19 @@ def _group_contributions(mass: np.ndarray, problem: DecisionProblem) -> np.ndarr
     for d in range(1, payoffs.shape[0]):
         best = np.maximum(best, mass @ payoffs[d])
     return best
+
+
+def _best_actions(payoffs: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Best decision index per row of ``mass``, lowest index on ties.
+
+    Each row gets its own matrix-vector product ``payoffs @ row`` (a batched
+    matmul); one matrix product over all rows rounds, and so breaks near-ties,
+    differently.
+    """
+    return np.concatenate([
+        np.argmax(np.matmul(payoffs, mass[s : s + ACTION_CHUNK, :, None])[..., 0], axis=1)
+        for s in range(0, len(mass), ACTION_CHUNK)
+    ])
 
 
 def rational_payoff(joint: JointDistribution, problem: DecisionProblem, variables: Iterable[str] = ()) -> float:
@@ -170,7 +185,8 @@ def cross_fit_payoff(
     names = set(variables)
     if data.state_name in names:
         raise SchemaError(f"{data.state_name!r} is the state, not a signal or decision column")
-    cols = tuple(sorted(1 + data.schema.position(name) for name in names))
+    cols = sorted(1 + data.schema.position(name) for name in names)
+    sizes = (data.states.size,) + data.schema.domain_sizes()
     fold = np.arange(n) % 2
     payoffs = problem.payoff_matrix
     total = []
@@ -178,16 +194,13 @@ def cross_fit_payoff(
         train = Dataset(data.states, data.schema, data.rows[fold != f], state_name=data.state_name)
         train_joint = estimate_joint(train, smoothing)
         reals, mass, absent, background_row = state_mass(train_joint, variables)
-        rule = {}
-        for real, row in zip(reals, mass):
-            d = int(np.argmax(payoffs @ row))
-            rule[tuple(int(v) for v in real)] = d
-        unseen_action = int(np.argmax(payoffs @ (background_row if absent else mass.sum(axis=0))))
-        for row in data.rows[fold == f]:
-            key = tuple(int(row[c]) for c in cols)
-            d = rule.get(key, unseen_action)
-            total.append(float(payoffs[d, row[0]]))
-    return math.fsum(total) / n
+        # the last action is the one for realizations unseen in the fitting fold
+        unseen = background_row if absent else mass.sum(0)
+        actions = _best_actions(payoffs, np.vstack([mass, unseen]))
+        test = data.rows[fold == f]
+        chosen = actions[locate(reals, test[:, cols], [sizes[c] for c in cols])]
+        total.append(payoffs[chosen, test[:, 0]])
+    return math.fsum(np.concatenate(total)) / n
 
 
 def cross_fit_gain(

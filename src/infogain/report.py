@@ -17,7 +17,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .bootstrap import BootstrapResult, StatResult
+from .bootstrap import BootstrapResult, StatResult, set_label
 from .errors import ReportError
 
 # Fixed palette keyed by ground role, for cross-run comparability.
@@ -91,13 +91,7 @@ def _nice_axis(lo: float, hi: float) -> tuple[float, float]:
 
 
 def _stat_label(stat: StatResult) -> str:
-    if stat.signal is not None:
-        return stat.signal
-    return ",".join(stat.v1) if stat.v1 else "none"
-
-
-def _ground_key(stat: StatResult) -> str:
-    return ",".join(stat.ground) if stat.ground else "none"
+    return stat.signal if stat.signal is not None else set_label(stat.v1 or ())
 
 
 def build_plot_spec(results: Sequence[BootstrapResult], axis: tuple[float, float] | None = None) -> PlotSpec:
@@ -117,7 +111,7 @@ def build_plot_spec(results: Sequence[BootstrapResult], axis: tuple[float, float
             label = _stat_label(stat)
             labels.add(label)
             per_label.setdefault(label, []).append(
-                Strip(ground_label=_ground_key(stat), role=stat.ground_role, samples=stat.samples)
+                Strip(ground_label=set_label(stat.ground), role=stat.ground_role, samples=stat.samples)
             )
         label_sets.append(labels)
     if any(ls != label_sets[0] for ls in label_sets[1:]):

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import OracleError, ProductSpaceError, SchemaError
-from .joint import Dataset, JointDistribution, state_mass
+from .joint import Dataset, JointDistribution, locate, state_mass
 from .model import (
     BasicSignal,
     DecisionColumn,
@@ -97,16 +97,18 @@ def xor_problem() -> DecisionProblem:
     return brier_problem(("0", "1"))
 
 
-def _agent_informed_rule(
-    joint: JointDistribution, problem: DecisionProblem, agent: SyntheticAgentSpec
-) -> dict[tuple[int, ...], int]:
-    """Map each used-signal realization with positive mass to the informed decision index."""
+def _informed_decisions(
+    joint: JointDistribution, problem: DecisionProblem, agent: SyntheticAgentSpec, rows: np.ndarray
+) -> np.ndarray:
+    """The agent's informed decision index for each row of ``rows`` (tuples over
+    the joint's columns, state first), or -1 where the used-signal realization
+    has no mass."""
     for name in agent.used_signals:
         if joint.schema.is_decision(name):
             raise SchemaError(f"agent {agent.name!r} uses {name!r}, which is a decision column")
     reals, mass, _, _ = state_mass(joint, agent.used_signals)
-    rule: dict[tuple[int, ...], int] = {}
-    for real, row in zip(reals, mass):
+    decided = np.full(len(reals) + 1, -1)
+    for g, row in enumerate(mass):
         total = row.sum()
         if total <= 0:
             continue
@@ -115,11 +117,11 @@ def _agent_informed_rule(
             if not problem.decisions.is_numeric:
                 raise SchemaError("posterior_mean_on_grid needs a numeric decision grid")
             mean = float(np.arange(joint.states.size) @ post)
-            d = problem.decisions.nearest_index(mean)
+            decided[g] = problem.decisions.nearest_index(mean)
         else:
-            d = best_response(post, problem)
-        rule[tuple(int(v) for v in real)] = d
-    return rule
+            decided[g] = best_response(post, problem)
+    cols = list(joint.columns(agent.used_signals, allow_state=False))
+    return decided[locate(reals, rows[:, cols], [joint.domain_sizes[c] for c in cols])]
 
 
 def _extended_schema(schema: SignalSchema, problem: DecisionProblem, agents: Sequence[SyntheticAgentSpec]) -> SignalSchema:
@@ -146,27 +148,19 @@ def with_population_agents(
         raise ValueError("population agents require an unsmoothed joint")
     n_dec = problem.decisions.size
     schema = _extended_schema(joint.schema, problem, agents)
-    cells: list[tuple[tuple[int, ...], float]] = [
-        (tuple(int(v) for v in key), float(p)) for key, p in zip(joint.keys, joint.probs)
-    ]
-    used_cols_per_agent = [joint.columns(a.used_signals, allow_state=False) for a in agents]
-    for agent, used_cols in zip(agents, used_cols_per_agent):
-        rule = _agent_informed_rule(joint, problem, agent)
+    keys, probs = joint.keys, joint.probs
+    for agent in agents:
+        informed = _informed_decisions(joint, problem, agent, keys)
         eps = float(agent.noise)
-        grown: list[tuple[tuple[int, ...], float]] = []
-        for key, p in cells:
-            informed = rule[tuple(key[c] for c in used_cols)]
-            if eps == 0.0:
-                grown.append((key + (informed,), p))
-                continue
-            for d in range(n_dec):
-                w = eps / n_dec + (1.0 - eps if d == informed else 0.0)
-                grown.append((key + (d,), p * w))
-            if len(grown) > POPULATION_CELL_LIMIT:
-                raise ProductSpaceError("population joint with agents exceeds the cell limit")
-        cells = grown
-    keys = np.array([k for k, _ in cells], dtype=np.int64)
-    probs = np.array([p for _, p in cells], dtype=np.float64)
+        if eps == 0.0:
+            keys = np.column_stack([keys, informed])
+            continue
+        if len(keys) * n_dec > POPULATION_CELL_LIMIT:
+            raise ProductSpaceError("population joint with agents exceeds the cell limit")
+        cell = np.repeat(np.arange(len(keys)), n_dec)  # each cell once per decision
+        d = np.tile(np.arange(n_dec), len(keys))
+        w = eps / n_dec + np.where(d == informed[cell], 1.0 - eps, 0.0)
+        keys, probs = np.column_stack([keys[cell], d]), probs[cell] * w
     order = np.lexsort(keys.T[::-1])
     return JointDistribution(
         states=joint.states,
@@ -198,17 +192,8 @@ def generate_dataset(
     rows = joint.keys[picks]
     n_dec = problem.decisions.size
     columns = [rows]
-    sizes = joint.domain_sizes
     for agent in agents:
-        rule = _agent_informed_rule(joint, problem, agent)
-        used_cols = joint.columns(agent.used_signals, allow_state=False)
-        radix = np.ones(len(used_cols), dtype=np.int64)
-        for i in range(len(used_cols) - 2, -1, -1):
-            radix[i] = radix[i + 1] * sizes[used_cols[i + 1]]
-        lookup = np.full(int(math.prod(sizes[c] for c in used_cols)), -1, dtype=np.int64)
-        for real, d in rule.items():
-            lookup[int(np.array(real, dtype=np.int64) @ radix)] = d
-        informed = lookup[rows[:, list(used_cols)] @ radix]
+        informed = _informed_decisions(joint, problem, agent, rows)
         agent_rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(_AGENT_STREAM, agent.stream_key()))
         )
@@ -299,22 +284,14 @@ def make_deepfake_joint() -> JointDistribution:
 def _binarized_accuracy(joint: JointDistribution, problem: DecisionProblem, agent: SyntheticAgentSpec) -> float:
     """Population probability that the agent's report, thresholded at 1/2, matches
     the state; a report of exactly 1/2 counts as a coin flip."""
-    rule = _agent_informed_rule(joint, problem, agent)
-    used_cols = joint.columns(agent.used_signals, allow_state=False)
     grid = problem.decisions.grid_floats
-
-    def credit(d_idx: int, w: int) -> float:
-        d = grid[d_idx]
-        if d == 0.5:
-            return 0.5
-        return 1.0 if (d > 0.5) == (w == 1) else 0.0
-
-    informed_acc = []
-    for key, p in zip(joint.keys, joint.probs):
-        d_idx = rule[tuple(int(key[c]) for c in used_cols)]
-        informed_acc.append(float(p) * credit(d_idx, int(key[0])))
-    noise_acc = math.fsum(float(p) * credit(d, int(key[0])) for key, p in zip(joint.keys, joint.probs) for d in range(problem.decisions.size)) / problem.decisions.size
-    return (1.0 - agent.noise) * math.fsum(informed_acc) + agent.noise * noise_acc
+    states = joint.keys[:, 0]
+    # credit[d, w]: report d thresholded at 1/2 names state w; exactly 1/2 earns half
+    credit = np.where(grid[:, None] == 0.5, 0.5, (grid[:, None] > 0.5) == (np.arange(joint.states.size) == 1))
+    informed = _informed_decisions(joint, problem, agent, joint.keys)
+    informed_acc = math.fsum(joint.probs * credit[informed, states])
+    noise_acc = math.fsum((joint.probs * credit[:, states]).ravel()) / problem.decisions.size
+    return (1.0 - agent.noise) * informed_acc + agent.noise * noise_acc
 
 
 def make_deepfake_agents(joint: JointDistribution, problem: DecisionProblem) -> tuple[SyntheticAgentSpec, ...]:

@@ -98,6 +98,28 @@ def test_load_three_row_dataset(tmp_path):
     assert data.rows.tolist() == [[0, 1], [1, 0], [1, 1]]
 
 
+def test_utf8_bom_before_the_header_is_accepted(tmp_path):
+    cfg = load_schema(write_json(tmp_path / "s.json", MINIMAL_SCHEMA))
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(b"\xef\xbb\xbfstate,x\r\n0,1\r\n1,0\r\n")
+    assert load_dataset(csv_path, cfg).rows.tolist() == [[0, 1], [1, 0]]
+
+
+def test_trailing_empty_records_are_ignored(tmp_path):
+    cfg = load_schema(write_json(tmp_path / "s.json", MINIMAL_SCHEMA))
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("state,x\n0,1\n1,0\n\n\r\n\n", encoding="utf-8")
+    assert load_dataset(csv_path, cfg).rows.tolist() == [[0, 1], [1, 0]]
+
+
+def test_blank_line_between_rows_names_its_row(tmp_path):
+    cfg = load_schema(write_json(tmp_path / "s.json", MINIMAL_SCHEMA))
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("state,x\n0,1\n\n\n1,0\n\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="row 3: expected 2 cells, got 0"):
+        load_dataset(csv_path, cfg)
+
+
 def test_unmappable_value_names_row_and_column(tmp_path):
     cfg = load_schema(write_json(tmp_path / "s.json", MINIMAL_SCHEMA))
     csv_path = tmp_path / "d.csv"

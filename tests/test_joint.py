@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infogain.errors import ConditioningError, SchemaError
-from infogain.joint import Dataset, JointDistribution, estimate_joint, marginal, posterior, support
+from infogain.joint import (
+    CODE_LIMIT,
+    Dataset,
+    JointDistribution,
+    encode,
+    estimate_joint,
+    locate,
+    marginal,
+    posterior,
+    support,
+)
 from infogain.model import BasicSignal, SignalSchema, StateSpace
 
 BINARY = SignalSchema(signals=(BasicSignal("x", ("0", "1")),))
@@ -105,25 +115,54 @@ def test_support_single_point():
     assert list(support(joint, ["state", "x"])) == [((1, 0), 1.0)]
 
 
-def test_huge_sparse_spaces_group_small_subsets_but_refuse_full_encoding():
-    from infogain.errors import ProductSpaceError
+def _huge_decision_schema():
     from infogain.model import DecisionColumn
 
-    schema = SignalSchema(
+    return SignalSchema(
         signals=(),
         decisions=tuple(
             DecisionColumn(f"d{i}", "other", tuple(str(v) for v in range(101))) for i in range(10)
         ),
     )
+
+
+def test_huge_sparse_spaces_group_any_subset_but_refuse_smoothed_dense_marginal():
+    from infogain.errors import ProductSpaceError
+
+    # 2 * 101**10 cells: past 2**62, so the full encoding ranks partial codes
+    schema = _huge_decision_schema()
     joint = JointDistribution(
         states=StateSpace.of(("0", "1")),
         schema=schema,
         keys=np.zeros((1, 11), dtype=np.int64),
         probs=np.array([1.0]),
     )
+    names = [f"d{i}" for i in range(10)]
     assert marginal(joint, ["d0"]) == {(0,): 1.0}
+    assert marginal(joint, names) == {(0,) * 10: 1.0}
+    n_cells = 2 * 101**10
+    smoothed = JointDistribution(
+        states=joint.states,
+        schema=schema,
+        keys=joint.keys,
+        probs=np.array([0.5]),
+        background=0.5 / (n_cells - 1),
+    )
+    assert len(marginal(smoothed, ["d0"])) == 101
     with pytest.raises(ProductSpaceError):
-        marginal(joint, [f"d{i}" for i in range(10)])
+        marginal(smoothed, names)
+
+
+def test_huge_space_rejects_duplicate_keys():
+    keys = np.zeros((2, 11), dtype=np.int64)
+    keys[:, 10] = 100
+    with pytest.raises(ValueError, match="distinct"):
+        JointDistribution(
+            states=StateSpace.of(("0", "1")),
+            schema=_huge_decision_schema(),
+            keys=keys,
+            probs=np.array([0.5, 0.5]),
+        )
 
 
 def test_mass_invariant_rejects_bad_total():
@@ -197,3 +236,95 @@ def test_total_mass_is_one(data, smoothing):
     explicit = math.fsum(joint.probs)
     total = explicit + joint.background * (joint.n_cells - len(joint.probs))
     assert abs(total - 1.0) <= 1e-12
+
+
+@st.composite
+def code_tables(draw):
+    """Tables with repeated rows; wide domains push the product past CODE_LIMIT."""
+    sizes = draw(st.lists(st.one_of(st.integers(1, 4), st.integers(1, 2**40)), min_size=0, max_size=8))
+    pool = draw(st.lists(st.tuples(*(st.integers(0, k - 1) for k in sizes)), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=25))
+    table = np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), len(sizes))
+    return table, sizes
+
+
+@given(code_tables())
+def test_encode_orders_like_lexsort_and_separates_distinct_rows(case):
+    table, sizes = case
+    codes = encode(table, sizes)
+    assert codes.dtype == np.int64 and codes.shape == (table.shape[0],)
+    order = np.lexsort(table.T[::-1]) if sizes else np.arange(table.shape[0])  # no columns: all rows tie
+    assert np.array_equal(np.argsort(codes, kind="stable"), order)
+    same_code = codes[:, None] == codes[None, :]
+    same_row = (table[:, None, :] == table[None, :, :]).all(axis=2)
+    assert np.array_equal(same_code, same_row)
+    if math.prod(sizes) <= CODE_LIMIT:
+        radix = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
+        assert codes.tolist() == [sum(int(v) * r for v, r in zip(row, radix)) for row in table]
+
+
+def test_encode_ranks_past_the_code_limit():
+    sizes = [2**40, 2**40, 3]
+    table = np.array([[2**40 - 1, 5, 2], [0, 2**40 - 1, 0], [2**40 - 1, 5, 1], [0, 2**40 - 1, 0]])
+    # 2**80 passes the limit: the first column becomes its rank (1, 0, 1, 0)
+    # before the second folds in; then 2**41 * 3 fits again
+    assert encode(table, sizes).tolist() == [
+        (2**40 + 5) * 3 + 2, (2**40 - 1) * 3, (2**40 + 5) * 3 + 1, (2**40 - 1) * 3
+    ]
+
+
+def test_locate_marks_unknown_rows_past_the_end():
+    reals = np.array([[0, 1], [1, 0], [1, 1]])
+    rows = np.array([[1, 1], [0, 0], [0, 1], [1, 1]])
+    assert locate(reals, rows, [2, 2]).tolist() == [2, 3, 0, 2]
+    assert locate(reals[:0], rows, [2, 2]).tolist() == [0, 0, 0, 0]
+
+
+@given(small_datasets(), st.sampled_from([0.0, 0.5]))
+def test_estimate_joint_matches_row_unique_reference(data, smoothing):
+    keys, counts = np.unique(data.rows, axis=0, return_counts=True)
+    joint = estimate_joint(data, smoothing)
+    assert np.array_equal(joint.keys, keys)
+    if smoothing == 0.0:
+        assert np.array_equal(joint.probs, counts / data.n_rows)
+    else:
+        denom = data.n_rows + smoothing * joint.n_cells
+        assert np.array_equal(joint.probs, (counts + smoothing) / denom)
+        assert joint.background == smoothing / denom
+
+
+def _reference_posterior(joint, assignment):
+    """Mask-and-count posterior: explicit tuples summed per state plus the
+    background of the absent cells that match the assignment."""
+    cols = joint.columns(assignment.keys(), allow_state=False)
+    values = np.array([assignment[joint.variables[c]] for c in cols], dtype=np.int64)
+    mask = (joint.keys[:, list(cols)] == values).all(axis=1)
+    n_states = joint.states.size
+    mass = np.zeros(n_states)
+    counts = np.zeros(n_states, dtype=np.int64)
+    np.add.at(mass, joint.keys[mask, 0], joint.probs[mask])
+    np.add.at(counts, joint.keys[mask, 0], 1)
+    rest = math.prod(s for c, s in enumerate(joint.domain_sizes) if c != 0 and c not in cols)
+    mass += joint.background * (rest - counts)
+    return mass / mass.sum() if mass.sum() > 0 else None
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.5])
+@given(data=small_datasets())
+def test_posterior_matches_mask_and_count_reference(smoothing, data):
+    joint = estimate_joint(data, smoothing)
+    names = joint.schema.names
+    for r in range(len(names) + 1):
+        for vars_ in itertools.combinations(names, r):
+            sizes = [joint.domain_sizes[1 + joint.schema.position(v)] for v in vars_]
+            for real in itertools.product(*(range(k) for k in sizes)):
+                assignment = dict(zip(vars_, real))
+                expect = _reference_posterior(joint, assignment)
+                if expect is None:
+                    with pytest.raises(ConditioningError):
+                        posterior(joint, assignment)
+                elif smoothing == 0.0:
+                    assert posterior(joint, assignment).tolist() == expect.tolist()
+                else:
+                    # the background enters the sum in another order: equal up to rounding
+                    np.testing.assert_allclose(posterior(joint, assignment), expect, rtol=1e-13, atol=0)

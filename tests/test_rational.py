@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from infogain.errors import SchemaError
-from infogain.joint import Dataset, JointDistribution, estimate_joint
+from infogain.joint import Dataset, JointDistribution, estimate_joint, state_mass
 from infogain.model import (
     BasicSignal,
     DecisionColumn,
@@ -27,6 +27,8 @@ from infogain.rational import (
 from infogain.synth import (
     SyntheticAgentSpec,
     brute_force_rational,
+    generate_dataset,
+    make_deepfake_dataset,
     random_joint,
     random_matrix_problem,
     with_population_agents,
@@ -226,3 +228,44 @@ def test_cross_fit_needs_two_rows(brier):
     data = Dataset(StateSpace.of(("0", "1")), schema, np.array([[0, 0]]))
     with pytest.raises(ValueError):
         cross_fit_payoff(data, brier, ["x"])
+
+
+def _reference_cross_fit_payoff(data, problem, variables, smoothing):
+    """Row-by-row cross-fit: a dict from realization tuple to its fitted action."""
+    cols = tuple(sorted(1 + data.schema.position(name) for name in variables))
+    fold = np.arange(data.n_rows) % 2
+    payoffs = problem.payoff_matrix
+    total = []
+    for f in (0, 1):
+        train = Dataset(data.states, data.schema, data.rows[fold != f], state_name=data.state_name)
+        reals, mass, absent, background_row = state_mass(estimate_joint(train, smoothing), variables)
+        rule = {tuple(int(v) for v in real): int(np.argmax(payoffs @ row)) for real, row in zip(reals, mass)}
+        unseen_action = int(np.argmax(payoffs @ (background_row if absent else mass.sum(axis=0))))
+        for row in data.rows[fold == f]:
+            d = rule.get(tuple(int(row[c]) for c in cols), unseen_action)
+            total.append(float(payoffs[d, row[0]]))
+    return math.fsum(total) / data.n_rows
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.3])
+def test_cross_fit_payoff_equals_row_by_row_reference(smoothing):
+    # Brier on a 101-point grid has many near-tied actions; the 3-state matrix
+    # problem covers a categorical decision space
+    deepfake, brier = make_deepfake_dataset(n_rows=3000, seed=7)
+    rng = np.random.default_rng(5)
+    problem = random_matrix_problem(rng, n_states=3, n_decisions=4)
+    joint = random_joint(rng, n_signals=3, n_states=3, domain_size=3, n_decision_columns=1, decision_domain_size=5)
+    matrix_data = generate_dataset(joint, problem, n_rows=500, seed=3)
+    cases = [
+        (deepfake, brier, ()),
+        (deepfake, brier, ("flicker",)),
+        (deepfake, brier, ("human",)),
+        (deepfake, brier, ("human", "ai", "human_ai")),
+        (deepfake, brier, deepfake.schema.names),
+        (matrix_data, problem, ("x1",)),
+        (matrix_data, problem, ("x2", "b1")),
+        (matrix_data, problem, matrix_data.schema.names),
+    ]
+    for data, prob, names in cases:
+        expect = _reference_cross_fit_payoff(data, prob, names, smoothing)
+        assert cross_fit_payoff(data, prob, names, smoothing) == expect, names

@@ -7,7 +7,7 @@ import pytest
 from infogain.errors import OracleError, SchemaError
 from infogain.joint import JointDistribution, estimate_joint, marginal, posterior
 from infogain.model import DecisionColumn, SignalSchema, StateSpace, brier_problem
-from infogain.rational import information_gain, rational_payoff
+from infogain.rational import best_response, information_gain, rational_payoff
 from infogain.synth import (
     DEEPFAKE_AI_ACCURACY,
     DEEPFAKE_SIGNALS,
@@ -74,6 +74,73 @@ def test_generate_dataset_deterministic_per_seed(xor_joint, brier):
     c = generate_dataset(xor_joint, brier, [agent], n_rows=300, seed=13)
     assert np.array_equal(a.rows, b.rows)
     assert not np.array_equal(a.rows, c.rows)
+
+
+def _reference_informed(joint, problem, agent, key):
+    """The agent's informed decision for one full key tuple, from ``posterior``."""
+    used = sorted(agent.used_signals, key=joint.schema.position)
+    post = posterior(joint, {name: int(key[joint.schema.position(name) + 1]) for name in used})
+    if agent.rule == "posterior_mean_on_grid":
+        return problem.decisions.nearest_index(float(np.arange(joint.states.size) @ post))
+    return best_response(post, problem)
+
+
+def test_noiseless_agents_report_their_posterior_mean_on_every_row():
+    joint, brier = make_deepfake_joint(), brier_problem(("genuine", "fake"))
+    agents = [SyntheticAgentSpec(name=a.name, used_signals=a.used_signals) for a in make_deepfake_agents(joint, brier)]
+    data = generate_dataset(joint, brier, agents, n_rows=2000, seed=9)
+    for agent in agents:
+        col = data.rows[:, data.schema.position(agent.name) + 1]
+        assert col.tolist() == [_reference_informed(joint, brier, agent, row) for row in data.rows]
+
+
+def _reference_population_agents(joint, problem, agents):
+    """Cell-by-cell extension: each cell once per decision, weighted by the agent's noise."""
+    n_dec = problem.decisions.size
+    cells = [(tuple(int(v) for v in key), float(p)) for key, p in zip(joint.keys, joint.probs)]
+    for agent in agents:
+        eps = float(agent.noise)
+        grown = []
+        for key, p in cells:
+            informed = _reference_informed(joint, problem, agent, key)
+            if eps == 0.0:
+                grown.append((key + (informed,), p))
+                continue
+            for d in range(n_dec):
+                grown.append((key + (d,), p * (eps / n_dec + (1.0 - eps if d == informed else 0.0))))
+        cells = grown
+    return sorted(cells)
+
+
+def test_population_agents_equal_cell_by_cell_reference(xor_joint, brier):
+    rng = np.random.default_rng(3)
+    joint = random_joint(rng, n_signals=3, n_states=3, domain_size=3)
+    problem = random_matrix_problem(rng, n_states=3, n_decisions=4)
+    cases = [
+        (xor_joint, brier, [SyntheticAgentSpec("a", ("s1",), 0.0), SyntheticAgentSpec("b", ("s1", "s2"), 0.3)]),
+        (xor_joint, brier, [SyntheticAgentSpec("a", (), 0.5)]),
+        (joint, problem, [SyntheticAgentSpec("m1", ("x1", "x3"), 0.2, rule="argmax_payoff"),
+                          SyntheticAgentSpec("m2", ("x2",), 0.0, rule="argmax_payoff")]),
+    ]
+    for base, prob, agents in cases:
+        extended = with_population_agents(base, prob, agents)
+        cells = [(tuple(key), p) for key, p in zip(extended.keys.tolist(), extended.probs.tolist())]
+        assert cells == _reference_population_agents(base, prob, agents)
+
+
+def test_binarized_accuracy_equals_cell_by_cell_reference():
+    joint, brier = make_deepfake_joint(), brier_problem(("genuine", "fake"))
+    grid = brier.decisions.grid_floats
+
+    def credit(d, w):
+        return 0.5 if grid[d] == 0.5 else float((grid[d] > 0.5) == (w == 1))
+
+    for agent in make_deepfake_agents(joint, brier):
+        informed = [float(p) * credit(_reference_informed(joint, brier, agent, key), int(key[0]))
+                    for key, p in zip(joint.keys, joint.probs)]
+        noise = [float(p) * credit(d, int(key[0])) for key, p in zip(joint.keys, joint.probs) for d in range(len(grid))]
+        expect = (1.0 - agent.noise) * math.fsum(informed) + agent.noise * (math.fsum(noise) / len(grid))
+        assert _binarized_accuracy(joint, brier, agent) == expect
 
 
 def test_agent_on_decision_column_rejected(xor_joint, brier):
