@@ -157,8 +157,8 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
     With ``smoothing`` alpha > 0, every cell of the full product space gets an
     add-alpha pseudo-count before normalization (see module caution note).
     """
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
+    if not math.isfinite(smoothing) or smoothing < 0:
+        raise ValueError(f"smoothing must be a finite non-negative number, got {smoothing!r}")
     if data is None or data.n_rows == 0:
         raise EstimationError("cannot estimate a joint from an empty dataset")
     sizes = (data.states.size,) + data.schema.domain_sizes()

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from infogain.cli import main, manifest_to_argv
+from infogain.errors import ValidationError
+from infogain.io import parse_schema_doc
 
 XOR_EXACT_CSV = "state,s1,s2\n" + "".join(
     f"{s1 ^ s2},{s1},{s2}\n" for s1 in (0, 1) for s2 in (0, 1)
@@ -71,6 +73,48 @@ def test_gain_xor_pair(xor_files, capsys):
     schema, data = xor_files
     assert main(["gain", "--schema", str(schema), "--data", str(data), "--v1", "s1,s2", "--ground", "none"]) == 0
     assert "gain(s1,s2; none) = 0.25" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_gain_rejects_non_finite_alpha(xor_files, capsys, alpha):
+    schema, data = xor_files
+    assert main(["gain", "--schema", str(schema), "--data", str(data), "--v1", "s1", "--ground", "none",
+                 "--alpha", alpha]) == 1
+    captured = capsys.readouterr()
+    assert "finite non-negative" in captured.err and captured.out == ""
+
+
+def _xor_schema_with(**changes):
+    doc = {
+        "state": {"column": "state", "labels": ["0", "1"]},
+        "signals": [{"column": "s1", "values": ["0", "1"]}, {"column": "s2", "values": ["0", "1"]}],
+        "decisions": [],
+        "payoff": {"kind": "brier"},
+    }
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    ("doc", "path"),
+    [
+        (_xor_schema_with(options={"smoothing": None}), "options.smoothing"),
+        (_xor_schema_with(signals=[5]), "signals[0]"),
+        (_xor_schema_with(options=[]), "options"),
+        (_xor_schema_with(options={"smoothing": "abc"}), "options.smoothing"),
+        (_xor_schema_with(payoff={"kind": "brier", "grid": {"count": 11, "start": "x"}}), "payoff.grid.start"),
+        (_xor_schema_with(options={"smoothing": float("nan")}), "options.smoothing"),
+    ],
+    ids=["smoothing-null", "signal-not-object", "options-list", "smoothing-text", "grid-start-text", "smoothing-nan"],
+)
+def test_malformed_schema_field_is_located(xor_files, capsys, doc, path):
+    schema, data = xor_files
+    with pytest.raises(ValidationError) as err:
+        parse_schema_doc(doc)
+    assert err.value.path == path and str(err.value).startswith(f"{path}: ")
+    schema.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--schema", str(schema), "--data", str(data)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 def test_gain_unknown_variable_lists_valid_names(xor_files, capsys):

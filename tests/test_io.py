@@ -1,25 +1,32 @@
 import csv
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import infogain.io
 from infogain.bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
 from infogain.errors import ValidationError
 from infogain.io import (
     Provenance,
     SchemaConfig,
+    _bin_domain,
+    domain_value_str,
     fraction_to_str,
     load_dataset,
     load_schema,
+    parse_schema_doc,
     read_results,
     schema_to_doc,
     write_dataset,
     write_results,
     write_schema,
 )
+from infogain.joint import Dataset
+from infogain.model import BasicSignal, DecisionColumn, SignalSchema, StateSpace, is_numeric_domain
 from infogain.rational import GainValue, information_gain
 from infogain.joint import estimate_joint
 from infogain.shapley import shapley_exact
@@ -282,3 +289,269 @@ def test_corrupted_cells_report_their_locus(tmp_path_factory, row, column):
     message = str(err.value)
     assert f"row {row + 2}" in message
     assert column in message
+
+
+# --- the block-streamed loader against the per-row reference ---------------
+
+
+def _reference_load(path, cfg):
+    """The per-row, per-cell loader that ``load_dataset`` replaced (reference oracle)."""
+    entries = list(cfg.schema.entries)
+    wanted = [cfg.state_column] + [e.name for e in entries]
+
+    domains = [cfg.states.labels] + [e.domain for e in entries]
+    numeric = [False] + [is_numeric_domain(e.domain) for e in entries]
+    lookups = [{v if num else str(v): i for i, v in enumerate(dom)} for dom, num in zip(domains, numeric)]
+
+    rows = []
+    dropped = 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError("dataset: file has no header row", path="") from None
+        header = [h.strip() for h in header]
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        if dupes:
+            raise ValidationError(f"dataset: duplicate column(s) {dupes}", path=",".join(dupes))
+        unknown = [h for h in header if h not in wanted]
+        if unknown:
+            raise ValidationError(f"dataset: unknown column(s) {unknown}", path=",".join(unknown))
+        missing_cols = [c for c in wanted if c not in header]
+        if missing_cols:
+            raise ValidationError(f"dataset: missing column(s) {missing_cols}", path=",".join(missing_cols))
+        col_pos = [header.index(c) for c in wanted]
+
+        records = enumerate(reader, start=2)
+        for lineno, record in records:
+            if not record and all(not rest for _, rest in records):
+                break
+            if len(record) != len(header):
+                raise ValidationError(
+                    f"dataset row {lineno}: expected {len(header)} cells, got {len(record)}", path=f"row {lineno}"
+                )
+            out = []
+            bad = None
+            for col_name, pos, lookup, num in zip(wanted, col_pos, lookups, numeric):
+                cell = record[pos].strip()
+                if cell == "":
+                    bad = ("missing", col_name)
+                    break
+                key = cell
+                if num:
+                    try:
+                        key = Fraction(cell)
+                    except (ValueError, ZeroDivisionError):
+                        bad = ("value", col_name)
+                        break
+                if key not in lookup:
+                    bad = ("value", col_name)
+                    break
+                out.append(lookup[key])
+            if bad is None:
+                rows.append(out)
+            elif bad[0] == "missing" and cfg.missing == "drop":
+                dropped += 1
+            elif bad[0] == "missing":
+                raise ValidationError(f"dataset row {lineno}, column {bad[1]!r}: missing value", path=f"row {lineno}")
+            else:
+                cell = record[col_pos[wanted.index(bad[1])]]
+                raise ValidationError(
+                    f"dataset row {lineno}, column {bad[1]!r}: value {cell!r} not in the declared domain",
+                    path=f"row {lineno}",
+                )
+    if not rows:
+        raise ValidationError("dataset: no rows left after parsing", path="")
+
+    arr = np.array(rows, dtype=np.int64)
+    schema = cfg.schema
+    if cfg.decision_bins:
+        new_decisions = []
+        for j, dec in enumerate(cfg.schema.decisions):
+            if not is_numeric_domain(dec.domain):
+                new_decisions.append(dec)
+                continue
+            centers, mapping = _bin_domain(dec.domain, cfg.decision_bins)
+            col = 1 + len(cfg.schema.signals) + j
+            remap = np.array([mapping[i] for i in range(len(dec.domain))], dtype=np.int64)
+            arr[:, col] = remap[arr[:, col]]
+            new_decisions.append(DecisionColumn(dec.name, dec.role, centers))
+        schema = SignalSchema(signals=cfg.schema.signals, decisions=tuple(new_decisions))
+    return Dataset(states=cfg.states, schema=schema, rows=arr, state_name=cfg.state_column, dropped_rows=dropped)
+
+
+def _outcome(load, path, cfg):
+    """A loader's result as comparable values: arrays and counts, or the error raised."""
+    try:
+        data = load(path, cfg)
+    except ValidationError as exc:
+        return ("ValidationError", str(exc), exc.path)
+    except csv.Error as exc:
+        return ("csv.Error", str(exc))
+    rows = data.rows
+    return ("ok", rows.tolist(), rows.dtype.str, rows.flags.c_contiguous, data.dropped_rows, data.schema)
+
+
+def _assert_loaders_agree(path, cfg):
+    expected = _outcome(_reference_load, path, cfg)
+    assert _outcome(load_dataset, path, cfg) == expected
+    return expected
+
+
+FUZZ_SCHEMA = {
+    "state": {"column": "state", "labels": ["0", "1"]},
+    "signals": [{"column": "x", "values": ["a", "b,c"]}],
+    "decisions": [{"column": "d", "role": "human", "grid": {"count": 11}}],
+    "payoff": {"kind": "brier"},
+}
+# Raw cell text per column: in-domain spellings (padded, quoted, several per grid
+# point), then cells that are missing or not in the domain.
+FUZZ_GOOD = {
+    "state": ["0", "1", " 1 ", '"0"'],
+    "x": ["a", '"b,c"', " a", '"a"'],
+    "d": ["0.1", "1/10", "0.10", " 0.5 ", "1", "0", "1e-1", "3/5"],
+}
+FUZZ_BAD = {
+    "state": ["2", "", "  "],
+    "x": ["b", "z", "", '"a\nb"'],
+    "d": ["0.505", "abc", "1/0", "", "nan"],
+}
+
+
+@st.composite
+def fuzz_csv(draw):
+    """CSV text over the fuzz schema's columns; ``noise`` sets how often a cell or record is malformed."""
+    header = draw(st.permutations(["state", "x", "d"]))
+    noise = draw(st.integers(0, 3))
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = "row" if draw(st.integers(0, 19)) >= noise else draw(st.sampled_from(["blank", "short", "long"]))
+        if kind == "blank":
+            records.append("")
+            continue
+        cells = [draw(st.sampled_from(FUZZ_BAD[c] if draw(st.integers(0, 9)) < noise else FUZZ_GOOD[c]))
+                 for c in header]
+        if kind == "short":
+            cells = cells[: draw(st.integers(1, 2))]
+        elif kind == "long":
+            cells.append(draw(st.sampled_from(["0", ""])))
+        records.append(",".join(cells))
+    records += [""] * draw(st.integers(0, 3))
+    lines = [",".join(header)] + records
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no line end after the last record
+    return text
+
+
+@settings(max_examples=300)
+@given(
+    fuzz_csv(),
+    st.sampled_from(["error", "drop"]),
+    st.sampled_from([None, 3]),
+    st.sampled_from([1, 2, 3, infogain.io.BLOCK_ROWS]),
+)
+def test_block_loader_matches_per_row_reference(tmp_path_factory, text, missing, bins, block_rows):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = parse_schema_doc({**FUZZ_SCHEMA, "options": {"missing": missing, "decision_bins": bins}})
+    path = tmp / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(infogain.io, "BLOCK_ROWS", block_rows):
+        _assert_loaders_agree(path, cfg)
+
+
+def _fuzz_cfg(**options):
+    return parse_schema_doc({**FUZZ_SCHEMA, "options": options})
+
+
+def test_grid_point_spellings_load_to_one_index(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('state,x,d\n0,a,0.1\n1,"b,c",1/10\r\n0, a ,0.10\n1,a, 1e-1 \n', encoding="utf-8")
+    outcome = _assert_loaders_agree(path, _fuzz_cfg())
+    assert outcome[1] == [[0, 0, 1], [1, 1, 1], [0, 0, 1], [1, 0, 1]]
+
+
+def test_error_in_a_later_block_names_its_line(monkeypatch, tmp_path):
+    monkeypatch.setattr(infogain.io, "BLOCK_ROWS", 4)
+    path = tmp_path / "d.csv"
+    path.write_text("state,x,d\n" + "0,a,0.1\n" * 5 + "1,a,0.505\n" + "1,a,1\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"row 7, column 'd': value '0.505'") as err:
+        load_dataset(path, _fuzz_cfg())
+    assert err.value.path == "row 7"
+    _assert_loaders_agree(path, _fuzz_cfg())
+
+
+def test_trailing_empty_records_across_a_block_edge(monkeypatch, tmp_path):
+    monkeypatch.setattr(infogain.io, "BLOCK_ROWS", 4)
+    path = tmp_path / "d.csv"
+    path.write_text("state,x,d\n" + "0,a,0.1\n" * 3 + "\n\r\n\n\n", encoding="utf-8")
+    assert load_dataset(path, _fuzz_cfg()).rows.tolist() == [[0, 0, 1]] * 3
+    path.write_text("state,x,d\n" + "0,a,0.1\n" * 3 + "\n\r\n\n\n1,a,1\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="row 5: expected 3 cells, got 0"):
+        load_dataset(path, _fuzz_cfg())
+
+
+def test_earlier_bad_cell_wins_over_a_later_short_record(monkeypatch, tmp_path):
+    monkeypatch.setattr(infogain.io, "BLOCK_ROWS", 4)
+    path = tmp_path / "d.csv"
+    path.write_text("state,x,d\n0,a,0.1\n0,,0.1\n0,z\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="row 3, column 'x': missing value"):
+        load_dataset(path, _fuzz_cfg())
+    assert _assert_loaders_agree(path, _fuzz_cfg(missing="drop"))[1] == "dataset row 4: expected 3 cells, got 2"
+
+
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_reader_error_is_raised_after_the_records_before_it(tmp_path, bad_first):
+    # A field over csv.field_size_limit() makes the reader itself fail.
+    path = tmp_path / "d.csv"
+    first = "0,z,0.1" if bad_first else "0,a,0.1"
+    path.write_text(f"state,x,d\n{first}\n1,a,1\n0,{'a' * (csv.field_size_limit() + 1)},0\n", encoding="utf-8")
+    outcome = _assert_loaders_agree(path, _fuzz_cfg())
+    assert outcome[0] == ("ValidationError" if bad_first else "csv.Error")
+
+
+def test_synthetic_deepfake_loads_like_the_reference(tmp_path):
+    data, problem = make_deepfake_dataset(n_rows=4000, seed=101)
+    assert data.n_rows > 2 * infogain.io.BLOCK_ROWS
+    cfg = SchemaConfig(state_column=data.state_name, states=data.states, schema=data.schema, problem=problem)
+    path = tmp_path / "d.csv"
+    write_dataset(data, path)
+    assert _assert_loaders_agree(path, cfg)[1] == data.rows.tolist()
+
+
+# --- column-wise writer ------------------------------------------------------
+
+
+def _reference_write(data, path):
+    """The per-cell writer that ``write_dataset`` replaced (reference oracle)."""
+    header = [data.state_name] + list(data.schema.names)
+    domains = [list(data.states.labels)] + [list(e.domain) for e in data.schema.entries]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in data.rows:
+            writer.writerow([domain_value_str(domains[j][int(v)]) for j, v in enumerate(row)])
+
+
+def _mixed_dataset(rng):
+    """Categorical cells that need quoting and numeric cells with and without a finite decimal."""
+    schema = SignalSchema(
+        signals=(BasicSignal("s", ("plain", "with,comma", 'with "quote"', " padded ")),),
+        decisions=(
+            DecisionColumn("p", "ai", (Fraction(0), Fraction(1, 3), Fraction(-7, 20), Fraction(5, 2))),
+            DecisionColumn("c", "human", ("yes", "no, maybe")),
+        ),
+    )
+    sizes = (2, 4, 4, 2)
+    rows = np.stack([rng.integers(0, k, size=500) for k in sizes], axis=1)
+    return Dataset(states=StateSpace.of(["neg", "pos"]), schema=schema, rows=rows, state_name="truth")
+
+
+@pytest.mark.parametrize("kind", ["deepfake", "mixed"])
+def test_write_dataset_bytes_match_the_per_cell_writer(tmp_path, rng, kind):
+    data = make_deepfake_dataset(n_rows=2000, seed=3)[0] if kind == "deepfake" else _mixed_dataset(rng)
+    write_dataset(data, tmp_path / "new.csv")
+    _reference_write(data, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

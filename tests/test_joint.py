@@ -53,6 +53,12 @@ def test_estimate_rejects_negative_smoothing():
         estimate_joint(_dataset([[0, 0]]), smoothing=-0.5)
 
 
+@pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), float("-inf")])
+def test_estimate_rejects_non_finite_smoothing(smoothing):
+    with pytest.raises(ValueError, match="finite non-negative"):
+        estimate_joint(_dataset([[0, 0]]), smoothing=smoothing)
+
+
 def test_dataset_must_be_nonempty():
     with pytest.raises(ValueError):
         _dataset(np.zeros((0, 2), dtype=np.int64))
