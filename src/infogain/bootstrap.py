@@ -1,9 +1,18 @@
 """Nonparametric bootstrap over dataset rows.
 
-Rows are resampled i.i.d. with replacement; each replicate re-estimates the
-joint and recomputes the requested gain and Shapley statistics.  Replicate b
-draws from its own random stream derived from (seed, b), so results are a pure
-function of (data, spec); replicates run in index order.
+Rows are resampled i.i.d. with replacement; each replicate recomputes the
+requested gain and Shapley statistics on the joint of its resampled rows.
+Replicate b draws from its own random stream derived from (seed, b), so
+results are a pure function of (data, spec).
+
+A replicate's joint only reweights the distinct tuples of the dataset, so a
+replicate is a count vector over those K tuples rather than a resampled
+dataset.  Replicates are evaluated in blocks of at most
+``REPLICATE_CELLS // K`` (and at least one): for each variable set a block
+needs, one group index and one ``bincount`` give the state-mass tables of
+every replicate in the block, and each replicate's statistics then read
+their payoffs from its own table.  The payoffs, and so the samples, are the
+same as those of an estimate on each replicate's resampled rows.
 
 The resampling scheme treats rows as exchangeable.  Datasets with repeated
 measures (the same video or participant on many rows) violate that, so the
@@ -13,17 +22,20 @@ distribution.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
-from .joint import Dataset, estimate_joint
+from .joint import Dataset, JointDistribution, count_probs, encode, estimate_joint
 from .model import DecisionProblem
-from .rational import RationalCache
-from .shapley import shapley_exact, shapley_sampled
+from .rational import RationalCache, primed_caches
+from .shapley import EXACT_CEILING_DEFAULT, ShapleyReport, shapley_exact, shapley_sampled
 
 QUANTILE_LEVELS = (2.5, 25.0, 50.0, 75.0, 97.5)
+# Bound on replicates x distinct tuples per block of replicates evaluated together.
+REPLICATE_CELLS = 2**15
 
 
 def set_label(names: Iterable[str]) -> str:
@@ -149,32 +161,94 @@ def _expand_layout(data: Dataset, spec: BootstrapSpec) -> list[dict]:
     return layout
 
 
+def _draw(data: Dataset, seed: int, b: int) -> np.ndarray:
+    """Row indices of replicate b: n draws with replacement from the stream (seed, b)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+    return rng.integers(0, data.n_rows, size=data.n_rows)
+
+
+def _shapley(
+    joint: JointDistribution, problem: DecisionProblem, spec: BootstrapSpec, b: int, stat_index: int,
+    cache: RationalCache,
+) -> ShapleyReport:
+    stat = spec.statistics[stat_index]
+    signals = stat.signals if stat.signals is not None else joint.schema.signal_names
+    if stat.permutations is None:
+        return shapley_exact(joint, problem, signals, stat.ground, cache=cache)
+    sub_seed = np.random.SeedSequence(spec.seed, spawn_key=(b, 10_000 + stat_index))
+    return shapley_sampled(
+        joint, problem, signals, stat.ground,
+        permutations=stat.permutations,
+        seed=int(sub_seed.generate_state(1)[0]),
+        cache=cache,
+    )
+
+
+class _Requests(RationalCache):
+    """Records the variable sets whose payoffs are read; every payoff reads as 0."""
+
+    def __init__(self, joint: JointDistribution, problem: DecisionProblem):
+        super().__init__(joint, problem)
+        self.sets: set[frozenset] = set()
+
+    def payoff(self, variables: Iterable[str]) -> float:
+        self.sets.add(frozenset(variables))
+        return 0.0
+
+
+def _payoff_sets(joint: JointDistribution, problem: DecisionProblem, spec: BootstrapSpec, b: int) -> set[frozenset]:
+    """The variable sets whose payoffs replicate b's statistics read.
+
+    They follow from the spec and the seed, never from payoff values, so they
+    are known before any payoff of the replicate is computed.
+    """
+    requests = _Requests(joint, problem)
+    for stat_index, stat in enumerate(spec.statistics):
+        if isinstance(stat, GainStat):
+            requests.gain(stat.v1, stat.ground)
+        elif stat.permutations is not None:
+            _shapley(joint, problem, spec, b, stat_index, requests)
+        else:
+            signals = stat.signals if stat.signals is not None else joint.schema.signal_names
+            if len(signals) <= EXACT_CEILING_DEFAULT:  # past it shapley_exact refuses the statistic
+                for r in range(len(signals) + 1):
+                    requests.sets.update(frozenset(stat.ground + c) for c in itertools.combinations(signals, r))
+    return requests.sets
+
+
 def _replicate_values(
-    data: Dataset, problem: DecisionProblem, spec: BootstrapSpec, alpha: float, b: int
+    joint: JointDistribution, problem: DecisionProblem, spec: BootstrapSpec, b: int, cache: RationalCache
 ) -> list[float]:
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(b,)))
-    idx = rng.integers(0, data.n_rows, size=data.n_rows)
-    resampled = Dataset(data.states, data.schema, data.rows[idx], state_name=data.state_name)
-    joint = estimate_joint(resampled, alpha)
-    cache = RationalCache(joint, problem)
+    """The statistics of replicate b, with payoffs from its cache."""
     values: list[float] = []
     for stat_index, stat in enumerate(spec.statistics):
         if isinstance(stat, GainStat):
             values.append(cache.gain(stat.v1, stat.ground).value)
         else:
-            signals = stat.signals if stat.signals is not None else data.schema.signal_names
-            if stat.permutations is None:
-                report = shapley_exact(joint, problem, signals, stat.ground, cache=cache)
-            else:
-                sub_seed = np.random.SeedSequence(spec.seed, spawn_key=(b, 10_000 + stat_index))
-                report = shapley_sampled(
-                    joint, problem, signals, stat.ground,
-                    permutations=stat.permutations,
-                    seed=int(sub_seed.generate_state(1)[0]),
-                    cache=cache,
-                )
-            values.extend(report.values)
+            values.extend(_shapley(joint, problem, spec, b, stat_index, cache).values)
     return values
+
+
+def _block_values(
+    data: Dataset, problem: DecisionProblem, spec: BootstrapSpec, alpha: float,
+    joint: JointDistribution, row_key: np.ndarray, block: range,
+) -> list[list[float]]:
+    """Statistics of the replicates in ``block``, evaluated together.
+
+    ``joint`` is the dataset's joint and ``row_key`` maps each dataset row to
+    its tuple.  A tuple that no replicate of the block draws is a background
+    cell of each of them, so the block's tables cover only the drawn tuples.
+    """
+    counts = np.array([np.bincount(row_key[_draw(data, spec.seed, b)], minlength=len(joint.keys)) for b in block])
+    support = counts.any(axis=0)
+    probs, background = count_probs(counts[:, support], data.n_rows, joint.n_cells, alpha)
+    block_joint = JointDistribution(data.states, data.schema, joint.keys[support], probs[0], background, data.state_name)
+    wanted: dict[frozenset, list[int]] = {}  # variable set -> the block rows that read its payoff
+    for r, b in enumerate(block):
+        for key in _payoff_sets(block_joint, problem, spec, b):
+            wanted.setdefault(key, []).append(r)
+    caches = primed_caches(block_joint, problem, probs, wanted)
+    return [_replicate_values(block_joint, problem, spec, b, cache) for b, cache in zip(block, caches)]
 
 
 def bootstrap_run(
@@ -186,7 +260,14 @@ def bootstrap_run(
 ) -> BootstrapResult:
     """Run the bootstrap; output depends only on (data, problem, spec, alpha)."""
     layout = _expand_layout(data, spec)
-    rows = [_replicate_values(data, problem, spec, alpha, b) for b in range(spec.replicates)]
+    joint = estimate_joint(data, alpha)
+    # the index of each row's tuple among joint.keys, which are sorted by the same codes
+    _, row_key = np.unique(encode(data.rows, joint.domain_sizes), return_inverse=True)
+    per_block = max(1, REPLICATE_CELLS // len(joint.keys))
+    rows = []
+    for start in range(0, spec.replicates, per_block):
+        block = range(start, min(start + per_block, spec.replicates))
+        rows += _block_values(data, problem, spec, alpha, joint, row_key, block)
     samples = np.array(rows, dtype=np.float64)  # (B, n_stats), ordered by replicate index
 
     stats = []

@@ -360,6 +360,8 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ValidationError("dataset: file has no header row", path="") from None
+        except csv.Error as exc:
+            raise ValidationError(f"dataset row 1: {exc}", path="row 1") from exc
         header = [h.strip() for h in header]
         dupes = sorted({h for h in header if header.count(h) > 1})
         if dupes:
@@ -377,8 +379,12 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
             records, pending = [], None
             try:
                 records.extend(islice(reader, BLOCK_ROWS))
-            except (csv.Error, UnicodeDecodeError) as exc:
-                pending = exc  # raised once the records read before it are checked
+            except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+                lineno = first_line + len(records)
+                pending = ValidationError(f"dataset row {lineno}: {exc}", path=f"row {lineno}")
+            except UnicodeDecodeError as exc:
+                pending = exc
+            # a pending error is raised once the records read before it are checked
             if not records and pending is None:
                 break
             # Records before the first one with the wrong cell count are checked first.

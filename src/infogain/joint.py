@@ -151,6 +151,19 @@ class JointDistribution:
         return tuple(sorted(cols))
 
 
+def count_probs(counts: np.ndarray, n: int, n_cells: int, smoothing: float) -> tuple[np.ndarray, float]:
+    """Probabilities of tuples seen ``counts`` times among ``n`` rows, and the
+    background probability of every cell without a tuple.
+
+    With ``smoothing`` alpha > 0 every one of the ``n_cells`` cells gets an
+    add-alpha pseudo-count before normalization.
+    """
+    if smoothing == 0.0:
+        return counts / n, 0.0
+    denom = n + smoothing * n_cells
+    return (counts + smoothing) / denom, smoothing / denom
+
+
 def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
     """Plug-in estimate of the joint from dataset rows.
 
@@ -164,15 +177,7 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
     sizes = (data.states.size,) + data.schema.domain_sizes()
     _, first, counts = np.unique(encode(data.rows, sizes), return_index=True, return_counts=True)
     keys = data.rows[first]
-    n = data.n_rows
-    if smoothing == 0.0:
-        probs = counts / n
-        background = 0.0
-    else:
-        n_cells = math.prod(sizes)
-        denom = n + smoothing * n_cells
-        probs = (counts + smoothing) / denom
-        background = smoothing / denom
+    probs, background = count_probs(counts, data.n_rows, math.prod(sizes), smoothing)
     return JointDistribution(
         states=data.states,
         schema=data.schema,
@@ -184,7 +189,11 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
 
 
 def grouped_mass(
-    joint: JointDistribution, cols: tuple[int, ...], inner: np.ndarray | int = 0, width: int = 1
+    joint: JointDistribution,
+    cols: tuple[int, ...],
+    inner: np.ndarray | int = 0,
+    width: int = 1,
+    probs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Aggregate probability by distinct realization of the selected columns.
 
@@ -198,22 +207,32 @@ def grouped_mass(
     smoothing level.  Other realizations are not listed: with smoothing they
     are counted in ``absent`` and each of their cells has mass ``background``;
     without smoothing they have no mass and ``absent`` is 0.
+
+    ``probs`` replaces the tuples' probabilities: rows of shape (..., K) over
+    ``joint.keys``, each the distribution of a joint with these keys and this
+    background (a tuple may have probability ``joint.background``, which makes
+    it one more background cell).  ``mass`` then has shape (..., G, width),
+    one table per row, all from the one group index and the one ``bincount``.
     """
+    probs = joint.probs if probs is None else np.asarray(probs, dtype=np.float64)
     sizes = joint.domain_sizes
     enc = encode(joint.keys[:, list(cols)], [sizes[c] for c in cols])
-    uniq, first, inverse = np.unique(enc, return_index=True, return_inverse=True)
+    uniq, inverse = np.unique(enc, return_inverse=True)
+    member = np.empty(len(uniq), dtype=np.intp)
+    member[inverse] = np.arange(len(inverse))  # some tuple of each group; any one holds its realization
     n_cells = len(uniq) * width
+    n_rows = math.prod(probs.shape[:-1])
     rest = math.prod(s for c, s in enumerate(sizes) if c not in cols) // width
     background = joint.background * rest
-    mass = np.bincount(
-        np.concatenate([np.arange(n_cells), inverse * width + inner]),
-        weights=np.concatenate([np.full(n_cells, background), joint.probs - joint.background]),
-        minlength=n_cells,
-    )
+    cells = (np.arange(n_rows)[:, None] * n_cells + (inverse * width + inner)).ravel()
+    weights = probs.ravel()
     absent = 0
-    if joint.background > 0.0:
+    if joint.background > 0.0:  # without a background every start value and subtrahend is 0
+        cells = np.concatenate([np.arange(n_rows * n_cells), cells])
+        weights = np.concatenate([np.full(n_rows * n_cells, background), weights - joint.background])
         absent = math.prod(sizes[c] for c in cols) - len(uniq)
-    return joint.keys[first][:, list(cols)], mass.reshape(len(uniq), width), absent, background
+    mass = np.bincount(cells, weights=weights, minlength=n_rows * n_cells)
+    return joint.keys[member][:, list(cols)], mass.reshape(probs.shape[:-1] + (len(uniq), width)), absent, background
 
 
 def marginal(joint: JointDistribution, variables: Iterable[str]) -> dict[tuple[int, ...], float]:
@@ -245,7 +264,7 @@ def support(joint: JointDistribution, variables: Iterable[str]) -> Iterator[tupl
 
 
 def state_mass(
-    joint: JointDistribution, variables: Iterable[str]
+    joint: JointDistribution, variables: Iterable[str], probs: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Per-realization state-mass table for the named (non-state) variables.
 
@@ -255,11 +274,12 @@ def state_mass(
     rational-benchmark payoffs: row sums are realization probabilities and row
     normalization gives the posterior.  Under smoothing each of the ``absent``
     other realizations has the state-mass row ``background_row``; without
-    smoothing ``absent`` is 0.
+    smoothing ``absent`` is 0.  With probability rows ``probs`` (see
+    ``grouped_mass``) mass has shape (..., G, |states|).
     """
     cols = joint.columns(variables, allow_state=False)
     n_states = joint.states.size
-    reals, mass, absent, background = grouped_mass(joint, cols, joint.keys[:, 0], n_states)
+    reals, mass, absent, background = grouped_mass(joint, cols, joint.keys[:, 0], n_states, probs)
     return reals, mass, absent, np.full(n_states, background)
 
 

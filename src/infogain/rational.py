@@ -9,9 +9,10 @@ observing both rather than the ground set alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,7 +66,8 @@ def _group_contributions(mass: np.ndarray, problem: DecisionProblem) -> np.ndarr
 
     ``mass[g, w]`` is the unnormalized joint mass of realization g and state w;
     maximizing the unnormalized expectation is equivalent to maximizing under
-    the posterior and avoids the normalizing division.
+    the posterior and avoids the normalizing division.  Each row's value
+    depends on that row alone, never on the rows it is batched with.
     """
     if problem.payoff.kind == "brier" and problem.decisions.is_numeric and problem.states.size == 2:
         # Closed form: the optimizer over d of sum_w mass_w (1 - (w - d)^2) is
@@ -76,10 +78,12 @@ def _group_contributions(mass: np.ndarray, problem: DecisionProblem) -> np.ndarr
             mu = np.where(p > 0, mass[:, 1] / p, 0.0)
         d = grid[problem.decisions.nearest_index(mu)]
         return p - (mass[:, 0] * d * d + mass[:, 1] * (1.0 - d) * (1.0 - d))
-    payoffs = problem.payoff_matrix  # (|D|, |W|)
-    best = mass @ payoffs[0]
-    for d in range(1, payoffs.shape[0]):
-        best = np.maximum(best, mass @ payoffs[d])
+    # Elementwise products summed left to right: a matrix-vector product over
+    # all rows rounds a row differently depending on its position in the batch.
+    columns = list(mass.T)
+    best = np.full(len(mass), -np.inf)
+    for payoffs in problem.payoff_matrix:  # one decision's payoff per state
+        best = np.maximum(best, functools.reduce(np.add, map(np.multiply, columns, payoffs)))
     return best
 
 
@@ -96,20 +100,30 @@ def _best_actions(payoffs: np.ndarray, mass: np.ndarray) -> np.ndarray:
     ])
 
 
-def rational_payoff(joint: JointDistribution, problem: DecisionProblem, variables: Iterable[str] = ()) -> float:
+def rational_payoff(
+    joint: JointDistribution,
+    problem: DecisionProblem,
+    variables: Iterable[str] = (),
+    probs: np.ndarray | None = None,
+) -> float | list[float]:
     """Expected payoff of the rational benchmark observing the given variables.
 
-    The empty set yields the best-fixed-action payoff under the prior.
+    The empty set yields the best-fixed-action payoff under the prior.  With
+    probability rows ``probs`` of shape (R, K) over ``joint.keys`` (see
+    ``joint.grouped_mass``) it returns the R payoffs of those distributions,
+    each summed exactly as the payoff of that distribution's own joint.
     """
     if problem.states.size != joint.states.size:
         raise SchemaError("problem and joint disagree on the number of states")
-    _, mass, absent, background_row = state_mass(joint, variables)
-    terms = _group_contributions(mass, problem)
+    _, mass, absent, background_row = state_mass(joint, variables, probs)
+    terms = _group_contributions(mass.reshape(-1, joint.states.size), problem).reshape(mass.shape[:-1])
+    extra = []
     if absent:
         # absent * c, added exactly as the terms of absent's binary expansion
         c = float(_group_contributions(background_row[None, :], problem)[0])
-        terms = np.append(terms, [math.ldexp(c, k) for k in range(absent.bit_length()) if absent >> k & 1])
-    return math.fsum(terms)
+        extra = [math.ldexp(c, k) for k in range(absent.bit_length()) if absent >> k & 1]
+    payoffs = [math.fsum(row.tolist() + extra) for row in np.atleast_2d(terms)]
+    return payoffs if terms.ndim > 1 else payoffs[0]
 
 
 def information_gain(
@@ -142,25 +156,44 @@ def gain_of_decisions_over_signals(
 class RationalCache:
     """Memoized benchmark payoffs for one (joint, problem) pair, keyed by variable set.
 
+    ``probs`` replaces the joint's probabilities (see ``rational_payoff``).
     Values are pure functions of the key, so results never depend on
     evaluation order.
     """
 
-    def __init__(self, joint: JointDistribution, problem: DecisionProblem):
+    def __init__(self, joint: JointDistribution, problem: DecisionProblem, probs: np.ndarray | None = None):
         self.joint = joint
         self.problem = problem
+        self.probs = probs
         self._cache: dict[frozenset, float] = {}
 
     def payoff(self, variables: Iterable[str]) -> float:
         key = frozenset(variables)
         value = self._cache.get(key)
         if value is None:
-            value = rational_payoff(self.joint, self.problem, key)
+            value = rational_payoff(self.joint, self.problem, key, self.probs)
             self._cache[key] = value
         return value
 
     def gain(self, v1: Iterable[str], ground: Iterable[str] = ()) -> GainValue:
         return _gain_value(self.payoff, v1, ground)
+
+
+def primed_caches(
+    joint: JointDistribution, problem: DecisionProblem, probs: np.ndarray, wanted: Mapping[frozenset, Sequence[int]]
+) -> list[RationalCache]:
+    """One cache per probability row of ``probs`` (R, K), holding the payoffs that ``wanted`` maps to it.
+
+    ``wanted`` maps a variable set to the rows that read its payoff; each set
+    is evaluated once, in one ``rational_payoff`` call over those rows.
+    """
+    caches = [RationalCache(joint, problem, row) for row in probs]
+    # a fixed evaluation order: the order of a set of variable sets varies with the hash seed
+    for key, rows in sorted(wanted.items(), key=lambda item: sorted(item[0])):
+        values = rational_payoff(joint, problem, key, probs if len(rows) == len(probs) else probs[rows])
+        for r, value in zip(rows, values):
+            caches[r]._cache[key] = value
+    return caches
 
 
 def cross_fit_payoff(
@@ -187,17 +220,16 @@ def cross_fit_payoff(
         raise SchemaError(f"{data.state_name!r} is the state, not a signal or decision column")
     cols = sorted(1 + data.schema.position(name) for name in names)
     sizes = (data.states.size,) + data.schema.domain_sizes()
-    fold = np.arange(n) % 2
     payoffs = problem.payoff_matrix
     total = []
     for f in (0, 1):
-        train = Dataset(data.states, data.schema, data.rows[fold != f], state_name=data.state_name)
+        train = Dataset(data.states, data.schema, data.rows[1 - f :: 2], state_name=data.state_name)
         train_joint = estimate_joint(train, smoothing)
         reals, mass, absent, background_row = state_mass(train_joint, variables)
         # the last action is the one for realizations unseen in the fitting fold
         unseen = background_row if absent else mass.sum(0)
         actions = _best_actions(payoffs, np.vstack([mass, unseen]))
-        test = data.rows[fold == f]
+        test = data.rows[f::2]
         chosen = actions[locate(reals, test[:, cols], [sizes[c] for c in cols])]
         total.append(payoffs[chosen, test[:, 0]])
     return math.fsum(np.concatenate(total)) / n

@@ -3,11 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import infogain.bootstrap
+import infogain.rational
 from infogain.bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
 from infogain.joint import Dataset, estimate_joint
-from infogain.model import BasicSignal, SignalSchema, StateSpace
-from infogain.rational import information_gain
-from infogain.synth import SyntheticAgentSpec, generate_dataset, make_xor_joint, xor_problem
+from infogain.model import BasicSignal, DecisionColumn, DecisionProblem, DecisionSpace, PayoffFunction, SignalSchema, StateSpace
+from infogain.rational import RationalCache, information_gain
+from infogain.shapley import shapley_exact, shapley_sampled
+from infogain.synth import (
+    SyntheticAgentSpec,
+    generate_dataset,
+    make_deepfake_dataset,
+    make_xor_joint,
+    random_joint,
+    xor_problem,
+)
 
 
 def small_xor_dataset(n_rows=4):
@@ -122,3 +132,121 @@ def test_stat_names_and_roles(xor_joint, brier):
     assert names[0] == "gain(s1;human)"
     assert "shapley(ground=human).s1" in names
     assert all(s.ground_role == "human" for s in result.statistics)
+
+
+# --- count-reweighted, blocked replicates against the per-replicate loop -----
+
+
+def reference_samples(data, problem, spec, alpha):
+    """Per-replicate loop: resample the rows, estimate their joint, evaluate every statistic on it."""
+    samples = []
+    for b in range(spec.replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(b,)))
+        idx = rng.integers(0, data.n_rows, size=data.n_rows)
+        resampled = Dataset(data.states, data.schema, data.rows[idx], state_name=data.state_name)
+        joint = estimate_joint(resampled, alpha)
+        cache = RationalCache(joint, problem)
+        values = []
+        for stat_index, stat in enumerate(spec.statistics):
+            if isinstance(stat, GainStat):
+                values.append(cache.gain(stat.v1, stat.ground).value)
+                continue
+            signals = stat.signals if stat.signals is not None else data.schema.signal_names
+            if stat.permutations is None:
+                report = shapley_exact(joint, problem, signals, stat.ground, cache=cache)
+            else:
+                sub_seed = np.random.SeedSequence(spec.seed, spawn_key=(b, 10_000 + stat_index))
+                report = shapley_sampled(joint, problem, signals, stat.ground, permutations=stat.permutations,
+                                         seed=int(sub_seed.generate_state(1)[0]), cache=cache)
+            values.extend(report.values)
+        samples.append([x.hex() for x in values])
+    return samples
+
+
+def blocked_samples(data, problem, spec, alpha):
+    result = bootstrap_run(data, problem, spec, alpha=alpha)
+    return [[stat.samples[b].hex() for stat in result.statistics] for b in range(spec.replicates)]
+
+
+def _deepfake_case():
+    data, problem = make_deepfake_dataset(n_rows=600, seed=11)
+    stats = (
+        ShapleyStat(ground=("human",), signals=("flicker", "blurry", "dark", "grainy")),
+        ShapleyStat(ground=("ai",), permutations=5),
+        GainStat(v1=("flicker", "dark"), ground=("human_ai",)),
+    )
+    return data, problem, stats
+
+
+def _xor_case():
+    data = generate_dataset(make_xor_joint(), xor_problem(), n_rows=300, seed=2)
+    return data, xor_problem(), (GainStat(v1=("s1", "s2")), ShapleyStat(), ShapleyStat(permutations=3))
+
+
+def _matrix_case():
+    # every payoff of the first and last decisions is negative, so a group
+    # without mass contributes -0.0 under them
+    states = StateSpace.of(("0", "1", "2"))
+    problem = DecisionProblem(
+        states=states,
+        decisions=DecisionSpace.categorical(("a", "b", "c", "none")),
+        payoff=PayoffFunction.from_matrix(
+            [[-0.25, -1.0, -0.5], [0.75, -0.5, 0.125], [-1.0, 0.5, 0.25], [-0.125, -0.125, -0.125]]
+        ),
+    )
+    joint = random_joint(np.random.default_rng(7), n_signals=3, n_states=3, domain_size=3,
+                         n_decision_columns=1, decision_domain_size=4)
+    data = generate_dataset(joint, problem, n_rows=150, seed=4)
+    stats = (ShapleyStat(), ShapleyStat(ground=("b1",), permutations=4), GainStat(v1=("x1",), ground=("b1",)))
+    return data, problem, stats
+
+
+CASES = {"deepfake": _deepfake_case, "xor": _xor_case, "matrix": _matrix_case}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("blocks", ["default", "of three and one", "K over the bound"])
+def test_blocked_replicates_equal_the_per_replicate_loop(monkeypatch, case, alpha, blocks):
+    data, problem, stats = CASES[case]()
+    n_keys = len(estimate_joint(data).keys)
+    cells = {"default": infogain.bootstrap.REPLICATE_CELLS, "of three and one": 3 * n_keys,
+             "K over the bound": n_keys - 1}[blocks]
+    monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", cells)
+    spec = BootstrapSpec(replicates=7, seed=5, statistics=stats)
+    assert blocked_samples(data, problem, spec, alpha) == reference_samples(data, problem, spec, alpha)
+
+
+def _collapsing_seed(n_rows):
+    """Seed whose replicate 1 draws one row n times."""
+    for seed in range(10_000):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        if len(set(rng.integers(0, n_rows, size=n_rows))) == 1:
+            return seed
+    raise AssertionError("no collapsing seed found")
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_replicate_drawing_one_tuple(brier, alpha):
+    data = small_xor_dataset(4)
+    spec = BootstrapSpec(replicates=3, seed=_collapsing_seed(4), statistics=(GainStat(v1=("s1", "s2")), ShapleyStat()))
+    samples = blocked_samples(data, brier, spec, alpha)
+    assert samples == reference_samples(data, brier, spec, alpha)
+    if alpha == 0.0:  # one tuple: observing the signals tells nothing
+        assert samples[1] == [0.0.hex()] * 3
+
+
+def test_every_payoff_is_evaluated_for_a_block(monkeypatch):
+    # the sets a sampled Shapley value reads are collected before the block's
+    # payoffs are computed, so no replicate evaluates a payoff of its own
+    data, problem, stats = _deepfake_case()
+    calls = []
+    evaluate = infogain.rational.rational_payoff
+
+    def recording(joint, problem, variables=(), probs=None):
+        calls.append(None if probs is None else np.ndim(probs))
+        return evaluate(joint, problem, variables, probs)
+
+    monkeypatch.setattr(infogain.rational, "rational_payoff", recording)
+    bootstrap_run(data, problem, BootstrapSpec(replicates=4, seed=1, statistics=stats))
+    assert calls and set(calls) == {2}

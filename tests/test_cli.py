@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -115,6 +116,17 @@ def test_malformed_schema_field_is_located(xor_files, capsys, doc, path):
     schema.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["validate", "--schema", str(schema), "--data", str(data)]) == 1
     assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+@pytest.mark.parametrize("row", [1, 3])
+def test_cell_over_the_csv_field_limit_is_located(xor_files, capsys, row):
+    schema, data = xor_files
+    lines = XOR_EXACT_CSV.splitlines()
+    lines[row - 1] += "x" * (csv.field_size_limit() + 1)
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["validate", "--schema", str(schema), "--data", str(data)]) == 1
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == f"error: dataset row {row}: field larger than field limit ({limit})\n"
 
 
 def test_gain_unknown_variable_lists_valid_names(xor_files, capsys):

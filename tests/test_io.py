@@ -294,6 +294,20 @@ def test_corrupted_cells_report_their_locus(tmp_path_factory, row, column):
 # --- the block-streamed loader against the per-row reference ---------------
 
 
+def _numbered_records(reader):
+    """The reader's records numbered from row 2; a reader error names the row it stopped at."""
+    lineno = 2
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValidationError(f"dataset row {lineno}: {exc}", path=f"row {lineno}") from None
+        yield lineno, record
+        lineno += 1
+
+
 def _reference_load(path, cfg):
     """The per-row, per-cell loader that ``load_dataset`` replaced (reference oracle)."""
     entries = list(cfg.schema.entries)
@@ -311,6 +325,8 @@ def _reference_load(path, cfg):
             header = next(reader)
         except StopIteration:
             raise ValidationError("dataset: file has no header row", path="") from None
+        except csv.Error as exc:
+            raise ValidationError(f"dataset row 1: {exc}", path="row 1") from None
         header = [h.strip() for h in header]
         dupes = sorted({h for h in header if header.count(h) > 1})
         if dupes:
@@ -323,7 +339,7 @@ def _reference_load(path, cfg):
             raise ValidationError(f"dataset: missing column(s) {missing_cols}", path=",".join(missing_cols))
         col_pos = [header.index(c) for c in wanted]
 
-        records = enumerate(reader, start=2)
+        records = _numbered_records(reader)
         for lineno, record in records:
             if not record and all(not rest for _, rest in records):
                 break
@@ -387,8 +403,6 @@ def _outcome(load, path, cfg):
         data = load(path, cfg)
     except ValidationError as exc:
         return ("ValidationError", str(exc), exc.path)
-    except csv.Error as exc:
-        return ("csv.Error", str(exc))
     rows = data.rows
     return ("ok", rows.tolist(), rows.dtype.str, rows.flags.c_contiguous, data.dropped_rows, data.schema)
 
@@ -509,7 +523,11 @@ def test_reader_error_is_raised_after_the_records_before_it(tmp_path, bad_first)
     first = "0,z,0.1" if bad_first else "0,a,0.1"
     path.write_text(f"state,x,d\n{first}\n1,a,1\n0,{'a' * (csv.field_size_limit() + 1)},0\n", encoding="utf-8")
     outcome = _assert_loaders_agree(path, _fuzz_cfg())
-    assert outcome[0] == ("ValidationError" if bad_first else "csv.Error")
+    if bad_first:
+        assert outcome[1:] == ("dataset row 2, column 'x': value 'z' not in the declared domain", "row 2")
+    else:
+        limit = csv.field_size_limit()
+        assert outcome[1:] == (f"dataset row 4: field larger than field limit ({limit})", "row 4")
 
 
 def test_synthetic_deepfake_loads_like_the_reference(tmp_path):

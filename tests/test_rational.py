@@ -17,6 +17,7 @@ from infogain.model import (
     brier_problem,
 )
 from infogain.rational import (
+    _group_contributions,
     best_response,
     cross_fit_gain,
     cross_fit_payoff,
@@ -269,3 +270,39 @@ def test_cross_fit_payoff_equals_row_by_row_reference(smoothing):
     for data, prob, names in cases:
         expect = _reference_cross_fit_payoff(data, prob, names, smoothing)
         assert cross_fit_payoff(data, prob, names, smoothing) == expect, names
+
+
+@pytest.mark.parametrize("n_states", [2, 3])
+def test_group_contribution_of_a_row_does_not_depend_on_its_batch(n_states):
+    rng = np.random.default_rng(n_states)
+    problems = [random_matrix_problem(rng, n_states=n_states, n_decisions=5)]
+    if n_states == 2:
+        problems.append(brier_problem(("0", "1")))
+    mass = rng.random((257, n_states)) * rng.choice([1e-6, 1.0, 1e3], size=(257, n_states))
+    mass[::7] = 0.0
+    for problem in problems:
+        batch = _group_contributions(mass, problem)
+        alone = [_group_contributions(mass[i : i + 1], problem)[0] for i in range(len(mass))]
+        assert [x.hex() for x in batch] == [x.hex() for x in alone]
+        subset = rng.permutation(len(mass))[:100]
+        assert [x.hex() for x in _group_contributions(mass[subset], problem)] == [x.hex() for x in batch[subset]]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_payoffs_of_probability_rows_equal_those_of_their_joints(alpha):
+    rng = np.random.default_rng(8)
+    problem = random_matrix_problem(rng, n_states=3, n_decisions=4)
+    population = random_joint(rng, n_signals=3, n_states=3, domain_size=3, n_decision_columns=1)
+    data = generate_dataset(population, problem, n_rows=80, seed=2)
+    joint = estimate_joint(data, alpha)
+    n = data.n_rows
+    counts = rng.multinomial(n, np.full(len(joint.keys), 1.0 / len(joint.keys)), size=4)
+    if alpha == 0.0:
+        probs = counts / n
+    else:
+        probs = (counts + alpha) / (n + alpha * joint.n_cells)
+    for variables in [(), ("x1",), ("x2", "b1"), data.schema.names]:
+        batched = rational_payoff(joint, problem, variables, probs)
+        for row, value in zip(probs, batched):
+            own = JointDistribution(joint.states, joint.schema, joint.keys, row, joint.background)
+            assert value.hex() == rational_payoff(own, problem, variables).hex()
