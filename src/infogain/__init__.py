@@ -10,7 +10,7 @@ bootstrap uncertainty.
 __version__ = "0.1.0"
 
 from .bootstrap import BootstrapResult, BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
-from .joint import Dataset, JointDistribution, estimate_joint, marginal, posterior, support
+from .joint import Dataset, JointDistribution, estimate_joint
 from .model import (
     BasicSignal,
     DecisionColumn,
@@ -31,11 +31,10 @@ from .rational import (
     best_response,
     cross_fit_gain,
     cross_fit_payoff,
-    gain_of_decisions_over_signals,
     information_gain,
     rational_payoff,
 )
-from .shapley import ShapleyReport, compare_grounds, shapley_exact, shapley_sampled
+from .shapley import ShapleyReport, shapley_exact, shapley_sampled
 from .synth import (
     SyntheticAgentSpec,
     brute_force_rational,
@@ -70,23 +69,18 @@ __all__ = [
     "bootstrap_run",
     "brier_problem",
     "brute_force_rational",
-    "compare_grounds",
     "cross_fit_gain",
     "cross_fit_payoff",
     "estimate_joint",
-    "gain_of_decisions_over_signals",
     "generate_dataset",
     "information_gain",
     "make_deepfake_dataset",
     "make_deepfake_joint",
     "make_xor_joint",
-    "marginal",
     "payoff",
-    "posterior",
     "rational_payoff",
     "shapley_exact",
     "shapley_sampled",
-    "support",
     "validate_problem",
     "validate_schema",
     "with_population_agents",

@@ -8,10 +8,11 @@ results are a pure function of (data, spec).
 A replicate's joint only reweights the distinct tuples of the dataset, so a
 replicate is a count vector over those K tuples rather than a resampled
 dataset.  Replicates are evaluated in blocks of at most
-``REPLICATE_CELLS // K`` (and at least one): for each variable set a block
+``REPLICATE_CELLS // K`` (and at least one): the block's count rows are the
+tuple weights of its replicates' joints, and for each variable set a block
 needs, one group index and one ``bincount`` give the state-mass tables of
-every replicate in the block, and each replicate's statistics then read
-their payoffs from its own table.  The payoffs, and so the samples, are the
+every replicate in the block; each replicate's statistics then read their
+payoffs from its own table.  The payoffs, and so the samples, are the
 same as those of an estimate on each replicate's resampled rows.
 
 The resampling scheme treats rows as exchangeable.  Datasets with repeated
@@ -28,7 +29,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .joint import Dataset, JointDistribution, count_probs, encode, estimate_joint
+from .joint import Dataset, JointDistribution, encode, estimate_joint
 from .model import DecisionProblem
 from .rational import RationalCache, primed_caches
 from .shapley import EXACT_CEILING_DEFAULT, ShapleyReport, shapley_exact, shapley_sampled
@@ -237,17 +238,20 @@ def _block_values(
 
     ``joint`` is the dataset's joint and ``row_key`` maps each dataset row to
     its tuple.  A tuple that no replicate of the block draws is a background
-    cell of each of them, so the block's tables cover only the drawn tuples.
+    cell of each of them, so the block's tables cover only the drawn tuples,
+    weighted by each replicate's count rows.
     """
     counts = np.array([np.bincount(row_key[_draw(data, spec.seed, b)], minlength=len(joint.keys)) for b in block])
     support = counts.any(axis=0)
-    probs, background = count_probs(counts[:, support], data.n_rows, joint.n_cells, alpha)
-    block_joint = JointDistribution(data.states, data.schema, joint.keys[support], probs[0], background, data.state_name)
+    counts = counts[:, support].astype(np.float64)
+    block_joint = JointDistribution(
+        data.states, data.schema, joint.keys[support], counts[0], alpha, data.state_name, joint.total
+    )
     wanted: dict[frozenset, list[int]] = {}  # variable set -> the block rows that read its payoff
     for r, b in enumerate(block):
         for key in _payoff_sets(block_joint, problem, spec, b):
             wanted.setdefault(key, []).append(r)
-    caches = primed_caches(block_joint, problem, probs, wanted)
+    caches = primed_caches(block_joint, problem, counts, wanted)
     return [_replicate_values(block_joint, problem, spec, b, cache) for b, cache in zip(block, caches)]
 
 

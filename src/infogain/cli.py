@@ -25,13 +25,14 @@ from .io import (
     file_sha256,
     load_dataset,
     load_schema,
+    parse_spec_doc,
     read_results,
     write_dataset,
     write_results,
     write_schema,
 )
 from .joint import estimate_joint
-from .model import brier_problem, validate_problem, validate_schema
+from .model import SignalSchema, brier_problem, validate_problem, validate_schema
 from .rational import cross_fit_gain, information_gain
 from .report import build_plot_spec, render_svg, summary_table
 from .shapley import shapley_exact, shapley_sampled
@@ -175,24 +176,11 @@ def cmd_shapley(args) -> int:
     return EXIT_OK
 
 
-def _bootstrap_spec(args, cfg: SchemaConfig, schema_names) -> BootstrapSpec:
-    stats: list = []
+def _bootstrap_spec(args, schema: SignalSchema) -> BootstrapSpec:
     if args.spec:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        replicates = int(doc.get("replicates", args.replicates))
-        seed = int(doc.get("seed", args.seed))
-        for item in doc.get("statistics", []):
-            kind = item.get("kind")
-            if kind == "gain":
-                stats.append(GainStat(v1=tuple(item["v1"]), ground=tuple(item.get("ground", ())),
-                                      name=item.get("name")))
-            elif kind == "shapley":
-                stats.append(ShapleyStat(ground=tuple(item.get("ground", ())),
-                                         signals=tuple(item["signals"]) if item.get("signals") else None,
-                                         permutations=item.get("permutations"), name=item.get("name")))
-            else:
-                raise ValidationError(f"bootstrap spec: unknown statistic kind {kind!r}", path="statistics")
-        return BootstrapSpec(replicates=replicates, seed=seed, statistics=tuple(stats))
+        return parse_spec_doc(doc, schema, replicates=args.replicates, seed=args.seed)
+    stats: list = []
     for text in args.gain or []:
         parts = text.split(":")
         if len(parts) != 2:
@@ -202,7 +190,7 @@ def _bootstrap_spec(args, cfg: SchemaConfig, schema_names) -> BootstrapSpec:
         stats.append(ShapleyStat(ground=_parse_vars(text)))
     if not stats:
         # default: per-signal attribution against each decision column
-        for name in schema_names:
+        for name in schema.decision_names:
             stats.append(ShapleyStat(ground=(name,)))
         if not stats:
             raise ValidationError("no decision columns and no statistics requested", path="--shapley")
@@ -212,7 +200,7 @@ def _bootstrap_spec(args, cfg: SchemaConfig, schema_names) -> BootstrapSpec:
 def cmd_bootstrap(args) -> int:
     cfg, data = _load_inputs(args.schema, args.data)
     alpha = args.alpha if args.alpha is not None else cfg.smoothing
-    spec = _bootstrap_spec(args, cfg, data.schema.decision_names)
+    spec = _bootstrap_spec(args, data.schema)
     result = bootstrap_run(data, cfg.problem, spec, alpha=alpha)
     print(summary_table(result))
     hashes = _input_hashes(args)

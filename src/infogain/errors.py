@@ -25,12 +25,8 @@ class EstimationError(InfoGainError):
     """The joint distribution could not be estimated (e.g. empty dataset)."""
 
 
-class ConditioningError(InfoGainError):
-    """Conditioning on an assignment with zero marginal probability."""
-
-
 class ProductSpaceError(InfoGainError):
-    """A smoothed computation would require materializing too large a product space."""
+    """A population joint extended with agent columns would exceed its cell limit."""
 
 
 class ShapleyCeilingError(InfoGainError):

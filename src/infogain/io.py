@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .bootstrap import BootstrapResult, StatResult, set_label
+from .bootstrap import QUANTILE_LEVELS, BootstrapResult, BootstrapSpec, GainStat, ShapleyStat, StatResult, set_label
 from .errors import ValidationError
 from .joint import Dataset
 from .model import (
@@ -118,10 +118,15 @@ def domain_value_str(value) -> str:
     return fraction_to_str(value) if isinstance(value, Fraction) else str(value)
 
 
+def _at(path: str, key: str) -> str:
+    """Path of field ``key`` of the object at ``path`` ("" is the top level)."""
+    return f"{path}.{key}" if path else key
+
+
 def _require(doc: dict, key: str, path: str):
     _object(doc, path)
     if key not in doc:
-        raise ValidationError(f"{path}.{key}: missing required field", path=f"{path}.{key}")
+        raise ValidationError(f"{_at(path, key)}: missing required field", path=_at(path, key))
     return doc[key]
 
 
@@ -136,6 +141,36 @@ def _list(doc: dict, key: str, path: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{path}: must be a list", path=path)
     return value
+
+
+def _nonempty(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{path}: must be a non-empty list", path=path)
+    return value
+
+
+def _string(value, path: str, optional: bool = False) -> str | None:
+    if not (isinstance(value, str) or (optional and value is None)):
+        raise ValidationError(f"{path}: must be a string{' or null' if optional else ''}", path=path)
+    return value
+
+
+def _strings(value, path: str) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: must be a list", path=path)
+    return tuple(_string(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _integer(value, path: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValidationError(f"{path}: must be an integer >= {minimum}", path=path)
+    return value
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"{path}: must be a finite number", path=path)
+    return float(value)
 
 
 def _labels(doc: dict, path: str) -> tuple[str, ...]:
@@ -177,7 +212,7 @@ def _parse_payoff(doc: dict, path: str) -> tuple[DecisionSpace, PayoffFunction]:
         rows = _require(doc, "rows", path)
         if not rows or not all(isinstance(r, list) for r in rows):
             raise ValidationError(f"{path}.rows: must be a non-empty list of rows", path=f"{path}.rows")
-        labels = doc.get("decisions", [f"d{i}" for i in range(len(rows))])
+        labels = _list(doc, "decisions", f"{path}.decisions") if "decisions" in doc else [f"d{i}" for i in range(len(rows))]
         if len(labels) != len(rows):
             raise ValidationError(
                 f"{path}.decisions: {len(labels)} labels for {len(rows)} matrix rows", path=f"{path}.decisions"
@@ -201,8 +236,8 @@ def parse_schema_doc(doc: dict) -> SchemaConfig:
         raise ValidationError("schema: top level must be an object", path="")
     state_doc = _require(doc, "state", "schema")
     state_column = _require(state_doc, "column", "state")
-    labels = _require(state_doc, "labels", "state")
-    states = StateSpace.of(labels)
+    _require(state_doc, "labels", "state")
+    states = StateSpace.of(_list(state_doc, "labels", "state.labels"))
 
     signals = []
     for i, sig in enumerate(_list(doc, "signals", "signals")):
@@ -265,6 +300,51 @@ def parse_schema_doc(doc: dict) -> SchemaConfig:
         decision_bins=decision_bins,
         missing=missing,
     )
+
+
+def _names(value, path: str, schema: SignalSchema) -> tuple[str, ...]:
+    """A list of variable names of the schema."""
+    names = _strings(value, path)
+    for i, name in enumerate(names):
+        if name not in schema.names:
+            raise ValidationError(f"{path}[{i}]: unknown variable {name!r}", path=f"{path}[{i}]")
+    return names
+
+
+def parse_spec_doc(doc, schema: SignalSchema, *, replicates: int, seed: int) -> BootstrapSpec:
+    """Parse a bootstrap spec document against the schema.
+
+    ``replicates`` and ``seed`` stand in for absent fields.  Raises
+    ValidationError naming the failing field, e.g. ``statistics[0].v1``.
+    """
+    try:
+        if not isinstance(doc, dict):
+            raise ValidationError("top level must be an object", path="")
+        if "replicates" in doc:
+            replicates = _integer(doc["replicates"], "replicates", 1)
+        if "seed" in doc:
+            seed = _integer(doc["seed"], "seed", 0)
+        stats: list = []
+        for i, item in enumerate(_nonempty(_require(doc, "statistics", ""), "statistics")):
+            at = f"statistics[{i}]"
+            kind = _require(item, "kind", at)
+            name = _string(item.get("name"), f"{at}.name", optional=True)
+            ground = _names(item.get("ground", []), f"{at}.ground", schema)
+            if kind == "gain":
+                v1 = _names(_require(item, "v1", at), f"{at}.v1", schema)
+                stats.append(GainStat(v1=v1, ground=ground, name=name))
+            elif kind == "shapley":
+                signals, permutations = item.get("signals"), item.get("permutations")
+                if signals is not None:  # an empty list, like no list, means every signal
+                    signals = _names(signals, f"{at}.signals", schema) or None
+                if permutations is not None:
+                    permutations = _integer(permutations, f"{at}.permutations", 1)
+                stats.append(ShapleyStat(ground=ground, signals=signals, permutations=permutations, name=name))
+            else:
+                raise ValidationError(f"{at}.kind: unknown statistic kind {kind!r}", path=f"{at}.kind")
+    except ValidationError as exc:
+        raise ValidationError(f"bootstrap spec: {exc}", path=exc.path) from None
+    return BootstrapSpec(replicates=replicates, seed=seed, statistics=tuple(stats))
 
 
 def schema_to_doc(cfg: SchemaConfig) -> dict:
@@ -579,45 +659,98 @@ def write_results(obj: Result, path, fmt: str = "json", provenance: Provenance |
         raise ValueError(f"unknown results format {fmt!r}")
 
 
-def read_results(path) -> tuple[Result, dict]:
-    """Reload a JSON result document; returns (object, full document)."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(f"results {path}: missing or unsupported format_version", path="format_version")
-    kind = doc.get("kind")
+def _quantiles(value, path: str) -> dict[str, float]:
+    _object(value, path)
+    out = {}
+    for level in QUANTILE_LEVELS:
+        key = f"{level:g}"
+        out[key] = _number(_require(value, key, path), f"{path}.{key}")
+    qs = list(out.values())
+    if any(b < a for a, b in zip(qs, qs[1:])):
+        raise ValidationError(f"{path}: quantiles out of order", path=path)
+    return out
+
+
+def _stat_result(doc, path: str) -> StatResult:
+    kind = _string(_require(doc, "kind", path), f"{path}.kind")
+    if kind not in ("gain", "shapley"):
+        raise ValidationError(f"{path}.kind: unknown statistic kind {kind!r}", path=f"{path}.kind")
+    v1 = doc.get("v1")
+    return StatResult(
+        name=_string(_require(doc, "name", path), f"{path}.name"),
+        kind=kind,
+        signal=_string(doc.get("signal"), f"{path}.signal", optional=True),
+        v1=_strings(v1, f"{path}.v1") if v1 is not None else None,
+        ground=_strings(_require(doc, "ground", path), f"{path}.ground"),
+        ground_role=_string(_require(doc, "ground_role", path), f"{path}.ground_role"),
+        samples=tuple(
+            _number(x, f"{path}.samples[{i}]")
+            for i, x in enumerate(_nonempty(_require(doc, "samples", path), f"{path}.samples"))
+        ),
+        mean=_number(_require(doc, "mean", path), f"{path}.mean"),
+        sd=_number(_require(doc, "sd", path), f"{path}.sd"),
+        quantiles=_quantiles(_require(doc, "quantiles", path), f"{path}.quantiles"),
+    )
+
+
+def _signal_values(value, signals: tuple[str, ...], path: str) -> tuple[float, ...]:
+    _object(value, path)
+    return tuple(_number(_require(value, s, path), _at(path, s)) for s in signals)
+
+
+def _result(doc) -> Result:
+    """The result object of a result document; raises ValidationError naming the failing field."""
+    if not isinstance(doc, dict):
+        raise ValidationError("top level must be an object", path="")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValidationError(f"format_version: missing or unsupported ({version!r})", path="format_version")
+    if doc.get("provenance") is not None:
+        _object(doc["provenance"], "provenance")
+    kind = _require(doc, "kind", "")
     if kind == "gain":
-        obj: Result = GainValue(value=doc["value"], raw=doc["raw"], v1=tuple(doc["v1"]), ground=tuple(doc["ground"]))
-    elif kind == "shapley":
-        signals = tuple(doc["signals"])
-        errs = doc.get("standard_errors")
-        obj = ShapleyReport(
+        return GainValue(
+            value=_number(_require(doc, "value", ""), "value"),
+            raw=_number(_require(doc, "raw", ""), "raw"),
+            v1=_strings(_require(doc, "v1", ""), "v1"),
+            ground=_strings(_require(doc, "ground", ""), "ground"),
+        )
+    if kind == "shapley":
+        signals = _strings(_require(doc, "signals", ""), "signals")
+        errs, permutations, seed = doc.get("standard_errors"), doc.get("permutations"), doc.get("seed")
+        return ShapleyReport(
             signals=signals,
-            values=tuple(doc["values"][s] for s in signals),
-            ground=tuple(doc["ground"]),
-            method=doc["method"],
-            total_gain=doc["total_gain"],
-            permutations=doc.get("permutations"),
-            seed=doc.get("seed"),
-            standard_errors=tuple(errs[s] for s in signals) if errs else None,
-            label=doc.get("label"),
+            values=_signal_values(_require(doc, "values", ""), signals, "values"),
+            ground=_strings(_require(doc, "ground", ""), "ground"),
+            method=_string(_require(doc, "method", ""), "method"),
+            total_gain=_number(_require(doc, "total_gain", ""), "total_gain"),
+            permutations=_integer(permutations, "permutations", 1) if permutations is not None else None,
+            seed=_integer(seed, "seed", 0) if seed is not None else None,
+            standard_errors=_signal_values(errs, signals, "standard_errors") if errs is not None else None,
+            label=_string(doc.get("label"), "label", optional=True),
         )
-    elif kind == "bootstrap":
-        stats = tuple(
-            StatResult(
-                name=s["name"],
-                kind=s["kind"],
-                signal=s.get("signal"),
-                v1=tuple(s["v1"]) if s.get("v1") is not None else None,
-                ground=tuple(s["ground"]),
-                ground_role=s["ground_role"],
-                samples=tuple(s["samples"]),
-                mean=s["mean"],
-                sd=s["sd"],
-                quantiles=dict(s["quantiles"]),
-            )
-            for s in doc["statistics"]
+    if kind == "bootstrap":
+        stats = _nonempty(_require(doc, "statistics", ""), "statistics")
+        alpha = _number(_require(doc, "alpha", ""), "alpha")
+        if alpha < 0:
+            raise ValidationError("alpha: must be a finite number >= 0", path="alpha")
+        return BootstrapResult(
+            replicates=_integer(_require(doc, "replicates", ""), "replicates", 1),
+            seed=_integer(_require(doc, "seed", ""), "seed", 0),
+            alpha=alpha,
+            statistics=tuple(_stat_result(s, f"statistics[{i}]") for i, s in enumerate(stats)),
         )
-        obj = BootstrapResult(replicates=doc["replicates"], seed=doc["seed"], alpha=doc["alpha"], statistics=stats)
-    else:
-        raise ValidationError(f"results {path}: unknown kind {kind!r}", path="kind")
-    return obj, doc
+    raise ValidationError(f"kind: unknown kind {kind!r}", path="kind")
+
+
+def read_results(path) -> tuple[Result, dict]:
+    """Reload a JSON result document; returns (object, full document).
+
+    A malformed document raises ValidationError naming the failing field,
+    e.g. ``statistics[0].samples[3]``.
+    """
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return _result(doc), doc
+    except ValidationError as exc:
+        raise ValidationError(f"results {path}: {exc}", path=exc.path) from None

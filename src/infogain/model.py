@@ -119,16 +119,24 @@ class DecisionSpace:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def _midpoints(self) -> np.ndarray:
+        """Midpoints of adjacent grid points, each rounded once from its exact value."""
+        if not self.is_numeric:
+            raise SchemaError("decision space is categorical, not a numeric grid")
+        points = self.points
+        arr = np.array([float((a + b) / 2) for a, b in zip(points, points[1:])], dtype=np.float64)
+        arr.setflags(write=False)
+        return arr
+
     def nearest_index(self, value):
         """Index of the grid point nearest to ``value`` (lower point on exact ties).
 
         ``value`` may be an array, giving an index array of its shape.
         """
-        grid = self.grid_floats
-        mids = (grid[:-1] + grid[1:]) / 2.0
         # side="left": a value exactly on a midpoint resolves to the lower point;
         # a one-point grid has no midpoints, so every value maps to index 0
-        idx = np.searchsorted(mids, value, side="left")
+        idx = np.searchsorted(self._midpoints, value, side="left")
         return int(idx) if np.ndim(idx) == 0 else idx
 
 

@@ -23,8 +23,6 @@ from .model import DecisionProblem
 # Gains within this tolerance of zero are floating-point noise, not negative
 # information value; they are reported as exactly 0 with the raw value kept.
 CLAMP_TOL = 1e-9
-# Rows per batched matrix-vector product in _best_actions (bounds its temporary).
-ACTION_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -61,43 +59,45 @@ def best_response(post: Posterior, problem: DecisionProblem) -> int:
     return int(np.argmax(expected))
 
 
-def _group_contributions(mass: np.ndarray, problem: DecisionProblem) -> np.ndarray:
-    """Per-realization contribution mass[g] . S[d*, .] of the best decision.
+def _brier_closed_form(problem: DecisionProblem) -> bool:
+    return problem.payoff.kind == "brier" and problem.decisions.is_numeric and problem.states.size == 2
 
-    ``mass[g, w]`` is the unnormalized joint mass of realization g and state w;
-    maximizing the unnormalized expectation is equivalent to maximizing under
-    the posterior and avoids the normalizing division.  Each row's value
-    depends on that row alone, never on the rows it is batched with.
+
+def _best_actions(mass: np.ndarray, problem: DecisionProblem) -> np.ndarray:
+    """Index of the best decision for each row of ``mass``, lowest index on exact ties.
+
+    ``mass[g, w]`` is the unnormalized joint weight of realization g and state
+    w; maximizing the unnormalized expectation is equivalent to maximizing
+    under the posterior.  Each row's action depends on that row alone, never
+    on the rows it is batched with.
     """
-    if problem.payoff.kind == "brier" and problem.decisions.is_numeric and problem.states.size == 2:
-        # Closed form: the optimizer over d of sum_w mass_w (1 - (w - d)^2) is
-        # the grid point nearest the posterior mean (lower point on exact ties).
-        grid = problem.decisions.grid_floats
+    if _brier_closed_form(problem):
+        # The optimizer over d of sum_w mass_w (1 - (w - d)^2) is the grid
+        # point nearest the posterior mean (the lower point on exact ties).
         p = mass[:, 0] + mass[:, 1]
         with np.errstate(invalid="ignore", divide="ignore"):
             mu = np.where(p > 0, mass[:, 1] / p, 0.0)
-        d = grid[problem.decisions.nearest_index(mu)]
-        return p - (mass[:, 0] * d * d + mass[:, 1] * (1.0 - d) * (1.0 - d))
-    # Elementwise products summed left to right: a matrix-vector product over
-    # all rows rounds a row differently depending on its position in the batch.
+        return problem.decisions.nearest_index(mu)
+    # One pass over the decisions with a running argmax; each expectation is
+    # a sum of elementwise products, left to right over the states.
     columns = list(mass.T)
     best = np.full(len(mass), -np.inf)
-    for payoffs in problem.payoff_matrix:  # one decision's payoff per state
-        best = np.maximum(best, functools.reduce(np.add, map(np.multiply, columns, payoffs)))
-    return best
+    actions = np.zeros(len(mass), dtype=np.intp)
+    for d, payoffs in enumerate(problem.payoff_matrix):
+        expected = functools.reduce(np.add, map(np.multiply, columns, payoffs))
+        better = expected > best
+        best = np.where(better, expected, best)
+        actions[better] = d
+    return actions
 
 
-def _best_actions(payoffs: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Best decision index per row of ``mass``, lowest index on ties.
-
-    Each row gets its own matrix-vector product ``payoffs @ row`` (a batched
-    matmul); one matrix product over all rows rounds, and so breaks near-ties,
-    differently.
-    """
-    return np.concatenate([
-        np.argmax(np.matmul(payoffs, mass[s : s + ACTION_CHUNK, :, None])[..., 0], axis=1)
-        for s in range(0, len(mass), ACTION_CHUNK)
-    ])
+def _group_contributions(mass: np.ndarray, problem: DecisionProblem) -> np.ndarray:
+    """Per-realization contribution mass[g] . S[d*, .] of the best decision d*."""
+    actions = _best_actions(mass, problem)
+    if _brier_closed_form(problem):
+        d = problem.decisions.grid_floats[actions]
+        return mass[:, 0] + mass[:, 1] - (mass[:, 0] * d * d + mass[:, 1] * (1.0 - d) * (1.0 - d))
+    return functools.reduce(np.add, map(np.multiply, mass.T, problem.payoff_matrix[actions].T))
 
 
 def rational_payoff(
@@ -108,10 +108,12 @@ def rational_payoff(
 ) -> float | list[float]:
     """Expected payoff of the rational benchmark observing the given variables.
 
-    The empty set yields the best-fixed-action payoff under the prior.  With
-    probability rows ``probs`` of shape (R, K) over ``joint.keys`` (see
-    ``joint.grouped_mass``) it returns the R payoffs of those distributions,
-    each summed exactly as the payoff of that distribution's own joint.
+    The empty set yields the best-fixed-action payoff under the prior.  The
+    contributions of all realizations are summed exactly (``math.fsum``) in
+    weight units and divided once by ``joint.total``.  With weight rows
+    ``probs`` of shape (R, K) over ``joint.keys`` (see ``joint.grouped_mass``)
+    it returns the R payoffs of those weightings, each equal to the payoff of
+    that weighting's own joint.
     """
     if problem.states.size != joint.states.size:
         raise SchemaError("problem and joint disagree on the number of states")
@@ -122,7 +124,7 @@ def rational_payoff(
         # absent * c, added exactly as the terms of absent's binary expansion
         c = float(_group_contributions(background_row[None, :], problem)[0])
         extra = [math.ldexp(c, k) for k in range(absent.bit_length()) if absent >> k & 1]
-    payoffs = [math.fsum(row.tolist() + extra) for row in np.atleast_2d(terms)]
+    payoffs = [math.fsum(row.tolist() + extra) / joint.total for row in np.atleast_2d(terms)]
     return payoffs if terms.ndim > 1 else payoffs[0]
 
 
@@ -141,22 +143,10 @@ def information_gain(
     return RationalCache(joint, problem).gain(v1, ground)
 
 
-def gain_of_decisions_over_signals(
-    joint: JointDistribution,
-    problem: DecisionProblem,
-    decision_col: str,
-    signals: Iterable[str] = (),
-) -> GainValue:
-    """Value of a behavioral decision column beyond the named signals."""
-    if not joint.schema.is_decision(decision_col):
-        raise SchemaError(f"{decision_col!r} is not a decision column")
-    return information_gain(joint, problem, {decision_col}, signals)
-
-
 class RationalCache:
     """Memoized benchmark payoffs for one (joint, problem) pair, keyed by variable set.
 
-    ``probs`` replaces the joint's probabilities (see ``rational_payoff``).
+    ``probs`` replaces the joint's tuple weights (see ``rational_payoff``).
     Values are pure functions of the key, so results never depend on
     evaluation order.
     """
@@ -182,7 +172,9 @@ class RationalCache:
 def primed_caches(
     joint: JointDistribution, problem: DecisionProblem, probs: np.ndarray, wanted: Mapping[frozenset, Sequence[int]]
 ) -> list[RationalCache]:
-    """One cache per probability row of ``probs`` (R, K), holding the payoffs that ``wanted`` maps to it.
+    """One cache per weight row of ``probs`` (R, K), holding the payoffs that ``wanted`` maps to it.
+
+    In the bootstrap each row is one replicate's tuple counts over ``joint.keys``.
 
     ``wanted`` maps a variable set to the rows that read its payoff; each set
     is evaluated once, in one ``rational_payoff`` call over those rows.
@@ -220,7 +212,6 @@ def cross_fit_payoff(
         raise SchemaError(f"{data.state_name!r} is the state, not a signal or decision column")
     cols = sorted(1 + data.schema.position(name) for name in names)
     sizes = (data.states.size,) + data.schema.domain_sizes()
-    payoffs = problem.payoff_matrix
     total = []
     for f in (0, 1):
         train = Dataset(data.states, data.schema, data.rows[1 - f :: 2], state_name=data.state_name)
@@ -228,10 +219,10 @@ def cross_fit_payoff(
         reals, mass, absent, background_row = state_mass(train_joint, variables)
         # the last action is the one for realizations unseen in the fitting fold
         unseen = background_row if absent else mass.sum(0)
-        actions = _best_actions(payoffs, np.vstack([mass, unseen]))
+        actions = _best_actions(np.vstack([mass, unseen]), problem)
         test = data.rows[f::2]
         chosen = actions[locate(reals, test[:, cols], [sizes[c] for c in cols])]
-        total.append(payoffs[chosen, test[:, 0]])
+        total.append(problem.payoff_matrix[chosen, test[:, 0]])
     return math.fsum(np.concatenate(total)) / n
 
 

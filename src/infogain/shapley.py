@@ -172,18 +172,3 @@ def shapley_sampled(
         label=label,
     )
 
-
-def compare_grounds(
-    joint: JointDistribution,
-    problem: DecisionProblem,
-    signals: Sequence[str] | None = None,
-    grounds: Sequence[tuple[str, Iterable[str]]] = (("none", ()),),
-    *,
-    ceiling: int = EXACT_CEILING_DEFAULT,
-) -> list[ShapleyReport]:
-    """One exact report per named ground set, sharing the payoff cache."""
-    cache = RationalCache(joint, problem)
-    return [
-        shapley_exact(joint, problem, signals, g, ceiling=ceiling, cache=cache, label=name)
-        for name, g in grounds
-    ]

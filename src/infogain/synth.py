@@ -168,6 +168,7 @@ def with_population_agents(
         keys=keys[order],
         probs=probs[order],
         state_name=joint.state_name,
+        total=joint.total,
     )
 
 
@@ -188,7 +189,7 @@ def generate_dataset(
     if n_rows < 1:
         raise ValueError("need at least one row")
     row_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_ROW_STREAM,)))
-    picks = row_rng.choice(len(joint.probs), size=n_rows, p=joint.probs)
+    picks = row_rng.choice(len(joint.probs), size=n_rows, p=joint.probs / joint.total)
     rows = joint.keys[picks]
     n_dec = problem.decisions.size
     columns = [rows]
@@ -222,7 +223,7 @@ def brute_force_rational(joint: JointDistribution, problem: DecisionProblem, var
     explicit = {tuple(int(v) for v in key): float(p) for key, p in zip(joint.keys, joint.probs)}
     acc: dict[tuple[int, ...], list[float]] = {}
     for cell in itertools.product(*(range(s) for s in sizes)):
-        p = explicit.get(cell, joint.background)
+        p = (joint.background + explicit.get(cell, 0.0)) / joint.total
         if p == 0.0:
             continue
         v = tuple(cell[c] for c in cols)

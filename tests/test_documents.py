@@ -1,0 +1,222 @@
+"""Bootstrap spec and result documents: typed fields, located errors, no tracebacks."""
+
+import contextlib
+import copy
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, strategies as st
+
+from infogain.cli import main
+
+SCHEMA = {
+    "state": {"column": "state", "labels": ["0", "1"]},
+    "signals": [{"column": "s1", "values": ["0", "1"]}, {"column": "s2", "values": ["0", "1"]}],
+    "decisions": [{"column": "h", "role": "human", "values": ["0", "1"]}],
+    "payoff": {"kind": "brier"},
+}
+CSV = "state,s1,s2,h\n" + "".join(f"{a ^ b},{a},{b},{(a ^ b) if a else 0}\n" for a in (0, 1) for b in (0, 1)) * 3
+SPEC = {
+    "replicates": 2,
+    "seed": 3,
+    "statistics": [
+        {"kind": "gain", "v1": ["s1", "s2"], "ground": ["h"], "name": "pair"},
+        {"kind": "shapley", "ground": [], "signals": ["s1", "s2"], "permutations": 2},
+    ],
+}
+
+NUMBER = {"int", "float"}
+# Field rules per document kind: location pattern (list indices written "[]")
+# -> (JSON types the field may hold, whether its object must have it).
+SPEC_RULES = {
+    "": ({"object"}, True),
+    "replicates": ({"int"}, False),
+    "seed": ({"int"}, False),
+    "statistics": ({"list"}, True),
+    "statistics[]": ({"object"}, True),
+    "statistics[].kind": ({"string"}, True),
+    "statistics[].name": ({"string", "null"}, False),
+    "statistics[].v1": ({"list"}, True),
+    "statistics[].v1[]": ({"string"}, True),
+    "statistics[].ground": ({"list"}, False),
+    "statistics[].ground[]": ({"string"}, True),
+    "statistics[].signals": ({"list", "null"}, False),
+    "statistics[].signals[]": ({"string"}, True),
+    "statistics[].permutations": ({"int", "null"}, False),
+}
+RESULT_RULES = {
+    "": ({"object"}, True),
+    "format_version": ({"int"}, True),
+    "kind": ({"string"}, True),
+    "replicates": ({"int"}, True),
+    "seed": ({"int"}, True),
+    "alpha": (NUMBER, True),
+    "provenance": ({"object", "null"}, False),
+    "statistics": ({"list"}, True),
+    "statistics[]": ({"object"}, True),
+    "statistics[].name": ({"string"}, True),
+    "statistics[].kind": ({"string"}, True),
+    "statistics[].signal": ({"string", "null"}, False),
+    "statistics[].v1": ({"list", "null"}, False),
+    "statistics[].v1[]": ({"string"}, True),
+    "statistics[].ground": ({"list"}, True),
+    "statistics[].ground[]": ({"string"}, True),
+    "statistics[].ground_role": ({"string"}, True),
+    "statistics[].mean": (NUMBER, True),
+    "statistics[].sd": (NUMBER, True),
+    "statistics[].quantiles": ({"object"}, True),
+    **{f"statistics[].quantiles.{q}": (NUMBER, True) for q in ("2.5", "25", "50", "75", "97.5")},
+    "statistics[].samples": ({"list"}, True),
+    "statistics[].samples[]": (NUMBER, True),
+}
+NON_EMPTY = {"statistics", "statistics[].samples"}
+# One value of each JSON type, for the type-changing mutation.
+OF_TYPE = {"object": {"k": 1}, "list": [1], "string": "ab", "int": 7, "float": 2.5, "bool": True, "null": None}
+
+
+def _json_type(value):
+    if isinstance(value, bool):
+        return "bool"
+    return {dict: "object", list: "list", str: "string", int: "int", float: "float", type(None): "null"}[type(value)]
+
+
+def _text(parts, index="[{}]"):
+    out = ""
+    for part in parts:
+        out += index.format(part) if isinstance(part, int) else (f".{part}" if out else part)
+    return out
+
+
+def _locations(doc, rules, parts=()):
+    """(parts, value, rule) of every location in ``doc`` that ``rules`` covers."""
+    rule = rules.get(_text(parts, "[]"))
+    if rule is None:
+        return
+    yield parts, doc, rule
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _locations(value, rules, parts + (key,))
+
+
+def _replace(doc, parts, value):
+    if not parts:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for part in parts[:-1]:
+        parent = parent[part]
+    if value is _replace:  # delete
+        del parent[parts[-1]]
+    else:
+        parent[parts[-1]] = value
+    return doc
+
+
+@st.composite
+def mutations(draw, doc, rules):
+    """A document that breaks one field rule, and the path of the broken field."""
+    locations = list(_locations(doc, rules))
+    kind = draw(st.sampled_from(["delete", "retype", "empty", "non-finite"]))
+    if kind == "delete":
+        choices = [(p, _replace) for p, _, (_, required) in locations if p and isinstance(p[-1], str) and required]
+    elif kind == "retype":
+        choices = [(p, OF_TYPE[t]) for p, _, (types, _) in locations for t in sorted(set(OF_TYPE) - types)]
+    elif kind == "empty":
+        choices = [(p, []) for p, _, _ in locations if _text(p, "[]") in NON_EMPTY]
+    else:
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        choices = [(p, bad) for p, _, (types, _) in locations if types & NUMBER]
+    parts, value = draw(st.sampled_from(choices))
+    return _replace(doc, parts, value), _text(parts) or "top level"
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("documents")
+    (base / "schema.json").write_text(json.dumps(SCHEMA), encoding="utf-8")
+    (base / "data.csv").write_text(CSV, encoding="utf-8")
+    (base / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    return base
+
+
+def _bootstrap(files, spec_path, out):
+    return _run(["bootstrap", "--schema", str(files / "schema.json"), "--data", str(files / "data.csv"),
+                 "--spec", str(spec_path), "--out", str(out)])
+
+
+@pytest.fixture(scope="module")
+def result_doc(files):
+    assert _bootstrap(files, files / "spec.json", files / "boot.json") == (0, "")
+    return json.loads((files / "boot.json").read_text(encoding="utf-8"))
+
+
+def _report(files, doc):
+    path = files / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return _run(["report", "--results", str(path), "--out", str(files / "fig.svg")])
+
+
+def test_valid_documents_pass(files, result_doc):
+    assert _report(files, result_doc) == (0, "")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([1], "bootstrap spec: top level must be an object"),
+    ({"statistics": [{"kind": "shapley", "permutations": "3"}]}, "statistics[0].permutations: must be an integer"),
+    ({"statistics": [{"kind": "gain", "v1": "s1"}]}, "statistics[0].v1: must be a list"),
+    ({"statistics": [{"kind": "gain", "v1": ["s1"], "ground": "h"}]}, "statistics[0].ground: must be a list"),
+    ({"replicates": 2.5, "statistics": [{"kind": "gain", "v1": ["s1"]}]}, "replicates: must be an integer"),
+    ({"statistics": [{"kind": "gain"}]}, "statistics[0].v1: missing required field"),
+    ({"statistics": [{"kind": "gain", "v1": ["s1", "nope"]}]}, "statistics[0].v1[1]: unknown variable 'nope'"),
+    ({"statistics": [{"kind": "mean"}]}, "statistics[0].kind: unknown statistic kind 'mean'"),
+    ({"statistics": []}, "statistics: must be a non-empty list"),
+])
+def test_malformed_spec_names_its_field(files, spec, message):
+    path = files / "bad_spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, err = _bootstrap(files, path, files / "unused.json")
+    assert code == 1 and message in err, err
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["statistics"].__setitem__(0, 5), "statistics[0]: must be an object"),
+    (lambda d: d["statistics"][0].__setitem__("samples", "0.1"), "statistics[0].samples: must be a non-empty list"),
+    (lambda d: d["statistics"][0].__setitem__("samples", []), "statistics[0].samples: must be a non-empty list"),
+    (lambda d: d["statistics"][0].__setitem__("quantiles", {}), "statistics[0].quantiles.2.5: missing required field"),
+    (lambda d: d.pop("statistics"), "statistics: missing required field"),
+    (lambda d: d["statistics"][1]["samples"].__setitem__(1, math.nan), "statistics[1].samples[1]: must be a finite"),
+    (lambda d: d["statistics"][0]["quantiles"].__setitem__("25", 2.0), "statistics[0].quantiles: quantiles out of order"),
+])
+def test_malformed_result_names_its_field(files, result_doc, mutate, message):
+    doc = copy.deepcopy(result_doc)
+    mutate(doc)
+    code, err = _report(files, doc)
+    assert code == 1 and message in err, err
+
+
+@given(case=st.data())
+def test_mutated_spec_fails_with_a_located_message(files, case):
+    doc, path = case.draw(mutations(SPEC, SPEC_RULES))
+    spec_path = files / "mutated_spec.json"
+    spec_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _bootstrap(files, spec_path, files / "unused.json")
+    assert code in (1, 2) and path in err and "Traceback" not in err, (doc, err)
+
+
+@given(case=st.data())
+def test_mutated_result_fails_with_a_located_message(files, result_doc, case):
+    doc, path = case.draw(mutations(result_doc, RESULT_RULES))
+    code, err = _report(files, doc)
+    assert code in (1, 2) and path in err and "Traceback" not in err, (doc, err)

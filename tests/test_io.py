@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -78,6 +79,16 @@ def test_decision_with_both_grid_and_values_rejected(tmp_path):
     doc = dict(MINIMAL_SCHEMA)
     doc["decisions"] = [{"column": "d", "role": "human", "grid": {"count": 11}, "values": ["a"]}]
     with pytest.raises(ValidationError, match="not both"):
+        load_schema(write_json(tmp_path / "s.json", doc))
+
+
+@pytest.mark.parametrize("section, key, path", [("state", "labels", "state.labels"),
+                                                ("payoff", "decisions", "payoff.decisions")])
+def test_label_lists_must_be_lists(tmp_path, section, key, path):
+    doc = dict(MINIMAL_SCHEMA)
+    doc["payoff"] = {"kind": "matrix", "rows": [[1.0, 0.0], [0.0, 1.0]], "decisions": ["a", "b"]}
+    doc[section] = dict(doc[section], **{key: "ab"})  # a string would otherwise be split into labels
+    with pytest.raises(ValidationError, match=f"{re.escape(path)}: must be a list"):
         load_schema(write_json(tmp_path / "s.json", doc))
 
 

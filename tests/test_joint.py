@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from infogain.errors import ConditioningError, SchemaError
+from infogain.errors import SchemaError
 from infogain.joint import (
     CODE_LIMIT,
     Dataset,
@@ -13,11 +14,12 @@ from infogain.joint import (
     encode,
     estimate_joint,
     locate,
-    marginal,
-    posterior,
-    support,
+    state_mass,
 )
-from infogain.model import BasicSignal, SignalSchema, StateSpace
+from infogain.model import BasicSignal, SignalSchema, StateSpace, brier_problem
+from infogain.rational import _group_contributions, rational_payoff
+from infogain.synth import make_deepfake_dataset, random_matrix_problem
+from marginals import marginal, posterior, support
 
 BINARY = SignalSchema(signals=(BasicSignal("x", ("0", "1")),))
 
@@ -29,14 +31,14 @@ def _dataset(rows, schema=BINARY, n_states=2):
 def test_estimate_four_distinct_rows():
     data = _dataset([[0, 0], [0, 1], [1, 0], [1, 1]])
     joint = estimate_joint(data)
-    assert np.allclose(joint.probs, 0.25)
+    assert np.allclose(joint.probs / joint.total, 0.25)
     assert joint.keys.shape == (4, 2)
 
 
 def test_estimate_two_identical_rows():
     joint = estimate_joint(_dataset([[1, 0], [1, 0]]))
     assert joint.keys.shape == (1, 2)
-    assert joint.probs[0] == 1.0
+    assert joint.probs[0] / joint.total == 1.0
 
 
 def test_estimate_with_add_one_smoothing():
@@ -102,23 +104,23 @@ def test_posterior_empty_assignment_is_prior(xor_joint):
 
 def test_posterior_zero_probability_assignment():
     joint = estimate_joint(_dataset([[0, 0]]))
-    with pytest.raises(ConditioningError):
-        posterior(joint, {"x": 1})
+    # state_mass lists no realization without mass, and there is no background row
+    assert posterior(joint, {"x": 1}) is None
 
 
 def test_support_order_and_mass(xor_joint):
-    entries = list(support(xor_joint, ["s1", "s2"]))
+    entries = support(xor_joint, ["s1", "s2"])
     assert [real for real, _ in entries] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert all(p == 0.25 for _, p in entries)
 
 
 def test_support_empty_vars(xor_joint):
-    assert list(support(xor_joint, [])) == [((), 1.0)]
+    assert support(xor_joint, []) == [((), 1.0)]
 
 
 def test_support_single_point():
     joint = estimate_joint(_dataset([[1, 0], [1, 0]]))
-    assert list(support(joint, ["state", "x"])) == [((1, 0), 1.0)]
+    assert support(joint, ["state", "x"]) == [((1, 0), 1.0)]
 
 
 def _huge_decision_schema():
@@ -132,9 +134,7 @@ def _huge_decision_schema():
     )
 
 
-def test_huge_sparse_spaces_group_any_subset_but_refuse_smoothed_dense_marginal():
-    from infogain.errors import ProductSpaceError
-
+def test_huge_sparse_spaces_group_any_subset():
     # 2 * 101**10 cells: past 2**62, so the full encoding ranks partial codes
     schema = _huge_decision_schema()
     joint = JointDistribution(
@@ -146,17 +146,16 @@ def test_huge_sparse_spaces_group_any_subset_but_refuse_smoothed_dense_marginal(
     names = [f"d{i}" for i in range(10)]
     assert marginal(joint, ["d0"]) == {(0,): 1.0}
     assert marginal(joint, names) == {(0,) * 10: 1.0}
+    # one row over the whole space smoothed with alpha 1: weights are counts
+    # plus 1 per cell, and the 101**10 - 1 unseen realizations are only counted
     n_cells = 2 * 101**10
     smoothed = JointDistribution(
-        states=joint.states,
-        schema=schema,
-        keys=joint.keys,
-        probs=np.array([0.5]),
-        background=0.5 / (n_cells - 1),
+        states=joint.states, schema=schema, keys=joint.keys, probs=np.array([1.0]), background=1.0, total=1.0 + n_cells
     )
-    assert len(marginal(smoothed, ["d0"])) == 101
-    with pytest.raises(ProductSpaceError):
-        marginal(smoothed, names)
+    reals, mass, absent, background_row = state_mass(smoothed, names)
+    assert reals.tolist() == [[0] * 10] and mass.tolist() == [[2.0, 1.0]]
+    assert absent == 101**10 - 1 and background_row.tolist() == [1.0, 1.0]
+    assert rational_payoff(smoothed, brier_problem(), names) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_huge_space_rejects_duplicate_keys():
@@ -181,10 +180,13 @@ def test_mass_invariant_rejects_bad_total():
         )
 
 
-def _all_var_subsets(joint):
-    names = joint.variables
+def _subsets(names):
     for r in range(len(names) + 1):
         yield from itertools.combinations(names, r)
+
+
+def _all_var_subsets(joint):
+    return _subsets(joint.variables)
 
 
 @pytest.mark.parametrize("smoothing", [0.0, 0.7])
@@ -239,9 +241,8 @@ def test_plugin_marginal_matches_brute_force_counts(data):
 @given(small_datasets(), st.floats(0.0, 2.0))
 def test_total_mass_is_one(data, smoothing):
     joint = estimate_joint(data, smoothing)
-    explicit = math.fsum(joint.probs)
-    total = explicit + joint.background * (joint.n_cells - len(joint.probs))
-    assert abs(total - 1.0) <= 1e-12
+    mass = math.fsum(joint.probs) + joint.background * joint.n_cells
+    assert abs(mass / joint.total - 1.0) <= 1e-12
 
 
 @st.composite
@@ -291,27 +292,22 @@ def test_estimate_joint_matches_row_unique_reference(data, smoothing):
     keys, counts = np.unique(data.rows, axis=0, return_counts=True)
     joint = estimate_joint(data, smoothing)
     assert np.array_equal(joint.keys, keys)
-    if smoothing == 0.0:
-        assert np.array_equal(joint.probs, counts / data.n_rows)
-    else:
-        denom = data.n_rows + smoothing * joint.n_cells
-        assert np.array_equal(joint.probs, (counts + smoothing) / denom)
-        assert joint.background == smoothing / denom
+    assert np.array_equal(joint.probs, counts)
+    assert joint.background == smoothing
+    assert joint.total == data.n_rows + smoothing * joint.n_cells
 
 
 def _reference_posterior(joint, assignment):
-    """Mask-and-count posterior: explicit tuples summed per state plus the
-    background of the absent cells that match the assignment."""
+    """Mask-and-count posterior: the counts of the explicit tuples that match
+    the assignment, summed per state, plus the background weight of every
+    matching cell."""
     cols = joint.columns(assignment.keys(), allow_state=False)
     values = np.array([assignment[joint.variables[c]] for c in cols], dtype=np.int64)
     mask = (joint.keys[:, list(cols)] == values).all(axis=1)
-    n_states = joint.states.size
-    mass = np.zeros(n_states)
-    counts = np.zeros(n_states, dtype=np.int64)
+    mass = np.zeros(joint.states.size)
     np.add.at(mass, joint.keys[mask, 0], joint.probs[mask])
-    np.add.at(counts, joint.keys[mask, 0], 1)
     rest = math.prod(s for c, s in enumerate(joint.domain_sizes) if c != 0 and c not in cols)
-    mass += joint.background * (rest - counts)
+    mass += joint.background * rest
     return mass / mass.sum() if mass.sum() > 0 else None
 
 
@@ -327,10 +323,77 @@ def test_posterior_matches_mask_and_count_reference(smoothing, data):
                 assignment = dict(zip(vars_, real))
                 expect = _reference_posterior(joint, assignment)
                 if expect is None:
-                    with pytest.raises(ConditioningError):
-                        posterior(joint, assignment)
-                elif smoothing == 0.0:
-                    assert posterior(joint, assignment).tolist() == expect.tolist()
+                    assert posterior(joint, assignment) is None
                 else:
-                    # the background enters the sum in another order: equal up to rounding
-                    np.testing.assert_allclose(posterior(joint, assignment), expect, rtol=1e-13, atol=0)
+                    # an exact count sum plus the background weight: equal in every order
+                    assert posterior(joint, assignment).tolist() == expect.tolist()
+
+
+@st.composite
+def count_datasets(draw):
+    """Datasets over 2 or 3 states whose row counts make probability sums round."""
+    n_states = draw(st.integers(2, 3))
+    sizes = [draw(st.integers(2, 3)) for _ in range(draw(st.integers(1, 3)))]
+    schema = SignalSchema(
+        signals=tuple(BasicSignal(f"x{i}", tuple(str(v) for v in range(k))) for i, k in enumerate(sizes))
+    )
+    n_rows = draw(st.integers(1, 60))
+    rows = [[draw(st.integers(0, n_states - 1))] + [draw(st.integers(0, k - 1)) for k in sizes] for _ in range(n_rows)]
+    return Dataset(StateSpace.of([str(w) for w in range(n_states)]), schema, np.array(rows, dtype=np.int64))
+
+
+def _problem(n_states):
+    if n_states == 2:
+        return brier_problem(("0", "1"))
+    return random_matrix_problem(np.random.default_rng(0), n_states=n_states, n_decisions=4)
+
+
+def _permuted(joint, order):
+    return JointDistribution(joint.states, joint.schema, joint.keys[order], joint.probs[order], joint.background,
+                             joint.state_name, joint.total)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@given(data=count_datasets(), draw=st.data())
+def test_permuting_the_tuples_changes_no_mass_and_no_payoff(alpha, data, draw):
+    joint = estimate_joint(data, alpha)
+    permuted = _permuted(joint, draw.draw(st.permutations(range(len(joint.keys)))))
+    problem = _problem(joint.states.size)
+    for names in _subsets(joint.schema.names):
+        (reals, mass, absent, bg), (p_reals, p_mass, p_absent, p_bg) = state_mass(joint, names), state_mass(permuted, names)
+        assert np.array_equal(reals, p_reals) and absent == p_absent
+        assert mass.tobytes() == p_mass.tobytes() and bg.tobytes() == p_bg.tobytes()
+        assert rational_payoff(joint, problem, names).hex() == rational_payoff(permuted, problem, names).hex()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_permuting_the_deepfake_tuples_changes_no_mass_and_no_payoff(alpha):
+    data, problem = make_deepfake_dataset(n_rows=4000, seed=101)
+    joint = estimate_joint(data, alpha)
+    permuted = _permuted(joint, np.random.default_rng(1).permutation(len(joint.keys)))
+    signals = data.schema.signal_names
+    sets = [signals[:k] for k in range(len(signals) + 1)] + [(d,) for d in data.schema.decision_names]
+    sets += [signals + data.schema.decision_names[:k] for k in range(1, 4)]
+    for names in sets:
+        assert state_mass(joint, names)[1].tobytes() == state_mass(permuted, names)[1].tobytes(), names
+        assert rational_payoff(joint, problem, names).hex() == rational_payoff(permuted, problem, names).hex(), names
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@given(data=count_datasets())
+def test_masses_are_exact_count_sums_and_payoffs_one_division(alpha, data):
+    joint = estimate_joint(data, alpha)
+    problem = _problem(joint.states.size)
+    sizes = joint.domain_sizes
+    for names in _subsets(joint.schema.names):
+        cols = list(joint.columns(names))
+        counts = collections.Counter((tuple(row[cols].tolist()), int(row[0])) for row in data.rows)
+        seen = sorted({real for real, _ in counts})
+        rest = math.prod(sizes[1:]) // math.prod(sizes[c] for c in cols)
+        reals, mass, absent, background_row = state_mass(joint, names)
+        assert [tuple(r) for r in reals.tolist()] == seen
+        assert absent == (math.prod(sizes[c] for c in cols) - len(seen) if alpha else 0)
+        expect = [[counts[real, w] + alpha * rest for w in range(sizes[0])] for real in seen]
+        assert mass.tolist() == expect and background_row.tolist() == [alpha * rest] * sizes[0]
+        terms = _group_contributions(np.vstack([mass] + [background_row] * absent), problem).tolist()
+        assert rational_payoff(joint, problem, names) == math.fsum(terms) / joint.total

@@ -145,3 +145,11 @@ def test_nearest_index_ties_resolve_low():
     single = DecisionSpace.numeric([Fraction(1, 2)])
     assert single.nearest_index(0.9) == 0
     assert single.nearest_index(np.array([0.0, 1.0])).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("grid", [DecisionSpace.percent_grid()] + [DecisionSpace.uniform_grid(0, 1, n) for n in (7, 13, 30)])
+def test_nearest_index_sends_every_exact_midpoint_low_and_the_next_float_high(grid):
+    mids = [float((a + b) / 2) for a, b in zip(grid.points, grid.points[1:])]
+    assert [grid.nearest_index(m) for m in mids] == list(range(grid.size - 1))
+    above = np.nextafter(np.array(mids), np.inf)
+    assert grid.nearest_index(above).tolist() == list(range(1, grid.size))

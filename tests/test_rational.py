@@ -1,10 +1,12 @@
+import collections
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from infogain.errors import SchemaError
 from infogain.joint import Dataset, JointDistribution, estimate_joint, state_mass
 from infogain.model import (
     BasicSignal,
@@ -21,7 +23,6 @@ from infogain.rational import (
     best_response,
     cross_fit_gain,
     cross_fit_payoff,
-    gain_of_decisions_over_signals,
     information_gain,
     rational_payoff,
 )
@@ -84,7 +85,7 @@ def test_gain_xor_pair_is_quarter(xor_joint, brier):
 def test_deterministic_agent_adds_nothing_beyond_its_inputs(xor_joint, brier):
     agent = SyntheticAgentSpec(name="dm", used_signals=("s1", "s2"), noise=0.0)
     extended = with_population_agents(xor_joint, brier, [agent])
-    gain = gain_of_decisions_over_signals(extended, brier, "dm", ["s1", "s2"])
+    gain = information_gain(extended, brier, ["dm"], ["s1", "s2"])
     assert abs(gain.raw) <= 1e-12
 
 
@@ -96,7 +97,7 @@ def test_state_copy_decision_column_is_worth_quarter(brier):
         keys=np.array([[0, 0], [1, 1]]),
         probs=np.array([0.5, 0.5]),
     )
-    gain = gain_of_decisions_over_signals(joint, brier, "copy", [])
+    gain = information_gain(joint, brier, ["copy"])
     assert gain.value == pytest.approx(0.25, abs=1e-12)
 
 
@@ -108,12 +109,7 @@ def test_state_independent_decision_column_is_worthless(brier):
         keys=np.array([[0, 0], [0, 1], [1, 0], [1, 1]]),
         probs=np.full(4, 0.25),
     )
-    assert gain_of_decisions_over_signals(joint, brier, "coin", []).value == 0.0
-
-
-def test_gain_of_decisions_rejects_signals_as_decision_col(xor_joint, brier):
-    with pytest.raises(SchemaError):
-        gain_of_decisions_over_signals(xor_joint, brier, "s1", [])
+    assert information_gain(joint, brier, ["coin"]).value == 0.0
 
 
 def _subsets(names):
@@ -231,20 +227,51 @@ def test_cross_fit_needs_two_rows(brier):
         cross_fit_payoff(data, brier, ["x"])
 
 
+def _exact_payoffs(problem):
+    """The payoff table in exact arithmetic, as integers over one common denominator."""
+    if problem.payoff.kind == "brier":
+        table = [[1 - (w - d) ** 2 for w in range(problem.states.size)] for d in problem.decisions.points]
+    else:
+        table = [[Fraction(s) for s in row] for row in problem.payoff_matrix.tolist()]
+    den = math.lcm(*(Fraction(x).denominator for row in table for x in row))
+    return [[int(x * den) for x in row] for row in table]
+
+
+def _exact_scores(mass, table):
+    """Expected payoff of each decision for a state-weight row, exact and scaled by a positive constant."""
+    den = math.lcm(*(Fraction(m).denominator for m in mass))
+    mass = [int(Fraction(m) * den) for m in mass]
+    return [sum(m * s for m, s in zip(mass, row)) for row in table]
+
+
 def _reference_cross_fit_payoff(data, problem, variables, smoothing):
-    """Row-by-row cross-fit: a dict from realization tuple to its fitted action."""
-    cols = tuple(sorted(1 + data.schema.position(name) for name in variables))
-    fold = np.arange(data.n_rows) % 2
-    payoffs = problem.payoff_matrix
+    """Row-by-row cross-fit in exact arithmetic: each fitting fold's state
+    counts per realization from a Counter, plus alpha for every product cell
+    a realization covers, and the exact best action of each realization."""
+    cols = sorted(1 + data.schema.position(name) for name in variables)
+    sizes = (data.states.size,) + data.schema.domain_sizes()
+    covered = math.prod(sizes) // math.prod(sizes[c] for c in cols) // data.states.size
+    background = Fraction(smoothing) * covered
+    table = _exact_payoffs(problem)
+
+    @functools.lru_cache(maxsize=None)
+    def best(mass):  # lowest index on ties
+        scores = _exact_scores(mass, table)
+        return scores.index(max(scores))
+
+    rows = [(tuple(row[c] for c in cols), row[0]) for row in data.rows.tolist()]
+    states = range(data.states.size)
     total = []
     for f in (0, 1):
-        train = Dataset(data.states, data.schema, data.rows[fold != f], state_name=data.state_name)
-        reals, mass, absent, background_row = state_mass(estimate_joint(train, smoothing), variables)
-        rule = {tuple(int(v) for v in real): int(np.argmax(payoffs @ row)) for real, row in zip(reals, mass)}
-        unseen_action = int(np.argmax(payoffs @ (background_row if absent else mass.sum(axis=0))))
-        for row in data.rows[fold == f]:
-            d = rule.get(tuple(int(row[c]) for c in cols), unseen_action)
-            total.append(float(payoffs[d, row[0]]))
+        counts = collections.Counter(rows[1 - f :: 2])
+        seen = {real for real, _ in counts}
+        if smoothing and len(seen) < math.prod(sizes[c] for c in cols):
+            unseen = best(tuple(background for _ in states))
+        else:
+            unseen = best(tuple(sum(counts[real, w] for real in seen) for w in states))
+        for real, w in rows[f::2]:
+            d = best(tuple(counts[real, v] + background for v in states)) if real in seen else unseen
+            total.append(float(problem.payoff_matrix[d, w]))
     return math.fsum(total) / data.n_rows
 
 
@@ -272,6 +299,38 @@ def test_cross_fit_payoff_equals_row_by_row_reference(smoothing):
         assert cross_fit_payoff(data, prob, names, smoothing) == expect, names
 
 
+def test_cross_fit_payoff_equals_exact_reference_on_deepfake_4k():
+    # count masses over a 101-point grid: many realizations put the posterior
+    # mean exactly on a midpoint between two grid points
+    data, brier = make_deepfake_dataset(n_rows=4000, seed=101)
+    signals, decisions = data.schema.signal_names, data.schema.decision_names
+    sets = [()] + [(name,) for name in data.schema.names] + [(s, d) for d in decisions for s in signals]
+    sets += [decisions[:2], decisions[1:], decisions[::2], decisions, signals, data.schema.names]
+    sets += [signals + (d,) for d in decisions]
+    assert len(sets) >= 40
+    for names in sets:
+        assert cross_fit_payoff(data, brier, names) == _reference_cross_fit_payoff(data, brier, names, 0.0), names
+
+
+def test_cross_fit_payoff_breaks_exact_matrix_ties_toward_the_lowest_index():
+    # dyadic payoffs and integer counts: every expected payoff is exact, so
+    # equal expectations are exact ties, and there are many of them
+    problem = DecisionProblem(
+        states=StateSpace.of(("0", "1", "2")),
+        decisions=DecisionSpace.categorical(("a", "b", "c", "hedge")),
+        payoff=PayoffFunction.from_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.25]]),
+    )
+    joint = random_joint(np.random.default_rng(4), n_signals=3, n_states=3, domain_size=3, n_decision_columns=1)
+    data = generate_dataset(joint, problem, n_rows=300, seed=5)
+    ties, table = 0, _exact_payoffs(problem)
+    for names in _subsets(data.schema.names):
+        assert cross_fit_payoff(data, problem, names) == _reference_cross_fit_payoff(data, problem, names, 0.0), names
+        for row in state_mass(estimate_joint(data), names)[1].tolist():
+            scores = _exact_scores(row, table)
+            ties += scores.count(max(scores)) > 1
+    assert ties >= 10
+
+
 @pytest.mark.parametrize("n_states", [2, 3])
 def test_group_contribution_of_a_row_does_not_depend_on_its_batch(n_states):
     rng = np.random.default_rng(n_states)
@@ -295,14 +354,10 @@ def test_payoffs_of_probability_rows_equal_those_of_their_joints(alpha):
     population = random_joint(rng, n_signals=3, n_states=3, domain_size=3, n_decision_columns=1)
     data = generate_dataset(population, problem, n_rows=80, seed=2)
     joint = estimate_joint(data, alpha)
-    n = data.n_rows
-    counts = rng.multinomial(n, np.full(len(joint.keys), 1.0 / len(joint.keys)), size=4)
-    if alpha == 0.0:
-        probs = counts / n
-    else:
-        probs = (counts + alpha) / (n + alpha * joint.n_cells)
+    # count rows: the tuple weights of four resamples of the n rows
+    counts = rng.multinomial(data.n_rows, np.full(len(joint.keys), 1.0 / len(joint.keys)), size=4)
     for variables in [(), ("x1",), ("x2", "b1"), data.schema.names]:
-        batched = rational_payoff(joint, problem, variables, probs)
-        for row, value in zip(probs, batched):
-            own = JointDistribution(joint.states, joint.schema, joint.keys, row, joint.background)
+        batched = rational_payoff(joint, problem, variables, counts)
+        for row, value in zip(counts, batched):
+            own = JointDistribution(joint.states, joint.schema, joint.keys, row, joint.background, total=joint.total)
             assert value.hex() == rational_payoff(own, problem, variables).hex()

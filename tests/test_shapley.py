@@ -8,7 +8,7 @@ from infogain.errors import SchemaError, ShapleyCeilingError
 from infogain.joint import JointDistribution
 from infogain.model import BasicSignal, DecisionColumn, SignalSchema, StateSpace, brier_problem
 from infogain.rational import RationalCache, information_gain
-from infogain.shapley import compare_grounds, shapley_exact, shapley_sampled
+from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import (
     SyntheticAgentSpec,
     make_xor_joint,
@@ -140,6 +140,12 @@ def test_signal_redundant_given_ai_column(brier):
     assert abs(report.value_of("x1")) <= 1e-12
     # sanity: without the ground the signal is clearly valuable
     assert shapley_exact(joint, brier).value_of("x1") > 0.05
+
+
+def compare_grounds(joint, problem, grounds):
+    """One exact report per named ground set, all reading one payoff cache."""
+    cache = RationalCache(joint, problem)
+    return [shapley_exact(joint, problem, ground=g, cache=cache, label=name) for name, g in grounds]
 
 
 def test_compare_grounds_matches_single_calls(xor_joint, brier):

@@ -1,7 +1,7 @@
 """Payoffs, gains and attributions on add-alpha smoothed joints.
 
 Under smoothing every realization without an explicit tuple shares one
-background state-mass row, and the production path only counts those
+background state-weight row, and the production path only counts those
 realizations.  These tests hold it to the rationality properties, to a dense
 enumeration of every realization, and to hand-worked values.
 """
@@ -38,24 +38,25 @@ def _subsets(names):
 
 
 def dense_reference_payoff(joint, problem, variables):
-    """R(V) from the dense state-mass table over every realization of V.
+    """R(V) from the dense state-weight table over every realization of V.
 
-    Each cell starts at its background mass and each explicit tuple, in key
-    order, replaces one background cell; all rows then go through the same
-    per-realization contribution and one exact sum.
+    Each cell is the exact sum of its tuples' counts plus the background
+    weight of the product cells it covers; all rows then go through the same
+    per-realization contribution, one exact sum and one division by the total.
     """
     cols = joint.columns(variables, allow_state=False)
     sizes = joint.domain_sizes
     shape = tuple(sizes[c] for c in cols)
     n_states = joint.states.size
     rest = math.prod(sizes) // (math.prod(shape) * n_states)
-    mass = np.full((math.prod(shape), n_states), joint.background * rest)
+    mass = np.zeros((math.prod(shape), n_states))
     if cols:
         group = np.ravel_multi_index(tuple(joint.keys[:, c] for c in cols), shape)
     else:
         group = np.zeros(len(joint.probs), dtype=np.int64)
-    np.add.at(mass, (group, joint.keys[:, 0]), joint.probs - joint.background)
-    return math.fsum(_group_contributions(mass, problem))
+    np.add.at(mass, (group, joint.keys[:, 0]), joint.probs)
+    mass += joint.background * rest
+    return math.fsum(_group_contributions(mass, problem)) / joint.total
 
 
 def _sampled(joint, problem, n_rows, seed):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from infogain.errors import OracleError, SchemaError
-from infogain.joint import JointDistribution, estimate_joint, marginal, posterior
+from infogain.joint import JointDistribution, estimate_joint
 from infogain.model import DecisionColumn, SignalSchema, StateSpace, brier_problem
 from infogain.rational import best_response, information_gain, rational_payoff
 from infogain.synth import (
@@ -23,6 +23,7 @@ from infogain.synth import (
     random_matrix_problem,
     with_population_agents,
 )
+from marginals import marginal, posterior
 
 
 def test_xor_state_marginal_uniform(xor_joint):
