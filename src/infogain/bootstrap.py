@@ -124,12 +124,6 @@ class BootstrapResult:
     alpha: float
     statistics: tuple[StatResult, ...]
 
-    def by_name(self, name: str) -> StatResult:
-        for stat in self.statistics:
-            if stat.name == name:
-                return stat
-        raise KeyError(name)
-
 
 def _ground_role(data: Dataset, ground: tuple[str, ...]) -> str:
     if not ground:
@@ -142,18 +136,18 @@ def _ground_role(data: Dataset, ground: tuple[str, ...]) -> str:
 def _expand_layout(data: Dataset, spec: BootstrapSpec) -> list[dict]:
     """Fixed column layout of scalar statistics produced by each replicate."""
     layout = []
-    for idx, stat in enumerate(spec.statistics):
+    for stat in spec.statistics:
         if isinstance(stat, GainStat):
             layout.append(
                 dict(name=stat.name, kind="gain", signal=None, v1=stat.v1, ground=stat.ground,
-                     ground_role=_ground_role(data, stat.ground), stat_index=idx)
+                     ground_role=_ground_role(data, stat.ground))
             )
         elif isinstance(stat, ShapleyStat):
             signals = stat.signals if stat.signals is not None else data.schema.signal_names
             for sig in signals:
                 layout.append(
                     dict(name=f"{stat.name}.{sig}", kind="shapley", signal=sig, v1=None,
-                         ground=stat.ground, ground_role=_ground_role(data, stat.ground), stat_index=idx)
+                         ground=stat.ground, ground_role=_ground_role(data, stat.ground))
                 )
         else:
             raise TypeError(f"unknown statistic spec {stat!r}")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,6 +26,7 @@ from .io import (
     load_dataset,
     load_schema,
     parse_spec_doc,
+    read_json,
     read_results,
     write_dataset,
     write_results,
@@ -51,36 +52,17 @@ EXIT_IO = 2
 IO_ERRORS = (OSError, UnicodeDecodeError)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reconstruct a run: subcommand, flags, input hashes."""
-
-    subcommand: str
-    arguments: dict
-    input_hashes: dict
-    tool_version: str
-    created_utc: str
-
-    def to_doc(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "arguments": dict(sorted(self.arguments.items())),
-            "input_hashes": dict(sorted(self.input_hashes.items())),
-            "tool_version": self.tool_version,
-            "created_utc": self.created_utc,
-        }
-
-
-def _write_manifest(subcommand: str, arguments: dict, input_hashes: dict, out_path) -> None:
-    manifest = RunManifest(
-        subcommand=subcommand,
-        arguments=arguments,
-        input_hashes=input_hashes,
-        tool_version=__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(),
-    )
+def _write_manifest(args, input_hashes: dict, out_path) -> None:
+    """Write ``<out_path>.manifest.json``: subcommand, flags and input hashes, enough to replay the run."""
+    doc = {
+        "subcommand": args.subcommand,
+        "arguments": {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")},
+        "input_hashes": input_hashes,
+        "tool_version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+    }
     path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest.to_doc(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def manifest_to_argv(doc: dict) -> list[str]:
@@ -107,26 +89,25 @@ def _parse_vars(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _load_inputs(schema_path: str, data_path: str):
-    cfg = load_schema(schema_path)
-    data = load_dataset(data_path, cfg)
-    return cfg, data
+def _inputs(args):
+    """The schema, the dataset and the smoothing of a command: ``--alpha``, else the schema's."""
+    cfg = load_schema(args.schema)
+    data = load_dataset(args.data, cfg)
+    alpha = getattr(args, "alpha", None)
+    return cfg, data, cfg.smoothing if alpha is None else alpha
 
 
-def _provenance(hashes: dict, *, seed=None, alpha=None, **flags) -> Provenance:
-    return Provenance(
-        schema_sha256=hashes.get("schema"),
-        data_sha256=hashes.get("data"),
-        seed=seed,
-        alpha=alpha,
-        tool_version=__version__,
-        flags=flags,
-    )
+def _write_outputs(args, result, *, seed=None, alpha=None, **flags) -> None:
+    """Write ``result`` to ``--out`` with its provenance, and the run manifest beside it."""
+    hashes = {"schema": file_sha256(args.schema), "data": file_sha256(args.data)}
+    prov = Provenance(schema_sha256=hashes["schema"], data_sha256=hashes["data"], seed=seed, alpha=alpha,
+                      tool_version=__version__, flags=flags)
+    write_results(result, args.out, fmt=args.format, provenance=prov)
+    _write_manifest(args, hashes, args.out)
 
 
 def cmd_validate(args) -> int:
-    cfg = load_schema(args.schema)
-    data = load_dataset(args.data, cfg)
+    cfg, data, _ = _inputs(args)
     diagnostics = validate_schema(cfg.schema) + validate_problem(cfg.problem)
     for diag in diagnostics:
         print(str(diag), file=sys.stderr)
@@ -137,30 +118,28 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gain(args) -> int:
-    cfg, data = _load_inputs(args.schema, args.data)
-    alpha = args.alpha if args.alpha is not None else cfg.smoothing
+    cfg, data, alpha = _inputs(args)
     v1, ground = _parse_vars(args.v1), _parse_vars(args.ground)
     if args.cross_fit:
+        if data.n_rows < 2:
+            raise ValidationError("--cross-fit: cross-fit evaluation needs at least 2 rows", path="--cross-fit")
         gain = cross_fit_gain(data, cfg.problem, v1, ground, smoothing=alpha)
     else:
         joint = estimate_joint(data, alpha)
         gain = information_gain(joint, cfg.problem, v1, ground)
     print(f"gain({set_label(gain.v1)}; {set_label(gain.ground)}) = {gain.value!r}")
     if args.out:
-        hashes = _input_hashes(args)
-        prov = _provenance(hashes, alpha=alpha, cross_fit=bool(args.cross_fit), decision_bins=cfg.decision_bins)
-        write_results(gain, args.out, fmt=args.format, provenance=prov)
-        _write_manifest("gain", _argdict(args), hashes, args.out)
+        _write_outputs(args, gain, alpha=alpha, cross_fit=bool(args.cross_fit), decision_bins=cfg.decision_bins)
     return EXIT_OK
 
 
 def cmd_shapley(args) -> int:
-    cfg, data = _load_inputs(args.schema, args.data)
-    alpha = args.alpha if args.alpha is not None else cfg.smoothing
+    cfg, data, alpha = _inputs(args)
     joint = estimate_joint(data, alpha)
     ground = _parse_vars(args.ground)
     signals = list(_parse_vars(args.signals)) if args.signals else None
-    if args.sampled:
+    sampled = args.sampled is not None
+    if sampled:
         report = shapley_sampled(joint, cfg.problem, signals, ground, permutations=args.sampled, seed=args.seed)
     else:
         report = shapley_exact(joint, cfg.problem, signals, ground)
@@ -168,17 +147,14 @@ def cmd_shapley(args) -> int:
         print(f"phi({name}) = {value!r}")
     print(f"total gain over ground = {report.total_gain!r}")
     if args.out:
-        hashes = _input_hashes(args)
-        prov = _provenance(hashes, seed=args.seed if args.sampled else None, alpha=alpha,
-                           sampled=args.sampled or 0, decision_bins=cfg.decision_bins)
-        write_results(report, args.out, fmt=args.format, provenance=prov)
-        _write_manifest("shapley", _argdict(args), hashes, args.out)
+        _write_outputs(args, report, seed=args.seed if sampled else None, alpha=alpha,
+                       sampled=args.sampled or 0, decision_bins=cfg.decision_bins)
     return EXIT_OK
 
 
 def _bootstrap_spec(args, schema: SignalSchema) -> BootstrapSpec:
     if args.spec:
-        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        doc = read_json(args.spec, "bootstrap spec")
         return parse_spec_doc(doc, schema, replicates=args.replicates, seed=args.seed)
     stats: list = []
     for text in args.gain or []:
@@ -198,16 +174,15 @@ def _bootstrap_spec(args, schema: SignalSchema) -> BootstrapSpec:
 
 
 def cmd_bootstrap(args) -> int:
-    cfg, data = _load_inputs(args.schema, args.data)
-    alpha = args.alpha if args.alpha is not None else cfg.smoothing
+    cfg, data, alpha = _inputs(args)
     spec = _bootstrap_spec(args, data.schema)
+    # a Shapley statistic that lists no signals attributes every signal of the schema
+    if not data.schema.signals and all(isinstance(s, ShapleyStat) and s.signals is None for s in spec.statistics):
+        raise ValidationError("bootstrap spec requests no statistics: the schema has no signals", path="statistics")
     result = bootstrap_run(data, cfg.problem, spec, alpha=alpha)
     print(summary_table(result))
-    hashes = _input_hashes(args)
-    prov = _provenance(hashes, seed=spec.seed, alpha=alpha, replicates=spec.replicates,
-                       resampling="rows", decision_bins=cfg.decision_bins)
-    write_results(result, args.out, fmt=args.format, provenance=prov)
-    _write_manifest("bootstrap", _argdict(args), hashes, args.out)
+    _write_outputs(args, result, seed=spec.seed, alpha=alpha, replicates=spec.replicates,
+                   resampling="rows", decision_bins=cfg.decision_bins)
     return EXIT_OK
 
 
@@ -218,15 +193,11 @@ def cmd_report(args) -> int:
         if not hasattr(obj, "statistics"):
             raise ValidationError(f"{path}: not a bootstrap result document", path="kind")
         results.append(obj)
-    axis = None
-    if args.axis:
-        lo, hi = (float(x) for x in args.axis.split(":"))
-        axis = (lo, hi)
-    spec = build_plot_spec(results, axis=axis)
+    spec = build_plot_spec(results, axis=args.axis.bounds if args.axis else None)
     Path(args.out).write_bytes(render_svg(spec))
     print(f"wrote {args.out}")
     hashes = {f"results[{i}]": file_sha256(p) for i, p in enumerate(args.results)}
-    _write_manifest("report", _argdict(args), hashes, args.out)
+    _write_manifest(args, hashes, args.out)
     return EXIT_OK
 
 
@@ -235,12 +206,10 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.preset == "xor":
         joint, problem, agents = make_xor_joint(), xor_problem(), ()
-    elif args.preset == "deepfake":
+    else:
         joint = make_deepfake_joint()
         problem = brier_problem(joint.states.labels)
         agents = make_deepfake_agents(joint, problem)
-    else:
-        raise ValidationError(f"unknown preset {args.preset!r}", path="--preset")
     data = generate_dataset(joint, problem, agents, n_rows=args.rows, seed=args.seed)
     cfg = SchemaConfig(
         state_column=data.state_name,
@@ -252,22 +221,43 @@ def cmd_synth(args) -> int:
     write_dataset(data, data_path)
     write_schema(cfg, schema_path)
     print(f"wrote {data_path} and {schema_path}")
-    _write_manifest("synth", _argdict(args), {}, out_dir / "synth")
+    _write_manifest(args, {}, out_dir / "synth")
     return EXIT_OK
 
 
-def _argdict(args) -> dict:
-    skip = {"func", "subcommand"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+def _flag(flag: str, need: str, parse, ok):
+    """An argparse type for ``flag``: ``parse(text)`` if ``ok`` holds for it, else a ValidationError naming the flag."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise ValidationError(f"{flag}: must be {need}, got {text!r}", path=flag)
+
+    return convert
 
 
-def _input_hashes(args) -> dict:
-    hashes = {}
-    if getattr(args, "schema", None):
-        hashes["schema"] = file_sha256(args.schema)
-    if getattr(args, "data", None):
-        hashes["data"] = file_sha256(args.data)
-    return hashes
+def _count(flag: str, minimum: int):
+    return _flag(flag, f"an integer >= {minimum}", int, lambda n: n >= minimum)
+
+
+class _Axis(str):
+    """``--axis LO:HI`` as typed, which the manifest records, with its ``bounds``."""
+
+    def __new__(cls, text: str):
+        axis = super().__new__(cls, text)
+        axis.bounds = tuple(float(x) for x in text.split(":"))
+        return axis
+
+
+ALPHA = _flag("--alpha", "a finite non-negative number", float, lambda a: math.isfinite(a) and a >= 0)
+SEED = _count("--seed", 0)
+AXIS = _flag("--axis", "LO:HI with finite LO < HI", _Axis,
+             lambda a: len(a.bounds) == 2 and all(map(math.isfinite, a.bounds)) and a.bounds[0] < a.bounds[1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--v1", required=True, help="comma-separated variable names, or 'none'")
     p.add_argument("--ground", required=True, help="comma-separated variable names, or 'none'")
-    p.add_argument("--alpha", type=float, default=None, help="add-alpha smoothing (default: schema option)")
+    p.add_argument("--alpha", type=ALPHA, default=None, help="add-alpha smoothing (default: schema option)")
     p.add_argument("--cross-fit", action="store_true", help="split-sample evaluation instead of in-sample")
     p.add_argument("--out", default=None, help="write result document here")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -300,18 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--ground", required=True, help="comma-separated variable names, or 'none'")
     p.add_argument("--signals", default=None, help="subset of signals to attribute (default: all)")
-    p.add_argument("--sampled", type=int, default=None, metavar="P", help="Monte Carlo with P permutations")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--sampled", type=_count("--sampled", 1), default=None, metavar="P",
+                   help="Monte Carlo with P permutations")
+    p.add_argument("--seed", type=SEED, default=0)
+    p.add_argument("--alpha", type=ALPHA, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_shapley)
 
     p = sub.add_parser("bootstrap", help="bootstrap distributions of gains and Shapley values")
     add_io(p)
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--replicates", type=_count("--replicates", 1), default=1000)
+    p.add_argument("--seed", type=SEED, default=0)
+    p.add_argument("--alpha", type=ALPHA, default=None)
     p.add_argument("--gain", action="append", metavar="V1:GROUND", help="gain statistic (repeatable)")
     p.add_argument("--shapley", action="append", metavar="GROUND", help="Shapley statistic (repeatable)")
     p.add_argument("--spec", default=None, help="JSON file with replicates/seed/statistics")
@@ -321,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render bootstrap results as an SVG distribution chart")
     p.add_argument("--results", nargs="+", required=True, help="bootstrap result JSON files")
-    p.add_argument("--axis", default=None, metavar="LO:HI", help="minimum axis range in payoff units")
+    p.add_argument("--axis", type=AXIS, default=None, metavar="LO:HI", help="minimum axis range in payoff units")
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV + schema JSON")
     p.add_argument("--preset", choices=("xor", "deepfake"), required=True)
-    p.add_argument("--rows", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rows", type=_count("--rows", 1), default=1000)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -336,17 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        # before Python 3.13, argparse gives "--flag=--" an empty list as its value
+        for key, value in vars(args).items():
+            if isinstance(value, list) and (not value or [] in value):
+                raise ValidationError(f"--{key.replace('_', '-')}: must not be '--'", path=key)
         return args.func(args)
     except IO_ERRORS as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (InfoGainError, ValueError, IndexError, KeyError) as exc:
+    except InfoGainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -118,6 +118,15 @@ def domain_value_str(value) -> str:
     return fraction_to_str(value) if isinstance(value, Fraction) else str(value)
 
 
+def read_json(path, what: str):
+    """The JSON document at ``path``; invalid JSON raises ValidationError naming ``what``."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"{what}: not valid JSON ({exc})", path="") from None
+
+
 def _at(path: str, key: str) -> str:
     """Path of field ``key`` of the object at ``path`` ("" is the top level)."""
     return f"{path}.{key}" if path else key
@@ -136,8 +145,7 @@ def _object(doc, path: str) -> dict:
     return doc
 
 
-def _list(doc: dict, key: str, path: str) -> list:
-    value = doc.get(key, [])
+def _list(value, path: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{path}: must be a list", path=path)
     return value
@@ -156,9 +164,7 @@ def _string(value, path: str, optional: bool = False) -> str | None:
 
 
 def _strings(value, path: str) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise ValidationError(f"{path}: must be a list", path=path)
-    return tuple(_string(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return tuple(_string(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
 
 
 def _integer(value, path: str, minimum: int) -> int:
@@ -167,20 +173,27 @@ def _integer(value, path: str, minimum: int) -> int:
     return value
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValidationError(f"{path}: must be a finite number", path=path)
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _number(value, path: str, non_negative: bool = False) -> float:
+    if not _is_number(value) or (non_negative and value < 0):
+        raise ValidationError(f"{path}: must be a finite {'non-negative ' if non_negative else ''}number", path=path)
     return float(value)
 
 
-def _labels(doc: dict, path: str) -> tuple[str, ...]:
-    """The ``values`` list of a categorical column, as distinct labels."""
-    values = _require(doc, "values", path)
-    if not isinstance(values, list):
-        raise ValidationError(f"{path}.values: must be a list", path=f"{path}.values")
-    if len(set(values)) != len(values):
-        raise ValidationError(f"{path}.values: duplicate value", path=f"{path}.values")
-    return tuple(str(v) for v in values)
+def _labels(value, path: str) -> tuple[str, ...]:
+    """A non-empty list of distinct labels; a number entry becomes its ``str``."""
+    labels: dict[str, None] = {}
+    for i, v in enumerate(_nonempty(_list(value, path), path)):
+        if not (isinstance(v, str) or _is_number(v)):
+            raise ValidationError(f"{path}[{i}]: must be a string or a finite number", path=f"{path}[{i}]")
+        label = str(v)
+        if label in labels:
+            raise ValidationError(f"{path}: duplicate value {label!r}", path=path)
+        labels[label] = None
+    return tuple(labels)
 
 
 def _fraction(value, path: str) -> Fraction:
@@ -190,29 +203,31 @@ def _fraction(value, path: str) -> Fraction:
         raise ValidationError(f"{path}: not a numeric value ({exc})", path=path) from None
 
 
-def _parse_grid(doc: dict, path: str) -> DecisionSpace:
+def _parse_grid(doc, path: str) -> DecisionSpace:
     _object(doc, path)
     if "points" in doc:
-        points = _list(doc, "points", f"{path}.points")
-        return DecisionSpace.numeric([_fraction(p, f"{path}.points") for p in points])
-    count = _require(doc, "count", path)
-    if not isinstance(count, int) or count < 2:
-        raise ValidationError(f"{path}.count: must be an integer >= 2", path=f"{path}.count")
+        points = _nonempty(_list(doc["points"], f"{path}.points"), f"{path}.points")
+        return DecisionSpace.numeric([_fraction(p, f"{path}.points[{i}]") for i, p in enumerate(points)])
+    count = _integer(_require(doc, "count", path), f"{path}.count", 2)
     start = _fraction(doc.get("start", "0"), f"{path}.start")
     stop = _fraction(doc.get("stop", "1"), f"{path}.stop")
     return DecisionSpace.uniform_grid(start, stop, count)
 
 
-def _parse_payoff(doc: dict, path: str) -> tuple[DecisionSpace, PayoffFunction]:
-    kind = _require(doc, "kind", path)
+def _parse_payoff(doc, path: str) -> tuple[DecisionSpace, PayoffFunction]:
+    kind = _string(_require(doc, "kind", path), f"{path}.kind")
     if kind == "brier":
         grid = _parse_grid(doc["grid"], f"{path}.grid") if "grid" in doc else DecisionSpace.percent_grid()
         return grid, PayoffFunction.brier()
     if kind == "matrix":
-        rows = _require(doc, "rows", path)
-        if not rows or not all(isinstance(r, list) for r in rows):
-            raise ValidationError(f"{path}.rows: must be a non-empty list of rows", path=f"{path}.rows")
-        labels = _list(doc, "decisions", f"{path}.decisions") if "decisions" in doc else [f"d{i}" for i in range(len(rows))]
+        at = f"{path}.rows"
+        rows = [
+            [_number(x, f"{at}[{i}][{j}]") for j, x in enumerate(_list(row, f"{at}[{i}]"))]
+            for i, row in enumerate(_nonempty(_list(_require(doc, "rows", path), at), at))
+        ]
+        labels = [f"d{i}" for i in range(len(rows))]
+        if "decisions" in doc:
+            labels = _labels(doc["decisions"], f"{path}.decisions")
         if len(labels) != len(rows):
             raise ValidationError(
                 f"{path}.decisions: {len(labels)} labels for {len(rows)} matrix rows", path=f"{path}.decisions"
@@ -223,62 +238,47 @@ def _parse_payoff(doc: dict, path: str) -> tuple[DecisionSpace, PayoffFunction]:
 
 def load_schema(path) -> SchemaConfig:
     """Parse and validate a schema document; raises ValidationError with a field path."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"schema: not valid JSON ({exc})", path="") from None
-    return parse_schema_doc(doc)
+    return parse_schema_doc(read_json(path, "schema"))
 
 
 def parse_schema_doc(doc: dict) -> SchemaConfig:
     if not isinstance(doc, dict):
         raise ValidationError("schema: top level must be an object", path="")
-    state_doc = _require(doc, "state", "schema")
-    state_column = _require(state_doc, "column", "state")
-    _require(state_doc, "labels", "state")
-    states = StateSpace.of(_list(state_doc, "labels", "state.labels"))
+    state_doc = _require(doc, "state", "")
+    state_column = _string(_require(state_doc, "column", "state"), "state.column")
+    states = StateSpace.of(_labels(_require(state_doc, "labels", "state"), "state.labels"))
 
     signals = []
-    for i, sig in enumerate(_list(doc, "signals", "signals")):
-        column = _require(sig, "column", f"signals[{i}]")
-        signals.append(BasicSignal(str(column), _labels(sig, f"signals[{i}]")))
+    for i, sig in enumerate(_list(doc.get("signals", []), "signals")):
+        at = f"signals[{i}]"
+        column = _string(_require(sig, "column", at), f"{at}.column")
+        signals.append(BasicSignal(column, _labels(_require(sig, "values", at), f"{at}.values")))
 
     decisions = []
-    for i, dec in enumerate(_list(doc, "decisions", "decisions")):
-        column = _require(dec, "column", f"decisions[{i}]")
-        role = dec.get("role", "other")
+    for i, dec in enumerate(_list(doc.get("decisions", []), "decisions")):
+        at = f"decisions[{i}]"
+        column = _string(_require(dec, "column", at), f"{at}.column")
+        role = _string(dec.get("role", "other"), f"{at}.role")
         if role not in ROLES:
-            raise ValidationError(f"decisions[{i}].role: {role!r} not in {ROLES}", path=f"decisions[{i}].role")
+            raise ValidationError(f"{at}.role: {role!r} not in {ROLES}", path=f"{at}.role")
         if "grid" in dec and "values" in dec:
-            raise ValidationError(
-                f"decisions[{i}]: declare either grid or values, not both", path=f"decisions[{i}]"
-            )
+            raise ValidationError(f"{at}: declare either grid or values, not both", path=at)
         if "grid" in dec:
-            domain = tuple(_parse_grid(dec["grid"], f"decisions[{i}].grid").points)
+            domain = tuple(_parse_grid(dec["grid"], f"{at}.grid").points)
         else:
-            domain = _labels(dec, f"decisions[{i}]")
-        decisions.append(DecisionColumn(str(column), role, domain))
+            domain = _labels(_require(dec, "values", at), f"{at}.values")
+        decisions.append(DecisionColumn(column, role, domain))
 
     schema = SignalSchema(signals=tuple(signals), decisions=tuple(decisions))
-    grid, payoff = _parse_payoff(_require(doc, "payoff", "schema"), "payoff")
+    grid, payoff = _parse_payoff(_require(doc, "payoff", ""), "payoff")
     problem = DecisionProblem(states=states, decisions=grid, payoff=payoff)
 
     options = _object(doc.get("options", {}), "options")
-    smoothing = options.get("smoothing", 0.0)
-    try:
-        smoothing = float(smoothing)
-    except (TypeError, ValueError):
-        smoothing = math.nan
-    if not math.isfinite(smoothing) or smoothing < 0:
-        raise ValidationError(
-            f"options.smoothing: must be a finite non-negative number, got {options['smoothing']!r}",
-            path="options.smoothing",
-        )
+    smoothing = _number(options.get("smoothing", 0.0), "options.smoothing", non_negative=True)
     decision_bins = options.get("decision_bins")
-    if decision_bins is not None and (not isinstance(decision_bins, int) or decision_bins < 2):
-        raise ValidationError("options.decision_bins: must be an integer >= 2", path="options.decision_bins")
-    missing = options.get("missing", "error")
+    if decision_bins is not None:
+        _integer(decision_bins, "options.decision_bins", 2)
+    missing = _string(options.get("missing", "error"), "options.missing")
     if missing not in MISSING_POLICIES:
         raise ValidationError(f"options.missing: {missing!r} not in {MISSING_POLICIES}", path="options.missing")
 
@@ -292,7 +292,7 @@ def parse_schema_doc(doc: dict) -> SchemaConfig:
             raise ValidationError(f"schema: {diag.code}: {diag.message}", path=diag.code)
 
     return SchemaConfig(
-        state_column=str(state_column),
+        state_column=state_column,
         states=states,
         schema=schema,
         problem=problem,
@@ -731,13 +731,10 @@ def _result(doc) -> Result:
         )
     if kind == "bootstrap":
         stats = _nonempty(_require(doc, "statistics", ""), "statistics")
-        alpha = _number(_require(doc, "alpha", ""), "alpha")
-        if alpha < 0:
-            raise ValidationError("alpha: must be a finite number >= 0", path="alpha")
         return BootstrapResult(
             replicates=_integer(_require(doc, "replicates", ""), "replicates", 1),
             seed=_integer(_require(doc, "seed", ""), "seed", 0),
-            alpha=alpha,
+            alpha=_number(_require(doc, "alpha", ""), "alpha", non_negative=True),
             statistics=tuple(_stat_result(s, f"statistics[{i}]") for i, s in enumerate(stats)),
         )
     raise ValidationError(f"kind: unknown kind {kind!r}", path="kind")
@@ -749,7 +746,7 @@ def read_results(path) -> tuple[Result, dict]:
     A malformed document raises ValidationError naming the failing field,
     e.g. ``statistics[0].samples[3]``.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path, f"results {path}")
     try:
         return _result(doc), doc
     except ValidationError as exc:

@@ -21,10 +21,6 @@ ROLES = ("human", "ai", "human_ai", "other")
 
 DecisionPoint = Union[str, Fraction]
 
-# Variables (signals and decision columns) are referenced by name; a name must
-# resolve against exactly one schema entry.
-VariableRef = str
-
 
 @dataclass(frozen=True)
 class Diagnostic:

@@ -7,7 +7,7 @@ import infogain.bootstrap
 import infogain.rational
 from infogain.bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
 from infogain.joint import Dataset, estimate_joint
-from infogain.model import BasicSignal, DecisionColumn, DecisionProblem, DecisionSpace, PayoffFunction, SignalSchema, StateSpace
+from infogain.model import BasicSignal, DecisionProblem, DecisionSpace, PayoffFunction, SignalSchema, StateSpace
 from infogain.rational import RationalCache, information_gain
 from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import (
@@ -250,3 +250,22 @@ def test_every_payoff_is_evaluated_for_a_block(monkeypatch):
     monkeypatch.setattr(infogain.rational, "rational_payoff", recording)
     bootstrap_run(data, problem, BootstrapSpec(replicates=4, seed=1, statistics=stats))
     assert calls and set(calls) == {2}
+
+
+@pytest.mark.parametrize("kinds", ["gain", "exact", "sampled", "mixed"])
+def test_payoff_sets_are_exactly_the_sets_a_replicate_reads(kinds):
+    # _payoff_sets copies exact Shapley's subset enumeration; a set it misses
+    # is evaluated outside the block, and a set it adds is evaluated for nothing
+    data, problem, mixed = _deepfake_case()
+    stats = {
+        "gain": (GainStat(v1=("flicker", "dark"), ground=("human_ai",)), GainStat(v1=("grainy",))),
+        "exact": (ShapleyStat(ground=("human",)), ShapleyStat(ground=("dark",), signals=("dark", "blurry"))),
+        "sampled": (ShapleyStat(ground=("ai",), permutations=5), ShapleyStat(signals=("grainy", "dark"), permutations=2)),
+        "mixed": mixed,
+    }[kinds]
+    spec = BootstrapSpec(replicates=3, seed=4, statistics=stats)
+    joint = estimate_joint(data)
+    for b in range(spec.replicates):
+        reads = infogain.bootstrap._Requests(joint, problem)
+        infogain.bootstrap._replicate_values(joint, problem, spec, b, reads)
+        assert infogain.bootstrap._payoff_sets(joint, problem, spec, b) == reads.sets

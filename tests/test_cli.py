@@ -105,8 +105,18 @@ def _xor_schema_with(**changes):
         (_xor_schema_with(options={"smoothing": "abc"}), "options.smoothing"),
         (_xor_schema_with(payoff={"kind": "brier", "grid": {"count": 11, "start": "x"}}), "payoff.grid.start"),
         (_xor_schema_with(options={"smoothing": float("nan")}), "options.smoothing"),
+        (_xor_schema_with(options={"smoothing": "0.5"}), "options.smoothing"),
+        (_xor_schema_with(options={"smoothing": True}), "options.smoothing"),
+        (_xor_schema_with(signals=[{"column": "s1", "values": [{}]}]), "signals[0].values[0]"),
+        (_xor_schema_with(signals=[{"column": "s1", "values": ["0", [1]]}]), "signals[0].values[1]"),
+        (_xor_schema_with(decisions=[{"column": "h", "values": [{}]}]), "decisions[0].values[0]"),
+        (_xor_schema_with(signals=[{"column": None, "values": ["0", "1"]}]), "signals[0].column"),
+        (_xor_schema_with(payoff={"kind": "matrix", "rows": [[1, None], [0, 1]]}), "payoff.rows[0][1]"),
+        (_xor_schema_with(payoff={"kind": "matrix", "rows": [[1, 0], ["a", 1]]}), "payoff.rows[1][0]"),
     ],
-    ids=["smoothing-null", "signal-not-object", "options-list", "smoothing-text", "grid-start-text", "smoothing-nan"],
+    ids=["smoothing-null", "signal-not-object", "options-list", "smoothing-text", "grid-start-text", "smoothing-nan",
+         "smoothing-numeric-text", "smoothing-bool", "label-object", "label-list", "decision-label-object",
+         "column-null", "matrix-null", "matrix-text"],
 )
 def test_malformed_schema_field_is_located(xor_files, capsys, doc, path):
     schema, data = xor_files
@@ -116,6 +126,29 @@ def test_malformed_schema_field_is_located(xor_files, capsys, doc, path):
     schema.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["validate", "--schema", str(schema), "--data", str(data)]) == 1
     assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_cross_fit_on_one_row_names_the_flag(xor_files, capsys):
+    schema, data = xor_files
+    data.write_text("state,s1,s2\n0,0,0\n", encoding="utf-8")
+    assert main(["gain", "--schema", str(schema), "--data", str(data), "--v1", "s1", "--ground", "none",
+                 "--cross-fit"]) == 1
+    assert capsys.readouterr().err == "error: --cross-fit: cross-fit evaluation needs at least 2 rows\n"
+
+
+@pytest.mark.parametrize("spec", [None, {"statistics": [{"kind": "shapley", "ground": ["h"]}]}])
+def test_bootstrap_without_signals_to_attribute_is_refused(tmp_path, capsys, spec):
+    schema = _xor_schema_with(signals=[], decisions=[{"column": "h", "values": ["0", "1"]}])
+    sp, dp, out = tmp_path / "s.json", tmp_path / "d.csv", tmp_path / "boot.json"
+    sp.write_text(json.dumps(schema), encoding="utf-8")
+    dp.write_text("state,h\n0,0\n1,1\n", encoding="utf-8")
+    argv = ["bootstrap", "--schema", str(sp), "--data", str(dp), "--replicates", "2", "--out", str(out)]
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        argv += ["--spec", str(tmp_path / "spec.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: bootstrap spec requests no statistics: the schema has no signals\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row", [1, 3])

@@ -1,4 +1,4 @@
-"""Bootstrap spec and result documents: typed fields, located errors, no tracebacks."""
+"""Schema, bootstrap spec and result documents, and typed flags: located errors, no tracebacks."""
 
 import contextlib
 import copy
@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from infogain.cli import main
 
@@ -27,7 +27,35 @@ SPEC = {
     ],
 }
 
+# Schema documents that between them hold every schema field.
+FULL_SCHEMAS = {
+    "matrix": {
+        "state": {"column": "state", "labels": ["0", 1]},
+        "signals": [{"column": "s1", "values": ["0", "1"]}, {"column": "s2", "values": [0, 1.5]}],
+        "decisions": [
+            {"column": "h", "role": "human", "values": ["0", "1"]},
+            {"column": "a", "role": "ai", "grid": {"count": 3, "start": "0", "stop": 1}},
+            {"column": "t", "grid": {"points": ["0", 0.5, "1"]}},
+        ],
+        "payoff": {"kind": "matrix", "rows": [[1.0, 0], [0.25, 1]], "decisions": ["no", "yes"]},
+        "options": {"smoothing": 0.5, "decision_bins": 2, "missing": "drop"},
+    },
+    "brier": {
+        "state": {"column": "state", "labels": ["0", "1"]},
+        "signals": [{"column": "s1", "values": ["0", "1"]}, {"column": "s2", "values": ["0", "1.5"]}],
+        "decisions": [
+            {"column": "h", "values": [0, 1]},
+            {"column": "a", "grid": {"points": [0, "1/2", 1]}},
+            {"column": "t", "role": "human_ai", "grid": {"count": 3}},
+        ],
+        "payoff": {"kind": "brier", "grid": {"count": 11, "start": 0, "stop": "1"}},
+        "options": {"smoothing": 0, "decision_bins": None, "missing": "error"},
+    },
+}
+FULL_CSV = "state,s1,s2,h,a,t\n0,0,0,0,0,0\n1,1,1.5,1,1,0.5\n1,0,1.5,0,0.5,1\n0,1,0,1,0.5,0.5\n"
+
 NUMBER = {"int", "float"}
+LABEL = {"string", "int", "float"}  # a label, or a grid bound or point
 # Field rules per document kind: location pattern (list indices written "[]")
 # -> (JSON types the field may hold, whether its object must have it).
 SPEC_RULES = {
@@ -71,7 +99,50 @@ RESULT_RULES = {
     "statistics[].samples": ({"list"}, True),
     "statistics[].samples[]": (NUMBER, True),
 }
-NON_EMPTY = {"statistics", "statistics[].samples"}
+GRID_RULES = {
+    "": ({"object"}, False),
+    ".count": ({"int"}, True),
+    ".start": (LABEL, False),
+    ".stop": (LABEL, False),
+    ".points": ({"list"}, False),
+    ".points[]": (LABEL, True),
+}
+SCHEMA_RULES = {
+    "": ({"object"}, True),
+    "state": ({"object"}, True),
+    "state.column": ({"string"}, True),
+    "state.labels": ({"list"}, True),
+    "state.labels[]": (LABEL, True),
+    "signals": ({"list"}, False),
+    "signals[]": ({"object"}, True),
+    "signals[].column": ({"string"}, True),
+    "signals[].values": ({"list"}, True),
+    "signals[].values[]": (LABEL, True),
+    "decisions": ({"list"}, False),
+    "decisions[]": ({"object"}, True),
+    "decisions[].column": ({"string"}, True),
+    "decisions[].role": ({"string"}, False),
+    "decisions[].values": ({"list"}, True),
+    "decisions[].values[]": (LABEL, True),
+    **{f"decisions[].grid{key}": rule for key, rule in GRID_RULES.items()},
+    "payoff": ({"object"}, True),
+    "payoff.kind": ({"string"}, True),
+    **{f"payoff.grid{key}": rule for key, rule in GRID_RULES.items()},
+    "payoff.rows": ({"list"}, True),
+    "payoff.rows[]": ({"list"}, True),
+    "payoff.rows[][]": (NUMBER, True),
+    "payoff.decisions": ({"list"}, False),
+    "payoff.decisions[]": (LABEL, True),
+    "options": ({"object"}, False),
+    "options.smoothing": (NUMBER, False),
+    "options.decision_bins": ({"int", "null"}, False),
+    "options.missing": ({"string"}, False),
+}
+NON_EMPTY = {
+    "statistics", "statistics[].samples",
+    "state.labels", "signals[].values", "decisions[].values", "decisions[].grid.points", "payoff.grid.points",
+    "payoff.rows", "payoff.decisions",
+}
 # One value of each JSON type, for the type-changing mutation.
 OF_TYPE = {"object": {"k": 1}, "list": [1], "string": "ab", "int": 7, "float": 2.5, "bool": True, "null": None}
 
@@ -118,11 +189,14 @@ def _replace(doc, parts, value):
 def mutations(draw, doc, rules):
     """A document that breaks one field rule, and the path of the broken field."""
     locations = list(_locations(doc, rules))
-    kind = draw(st.sampled_from(["delete", "retype", "empty", "non-finite"]))
+    kind = draw(st.sampled_from(["delete", "retype", "nest", "empty", "non-finite"]))
     if kind == "delete":
         choices = [(p, _replace) for p, _, (_, required) in locations if p and isinstance(p[-1], str) and required]
     elif kind == "retype":
         choices = [(p, OF_TYPE[t]) for p, _, (types, _) in locations for t in sorted(set(OF_TYPE) - types)]
+    elif kind == "nest":  # an object, list or null as a list entry that may not hold one
+        choices = [(p, OF_TYPE[t]) for p, _, (types, _) in locations if p and isinstance(p[-1], int)
+                   for t in ("object", "list", "null") if t not in types]
     elif kind == "empty":
         choices = [(p, []) for p, _, _ in locations if _text(p, "[]") in NON_EMPTY]
     else:
@@ -147,6 +221,7 @@ def files(tmp_path_factory):
     base = tmp_path_factory.mktemp("documents")
     (base / "schema.json").write_text(json.dumps(SCHEMA), encoding="utf-8")
     (base / "data.csv").write_text(CSV, encoding="utf-8")
+    (base / "full.csv").write_text(FULL_CSV, encoding="utf-8")
     (base / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
     return base
 
@@ -168,8 +243,16 @@ def _report(files, doc):
     return _run(["report", "--results", str(path), "--out", str(files / "fig.svg")])
 
 
+def _validate(files, schema_doc):
+    path = files / "mutated_schema.json"
+    path.write_text(json.dumps(schema_doc), encoding="utf-8")
+    return _run(["validate", "--schema", str(path), "--data", str(files / "full.csv")])
+
+
 def test_valid_documents_pass(files, result_doc):
     assert _report(files, result_doc) == (0, "")
+    for doc in FULL_SCHEMAS.values():
+        assert _validate(files, doc) == (0, "")
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -220,3 +303,70 @@ def test_mutated_result_fails_with_a_located_message(files, result_doc, case):
     doc, path = case.draw(mutations(result_doc, RESULT_RULES))
     code, err = _report(files, doc)
     assert code in (1, 2) and path in err and "Traceback" not in err, (doc, err)
+
+
+@given(case=st.data())
+def test_mutated_schema_fails_with_a_located_message(files, case):
+    base = FULL_SCHEMAS[case.draw(st.sampled_from(sorted(FULL_SCHEMAS)))]
+    doc, path = case.draw(mutations(base, SCHEMA_RULES))
+    code, err = _validate(files, doc)
+    assert code in (1, 2) and path in err and "Traceback" not in err, (doc, err)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["validate", "--schema", "{bad}", "--data", "{data}"], "schema"),
+    (["bootstrap", "--schema", "{schema}", "--data", "{data}", "--spec", "{bad}", "--out", "{out}"], "bootstrap spec"),
+    (["report", "--results", "{bad}", "--out", "{out}"], "results {bad}"),
+])
+@pytest.mark.parametrize("text", ["{not json", "[" * 100_000], ids=["malformed", "nested too deep"])
+def test_invalid_json_names_its_document(files, argv, what, text):
+    names = {"bad": files / "bad.json", "schema": files / "schema.json", "data": files / "data.csv",
+             "out": files / "unused.out"}
+    names["bad"].write_text(text, encoding="utf-8")
+    code, err = _run([a.format(**names) for a in argv])
+    assert code == 1 and err.startswith(f"error: {what.format(**names)}: not valid JSON ("), err
+
+
+# Text that no typed flag accepts: an int flag wants digits, a number flag a float.
+NOT_A_NUMBER = st.text(alphabet="bcdgxyz,;_ -", max_size=5)
+FLOAT_TEXT = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+BAD_FLAG_TEXT = {
+    "--seed": st.one_of(st.integers(max_value=-1).map(str), FLOAT_TEXT, NOT_A_NUMBER),
+    "--sampled": st.one_of(st.integers(max_value=0).map(str), FLOAT_TEXT, NOT_A_NUMBER),
+    "--replicates": st.one_of(st.integers(max_value=0).map(str), FLOAT_TEXT, NOT_A_NUMBER),
+    "--rows": st.one_of(st.integers(max_value=0).map(str), FLOAT_TEXT, NOT_A_NUMBER),
+    "--alpha": st.one_of(st.floats(max_value=-1e-300).map(repr), st.sampled_from(["nan", "inf", "-inf", "1e999"]),
+                         NOT_A_NUMBER),
+    "--axis": st.one_of(
+        st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)).map(lambda t: f"{max(t)!r}:{min(t)!r}"),
+        st.tuples(FLOAT_TEXT, st.sampled_from(["nan", "inf", "-inf"])).map(":".join),
+        st.lists(FLOAT_TEXT, min_size=1, max_size=4).filter(lambda parts: len(parts) != 2).map(":".join),
+        NOT_A_NUMBER,
+    ),
+}
+FLAG_COMMANDS = {
+    "--seed": ["shapley", "--ground", "none"],
+    "--sampled": ["shapley", "--ground", "none"],
+    "--alpha": ["gain", "--v1", "s1", "--ground", "none"],
+    "--replicates": ["bootstrap", "--out", "unused.json"],
+    "--rows": ["synth", "--preset", "xor", "--out-dir", "unused"],
+    "--axis": ["report", "--results", "unused.json", "--out", "unused.svg"],
+}
+
+
+@given(case=st.data())
+@example(case=("--sampled", "0"))
+@example(case=("--seed", "-1"))
+@example(case=("--axis", "1"))
+@example(case=("--alpha", "--"))
+def test_malformed_flag_names_the_flag(files, case):
+    if isinstance(case, tuple):
+        flag, text = case
+    else:
+        flag = case.draw(st.sampled_from(sorted(BAD_FLAG_TEXT)))
+        text = case.draw(BAD_FLAG_TEXT[flag])
+    argv = FLAG_COMMANDS[flag] + [f"{flag}={text}"]
+    if argv[0] not in ("synth", "report"):
+        argv += ["--schema", str(files / "schema.json"), "--data", str(files / "data.csv")]
+    code, err = _run(argv)
+    assert code == 1 and err.startswith(f"error: {flag}: must ") and "Traceback" not in err, (argv, err)

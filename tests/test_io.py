@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import infogain.io
-from infogain.bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
+from infogain.bootstrap import BootstrapSpec, GainStat, bootstrap_run
 from infogain.errors import ValidationError
 from infogain.io import (
     Provenance,
@@ -31,7 +31,7 @@ from infogain.model import BasicSignal, DecisionColumn, SignalSchema, StateSpace
 from infogain.rational import GainValue, information_gain
 from infogain.joint import estimate_joint
 from infogain.shapley import shapley_exact
-from infogain.synth import make_deepfake_dataset, make_xor_joint, generate_dataset, xor_problem
+from infogain.synth import make_deepfake_dataset, generate_dataset
 
 MINIMAL_SCHEMA = {
     "state": {"column": "state", "labels": ["0", "1"]},

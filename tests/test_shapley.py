@@ -11,7 +11,6 @@ from infogain.rational import RationalCache, information_gain
 from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import (
     SyntheticAgentSpec,
-    make_xor_joint,
     random_joint,
     random_matrix_problem,
     with_population_agents,

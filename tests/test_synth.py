@@ -18,7 +18,6 @@ from infogain.synth import (
     make_deepfake_agents,
     make_deepfake_dataset,
     make_deepfake_joint,
-    make_xor_joint,
     random_joint,
     random_matrix_problem,
     with_population_agents,
