@@ -9,10 +9,13 @@ A replicate's joint only reweights the distinct tuples of the dataset, so a
 replicate is a count vector over those K tuples rather than a resampled
 dataset.  Replicates are evaluated in blocks of at most
 ``REPLICATE_CELLS // K`` (and at least one): the block's count rows are the
-tuple weights of its replicates' joints, and for each variable set a block
-needs, one group index and one ``bincount`` give the state-mass tables of
-every replicate in the block; each replicate's statistics then read their
-payoffs from its own table.  The payoffs, and so the samples, are the
+tuple weights of its replicates' joints, and every variable set the block
+needs is evaluated in one walk of their subset lattice
+(``rational.primed_caches``).  A set's state-mass tables, one per replicate
+that reads it, are grouped from a cached parent set's tables where the
+family has one, and from the block's tuples otherwise; each replicate's
+statistics then read their payoffs from its own cache.  The tables are
+exact count sums either way, so the payoffs, and so the samples, are the
 same as those of an estimate on each replicate's resampled rows.
 
 The resampling scheme treats rows as exchangeable.  Datasets with repeated
@@ -189,6 +192,9 @@ class _Requests(RationalCache):
     def payoff(self, variables: Iterable[str]) -> float:
         self.sets.add(frozenset(variables))
         return 0.0
+
+    def prime(self, sets: Iterable[Iterable[str]]) -> None:
+        self.sets.update(map(frozenset, sets))
 
 
 def _payoff_sets(joint: JointDistribution, problem: DecisionProblem, spec: BootstrapSpec, b: int) -> set[frozenset]:

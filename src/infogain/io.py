@@ -52,6 +52,9 @@ MISSING_POLICIES = ("error", "drop")
 # higher after loading in 2^14-row blocks than in 2^10-row blocks.
 BLOCK_ROWS = 1 << 10
 MISSING, BAD = -1, -2  # load_dataset cell codes: empty after stripping, not in the domain
+# Most points a decision or payoff grid may list.  Each point is an exact
+# Fraction, so a larger grid is refused before any point is built.
+GRID_POINT_LIMIT = 10_001
 
 
 @dataclass(frozen=True)
@@ -203,12 +206,19 @@ def _fraction(value, path: str) -> Fraction:
         raise ValidationError(f"{path}: not a numeric value ({exc})", path=path) from None
 
 
+def _grid_size(size: int, path: str) -> int:
+    if size > GRID_POINT_LIMIT:
+        raise ValidationError(f"{path}: {size} grid points exceed the limit of {GRID_POINT_LIMIT}", path=path)
+    return size
+
+
 def _parse_grid(doc, path: str) -> DecisionSpace:
     _object(doc, path)
     if "points" in doc:
         points = _nonempty(_list(doc["points"], f"{path}.points"), f"{path}.points")
+        _grid_size(len(points), f"{path}.points")
         return DecisionSpace.numeric([_fraction(p, f"{path}.points[{i}]") for i, p in enumerate(points)])
-    count = _integer(_require(doc, "count", path), f"{path}.count", 2)
+    count = _grid_size(_integer(_require(doc, "count", path), f"{path}.count", 2), f"{path}.count")
     start = _fraction(doc.get("start", "0"), f"{path}.start")
     stop = _fraction(doc.get("stop", "1"), f"{path}.stop")
     return DecisionSpace.uniform_grid(start, stop, count)

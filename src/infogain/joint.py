@@ -180,65 +180,70 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
     )
 
 
-def grouped_mass(
-    joint: JointDistribution,
-    cols: tuple[int, ...],
-    inner: np.ndarray | int = 0,
-    width: int = 1,
-    probs: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Aggregate weight by distinct realization of the selected columns.
+def group_counts(
+    realizations: np.ndarray,
+    sizes: Sequence[int],
+    keep: Sequence[int],
+    weights: np.ndarray,
+    inner: np.ndarray | int,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the weights of a source table by distinct value of its columns ``keep``.
 
-    Returns ``(realizations, mass, absent, background)``.  The realizations
-    with an explicit tuple come sorted lexicographically; ``mass`` has shape
-    (G, width), and ``inner`` (one value, or one per tuple) is the column each
-    tuple's weight goes to.  Each cell is ``C + background``: ``C`` is the sum
-    of its tuples' weights, one ``bincount`` (exact, and so independent of the
-    tuples' order, when the weights are counts), and ``background`` is the
-    joint's background weight times the ``rest`` product cells each cell
-    covers.  Other realizations are not listed: with smoothing they are
-    counted in ``absent`` and each of their cells weighs ``background``;
-    without smoothing they weigh nothing and ``absent`` is 0.
+    The source lists M distinct rows ``realizations``, whose column j holds
+    values in range(sizes[j]), and R rows of ``weights`` of shape (R, M, w):
+    ``weights[r, m, j]`` goes to column ``inner[m, j]`` (``inner`` broadcasts
+    against (M, w)) of a table ``width`` wide.  Returns ``(groups, counts)``:
+    the G distinct values of the kept columns, sorted lexicographically, and
+    the (R, G, width) sums, all from one group index and one ``bincount``.
 
-    ``probs`` replaces the tuples' weights: rows of shape (..., K) over
-    ``joint.keys``, each the weights of a joint with these keys, this
-    background and this total (a tuple of weight 0 is one more background
-    cell).  ``mass`` then has shape (..., G, width), one table per row, all
-    from the one group index and the one ``bincount``.
+    The source is either a joint's keys (inner column: the state of each
+    tuple) or the counts table of a superset of the kept columns (inner
+    column: the table's own); when the weights are counts, both give the same
+    integer sums, bit for bit.
     """
-    probs = joint.probs if probs is None else np.asarray(probs, dtype=np.float64)
-    sizes = joint.domain_sizes
-    enc = encode(joint.keys[:, list(cols)], [sizes[c] for c in cols])
+    enc = encode(realizations[:, keep], [sizes[c] for c in keep])
     uniq, inverse = np.unique(enc, return_inverse=True)
     member = np.empty(len(uniq), dtype=np.intp)
-    member[inverse] = np.arange(len(inverse))  # some tuple of each group; any one holds its realization
-    n_cells = len(uniq) * width
-    n_rows = math.prod(probs.shape[:-1])
-    cells = (np.arange(n_rows)[:, None] * n_cells + (inverse * width + inner)).ravel()
-    mass = np.bincount(cells, weights=probs.ravel(), minlength=n_rows * n_cells)
-    absent, background = 0, 0.0
-    if joint.background > 0.0:
-        background = joint.background * (math.prod(s for c, s in enumerate(sizes) if c not in cols) // width)
-        mass += background
-        absent = math.prod(sizes[c] for c in cols) - len(uniq)
-    return joint.keys[member][:, list(cols)], mass.reshape(probs.shape[:-1] + (len(uniq), width)), absent, background
+    member[inverse] = np.arange(len(inverse))  # some row of each group; any one holds its values
+    n_rows, n_cells = len(weights), len(uniq) * width
+    slots = np.broadcast_to(inverse[:, None] * width + inner, weights.shape[1:])
+    cells = (np.arange(n_rows)[:, None, None] * n_cells + slots).ravel()
+    counts = np.bincount(cells, weights=weights.ravel(), minlength=n_rows * n_cells)
+    return realizations[member][:, keep], counts.reshape(n_rows, len(uniq), width)
 
 
-def state_mass(
-    joint: JointDistribution, variables: Iterable[str], probs: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Per-realization state-weight table for the named (non-state) variables.
+def background_mass(joint: JointDistribution, cols: Sequence[int], n_groups: int, width: int) -> tuple[int, float]:
+    """``(absent, background)`` of a table of ``n_groups`` realizations of the key columns ``cols``.
+
+    Each cell of the table covers ``rest`` product cells of the joint, so it
+    weighs ``background = joint.background * rest`` on top of its tuples'
+    weights; the ``absent`` realizations without a tuple weigh ``background``
+    in each of their ``width`` cells.  Without smoothing both are 0.
+    """
+    if joint.background == 0.0:
+        return 0, 0.0
+    sizes = joint.domain_sizes
+    rest = math.prod(s for c, s in enumerate(sizes) if c not in cols) // width
+    return math.prod(sizes[c] for c in cols) - n_groups, joint.background * rest
+
+
+def state_mass(joint: JointDistribution, variables: Iterable[str]) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Per-realization state-weight table for the named (non-state) variables, grouped from the keys.
 
     Returns ``(realizations, mass, absent, background_row)`` where mass has
     shape (G, |states|) and ``mass[g, w] / joint.total = P(realization g,
-    state w)`` for the G realizations with an explicit tuple.  This is the
-    workhorse behind rational-benchmark payoffs: row sums are realization
-    weights and row normalization gives the posterior.  Under smoothing each
-    of the ``absent`` other realizations has the state-weight row
-    ``background_row``; without smoothing ``absent`` is 0.  With weight rows
-    ``probs`` (see ``grouped_mass``) mass has shape (..., G, |states|).
+    state w)`` for the G realizations with an explicit tuple, listed in
+    lexicographic order.  Each cell is an exact count sum plus the smoothing
+    weight of the product cells it covers (see ``background_mass``).  Row
+    sums are realization weights and row normalization gives the posterior.
+    Under smoothing each of the ``absent`` other realizations has the
+    state-weight row ``background_row``; without smoothing ``absent`` is 0.
     """
     cols = joint.columns(variables, allow_state=False)
     n_states = joint.states.size
-    reals, mass, absent, background = grouped_mass(joint, cols, joint.keys[:, 0], n_states, probs)
-    return reals, mass, absent, np.full(n_states, background)
+    reals, counts = group_counts(
+        joint.keys, joint.domain_sizes, cols, joint.probs[None, :, None], joint.keys[:, :1], n_states
+    )
+    absent, background = background_mass(joint, cols, len(reals), n_states)
+    return reals, counts[0] + background, absent, np.full(n_states, background)

@@ -12,12 +12,21 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import SchemaError
-from .joint import Dataset, JointDistribution, Posterior, estimate_joint, locate, state_mass
+from .joint import (
+    Dataset,
+    JointDistribution,
+    Posterior,
+    background_mass,
+    estimate_joint,
+    group_counts,
+    locate,
+    state_mass,
+)
 from .model import DecisionProblem
 
 # Gains within this tolerance of zero are floating-point noise, not negative
@@ -100,6 +109,87 @@ def _group_contributions(mass: np.ndarray, problem: DecisionProblem) -> np.ndarr
     return functools.reduce(np.add, map(np.multiply, mass.T, problem.payoff_matrix[actions].T))
 
 
+def _lattice(
+    joint: JointDistribution, family: Mapping[frozenset, Sequence[int]], weights: np.ndarray
+) -> Iterator[tuple[frozenset, tuple[int, ...], np.ndarray, np.ndarray]]:
+    """Yield ``(set, cols, realizations, counts)`` for each variable set of ``family``, depth first.
+
+    ``family`` maps a set to the rows of ``weights`` (R, K) that read it;
+    ``counts`` (len(rows), G, |states|) holds those rows' count sums over the
+    set's realizations (see ``joint.group_counts``), without the background.
+    A set's parent is ``S + {c}`` for the lowest key column c not in S such
+    that ``S + {c}`` is in the family and reads every row S reads; S is
+    grouped from its parent's table, and a set without a parent from the keys.
+    A table is held only while some child of it is still to be built.
+    """
+    sizes, width = joint.domain_sizes, joint.states.size
+    nodes = {joint.columns(key, allow_state=False): (key, tuple(rows)) for key, rows in family.items()}
+    children: dict[tuple[int, ...] | None, list[tuple[int, ...]]] = {}
+    for cols, (_, rows) in sorted(nodes.items()):
+        supersets = (tuple(sorted(cols + (c,))) for c in range(1, len(sizes)) if c not in cols)
+        parent = next((p for p in supersets if p in nodes and set(rows) <= set(nodes[p][1])), None)
+        children.setdefault(parent, []).append(cols)
+
+    # A source is (columns, weight rows, realizations, (rows, M, w) table,
+    # inner column of each cell): the keys, or a built set's counts table.
+    keys = (tuple(range(len(sizes))), tuple(range(len(weights))), joint.keys, weights[:, :, None], joint.keys[:, :1])
+    own = np.arange(width)
+
+    def build(cols, source):
+        source_cols, source_rows, realizations, table, inner = source
+        rows = nodes[cols][1]
+        if rows != source_rows:
+            position = {r: i for i, r in enumerate(source_rows)}
+            table = table[[position[r] for r in rows]]
+        keep = [source_cols.index(c) for c in cols]
+        reals, counts = group_counts(realizations, [sizes[c] for c in source_cols], keep, table, inner, width)
+        return cols, rows, reals, counts, own
+
+    # Children are popped in descending column order: a child that drops a
+    # higher column has more descendants, so its parent is freed before that walk.
+    stack = [(cols, keys) for cols in children.get(None, [])]
+    while stack:
+        node = build(*stack.pop())
+        cols, _, reals, counts, _ = node
+        stack += [(child, node) for child in children.get(cols, [])]
+        yield nodes[cols][0], cols, reals, counts
+
+
+def family_payoffs(
+    joint: JointDistribution,
+    problem: DecisionProblem,
+    family: Mapping[frozenset, Sequence[int]],
+    probs: np.ndarray | None = None,
+) -> dict[frozenset, list[float]]:
+    """Benchmark payoffs of a family of variable sets, each for the weight rows that read it.
+
+    ``probs`` holds R weight rows (R, K) over ``joint.keys``, each the tuple
+    weights of a joint with these keys, background and total; without it the
+    joint's own weights are the one row 0.  ``family`` maps each set to the
+    rows that read its payoff, and the result maps it to those payoffs, in
+    the same order.  The sets' tables come from one walk of their subset
+    lattice (see ``_lattice``); each cell is a count sum plus the background,
+    the contributions of all realizations are summed exactly (``math.fsum``)
+    in weight units and divided once by ``joint.total``.
+    """
+    if problem.states.size != joint.states.size:
+        raise SchemaError("problem and joint disagree on the number of states")
+    weights = joint.probs[None] if probs is None else np.asarray(probs, dtype=np.float64)
+    width = joint.states.size
+    payoffs = {}
+    for key, cols, reals, counts in _lattice(joint, family, weights):
+        absent, background = background_mass(joint, cols, len(reals), width)
+        mass = counts + background if background else counts
+        terms = _group_contributions(mass.reshape(-1, width), problem).reshape(mass.shape[:-1])
+        extra = []
+        if absent:
+            # absent * c, added exactly as the terms of absent's binary expansion
+            c = float(_group_contributions(np.full((1, width), background), problem)[0])
+            extra = [math.ldexp(c, k) for k in range(absent.bit_length()) if absent >> k & 1]
+        payoffs[key] = [math.fsum(row.tolist() + extra) / joint.total for row in terms]
+    return payoffs
+
+
 def rational_payoff(
     joint: JointDistribution,
     problem: DecisionProblem,
@@ -108,24 +198,16 @@ def rational_payoff(
 ) -> float | list[float]:
     """Expected payoff of the rational benchmark observing the given variables.
 
-    The empty set yields the best-fixed-action payoff under the prior.  The
-    contributions of all realizations are summed exactly (``math.fsum``) in
-    weight units and divided once by ``joint.total``.  With weight rows
-    ``probs`` of shape (R, K) over ``joint.keys`` (see ``joint.grouped_mass``)
-    it returns the R payoffs of those weightings, each equal to the payoff of
-    that weighting's own joint.
+    The empty set yields the best-fixed-action payoff under the prior.  This
+    is ``family_payoffs`` for a family of one set, so its table is grouped
+    from the keys.  With weight rows ``probs`` of shape (R, K) over
+    ``joint.keys`` it returns the R payoffs of those weightings, each equal
+    to the payoff of that weighting's own joint.
     """
-    if problem.states.size != joint.states.size:
-        raise SchemaError("problem and joint disagree on the number of states")
-    _, mass, absent, background_row = state_mass(joint, variables, probs)
-    terms = _group_contributions(mass.reshape(-1, joint.states.size), problem).reshape(mass.shape[:-1])
-    extra = []
-    if absent:
-        # absent * c, added exactly as the terms of absent's binary expansion
-        c = float(_group_contributions(background_row[None, :], problem)[0])
-        extra = [math.ldexp(c, k) for k in range(absent.bit_length()) if absent >> k & 1]
-    payoffs = [math.fsum(row.tolist() + extra) / joint.total for row in np.atleast_2d(terms)]
-    return payoffs if terms.ndim > 1 else payoffs[0]
+    key = frozenset(variables)
+    weights = None if probs is None else np.asarray(probs, dtype=np.float64).reshape(-1, len(joint.keys))
+    payoffs = family_payoffs(joint, problem, {key: range(1 if weights is None else len(weights))}, weights)[key]
+    return payoffs if np.ndim(probs) > 1 else payoffs[0]
 
 
 def information_gain(
@@ -147,8 +229,10 @@ class RationalCache:
     """Memoized benchmark payoffs for one (joint, problem) pair, keyed by variable set.
 
     ``probs`` replaces the joint's tuple weights (see ``rational_payoff``).
-    Values are pure functions of the key, so results never depend on
-    evaluation order.
+    A missing payoff is computed alone, from a table grouped from the keys;
+    ``prime`` computes many as one family, each set's table derived from a
+    cached parent's where it can be.  Values are pure functions of the key,
+    so results never depend on evaluation order.
     """
 
     def __init__(self, joint: JointDistribution, problem: DecisionProblem, probs: np.ndarray | None = None):
@@ -165,6 +249,14 @@ class RationalCache:
             self._cache[key] = value
         return value
 
+    def prime(self, sets: Iterable[Iterable[str]]) -> None:
+        """Compute the payoffs of every set not yet cached, as one family."""
+        missing = {frozenset(s) for s in sets} - self._cache.keys()
+        if missing:
+            probs = None if self.probs is None else np.asarray(self.probs, dtype=np.float64)[None]
+            for key, (value,) in family_payoffs(self.joint, self.problem, dict.fromkeys(missing, (0,)), probs).items():
+                self._cache[key] = value
+
     def gain(self, v1: Iterable[str], ground: Iterable[str] = ()) -> GainValue:
         return _gain_value(self.payoff, v1, ground)
 
@@ -176,14 +268,13 @@ def primed_caches(
 
     In the bootstrap each row is one replicate's tuple counts over ``joint.keys``.
 
-    ``wanted`` maps a variable set to the rows that read its payoff; each set
-    is evaluated once, in one ``rational_payoff`` call over those rows.
+    ``wanted`` maps a variable set to the rows that read its payoff; all sets
+    are evaluated in one ``family_payoffs`` call, so each set's tables, for
+    the rows that read it, come from one walk of the subset lattice.
     """
     caches = [RationalCache(joint, problem, row) for row in probs]
-    # a fixed evaluation order: the order of a set of variable sets varies with the hash seed
-    for key, rows in sorted(wanted.items(), key=lambda item: sorted(item[0])):
-        values = rational_payoff(joint, problem, key, probs if len(rows) == len(probs) else probs[rows])
-        for r, value in zip(rows, values):
+    for key, values in family_payoffs(joint, problem, wanted, probs).items():
+        for r, value in zip(wanted[key], values):
             caches[r]._cache[key] = value
     return caches
 

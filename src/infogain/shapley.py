@@ -7,8 +7,11 @@ so individually worthless but jointly valuable signals still get credit.
 
 Coalition values are memoized by subset bitmask; since the ground set only
 shifts which benchmark payoffs are needed, one payoff cache serves every
-ground set in a comparison.  All accumulation uses exact float summation, so
-results do not depend on evaluation order.
+ground set in a comparison.  Exact enumeration primes that cache with all
+2^n coalition payoffs as one family, so each coalition's table is derived
+from a superset's rather than grouped from the joint's tuples.  All
+accumulation uses exact float summation, so results do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ def shapley_exact(
             f"({2 ** n} subsets); use shapley_sampled instead"
         )
     cache = cache or RationalCache(joint, problem)
+    cache.prime(set(ground).union(s for i, s in enumerate(signals) if mask >> i & 1) for mask in range(1 << n))
     game = _CoalitionGame(cache, signals, ground)
     # weight of a coalition of size k not containing the player
     weights = [1.0 / (n * math.comb(n - 1, k)) for k in range(n)] if n else []

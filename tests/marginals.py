@@ -1,8 +1,8 @@
-"""Marginals and posteriors of a joint, for tests: thin readers of ``grouped_mass``/``state_mass``."""
+"""Marginals and posteriors of a joint, for tests: thin readers of ``group_counts``/``state_mass``."""
 
 import itertools
 
-from infogain.joint import grouped_mass, state_mass
+from infogain.joint import background_mass, group_counts, state_mass
 
 
 def marginal(joint, variables):
@@ -10,8 +10,10 @@ def marginal(joint, variables):
     in lexicographic index order.  Under smoothing every realization of their
     (small) product space is listed."""
     cols = joint.columns(variables)
-    reals, mass, absent, background = grouped_mass(joint, cols)
-    table = {tuple(int(v) for v in real): float(m) / joint.total for real, m in zip(reals, mass[:, 0])}
+    reals, counts = group_counts(joint.keys, joint.domain_sizes, cols, joint.probs[None, :, None], 0, 1)
+    absent, background = background_mass(joint, cols, len(reals), 1)
+    mass = counts[0, :, 0] + background
+    table = {tuple(int(v) for v in real): float(m) / joint.total for real, m in zip(reals, mass)}
     if absent:
         for real in itertools.product(*(range(joint.domain_sizes[c]) for c in cols)):
             table.setdefault(real, background / joint.total)

@@ -238,18 +238,25 @@ def test_replicate_drawing_one_tuple(brier, alpha):
 
 def test_every_payoff_is_evaluated_for_a_block(monkeypatch):
     # the sets a sampled Shapley value reads are collected before the block's
-    # payoffs are computed, so no replicate evaluates a payoff of its own
+    # payoffs are computed, so each block evaluates every payoff in one family
+    # and no replicate evaluates a payoff of its own (a single set, through
+    # rational_payoff or a cache's prime, is a family of its own)
     data, problem, stats = _deepfake_case()
-    calls = []
-    evaluate = infogain.rational.rational_payoff
+    calls, blocks = [], []
+    evaluate, block_values = infogain.rational.family_payoffs, infogain.bootstrap._block_values
 
-    def recording(joint, problem, variables=(), probs=None):
+    def recording(joint, problem, family, probs=None):
         calls.append(None if probs is None else np.ndim(probs))
-        return evaluate(joint, problem, variables, probs)
+        return evaluate(joint, problem, family, probs)
 
-    monkeypatch.setattr(infogain.rational, "rational_payoff", recording)
+    def counting(*args):
+        blocks.append(len(args[-1]))
+        return block_values(*args)
+
+    monkeypatch.setattr(infogain.rational, "family_payoffs", recording)
+    monkeypatch.setattr(infogain.bootstrap, "_block_values", counting)
     bootstrap_run(data, problem, BootstrapSpec(replicates=4, seed=1, statistics=stats))
-    assert calls and set(calls) == {2}
+    assert sum(blocks) == 4 and calls == [2] * len(blocks)
 
 
 @pytest.mark.parametrize("kinds", ["gain", "exact", "sampled", "mixed"])

@@ -82,6 +82,38 @@ def test_decision_with_both_grid_and_values_rejected(tmp_path):
         load_schema(write_json(tmp_path / "s.json", doc))
 
 
+def _with_grid(grid, where):
+    doc = dict(MINIMAL_SCHEMA)
+    if where == "decisions[0].grid":
+        doc["decisions"] = [{"column": "d", "role": "human", "grid": grid}]
+    else:
+        doc["payoff"] = {"kind": "brier", "grid": grid}
+    return doc
+
+
+@pytest.mark.parametrize("where", ["decisions[0].grid", "payoff.grid"])
+@pytest.mark.parametrize("key", ["count", "points"])
+def test_grid_above_the_point_limit_fails_before_any_point_is_built(monkeypatch, where, key):
+    size = infogain.io.GRID_POINT_LIMIT + 1
+    grid = {"count": size} if key == "count" else {"points": [str(k) for k in range(size)]}
+
+    def refuse(*args):
+        raise AssertionError("a grid point was built")
+
+    monkeypatch.setattr(infogain.io, "_fraction", refuse)
+    with pytest.raises(ValidationError, match=re.escape(f"{where}.{key}: {size} grid points exceed the limit")) as err:
+        parse_schema_doc(_with_grid(grid, where))
+    assert err.value.path == f"{where}.{key}"
+
+
+@pytest.mark.parametrize("where", ["decisions[0].grid", "payoff.grid"])
+def test_grid_at_the_point_limit_loads(where):
+    cfg = parse_schema_doc(_with_grid({"count": infogain.io.GRID_POINT_LIMIT}, where))
+    sizes = {"decisions[0].grid": len(cfg.schema.decisions[0].domain) if cfg.schema.decisions else 0,
+             "payoff.grid": cfg.problem.decisions.size}
+    assert sizes[where] == infogain.io.GRID_POINT_LIMIT
+
+
 @pytest.mark.parametrize("section, key, path", [("state", "labels", "state.labels"),
                                                 ("payoff", "decisions", "payoff.decisions")])
 def test_label_lists_must_be_lists(tmp_path, section, key, path):

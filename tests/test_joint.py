@@ -13,12 +13,13 @@ from infogain.joint import (
     JointDistribution,
     encode,
     estimate_joint,
+    group_counts,
     locate,
     state_mass,
 )
 from infogain.model import BasicSignal, SignalSchema, StateSpace, brier_problem
-from infogain.rational import _group_contributions, rational_payoff
-from infogain.synth import make_deepfake_dataset, random_matrix_problem
+from infogain.rational import _group_contributions, _lattice, family_payoffs, rational_payoff
+from infogain.synth import make_deepfake_dataset, random_joint, random_matrix_problem
 from marginals import marginal, posterior, support
 
 BINARY = SignalSchema(signals=(BasicSignal("x", ("0", "1")),))
@@ -397,3 +398,62 @@ def test_masses_are_exact_count_sums_and_payoffs_one_division(alpha, data):
         assert mass.tolist() == expect and background_row.tolist() == [alpha * rest] * sizes[0]
         terms = _group_contributions(np.vstack([mass] + [background_row] * absent), problem).tolist()
         assert rational_payoff(joint, problem, names) == math.fsum(terms) / joint.total
+
+
+def _family(draw, names, n_weights):
+    """A random family of variable sets, nesting or not, each read by its own list of weight rows."""
+    sets = draw.draw(st.lists(st.sampled_from(list(_subsets(names))), min_size=1, unique=True))
+    rows = st.lists(st.integers(0, n_weights - 1), min_size=1, max_size=n_weights, unique=True)
+    return {frozenset(subset): tuple(draw.draw(rows)) for subset in sets}
+
+
+def _keys_table(joint, cols, weights):
+    return group_counts(joint.keys, joint.domain_sizes, cols, weights[:, :, None], joint.keys[:, :1], joint.states.size)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@given(data=count_datasets(), draw=st.data())
+def test_lattice_tables_are_the_tables_grouped_from_the_keys(alpha, data, draw):
+    # a table derived from a parent's counts sums the same integers as one
+    # grouped from the keys, so it is the same table bit for bit
+    joint = estimate_joint(data, alpha)
+    problem = _problem(joint.states.size)
+    n_weights = draw.draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+    weights = rng.multinomial(data.n_rows, np.full(len(joint.keys), 1.0 / len(joint.keys)), size=n_weights) * 1.0
+    family = _family(draw, joint.schema.names, n_weights)
+    seen = []
+    for key, cols, reals, counts in _lattice(joint, family, weights):
+        keys_reals, keys_counts = _keys_table(joint, cols, weights[list(family[key])])
+        assert cols == joint.columns(key) and np.array_equal(reals, keys_reals)
+        assert counts.tobytes() == keys_counts.tobytes()
+        seen.append(key)
+    assert len(seen) == len(family) and set(seen) == set(family)
+    payoffs = family_payoffs(joint, problem, family, weights)
+    for key, rows in family.items():
+        assert [v.hex() for v in payoffs[key]] == [rational_payoff(joint, problem, key, weights[r]).hex() for r in rows]
+
+
+@given(draw=st.data())
+def test_lattice_tables_of_a_population_joint_agree_within_the_regrouping_tolerance(draw):
+    # Float weights: a derived cell sums the same non-negative weights as the
+    # keys' cell, in another order.  Each order is within (n - 1) * 2**-53 of
+    # the exact sum of its n <= K terms, relatively, so the two cells agree
+    # within K * 2**-52 of the keys' cell.  A contribution is a maximum of
+    # linear functions of its row, so the payoffs (mass 1 in all) agree within
+    # max|S| times that, plus a few roundings of each contribution.
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+    n_states = draw.draw(st.integers(2, 3))
+    joint = random_joint(rng, n_signals=draw.draw(st.integers(1, 3)), n_states=n_states,
+                         domain_size=draw.draw(st.integers(2, 3)), n_decision_columns=draw.draw(st.integers(0, 1)))
+    problem = _problem(n_states)
+    relative = len(joint.keys) * 2.0**-52
+    family = _family(draw, joint.schema.names, 1)
+    for key, cols, reals, counts in _lattice(joint, family, joint.probs[None]):
+        keys_reals, keys_counts = _keys_table(joint, cols, joint.probs[None])
+        assert np.array_equal(reals, keys_reals)
+        assert (np.abs(counts - keys_counts) <= relative * keys_counts).all()
+    tolerance = np.abs(problem.payoff_matrix).max() * (relative + 16 * 2.0**-52)
+    payoffs = family_payoffs(joint, problem, family)
+    for key in family:
+        assert abs(payoffs[key][0] - rational_payoff(joint, problem, key)) <= tolerance

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import infogain.rational
 from infogain.errors import SchemaError, ShapleyCeilingError
-from infogain.joint import JointDistribution
+from infogain.joint import JointDistribution, estimate_joint
 from infogain.model import BasicSignal, DecisionColumn, SignalSchema, StateSpace, brier_problem
 from infogain.rational import RationalCache, information_gain
 from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import (
     SyntheticAgentSpec,
+    make_deepfake_dataset,
     random_joint,
     random_matrix_problem,
     with_population_agents,
@@ -213,3 +215,25 @@ def test_sampled_within_three_standard_errors(rng):
         sampled = shapley_sampled(joint, brier11, permutations=10_000, seed=seed)
         for ex, est, se in zip(exact.values, sampled.values, sampled.standard_errors):
             assert abs(est - ex) <= 3.0 * max(se, 1e-12)
+
+
+def test_exact_shapley_groups_the_keys_once_per_ground(monkeypatch):
+    # every coalition set of a ground nests in the set of all signals, so the
+    # keys are grouped once and the other 2^n - 1 tables come from parents;
+    # a second ground misses only its own sets, and a repeat misses none
+    data, problem = make_deepfake_dataset(n_rows=600, seed=11)
+    joint = estimate_joint(data)
+    sources = []
+    group_counts = infogain.rational.group_counts
+
+    def recording(source, *args):
+        sources.append(source is joint.keys)
+        return group_counts(source, *args)
+
+    monkeypatch.setattr(infogain.rational, "group_counts", recording)
+    cache = RationalCache(joint, problem)
+    n = len(data.schema.signal_names)
+    for ground, built in ((("human",), 2**n), (("ai",), 2**n), (("human",), 0)):
+        sources.clear()
+        shapley_exact(joint, problem, ground=ground, cache=cache)
+        assert len(sources) == built and sources.count(True) == min(built, 1)
