@@ -8,15 +8,13 @@ results are a pure function of (data, spec).
 A replicate's joint only reweights the distinct tuples of the dataset, so a
 replicate is a count vector over those K tuples rather than a resampled
 dataset.  Replicates are evaluated in blocks of at most
-``REPLICATE_CELLS // K`` (and at least one): the block's count rows are the
-tuple weights of its replicates' joints, and every variable set the block
-needs is evaluated in one walk of their subset lattice
-(``rational.primed_caches``).  A set's state-mass tables, one per replicate
-that reads it, are grouped from a cached parent set's tables where the
-family has one, and from the block's tuples otherwise; each replicate's
-statistics then read their payoffs from its own cache.  The tables are
-exact count sums either way, so the payoffs, and so the samples, are the
-same as those of an estimate on each replicate's resampled rows.
+``REPLICATE_CELLS // K`` (and at least one): ``_payoff_sets`` replays their
+statistics to learn the variable sets they read, ``rational.primed_caches``
+evaluates those in one walk of their subset lattice and gives each replicate
+a cache over its own joint (the block's tuples, its count row), and
+``_replicate_values`` reads its statistics from that cache.  The tables are
+exact count sums, so the samples are those of an estimate on each
+replicate's resampled rows.
 
 The resampling scheme treats rows as exchangeable.  Datasets with repeated
 measures (the same video or participant on many rows) violate that, so the
@@ -26,8 +24,7 @@ distribution.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
 import numpy as np
@@ -35,7 +32,7 @@ import numpy as np
 from .joint import Dataset, JointDistribution, encode, estimate_joint
 from .model import DecisionProblem
 from .rational import RationalCache, primed_caches
-from .shapley import EXACT_CEILING_DEFAULT, ShapleyReport, shapley_exact, shapley_sampled
+from .shapley import ShapleyReport, shapley_exact, shapley_sampled
 
 QUANTILE_LEVELS = (2.5, 25.0, 50.0, 75.0, 97.5)
 # Bound on replicates x distinct tuples per block of replicates evaluated together.
@@ -189,12 +186,10 @@ class _Requests(RationalCache):
         super().__init__(joint, problem)
         self.sets: set[frozenset] = set()
 
-    def payoff(self, variables: Iterable[str]) -> float:
-        self.sets.add(frozenset(variables))
-        return 0.0
-
-    def prime(self, sets: Iterable[Iterable[str]]) -> None:
-        self.sets.update(map(frozenset, sets))
+    def prime(self, sets: Iterable[Iterable[str]]) -> list[float]:
+        sets = [frozenset(s) for s in sets]
+        self.sets.update(sets)
+        return [0.0] * len(sets)
 
 
 def _payoff_sets(joint: JointDistribution, problem: DecisionProblem, spec: BootstrapSpec, b: int) -> set[frozenset]:
@@ -207,13 +202,8 @@ def _payoff_sets(joint: JointDistribution, problem: DecisionProblem, spec: Boots
     for stat_index, stat in enumerate(spec.statistics):
         if isinstance(stat, GainStat):
             requests.gain(stat.v1, stat.ground)
-        elif stat.permutations is not None:
-            _shapley(joint, problem, spec, b, stat_index, requests)
         else:
-            signals = stat.signals if stat.signals is not None else joint.schema.signal_names
-            if len(signals) <= EXACT_CEILING_DEFAULT:  # past it shapley_exact refuses the statistic
-                for r in range(len(signals) + 1):
-                    requests.sets.update(frozenset(stat.ground + c) for c in itertools.combinations(signals, r))
+            _shapley(joint, problem, spec, b, stat_index, requests)
     return requests.sets
 
 
@@ -231,7 +221,7 @@ def _replicate_values(
 
 
 def _block_values(
-    data: Dataset, problem: DecisionProblem, spec: BootstrapSpec, alpha: float,
+    data: Dataset, problem: DecisionProblem, spec: BootstrapSpec,
     joint: JointDistribution, row_key: np.ndarray, block: range,
 ) -> list[list[float]]:
     """Statistics of the replicates in ``block``, evaluated together.
@@ -244,15 +234,13 @@ def _block_values(
     counts = np.array([np.bincount(row_key[_draw(data, spec.seed, b)], minlength=len(joint.keys)) for b in block])
     support = counts.any(axis=0)
     counts = counts[:, support].astype(np.float64)
-    block_joint = JointDistribution(
-        data.states, data.schema, joint.keys[support], counts[0], alpha, data.state_name, joint.total
-    )
+    block_joint = replace(joint, keys=joint.keys[support], probs=counts[0])
     wanted: dict[frozenset, list[int]] = {}  # variable set -> the block rows that read its payoff
     for r, b in enumerate(block):
         for key in _payoff_sets(block_joint, problem, spec, b):
             wanted.setdefault(key, []).append(r)
     caches = primed_caches(block_joint, problem, counts, wanted)
-    return [_replicate_values(block_joint, problem, spec, b, cache) for b, cache in zip(block, caches)]
+    return [_replicate_values(cache.joint, problem, spec, b, cache) for b, cache in zip(block, caches)]
 
 
 def bootstrap_run(
@@ -271,7 +259,7 @@ def bootstrap_run(
     rows = []
     for start in range(0, spec.replicates, per_block):
         block = range(start, min(start + per_block, spec.replicates))
-        rows += _block_values(data, problem, spec, alpha, joint, row_key, block)
+        rows += _block_values(data, problem, spec, joint, row_key, block)
     samples = np.array(rows, dtype=np.float64)  # (B, n_stats), ordered by replicate index
 
     stats = []

@@ -66,7 +66,9 @@ def _write_manifest(args, input_hashes: dict, out_path) -> None:
 
 
 def manifest_to_argv(doc: dict) -> list[str]:
-    """Rebuild the argv of a run from its manifest document."""
+    """Rebuild the argv of a run from its manifest document: ``--gain V --gain W``, ``--results V W``."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {action.dest: action for action in subparsers.choices[doc["subcommand"]]._actions}
     argv = [doc["subcommand"]]
     for key, value in sorted(doc["arguments"].items()):
         flag = "--" + key.replace("_", "-")
@@ -74,6 +76,8 @@ def manifest_to_argv(doc: dict) -> list[str]:
             continue
         if value is True:
             argv.append(flag)
+        elif isinstance(actions.get(key), argparse._AppendAction):  # one flag before each value
+            argv.extend(arg for v in value for arg in (flag, str(v)))
         elif isinstance(value, list):
             argv.append(flag)
             argv.extend(str(v) for v in value)

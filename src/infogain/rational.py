@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -22,10 +22,10 @@ from .joint import (
     JointDistribution,
     Posterior,
     background_mass,
+    encode,
     estimate_joint,
     group_counts,
-    locate,
-    state_mass,
+    state_mass,  # unused here; the benchmark tracer still wraps the site infogain.rational:state_mass
 )
 from .model import DecisionProblem
 
@@ -49,11 +49,18 @@ def clamp_gain(raw: float) -> float:
     return 0.0 if abs(raw) <= CLAMP_TOL else raw
 
 
-def _gain_value(payoff: Callable[[set], float], v1: Iterable[str], ground: Iterable[str]) -> GainValue:
+def _gain_value(payoffs: Callable[[list], list[float]], v1: Iterable[str], ground: Iterable[str]) -> GainValue:
+    """The gain of ``v1`` over ``ground``, from ``payoffs`` of the family [V1 | G, G], in that order."""
     v1 = tuple(sorted(set(v1)))
     ground = tuple(sorted(set(ground)))
-    raw = payoff(set(v1) | set(ground)) - payoff(set(ground))
+    both, alone = payoffs([frozenset(v1 + ground), frozenset(ground)])
+    raw = both - alone
     return GainValue(value=clamp_gain(raw), raw=raw, v1=v1, ground=ground)
+
+
+def _times(count: int, value: float) -> list[float]:
+    """Exact float terms that sum to ``count * value``: ``value`` times each power of two of ``count``."""
+    return [math.ldexp(value, k) for k in range(count.bit_length()) if count >> k & 1]
 
 
 def best_response(post: Posterior, problem: DecisionProblem) -> int:
@@ -181,33 +188,54 @@ def family_payoffs(
         absent, background = background_mass(joint, cols, len(reals), width)
         mass = counts + background if background else counts
         terms = _group_contributions(mass.reshape(-1, width), problem).reshape(mass.shape[:-1])
-        extra = []
-        if absent:
-            # absent * c, added exactly as the terms of absent's binary expansion
-            c = float(_group_contributions(np.full((1, width), background), problem)[0])
-            extra = [math.ldexp(c, k) for k in range(absent.bit_length()) if absent >> k & 1]
+        # each absent realization contributes the background row's c: absent * c, in exact terms
+        extra = _times(absent, _group_contributions(np.full((1, width), background), problem).item()) if absent else []
         payoffs[key] = [math.fsum(row.tolist() + extra) / joint.total for row in terms]
     return payoffs
+
+
+def _cross_fit_payoffs(data: Dataset, problem: DecisionProblem, sets: list[frozenset], smoothing: float) -> list[float]:
+    """Cross-fit payoffs of ``sets``, in their order, from one walk over two count rows, the folds.
+
+    Each fold's actions are fitted on the other row plus the background (without
+    it, a realization the fitting row never saw takes that row's prior action);
+    its counts are tallied exactly per (action, state), and the sum of tally
+    times payoff over both folds is rounded once and divided by n.
+    """
+    if data.n_rows < 2:
+        raise ValueError("cross-fit evaluation needs at least 2 rows")
+    joint = estimate_joint(data, smoothing)
+    _, row_key = np.unique(encode(data.rows, joint.domain_sizes), return_inverse=True)
+    folds = np.array([np.bincount(row_key[f::2], minlength=len(joint.keys)) for f in (0, 1)], dtype=np.float64)
+    table, width = problem.payoff_matrix, joint.states.size
+    payoffs = {}
+    for key, cols, reals, counts in _lattice(joint, dict.fromkeys(sets, (0, 1)), folds):
+        _, background = background_mass(joint, cols, len(reals), width)
+        terms = []
+        for fit, scored in ((counts[1], counts[0]), (counts[0], counts[1])):
+            actions = _best_actions(fit + background, problem)
+            if not background:
+                actions[~fit.any(axis=1)] = _best_actions(fit.sum(axis=0, keepdims=True), problem)[0]
+            cells = (actions[:, None] * width + np.arange(width)).ravel()  # (action, state) of each count
+            tally = np.bincount(cells, scored.ravel(), table.size)
+            terms += [t for s, c in zip(table.flat, tally) for t in _times(int(c), s)]
+        payoffs[key] = math.fsum(terms) / data.n_rows
+    return [payoffs[key] for key in sets]
 
 
 def rational_payoff(
     joint: JointDistribution,
     problem: DecisionProblem,
     variables: Iterable[str] = (),
-    probs: np.ndarray | None = None,
-) -> float | list[float]:
+) -> float:
     """Expected payoff of the rational benchmark observing the given variables.
 
     The empty set yields the best-fixed-action payoff under the prior.  This
     is ``family_payoffs`` for a family of one set, so its table is grouped
-    from the keys.  With weight rows ``probs`` of shape (R, K) over
-    ``joint.keys`` it returns the R payoffs of those weightings, each equal
-    to the payoff of that weighting's own joint.
+    from the keys.
     """
     key = frozenset(variables)
-    weights = None if probs is None else np.asarray(probs, dtype=np.float64).reshape(-1, len(joint.keys))
-    payoffs = family_payoffs(joint, problem, {key: range(1 if weights is None else len(weights))}, weights)[key]
-    return payoffs if np.ndim(probs) > 1 else payoffs[0]
+    return family_payoffs(joint, problem, {key: (0,)})[key][0]
 
 
 def information_gain(
@@ -228,51 +256,47 @@ def information_gain(
 class RationalCache:
     """Memoized benchmark payoffs for one (joint, problem) pair, keyed by variable set.
 
-    ``probs`` replaces the joint's tuple weights (see ``rational_payoff``).
     A missing payoff is computed alone, from a table grouped from the keys;
     ``prime`` computes many as one family, each set's table derived from a
-    cached parent's where it can be.  Values are pure functions of the key,
-    so results never depend on evaluation order.
+    cached parent's where it can be, and ``gain`` primes V1 | G with G.
+    Under counts, values are pure functions of the key, so results never
+    depend on evaluation order.
     """
 
-    def __init__(self, joint: JointDistribution, problem: DecisionProblem, probs: np.ndarray | None = None):
+    def __init__(self, joint: JointDistribution, problem: DecisionProblem):
         self.joint = joint
         self.problem = problem
-        self.probs = probs
         self._cache: dict[frozenset, float] = {}
 
     def payoff(self, variables: Iterable[str]) -> float:
         key = frozenset(variables)
-        value = self._cache.get(key)
-        if value is None:
-            value = rational_payoff(self.joint, self.problem, key, self.probs)
-            self._cache[key] = value
-        return value
+        return self._cache[key] if key in self._cache else self.prime([key])[0]
 
-    def prime(self, sets: Iterable[Iterable[str]]) -> None:
-        """Compute the payoffs of every set not yet cached, as one family."""
-        missing = {frozenset(s) for s in sets} - self._cache.keys()
+    def prime(self, sets: Iterable[Iterable[str]]) -> list[float]:
+        """The payoffs of ``sets``, in order; those not yet cached are computed as one family."""
+        sets = [frozenset(s) for s in sets]
+        missing = set(sets) - self._cache.keys()
         if missing:
-            probs = None if self.probs is None else np.asarray(self.probs, dtype=np.float64)[None]
-            for key, (value,) in family_payoffs(self.joint, self.problem, dict.fromkeys(missing, (0,)), probs).items():
+            for key, (value,) in family_payoffs(self.joint, self.problem, dict.fromkeys(missing, (0,))).items():
                 self._cache[key] = value
+        return [self._cache[key] for key in sets]
 
     def gain(self, v1: Iterable[str], ground: Iterable[str] = ()) -> GainValue:
-        return _gain_value(self.payoff, v1, ground)
+        return _gain_value(self.prime, v1, ground)
 
 
 def primed_caches(
     joint: JointDistribution, problem: DecisionProblem, probs: np.ndarray, wanted: Mapping[frozenset, Sequence[int]]
 ) -> list[RationalCache]:
-    """One cache per weight row of ``probs`` (R, K), holding the payoffs that ``wanted`` maps to it.
+    """One cache per count row of ``probs`` (R, K), holding the payoffs that ``wanted`` maps to it.
 
-    In the bootstrap each row is one replicate's tuple counts over ``joint.keys``.
-
-    ``wanted`` maps a variable set to the rows that read its payoff; all sets
-    are evaluated in one ``family_payoffs`` call, so each set's tables, for
-    the rows that read it, come from one walk of the subset lattice.
+    Row r's cache is over its own joint, ``joint`` with row r's weights: in
+    the bootstrap, that replicate's joint, so a payoff the cache was not
+    primed with is still that replicate's.  ``wanted`` maps a variable set to
+    the rows that read its payoff; all sets are evaluated in one
+    ``family_payoffs`` call, so each set's tables come from one lattice walk.
     """
-    caches = [RationalCache(joint, problem, row) for row in probs]
+    caches = [RationalCache(replace(joint, probs=row), problem) for row in probs]
     for key, values in family_payoffs(joint, problem, wanted, probs).items():
         for r, value in zip(wanted[key], values):
             caches[r]._cache[key] = value
@@ -287,34 +311,16 @@ def cross_fit_payoff(
 ) -> float:
     """Split-sample benchmark payoff: condition on one half, score on the other.
 
-    Rows alternate between two folds by index; each fold is scored with the
-    decision rule fitted on the other and the two halves are averaged by row
-    count.  Realizations unseen in the fitting fold fall back to its best fixed
+    Rows alternate between two folds by index, whose tables come from one
+    grouping of the dataset's tuples; each fold is scored with the decision
+    rule fitted on the other and the halves are averaged by row count.
+    Realizations unseen in the fitting fold fall back to its best fixed
     action, or, when smoothed, to the best action for its background row.
     Unlike the in-sample benchmark this can decrease when variables are added,
     which is the point: conditioning on fine-grained columns in-sample
     overstates the benchmark in small samples.
     """
-    n = data.n_rows
-    if n < 2:
-        raise ValueError("cross-fit evaluation needs at least 2 rows")
-    names = set(variables)
-    if data.state_name in names:
-        raise SchemaError(f"{data.state_name!r} is the state, not a signal or decision column")
-    cols = sorted(1 + data.schema.position(name) for name in names)
-    sizes = (data.states.size,) + data.schema.domain_sizes()
-    total = []
-    for f in (0, 1):
-        train = Dataset(data.states, data.schema, data.rows[1 - f :: 2], state_name=data.state_name)
-        train_joint = estimate_joint(train, smoothing)
-        reals, mass, absent, background_row = state_mass(train_joint, variables)
-        # the last action is the one for realizations unseen in the fitting fold
-        unseen = background_row if absent else mass.sum(0)
-        actions = _best_actions(np.vstack([mass, unseen]), problem)
-        test = data.rows[f::2]
-        chosen = actions[locate(reals, test[:, cols], [sizes[c] for c in cols])]
-        total.append(problem.payoff_matrix[chosen, test[:, 0]])
-    return math.fsum(np.concatenate(total)) / n
+    return _cross_fit_payoffs(data, problem, [frozenset(variables)], smoothing)[0]
 
 
 def cross_fit_gain(
@@ -324,5 +330,5 @@ def cross_fit_gain(
     ground: Iterable[str] = (),
     smoothing: float = 0.0,
 ) -> GainValue:
-    """Cross-fit analogue of ``information_gain``; may be legitimately negative."""
-    return _gain_value(lambda names: cross_fit_payoff(data, problem, names, smoothing), v1, ground)
+    """Cross-fit analogue of ``information_gain``, V1 | G and G as one family; may be legitimately negative."""
+    return _gain_value(lambda sets: _cross_fit_payoffs(data, problem, sets, smoothing), v1, ground)

@@ -6,6 +6,7 @@ import pytest
 import infogain.bootstrap
 import infogain.rational
 from infogain.bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
+from infogain.errors import ShapleyCeilingError
 from infogain.joint import Dataset, estimate_joint
 from infogain.model import BasicSignal, DecisionProblem, DecisionSpace, PayoffFunction, SignalSchema, StateSpace
 from infogain.rational import RationalCache, information_gain
@@ -276,3 +277,17 @@ def test_payoff_sets_are_exactly_the_sets_a_replicate_reads(kinds):
         reads = infogain.bootstrap._Requests(joint, problem)
         infogain.bootstrap._replicate_values(joint, problem, spec, b, reads)
         assert infogain.bootstrap._payoff_sets(joint, problem, spec, b) == reads.sets
+
+
+def test_exact_shapley_over_the_ceiling_fails_before_any_payoff(monkeypatch, brier):
+    # the sets of an exact statistic are recorded by replaying shapley_exact,
+    # which refuses 16 signals before the block evaluates a single payoff
+    names = tuple(f"s{i}" for i in range(16))
+    schema = SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names))
+    rows = np.random.default_rng(0).integers(0, 2, size=(20, 17))
+    data = Dataset(StateSpace.of(("0", "1")), schema, rows)
+    calls = []
+    monkeypatch.setattr(infogain.rational, "family_payoffs", lambda *args: calls.append(args))
+    with pytest.raises(ShapleyCeilingError):
+        bootstrap_run(data, brier, BootstrapSpec(replicates=2, statistics=(GainStat(v1=names[:2]), ShapleyStat())))
+    assert calls == []

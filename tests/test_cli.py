@@ -209,6 +209,25 @@ def test_gain_output_and_manifest_roundtrip(xor_files, tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_manifest_replay_repeats_appended_flags_and_lists_many_valued_ones_once(xor_files, tmp_path, capsys):
+    # --gain and --shapley append one value per flag; --results takes all its values after one flag
+    schema, data = xor_files
+    boot, svg = tmp_path / "boot.json", tmp_path / "boot.svg"
+    assert main(["bootstrap", "--schema", str(schema), "--data", str(data), "--replicates", "3",
+                 "--gain", "s1:none", "--gain", "s1,s2:s2", "--shapley", "none", "--shapley", "s2",
+                 "--out", str(boot)]) == 0
+    assert main(["report", "--results", str(boot), str(boot), "--out", str(svg)]) == 0
+    for out in (boot, svg):
+        first = out.read_bytes()
+        rebuilt = manifest_to_argv(json.loads(out.with_name(out.name + ".manifest.json").read_text()))
+        assert [rebuilt.count(flag) for flag in ("--gain", "--shapley", "--results")] == (
+            [2, 2, 0] if out is boot else [0, 0, 1]
+        )
+        out.unlink()
+        assert main(rebuilt) == 0
+        assert out.read_bytes() == first
+
+
 def test_cross_fit_flag(xor_files, capsys):
     schema, data = xor_files
     code = main(["gain", "--schema", str(schema), "--data", str(data),

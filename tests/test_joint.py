@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 
@@ -430,8 +431,9 @@ def test_lattice_tables_are_the_tables_grouped_from_the_keys(alpha, data, draw):
         seen.append(key)
     assert len(seen) == len(family) and set(seen) == set(family)
     payoffs = family_payoffs(joint, problem, family, weights)
+    own = [dataclasses.replace(joint, probs=row) for row in weights]  # each row's own joint
     for key, rows in family.items():
-        assert [v.hex() for v in payoffs[key]] == [rational_payoff(joint, problem, key, weights[r]).hex() for r in rows]
+        assert [v.hex() for v in payoffs[key]] == [rational_payoff(own[r], problem, key).hex() for r in rows]
 
 
 @given(draw=st.data())

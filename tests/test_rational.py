@@ -23,7 +23,9 @@ from infogain.rational import (
     best_response,
     cross_fit_gain,
     cross_fit_payoff,
+    family_payoffs,
     information_gain,
+    primed_caches,
     rational_payoff,
 )
 from infogain.synth import (
@@ -331,6 +333,43 @@ def test_cross_fit_payoff_breaks_exact_matrix_ties_toward_the_lowest_index():
     assert ties >= 10
 
 
+def _gain_cases():
+    """(data, problem, v1, ground): the deepfake sample and the matrix problem of the row-by-row reference test."""
+    deepfake, brier = make_deepfake_dataset(n_rows=3000, seed=7)
+    rng = np.random.default_rng(5)
+    problem = random_matrix_problem(rng, n_states=3, n_decisions=4)
+    joint = random_joint(rng, n_signals=3, n_states=3, domain_size=3, n_decision_columns=1, decision_domain_size=5)
+    matrix_data = generate_dataset(joint, problem, n_rows=500, seed=3)
+    return [
+        (deepfake, brier, ("flicker",), ("human",)),
+        (deepfake, brier, deepfake.schema.signal_names, ("human_ai",)),
+        (deepfake, brier, ("human",), ("ai",)),
+        (matrix_data, problem, ("x1",), ("b1",)),
+        (matrix_data, problem, matrix_data.schema.signal_names, ("b1",)),
+        (matrix_data, problem, ("x2", "b1"), ()),
+    ]
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.3])
+def test_cross_fit_gain_equals_the_difference_of_row_by_row_references(smoothing):
+    # cross_fit_gain sums the ground set's fold tables from those of V1 | G
+    # where V1 adds one column; a wrongly derived table changes the payoffs
+    for data, problem, v1, ground in _gain_cases():
+        both = _reference_cross_fit_payoff(data, problem, v1 + ground, smoothing)
+        alone = _reference_cross_fit_payoff(data, problem, ground, smoothing)
+        assert cross_fit_gain(data, problem, v1, ground, smoothing).raw.hex() == (both - alone).hex(), (v1, ground)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_information_gain_of_counts_equals_the_difference_of_single_set_payoffs(alpha):
+    # the gain evaluates V1 | G and G as one family; under counts G's derived
+    # table is the one grouped from the keys, bit for bit
+    for data, problem, v1, ground in _gain_cases():
+        joint = estimate_joint(data, alpha)
+        raw = rational_payoff(joint, problem, v1 + ground) - rational_payoff(joint, problem, ground)
+        assert information_gain(joint, problem, v1, ground).raw.hex() == raw.hex(), (v1, ground)
+
+
 @pytest.mark.parametrize("n_states", [2, 3])
 def test_group_contribution_of_a_row_does_not_depend_on_its_batch(n_states):
     rng = np.random.default_rng(n_states)
@@ -356,8 +395,10 @@ def test_payoffs_of_probability_rows_equal_those_of_their_joints(alpha):
     joint = estimate_joint(data, alpha)
     # count rows: the tuple weights of four resamples of the n rows
     counts = rng.multinomial(data.n_rows, np.full(len(joint.keys), 1.0 / len(joint.keys)), size=4)
+    caches = primed_caches(joint, problem, counts, {})  # primed with nothing: every payoff is a miss
     for variables in [(), ("x1",), ("x2", "b1"), data.schema.names]:
-        batched = rational_payoff(joint, problem, variables, counts)
-        for row, value in zip(counts, batched):
+        key = frozenset(variables)
+        batched = family_payoffs(joint, problem, {key: range(len(counts))}, counts)[key]
+        for row, value, cache in zip(counts, batched, caches):
             own = JointDistribution(joint.states, joint.schema, joint.keys, row, joint.background, total=joint.total)
-            assert value.hex() == rational_payoff(own, problem, variables).hex()
+            assert value.hex() == rational_payoff(own, problem, variables).hex() == cache.payoff(variables).hex()
