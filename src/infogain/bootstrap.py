@@ -8,13 +8,19 @@ results are a pure function of (data, spec).
 A replicate's joint only reweights the distinct tuples of the dataset, so a
 replicate is a count vector over those K tuples rather than a resampled
 dataset.  Replicates are evaluated in blocks of at most
-``REPLICATE_CELLS // K`` (and at least one): ``_payoff_sets`` replays their
-statistics to learn the variable sets they read, ``rational.primed_caches``
-evaluates those in one walk of their subset lattice and gives each replicate
-a cache over its own joint (the block's tuples, its count row), and
-``_replicate_values`` reads its statistics from that cache.  The tables are
-exact count sums, so the samples are those of an estimate on each
-replicate's resampled rows.
+``REPLICATE_CELLS // K`` (and at least one): ``_payoff_sets`` learns the
+variable sets their statistics read (an exact Shapley statistic's from
+``shapley.coalition_sets``, the others by replaying them),
+``rational.primed_caches`` evaluates those in one walk of their subset
+lattice and gives each replicate a cache over its own joint (the block's
+tuples, its count row), and ``_replicate_values`` reads its statistics from
+that cache.  The tables are exact count sums, so the samples are those of an
+estimate on each replicate's resampled rows.
+
+Blocks run in worker processes forked from the caller, one per usable CPU
+and at most one per block, or in the caller when only one would run or the
+platform cannot fork.  A block's samples are a pure function of its
+replicate range, so they do not depend on the number of workers.
 
 The resampling scheme treats rows as exchangeable.  Datasets with repeated
 measures (the same video or participant on many rows) violate that, so the
@@ -24,6 +30,7 @@ distribution.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
@@ -32,7 +39,7 @@ import numpy as np
 from .joint import Dataset, JointDistribution, encode, estimate_joint
 from .model import DecisionProblem
 from .rational import RationalCache, primed_caches
-from .shapley import ShapleyReport, shapley_exact, shapley_sampled
+from .shapley import ShapleyReport, coalition_sets, resolve_signals, shapley_exact, shapley_sampled
 
 QUANTILE_LEVELS = (2.5, 25.0, 50.0, 75.0, 97.5)
 # Bound on replicates x distinct tuples per block of replicates evaluated together.
@@ -202,6 +209,8 @@ def _payoff_sets(joint: JointDistribution, problem: DecisionProblem, spec: Boots
     for stat_index, stat in enumerate(spec.statistics):
         if isinstance(stat, GainStat):
             requests.gain(stat.v1, stat.ground)
+        elif stat.permutations is None:
+            requests.prime(coalition_sets(resolve_signals(joint, stat.signals), stat.ground))
         else:
             _shapley(joint, problem, spec, b, stat_index, requests)
     return requests.sets
@@ -243,6 +252,49 @@ def _block_values(
     return [_replicate_values(cache.joint, problem, spec, b, cache) for b, cache in zip(block, caches)]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# A pool worker's (data, problem, spec, joint, row_key), set once in each worker
+# by ``_hold_inputs`` from the arguments it inherits through fork.
+_worker_inputs: tuple = ()
+
+
+def _hold_inputs(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _inherited_block_values(block: range) -> list[list[float]]:
+    return _block_values(*_worker_inputs, block)
+
+
+def _run_blocks(inputs: tuple, blocks: list[range]) -> list[list[list[float]]]:
+    """``_block_values(*inputs, block)`` of each block, in block order.
+
+    Blocks run in forked workers, one per usable CPU and at most one per
+    block; with one worker, or where the platform cannot fork, they run in
+    this process.  Workers inherit ``inputs``, so only block ranges go out
+    and sample rows come back, and a block's rows do not depend on where it
+    ran.  An exception raised in a worker is raised here, with its type.
+    """
+    workers = min(len(blocks), usable_cpus())
+    if workers > 1:
+        # imported here: they would add ~28 ms to every command's start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_hold_inputs, initargs=inputs) as pool:
+                return list(pool.map(_inherited_block_values, blocks))
+    return [_block_values(*inputs, block) for block in blocks]
+
+
 def bootstrap_run(
     data: Dataset,
     problem: DecisionProblem,
@@ -256,11 +308,9 @@ def bootstrap_run(
     # the index of each row's tuple among joint.keys, which are sorted by the same codes
     _, row_key = np.unique(encode(data.rows, joint.domain_sizes), return_inverse=True)
     per_block = max(1, REPLICATE_CELLS // len(joint.keys))
-    rows = []
-    for start in range(0, spec.replicates, per_block):
-        block = range(start, min(start + per_block, spec.replicates))
-        rows += _block_values(data, problem, spec, joint, row_key, block)
-    samples = np.array(rows, dtype=np.float64)  # (B, n_stats), ordered by replicate index
+    blocks = [range(start, min(start + per_block, spec.replicates)) for start in range(0, spec.replicates, per_block)]
+    block_rows = _run_blocks((data, problem, spec, joint, row_key), blocks)
+    samples = np.array([row for rows in block_rows for row in rows], dtype=np.float64)  # (B, n_stats), by replicate
 
     stats = []
     for j, item in enumerate(layout):

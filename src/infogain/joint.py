@@ -122,7 +122,8 @@ class JointDistribution:
             raise ValueError("key indices out of domain range")
         if (probs < 0).any() or self.background < 0:
             raise ValueError("weights must be non-negative")
-        if len(np.unique(encode(keys, sizes))) != keys.shape[0]:
+        codes = np.sort(encode(keys, sizes))
+        if (codes[1:] == codes[:-1]).any():
             raise ValueError("keys must be distinct")
         mass = math.fsum(probs) + self.background * self.n_cells
         if not (math.isfinite(self.total) and self.total > 0) or abs(mass - self.total) > MASS_TOL * self.total:

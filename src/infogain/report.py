@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -187,7 +187,7 @@ def render_svg(spec: PlotSpec) -> bytes:
         out.append(f'<rect x="{_fmt(lx)}" y="26" width="10" height="10" fill="{color}"/>')
         out.append(
             f'<text x="{_fmt(lx + 14)}" y="35" font-family="sans-serif" font-size="11" '
-            f'fill="#222222">{escape(ground_label)}</text>'
+            f'fill="#222222">{escape(ground_label, quote=False)}</text>'
         )
         lx += 18 + 7 * len(ground_label) + 14
 
@@ -197,7 +197,7 @@ def render_svg(spec: PlotSpec) -> bytes:
         label_y = y + (len(group.strips) * (spec.strip_height + 4)) / 2.0 + 4
         out.append(
             f'<text x="{left - 10}" y="{_fmt(label_y)}" text-anchor="end" font-family="sans-serif" '
-            f'font-size="12" fill="#222222">{escape(group.label)}</text>'
+            f'font-size="12" fill="#222222">{escape(group.label, quote=False)}</text>'
         )
         for strip in group.strips:
             color = PALETTE.get(strip.role, PALETTE["other"])

@@ -48,7 +48,8 @@ class ShapleyReport:
         return self.values[self.signals.index(signal)]
 
 
-def _resolve_signals(joint: JointDistribution, signals: Sequence[str] | None) -> tuple[str, ...]:
+def resolve_signals(joint: JointDistribution, signals: Sequence[str] | None) -> tuple[str, ...]:
+    """The Shapley players: ``signals`` (every signal of the schema for None), checked to be distinct basic signals."""
     if signals is None:
         return joint.schema.signal_names
     out = []
@@ -80,6 +81,22 @@ class _CoalitionGame:
         return v
 
 
+def coalition_sets(
+    signals: Sequence[str], ground: Iterable[str], ceiling: int = EXACT_CEILING_DEFAULT
+) -> list[frozenset[str]]:
+    """The 2^n variable sets exact enumeration reads: the ground set joined
+    with each subset of ``signals``, by bitmask.  More than ``ceiling``
+    signals raise ``ShapleyCeilingError`` before any set is built."""
+    n = len(signals)
+    if n > ceiling:
+        raise ShapleyCeilingError(
+            f"{n} signals exceed the exact-method ceiling of {ceiling} "
+            f"({2 ** n} subsets); use shapley_sampled instead"
+        )
+    ground = frozenset(ground)
+    return [ground.union(s for i, s in enumerate(signals) if mask >> i & 1) for mask in range(1 << n)]
+
+
 def shapley_exact(
     joint: JointDistribution,
     problem: DecisionProblem,
@@ -91,16 +108,12 @@ def shapley_exact(
     label: str | None = None,
 ) -> ShapleyReport:
     """Exact Shapley values by full subset enumeration (2^n coalition values)."""
-    signals = _resolve_signals(joint, signals)
+    signals = resolve_signals(joint, signals)
     ground = tuple(sorted(set(ground)))
     n = len(signals)
-    if n > ceiling:
-        raise ShapleyCeilingError(
-            f"{n} signals exceed the exact-method ceiling of {ceiling} "
-            f"({2 ** n} subsets); use shapley_sampled instead"
-        )
+    sets = coalition_sets(signals, ground, ceiling)
     cache = cache or RationalCache(joint, problem)
-    cache.prime(set(ground).union(s for i, s in enumerate(signals) if mask >> i & 1) for mask in range(1 << n))
+    cache.prime(sets)
     game = _CoalitionGame(cache, signals, ground)
     # weight of a coalition of size k not containing the player
     weights = [1.0 / (n * math.comb(n - 1, k)) for k in range(n)] if n else []
@@ -141,7 +154,7 @@ def shapley_sampled(
     Unbiased for the exact values; deterministic for a fixed seed.  Standard
     errors are the per-signal sample errors of the permutation contributions.
     """
-    signals = _resolve_signals(joint, signals)
+    signals = resolve_signals(joint, signals)
     ground = tuple(sorted(set(ground)))
     n = len(signals)
     if permutations < 1:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -241,7 +242,9 @@ def test_every_payoff_is_evaluated_for_a_block(monkeypatch):
     # the sets a sampled Shapley value reads are collected before the block's
     # payoffs are computed, so each block evaluates every payoff in one family
     # and no replicate evaluates a payoff of its own (a single set, through
-    # rational_payoff or a cache's prime, is a family of its own)
+    # rational_payoff or a cache's prime, is a family of its own); one worker,
+    # so that every block runs in this process, where the calls are counted
+    monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 1)
     data, problem, stats = _deepfake_case()
     calls, blocks = [], []
     evaluate, block_values = infogain.rational.family_payoffs, infogain.bootstrap._block_values
@@ -280,7 +283,7 @@ def test_payoff_sets_are_exactly_the_sets_a_replicate_reads(kinds):
 
 
 def test_exact_shapley_over_the_ceiling_fails_before_any_payoff(monkeypatch, brier):
-    # the sets of an exact statistic are recorded by replaying shapley_exact,
+    # the sets of an exact statistic are recorded through coalition_sets,
     # which refuses 16 signals before the block evaluates a single payoff
     names = tuple(f"s{i}" for i in range(16))
     schema = SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names))
@@ -291,3 +294,49 @@ def test_exact_shapley_over_the_ceiling_fails_before_any_payoff(monkeypatch, bri
     with pytest.raises(ShapleyCeilingError):
         bootstrap_run(data, brier, BootstrapSpec(replicates=2, statistics=(GainStat(v1=names[:2]), ShapleyStat())))
     assert calls == []
+
+
+# --- blocks in forked workers against blocks in this process ------------------
+
+
+def _samples_with_workers(monkeypatch, workers, data, problem, spec, alpha):
+    monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: workers)
+    return blocked_samples(data, problem, spec, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+def test_blocks_in_workers_equal_blocks_in_process(monkeypatch, tmp_path, case, alpha, per_block):
+    data, problem, stats = CASES[case]()
+    monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", per_block * len(estimate_joint(data).keys))
+    spec = BootstrapSpec(replicates=7, seed=5, statistics=stats)
+    in_process = _samples_with_workers(monkeypatch, 1, data, problem, spec, alpha)
+    # record the process that evaluates each block, to show the pool ran them
+    evaluate, ran_in = infogain.bootstrap._block_values, tmp_path / "pids"
+
+    def recording(*args):
+        with open(ran_in, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        return evaluate(*args)
+
+    monkeypatch.setattr(infogain.bootstrap, "_block_values", recording)
+    assert _samples_with_workers(monkeypatch, 3, data, problem, spec, alpha) == in_process
+    pids = ran_in.read_text(encoding="utf-8").split()
+    assert len(pids) == -(-7 // per_block) and str(os.getpid()) not in pids
+
+
+def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, brier):
+    # 16 signals: each block's exact statistic is refused while its sets are recorded
+    names = tuple(f"s{i}" for i in range(16))
+    schema = SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names))
+    data = Dataset(StateSpace.of(("0", "1")), schema, np.random.default_rng(0).integers(0, 2, size=(20, 17)))
+    spec = BootstrapSpec(replicates=2, statistics=(GainStat(v1=names[:2]), ShapleyStat()))
+    monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", 1)
+    messages = []
+    for workers in (1, 2):
+        monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: workers)
+        with pytest.raises(ShapleyCeilingError) as caught:
+            bootstrap_run(data, brier, spec)
+        messages.append(str(caught.value))
+    assert messages == ["16 signals exceed the exact-method ceiling of 15 (65536 subsets); use shapley_sampled instead"] * 2

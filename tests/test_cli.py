@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import infogain.bootstrap
 from infogain.cli import main, manifest_to_argv
 from infogain.errors import ValidationError
 from infogain.io import parse_schema_doc
@@ -148,6 +149,26 @@ def test_bootstrap_without_signals_to_attribute_is_refused(tmp_path, capsys, spe
         argv += ["--spec", str(tmp_path / "spec.json")]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: bootstrap spec requests no statistics: the schema has no signals\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bootstrap_refused_in_a_worker_exits_1(tmp_path, capsys, monkeypatch, workers):
+    # one replicate per block: with two workers, each of the two blocks is refused in a worker
+    monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", 1)
+    monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: workers)
+    names = [f"s{i}" for i in range(16)]
+    schema = _xor_schema_with(signals=[{"column": name, "values": ["0", "1"]} for name in names])
+    sp, dp, out = tmp_path / "s.json", tmp_path / "d.csv", tmp_path / "boot.json"
+    sp.write_text(json.dumps(schema), encoding="utf-8")
+    rows = [[i % 2] + [(i >> j) & 1 for j in range(16)] for i in range(8)]
+    dp.write_text("".join(",".join(map(str, row)) + "\n" for row in [["state", *names], *rows]), encoding="utf-8")
+    argv = ["bootstrap", "--schema", str(sp), "--data", str(dp), "--replicates", "2", "--shapley", "none",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: 16 signals exceed the exact-method ceiling of 15 (65536 subsets); use shapley_sampled instead\n"
+    )
     assert not out.exists()
 
 
