@@ -7,20 +7,23 @@ results are a pure function of (data, spec).
 
 A replicate's joint only reweights the distinct tuples of the dataset, so a
 replicate is a count vector over those K tuples rather than a resampled
-dataset.  Replicates are evaluated in blocks of at most
-``REPLICATE_CELLS // K`` (and at least one): ``_payoff_sets`` learns the
-variable sets their statistics read (an exact Shapley statistic's from
-``shapley.coalition_sets``, the others by replaying them),
-``rational.primed_caches`` evaluates those in one walk of their subset
-lattice and gives each replicate a cache over its own joint (the block's
-tuples, its count row), and ``_replicate_values`` reads its statistics from
-that cache.  The tables are exact count sums, so the samples are those of an
-estimate on each replicate's resampled rows.
+dataset.  ``_plan`` lists, once, the variable sets each statistic reads and
+how their payoffs become its values (for sampled Shapley, the sets follow
+from the orders each replicate draws).  Replicates are evaluated in blocks of
+at most ``REPLICATE_CELLS // K`` (and at least one): one ``family_payoffs``
+call computes the payoffs of every set the block's replicates read, in one
+walk of their subset lattice, and ``_replicate_values`` maps each
+replicate's payoffs to its statistics (Shapley values through
+``shapley.exact_values`` and ``shapley.sampled_values``, as ``shapley_exact``
+and ``shapley_sampled`` do).  The tables are exact count sums, so the
+samples are those of an estimate on each replicate's resampled rows.
 
 Blocks run in worker processes forked from the caller, one per usable CPU
 and at most one per block, or in the caller when only one would run or the
-platform cannot fork.  A block's samples are a pure function of its
-replicate range, so they do not depend on the number of workers.
+platform cannot fork; the plan is built in the caller, so a statistic that
+cannot be computed fails before any worker starts.  A block's samples are a
+pure function of its replicate range, so they do not depend on the number
+of workers.
 
 The resampling scheme treats rows as exchangeable.  Datasets with repeated
 measures (the same video or participant on many rows) violate that, so the
@@ -32,14 +35,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .joint import Dataset, JointDistribution, encode, estimate_joint
 from .model import DecisionProblem
-from .rational import RationalCache, primed_caches
-from .shapley import ShapleyReport, coalition_sets, resolve_signals, shapley_exact, shapley_sampled
+from .rational import family_payoffs, gain_sets, gain_value
+from .shapley import check_permutations, coalition_sets, exact_values, exact_weights, resolve_signals, sampled_values
+# shapley_exact is unused here; the benchmark tracer still wraps the site infogain.bootstrap:shapley_exact
+from .shapley import sampled_walk, shapley_exact
 
 QUANTILE_LEVELS = (2.5, 25.0, 50.0, 75.0, 97.5)
 # Bound on replicates x distinct tuples per block of replicates evaluated together.
@@ -169,71 +174,67 @@ def _draw(data: Dataset, seed: int, b: int) -> np.ndarray:
     return rng.integers(0, data.n_rows, size=data.n_rows)
 
 
-def _shapley(
-    joint: JointDistribution, problem: DecisionProblem, spec: BootstrapSpec, b: int, stat_index: int,
-    cache: RationalCache,
-) -> ShapleyReport:
-    stat = spec.statistics[stat_index]
-    signals = stat.signals if stat.signals is not None else joint.schema.signal_names
-    if stat.permutations is None:
-        return shapley_exact(joint, problem, signals, stat.ground, cache=cache)
-    sub_seed = np.random.SeedSequence(spec.seed, spawn_key=(b, 10_000 + stat_index))
-    return shapley_sampled(
-        joint, problem, signals, stat.ground,
-        permutations=stat.permutations,
-        seed=int(sub_seed.generate_state(1)[0]),
-        cache=cache,
-    )
+class _Reads(NamedTuple):
+    """The variable sets a statistic reads in a replicate, and the map from their payoffs, in order, to its values."""
+
+    sets: list[frozenset]
+    values: Callable[[list[float]], Sequence[float]]
+
+    def reads(self, seed: int, b: int) -> _Reads:
+        return self
 
 
-class _Requests(RationalCache):
-    """Records the variable sets whose payoffs are read; every payoff reads as 0."""
+@dataclass(frozen=True)
+class _Sampled:
+    """A sampled Shapley statistic; replicate b's sets follow from the orders it draws."""
 
-    def __init__(self, joint: JointDistribution, problem: DecisionProblem):
-        super().__init__(joint, problem)
-        self.sets: set[frozenset] = set()
+    stat_index: int
+    players: tuple[str, ...]
+    ground: tuple[str, ...]
+    permutations: int
 
-    def prime(self, sets: Iterable[Iterable[str]]) -> list[float]:
-        sets = [frozenset(s) for s in sets]
-        self.sets.update(sets)
-        return [0.0] * len(sets)
+    def reads(self, seed: int, b: int) -> _Reads:
+        stream = np.random.SeedSequence(seed, spawn_key=(b, 10_000 + self.stat_index))
+        walk = sampled_walk(self.players, self.ground, self.permutations, int(stream.generate_state(1)[0]))
+        return _Reads(walk.sets, lambda payoffs: sampled_values(payoffs, walk)[0])
 
 
-def _payoff_sets(joint: JointDistribution, problem: DecisionProblem, spec: BootstrapSpec, b: int) -> set[frozenset]:
-    """The variable sets whose payoffs replicate b's statistics read.
+def _plan(joint: JointDistribution, spec: BootstrapSpec) -> list[_Reads | _Sampled]:
+    """What each statistic of ``spec`` reads; ``reads(seed, b)`` of an entry gives replicate b's ``_Reads``.
 
-    They follow from the spec and the seed, never from payoff values, so they
-    are known before any payoff of the replicate is computed.
+    Player lists, the exact-method ceiling and permutation counts are checked
+    here, so a statistic that cannot be computed fails before any payoff.
     """
-    requests = _Requests(joint, problem)
+    plan: list[_Reads | _Sampled] = []
     for stat_index, stat in enumerate(spec.statistics):
         if isinstance(stat, GainStat):
-            requests.gain(stat.v1, stat.ground)
-        elif stat.permutations is None:
-            requests.prime(coalition_sets(resolve_signals(joint, stat.signals), stat.ground))
+            plan.append(_Reads(gain_sets(stat.v1, stat.ground),
+                               lambda payoffs, s=stat: [gain_value(lambda _: payoffs, s.v1, s.ground).value]))
+            continue
+        players = resolve_signals(joint, stat.signals)
+        if stat.permutations is None:
+            sets = coalition_sets(players, stat.ground)  # refuses too many players before any 2^n array
+            weights = exact_weights(len(players))
+            plan.append(_Reads(sets, lambda payoffs, weights=weights: exact_values(payoffs, weights)[0]))
         else:
-            _shapley(joint, problem, spec, b, stat_index, requests)
-    return requests.sets
+            check_permutations(stat.permutations)
+            plan.append(_Sampled(stat_index, players, stat.ground, stat.permutations))
+    return plan
 
 
-def _replicate_values(
-    joint: JointDistribution, problem: DecisionProblem, spec: BootstrapSpec, b: int, cache: RationalCache
-) -> list[float]:
-    """The statistics of replicate b, with payoffs from its cache."""
+def _replicate_values(payoffs: Mapping[frozenset, float], reads: list[_Reads]) -> list[float]:
+    """The statistics of one replicate, from its payoff of each set its statistics read."""
     values: list[float] = []
-    for stat_index, stat in enumerate(spec.statistics):
-        if isinstance(stat, GainStat):
-            values.append(cache.gain(stat.v1, stat.ground).value)
-        else:
-            values.extend(_shapley(joint, problem, spec, b, stat_index, cache).values)
+    for stat in reads:
+        values.extend(stat.values([payoffs[key] for key in stat.sets]))
     return values
 
 
 def _block_values(
-    data: Dataset, problem: DecisionProblem, spec: BootstrapSpec,
+    data: Dataset, problem: DecisionProblem, spec: BootstrapSpec, plan: list,
     joint: JointDistribution, row_key: np.ndarray, block: range,
 ) -> list[list[float]]:
-    """Statistics of the replicates in ``block``, evaluated together.
+    """Statistics of the replicates in ``block``, from one payoff table.
 
     ``joint`` is the dataset's joint and ``row_key`` maps each dataset row to
     its tuple.  A tuple that no replicate of the block draws is a background
@@ -244,12 +245,16 @@ def _block_values(
     support = counts.any(axis=0)
     counts = counts[:, support].astype(np.float64)
     block_joint = replace(joint, keys=joint.keys[support], probs=counts[0])
-    wanted: dict[frozenset, list[int]] = {}  # variable set -> the block rows that read its payoff
-    for r, b in enumerate(block):
-        for key in _payoff_sets(block_joint, problem, spec, b):
-            wanted.setdefault(key, []).append(r)
-    caches = primed_caches(block_joint, problem, counts, wanted)
-    return [_replicate_values(cache.joint, problem, spec, b, cache) for b, cache in zip(block, caches)]
+    reads = [[stat.reads(spec.seed, b) for stat in plan] for b in block]
+    family: dict[frozenset, list[int]] = {}  # variable set -> the block rows that read its payoff
+    for r, replicate in enumerate(reads):
+        for key in {key for stat in replicate for key in stat.sets}:
+            family.setdefault(key, []).append(r)
+    payoffs: list[dict[frozenset, float]] = [{} for _ in block]
+    for key, values in family_payoffs(block_joint, problem, family, counts).items():
+        for r, value in zip(family[key], values):
+            payoffs[r][key] = value
+    return [_replicate_values(row, replicate) for row, replicate in zip(payoffs, reads)]
 
 
 def usable_cpus() -> int:
@@ -259,7 +264,7 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# A pool worker's (data, problem, spec, joint, row_key), set once in each worker
+# A pool worker's (data, problem, spec, plan, joint, row_key), set once in each worker
 # by ``_hold_inputs`` from the arguments it inherits through fork.
 _worker_inputs: tuple = ()
 
@@ -305,11 +310,12 @@ def bootstrap_run(
     """Run the bootstrap; output depends only on (data, problem, spec, alpha)."""
     layout = _expand_layout(data, spec)
     joint = estimate_joint(data, alpha)
+    plan = _plan(joint, spec)
     # the index of each row's tuple among joint.keys, which are sorted by the same codes
     _, row_key = np.unique(encode(data.rows, joint.domain_sizes), return_inverse=True)
     per_block = max(1, REPLICATE_CELLS // len(joint.keys))
     blocks = [range(start, min(start + per_block, spec.replicates)) for start in range(0, spec.replicates, per_block)]
-    block_rows = _run_blocks((data, problem, spec, joint, row_key), blocks)
+    block_rows = _run_blocks((data, problem, spec, plan, joint, row_key), blocks)
     samples = np.array([row for rows in block_rows for row in rows], dtype=np.float64)  # (B, n_stats), by replicate
 
     stats = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -44,16 +44,24 @@ class GainValue:
     ground: tuple[str, ...]
 
 
-def clamp_gain(raw: float) -> float:
-    """The reported gain: ``raw``, or exactly 0 within ``CLAMP_TOL`` of zero."""
-    return 0.0 if abs(raw) <= CLAMP_TOL else raw
+def clamp_gain(raw):
+    """The reported gain: ``raw``, or exactly 0 within ``CLAMP_TOL`` of zero; elementwise for an array."""
+    noise = np.abs(raw) <= CLAMP_TOL
+    if np.ndim(raw):
+        return np.where(noise, 0.0, raw)
+    return 0.0 if noise else raw
 
 
-def _gain_value(payoffs: Callable[[list], list[float]], v1: Iterable[str], ground: Iterable[str]) -> GainValue:
-    """The gain of ``v1`` over ``ground``, from ``payoffs`` of the family [V1 | G, G], in that order."""
+def gain_sets(v1: Iterable[str], ground: Iterable[str]) -> list[frozenset]:
+    """The family a gain of ``v1`` over ``ground`` reads, in order: [V1 | G, G]."""
+    return [frozenset(v1).union(ground), frozenset(ground)]
+
+
+def gain_value(payoffs: Callable[[list], list[float]], v1: Iterable[str], ground: Iterable[str]) -> GainValue:
+    """The gain of ``v1`` over ``ground``, from ``payoffs`` of its ``gain_sets``."""
     v1 = tuple(sorted(set(v1)))
     ground = tuple(sorted(set(ground)))
-    both, alone = payoffs([frozenset(v1 + ground), frozenset(ground)])
+    both, alone = payoffs(gain_sets(v1, ground))
     raw = both - alone
     return GainValue(value=clamp_gain(raw), raw=raw, v1=v1, ground=ground)
 
@@ -282,25 +290,7 @@ class RationalCache:
         return [self._cache[key] for key in sets]
 
     def gain(self, v1: Iterable[str], ground: Iterable[str] = ()) -> GainValue:
-        return _gain_value(self.prime, v1, ground)
-
-
-def primed_caches(
-    joint: JointDistribution, problem: DecisionProblem, probs: np.ndarray, wanted: Mapping[frozenset, Sequence[int]]
-) -> list[RationalCache]:
-    """One cache per count row of ``probs`` (R, K), holding the payoffs that ``wanted`` maps to it.
-
-    Row r's cache is over its own joint, ``joint`` with row r's weights: in
-    the bootstrap, that replicate's joint, so a payoff the cache was not
-    primed with is still that replicate's.  ``wanted`` maps a variable set to
-    the rows that read its payoff; all sets are evaluated in one
-    ``family_payoffs`` call, so each set's tables come from one lattice walk.
-    """
-    caches = [RationalCache(replace(joint, probs=row), problem) for row in probs]
-    for key, values in family_payoffs(joint, problem, wanted, probs).items():
-        for r, value in zip(wanted[key], values):
-            caches[r]._cache[key] = value
-    return caches
+        return gain_value(self.prime, v1, ground)
 
 
 def cross_fit_payoff(
@@ -331,4 +321,4 @@ def cross_fit_gain(
     smoothing: float = 0.0,
 ) -> GainValue:
     """Cross-fit analogue of ``information_gain``, V1 | G and G as one family; may be legitimately negative."""
-    return _gain_value(lambda sets: _cross_fit_payoffs(data, problem, sets, smoothing), v1, ground)
+    return gain_value(lambda sets: _cross_fit_payoffs(data, problem, sets, smoothing), v1, ground)

@@ -5,11 +5,13 @@ fixed ground set of variables (typically a behavioral decision column).  A
 signal's Shapley value is its average marginal contribution across coalitions,
 so individually worthless but jointly valuable signals still get credit.
 
-Coalition values are memoized by subset bitmask; since the ground set only
-shifts which benchmark payoffs are needed, one payoff cache serves every
-ground set in a comparison.  Exact enumeration primes that cache with all
-2^n coalition payoffs as one family, so each coalition's table is derived
-from a superset's rather than grouped from the joint's tuples.  All
+A coalition's value is the clamped gain of its variable set (the coalition
+joined with the ground set) over the ground set, so one payoff cache serves
+every ground set in a comparison.  ``exact_values`` and ``sampled_values``
+turn the payoffs of the sets read (``coalition_sets``, or a
+``sampled_walk``'s visited coalitions) into values, for these functions and
+for the bootstrap alike; the functions compute those sets as one family
+through the cache, so each set's table is derived from a superset's.  All
 accumulation uses exact float summation, so results do not depend on
 evaluation order.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,25 +64,6 @@ def resolve_signals(joint: JointDistribution, signals: Sequence[str] | None) -> 
     return tuple(out)
 
 
-class _CoalitionGame:
-    """v(subset) = clamped information gain of the subset over the ground set."""
-
-    def __init__(self, cache: RationalCache, signals: tuple[str, ...], ground: tuple[str, ...]):
-        self.cache = cache
-        self.signals = signals
-        self.ground = set(ground)
-        self._values: dict[int, float] = {}
-        self._r_ground = cache.payoff(self.ground)
-
-    def value(self, mask: int) -> float:
-        v = self._values.get(mask)
-        if v is None:
-            members = {s for i, s in enumerate(self.signals) if mask >> i & 1}
-            v = clamp_gain(self.cache.payoff(members | self.ground) - self._r_ground)
-            self._values[mask] = v
-        return v
-
-
 def coalition_sets(
     signals: Sequence[str], ground: Iterable[str], ceiling: int = EXACT_CEILING_DEFAULT
 ) -> list[frozenset[str]]:
@@ -97,6 +80,72 @@ def coalition_sets(
     return [ground.union(s for i, s in enumerate(signals) if mask >> i & 1) for mask in range(1 << n)]
 
 
+def exact_weights(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each of n players i, (n, 2^(n-1)) arrays: the coalitions S without i and S + i, as
+    ``coalition_sets`` positions (bitmasks), and the weight 1 / (n C(n-1, |S|)) of S's term."""
+    masks = np.arange(1 << n)
+    without = np.array([masks[masks >> i & 1 == 0] for i in range(n)], dtype=np.intp).reshape(n, (1 << n) // 2)
+    per_size = np.array([1.0 / (n * math.comb(n - 1, k)) for k in range(n)])
+    sizes = np.array([mask.bit_count() for mask in range(1 << n)])
+    return without, without | (1 << np.arange(n))[:, None], per_size[sizes[without]]
+
+
+def exact_values(payoffs: Sequence[float], weights: tuple) -> tuple[tuple[float, ...], float]:
+    """Exact Shapley values (one exact sum per player) and the total gain, from the payoffs of
+    ``coalition_sets``, in its order, and the ``exact_weights`` of its players."""
+    without, joined, weight = weights
+    value = clamp_gain(np.asarray(payoffs, dtype=np.float64) - payoffs[0])
+    terms = weight * (value[joined] - value[without])
+    return tuple(math.fsum(row) for row in terms.tolist()), float(value[-1])
+
+
+class SampledWalk(NamedTuple):
+    """Random orders of the players (P, n), the sets their prefixes visit (each once, the ground set
+    first), and the position in ``sets`` of each order's first j players (P, n + 1)."""
+
+    orders: np.ndarray
+    sets: list[frozenset]
+    steps: np.ndarray
+
+
+def check_permutations(permutations: int) -> None:
+    """Refuse a sampled estimate over fewer than one order."""
+    if permutations < 1:
+        raise ValueError("need at least one permutation")
+
+
+def sampled_walk(players: Sequence[str], ground: Iterable[str], permutations: int, seed: int) -> SampledWalk:
+    """``permutations`` uniformly random orders of ``players`` drawn from ``seed``, and the sets they visit."""
+    check_permutations(permutations)
+    rng = np.random.default_rng(seed)
+    orders = [rng.permutation(len(players)).tolist() for _ in range(permutations)]
+    index = {frozenset(ground): 0}  # visited set -> its position in ``sets``
+    steps = []
+    for order in orders:
+        coalition, step = frozenset(ground), [0]
+        for i in order:
+            coalition = coalition | {players[i]}
+            step.append(index.setdefault(coalition, len(index)))
+        steps.append(step)
+    orders = np.array(orders, dtype=np.intp).reshape(permutations, len(players))
+    return SampledWalk(orders, list(index), np.array(steps))
+
+
+def sampled_values(payoffs: Sequence[float], walk: SampledWalk) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """Sampled Shapley values (mean contributions), their standard errors and the total gain, from the
+    payoffs of ``walk.sets``: a player's contribution to an order is the clamped gain of the prefix
+    it ends minus that of the prefix before."""
+    orders, _, steps = walk
+    permutations, n = orders.shape
+    value = clamp_gain(np.asarray(payoffs, dtype=np.float64) - payoffs[0])
+    contrib = np.empty((permutations, n), dtype=np.float64)
+    np.put_along_axis(contrib, orders, np.diff(value[steps], axis=1), axis=1)
+    values = tuple(math.fsum(contrib[:, i]) / permutations for i in range(n))
+    errs = tuple(float(np.std(contrib[:, i], ddof=1)) / math.sqrt(permutations) if permutations > 1 else 0.0
+                 for i in range(n))
+    return values, errs, float(value[steps[0, -1]])
+
+
 def shapley_exact(
     joint: JointDistribution,
     problem: DecisionProblem,
@@ -110,32 +159,10 @@ def shapley_exact(
     """Exact Shapley values by full subset enumeration (2^n coalition values)."""
     signals = resolve_signals(joint, signals)
     ground = tuple(sorted(set(ground)))
-    n = len(signals)
     sets = coalition_sets(signals, ground, ceiling)
     cache = cache or RationalCache(joint, problem)
-    cache.prime(sets)
-    game = _CoalitionGame(cache, signals, ground)
-    # weight of a coalition of size k not containing the player
-    weights = [1.0 / (n * math.comb(n - 1, k)) for k in range(n)] if n else []
-    values = []
-    for i in range(n):
-        bit = 1 << i
-        terms = []
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            k = mask.bit_count()
-            terms.append(weights[k] * (game.value(mask | bit) - game.value(mask)))
-        values.append(math.fsum(terms))
-    full = (1 << n) - 1
-    return ShapleyReport(
-        signals=signals,
-        values=tuple(values),
-        ground=ground,
-        method="exact",
-        total_gain=game.value(full),
-        label=label,
-    )
+    values, total = exact_values(cache.prime(sets), exact_weights(len(signals)))
+    return ShapleyReport(signals=signals, values=values, ground=ground, method="exact", total_gain=total, label=label)
 
 
 def shapley_sampled(
@@ -156,36 +183,8 @@ def shapley_sampled(
     """
     signals = resolve_signals(joint, signals)
     ground = tuple(sorted(set(ground)))
-    n = len(signals)
-    if permutations < 1:
-        raise ValueError("need at least one permutation")
+    walk = sampled_walk(signals, ground, permutations, seed)
     cache = cache or RationalCache(joint, problem)
-    game = _CoalitionGame(cache, signals, ground)
-    rng = np.random.default_rng(seed)
-    contrib = np.empty((permutations, n), dtype=np.float64)
-    for p in range(permutations):
-        order = rng.permutation(n)
-        mask = 0
-        prev = game.value(0)
-        for i in order:
-            mask |= 1 << int(i)
-            cur = game.value(mask)
-            contrib[p, i] = cur - prev
-            prev = cur
-    values = tuple(math.fsum(contrib[:, i]) / permutations for i in range(n))
-    if permutations > 1:
-        errs = tuple(float(np.std(contrib[:, i], ddof=1)) / math.sqrt(permutations) for i in range(n))
-    else:
-        errs = tuple(0.0 for _ in range(n))
-    return ShapleyReport(
-        signals=signals,
-        values=values,
-        ground=ground,
-        method="sampled",
-        total_gain=game.value((1 << n) - 1),
-        permutations=permutations,
-        seed=seed,
-        standard_errors=errs,
-        label=label,
-    )
-
+    values, errs, total = sampled_values(cache.prime(walk.sets), walk)
+    return ShapleyReport(signals=signals, values=values, ground=ground, method="sampled", total_gain=total,
+                         permutations=permutations, seed=seed, standard_errors=errs, label=label)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -7,10 +8,18 @@ import pytest
 import infogain.bootstrap
 import infogain.rational
 from infogain.bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
-from infogain.errors import ShapleyCeilingError
+from infogain.errors import EstimationError, SchemaError, ShapleyCeilingError
 from infogain.joint import Dataset, estimate_joint
-from infogain.model import BasicSignal, DecisionProblem, DecisionSpace, PayoffFunction, SignalSchema, StateSpace
-from infogain.rational import RationalCache, information_gain
+from infogain.model import (
+    BasicSignal,
+    DecisionColumn,
+    DecisionProblem,
+    DecisionSpace,
+    PayoffFunction,
+    SignalSchema,
+    StateSpace,
+)
+from infogain.rational import RationalCache, clamp_gain, information_gain
 from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import (
     SyntheticAgentSpec,
@@ -139,6 +148,24 @@ def test_stat_names_and_roles(xor_joint, brier):
 # --- count-reweighted, blocked replicates against the per-replicate loop -----
 
 
+def reference_values(joint, problem, spec, b, cache):
+    """Replicate b's statistics on ``joint``, each through the public function, with payoffs from ``cache``."""
+    values = []
+    for stat_index, stat in enumerate(spec.statistics):
+        if isinstance(stat, GainStat):
+            values.append(cache.gain(stat.v1, stat.ground).value)
+            continue
+        signals = stat.signals if stat.signals is not None else joint.schema.signal_names
+        if stat.permutations is None:
+            report = shapley_exact(joint, problem, signals, stat.ground, cache=cache)
+        else:
+            sub_seed = np.random.SeedSequence(spec.seed, spawn_key=(b, 10_000 + stat_index))
+            report = shapley_sampled(joint, problem, signals, stat.ground, permutations=stat.permutations,
+                                     seed=int(sub_seed.generate_state(1)[0]), cache=cache)
+        values.extend(report.values)
+    return values
+
+
 def reference_samples(data, problem, spec, alpha):
     """Per-replicate loop: resample the rows, estimate their joint, evaluate every statistic on it."""
     samples = []
@@ -147,20 +174,7 @@ def reference_samples(data, problem, spec, alpha):
         idx = rng.integers(0, data.n_rows, size=data.n_rows)
         resampled = Dataset(data.states, data.schema, data.rows[idx], state_name=data.state_name)
         joint = estimate_joint(resampled, alpha)
-        cache = RationalCache(joint, problem)
-        values = []
-        for stat_index, stat in enumerate(spec.statistics):
-            if isinstance(stat, GainStat):
-                values.append(cache.gain(stat.v1, stat.ground).value)
-                continue
-            signals = stat.signals if stat.signals is not None else data.schema.signal_names
-            if stat.permutations is None:
-                report = shapley_exact(joint, problem, signals, stat.ground, cache=cache)
-            else:
-                sub_seed = np.random.SeedSequence(spec.seed, spawn_key=(b, 10_000 + stat_index))
-                report = shapley_sampled(joint, problem, signals, stat.ground, permutations=stat.permutations,
-                                         seed=int(sub_seed.generate_state(1)[0]), cache=cache)
-            values.extend(report.values)
+        values = reference_values(joint, problem, spec, b, RationalCache(joint, problem))
         samples.append([x.hex() for x in values])
     return samples
 
@@ -206,6 +220,47 @@ def _matrix_case():
 CASES = {"deepfake": _deepfake_case, "xor": _xor_case, "matrix": _matrix_case}
 
 
+def subset_weight_reference(joint, problem, players, ground):
+    """Exact Shapley values and total gain by the subset-weight formula, one cached payoff per set.
+
+    phi_i = sum over S without i of w_|S| (v(S + i) - v(S)), w_k = 1 / (n C(n-1, k)),
+    v(S) = clamp_gain(P(S | G) - P(G)), each sum exact (fsum).
+    """
+    cache = RationalCache(joint, problem)
+    base = cache.payoff(ground)
+
+    def v(members):
+        return clamp_gain(cache.payoff(set(members) | set(ground)) - base)
+
+    n = len(players)
+    values = []
+    for i, player in enumerate(players):
+        others = players[:i] + players[i + 1:]
+        terms = [1.0 / (n * math.comb(n - 1, k)) * (v(subset + (player,)) - v(subset))
+                 for k in range(n) for subset in itertools.combinations(others, k)]
+        values.append(math.fsum(terms))
+    return values, v(players)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_exact_shapley_equals_the_subset_weight_formula_bit_for_bit(case, alpha):
+    # the bootstrap's reference samples call shapley_exact; this pins
+    # shapley_exact to the formula itself, so they do not rest on its helpers
+    data, problem, stats = CASES[case]()
+    joint = estimate_joint(data, alpha)
+    other_ground = {"deepfake": ("human_ai",), "matrix": ("b1",), "xor": ("s1",)}[case]
+    exact = [stat for stat in stats if isinstance(stat, ShapleyStat) and stat.permutations is None]
+    assert exact
+    for stat in exact:
+        players = stat.signals if stat.signals is not None else data.schema.signal_names
+        for ground in (stat.ground, other_ground):
+            report = shapley_exact(joint, problem, players, ground)
+            values, total = subset_weight_reference(joint, problem, tuple(players), tuple(ground))
+            assert [x.hex() for x in report.values] == [x.hex() for x in values]
+            assert report.total_gain.hex() == total.hex()
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("blocks", ["default", "of three and one", "K over the bound"])
@@ -239,15 +294,15 @@ def test_replicate_drawing_one_tuple(brier, alpha):
 
 
 def test_every_payoff_is_evaluated_for_a_block(monkeypatch):
-    # the sets a sampled Shapley value reads are collected before the block's
-    # payoffs are computed, so each block evaluates every payoff in one family
-    # and no replicate evaluates a payoff of its own (a single set, through
-    # rational_payoff or a cache's prime, is a family of its own); one worker,
-    # so that every block runs in this process, where the calls are counted
+    # the sets a sampled Shapley value reads are drawn before the block's
+    # payoffs are computed, so each block evaluates every payoff in one
+    # family and no replicate evaluates a payoff of its own (through a cache,
+    # which looks family_payoffs up in infogain.rational); one worker, so
+    # that every block runs in this process, where the calls are counted
     monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 1)
     data, problem, stats = _deepfake_case()
     calls, blocks = [], []
-    evaluate, block_values = infogain.rational.family_payoffs, infogain.bootstrap._block_values
+    evaluate, block_values = infogain.bootstrap.family_payoffs, infogain.bootstrap._block_values
 
     def recording(joint, problem, family, probs=None):
         calls.append(None if probs is None else np.ndim(probs))
@@ -257,16 +312,44 @@ def test_every_payoff_is_evaluated_for_a_block(monkeypatch):
         blocks.append(len(args[-1]))
         return block_values(*args)
 
+    monkeypatch.setattr(infogain.bootstrap, "family_payoffs", recording)
     monkeypatch.setattr(infogain.rational, "family_payoffs", recording)
     monkeypatch.setattr(infogain.bootstrap, "_block_values", counting)
     bootstrap_run(data, problem, BootstrapSpec(replicates=4, seed=1, statistics=stats))
     assert sum(blocks) == 4 and calls == [2] * len(blocks)
 
 
+class _RecordingCache(RationalCache):
+    """Records the variable sets whose payoffs are read; every payoff reads as 0."""
+
+    def __init__(self, joint, problem):
+        super().__init__(joint, problem)
+        self.sets = set()
+
+    def prime(self, sets):
+        sets = [frozenset(s) for s in sets]
+        self.sets.update(sets)
+        return [0.0] * len(sets)
+
+
+class _RecordingPayoffs(dict):
+    """Payoffs of 0 for ``keys``, recording each key that is looked up."""
+
+    def __init__(self, keys):
+        super().__init__(dict.fromkeys(keys, 0.0))
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 @pytest.mark.parametrize("kinds", ["gain", "exact", "sampled", "mixed"])
 def test_payoff_sets_are_exactly_the_sets_a_replicate_reads(kinds):
-    # _payoff_sets copies exact Shapley's subset enumeration; a set it misses
-    # is evaluated outside the block, and a set it adds is evaluated for nothing
+    # the plan lists each replicate's sets before any payoff; a set it misses
+    # has no payoff in the block's table, and a set it adds is evaluated for
+    # nothing.  The sets a replicate's statistics read are those its values
+    # look up, and those the public functions read through a cache.
     data, problem, mixed = _deepfake_case()
     stats = {
         "gain": (GainStat(v1=("flicker", "dark"), ground=("human_ai",)), GainStat(v1=("grainy",))),
@@ -276,24 +359,72 @@ def test_payoff_sets_are_exactly_the_sets_a_replicate_reads(kinds):
     }[kinds]
     spec = BootstrapSpec(replicates=3, seed=4, statistics=stats)
     joint = estimate_joint(data)
+    plan = infogain.bootstrap._plan(joint, spec)
     for b in range(spec.replicates):
-        reads = infogain.bootstrap._Requests(joint, problem)
-        infogain.bootstrap._replicate_values(joint, problem, spec, b, reads)
-        assert infogain.bootstrap._payoff_sets(joint, problem, spec, b) == reads.sets
+        reads = [stat.reads(spec.seed, b) for stat in plan]
+        planned = {key for stat in reads for key in stat.sets}
+        looked_up = _RecordingPayoffs(planned)
+        infogain.bootstrap._replicate_values(looked_up, reads)
+        cache = _RecordingCache(joint, problem)
+        reference_values(joint, problem, spec, b, cache)
+        assert looked_up.read == planned == cache.sets
 
 
 def test_exact_shapley_over_the_ceiling_fails_before_any_payoff(monkeypatch, brier):
-    # the sets of an exact statistic are recorded through coalition_sets,
-    # which refuses 16 signals before the block evaluates a single payoff
+    # the sets of an exact statistic are planned through coalition_sets,
+    # which refuses 16 signals before the first block evaluates a single payoff
     names = tuple(f"s{i}" for i in range(16))
     schema = SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names))
     rows = np.random.default_rng(0).integers(0, 2, size=(20, 17))
     data = Dataset(StateSpace.of(("0", "1")), schema, rows)
     calls = []
-    monkeypatch.setattr(infogain.rational, "family_payoffs", lambda *args: calls.append(args))
+    monkeypatch.setattr(infogain.bootstrap, "family_payoffs", lambda *args: calls.append(args))
     with pytest.raises(ShapleyCeilingError):
         bootstrap_run(data, brier, BootstrapSpec(replicates=2, statistics=(GainStat(v1=names[:2]), ShapleyStat())))
     assert calls == []
+
+
+def test_exact_shapley_over_the_ceiling_fails_before_its_weights(monkeypatch, brier):
+    # exact_weights builds (n, 2^(n-1)) arrays, so at 64 signals the ceiling
+    # check must come first; recorders stand in for both, so a wrong order
+    # shows as a call instead of a 2^64 allocation
+    names = tuple(f"s{i}" for i in range(64))
+    schema = SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names))
+    rows = np.random.default_rng(0).integers(0, 2, size=(20, 65))
+    data = Dataset(StateSpace.of(("0", "1")), schema, rows)
+    calls = []
+    monkeypatch.setattr(infogain.bootstrap, "exact_weights", lambda n: calls.append(("exact_weights", n)))
+    monkeypatch.setattr(infogain.bootstrap, "family_payoffs", lambda *args: calls.append("family_payoffs"))
+    with pytest.raises(ShapleyCeilingError, match="64 signals exceed the exact-method ceiling of 15"):
+        bootstrap_run(data, brier, BootstrapSpec(replicates=2, statistics=(ShapleyStat(),)))
+    assert calls == []
+
+
+def _sixteen_signals_and_a_decision():
+    names = tuple(f"s{i}" for i in range(16))
+    schema = SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names),
+                          decisions=(DecisionColumn("h", "human", ("0", "1")),))
+    rows = np.random.default_rng(0).integers(0, 2, size=(20, 18))
+    return Dataset(StateSpace.of(("0", "1")), schema, rows)
+
+
+@pytest.mark.parametrize("stat, error, message", [
+    (ShapleyStat(), ShapleyCeilingError, "16 signals exceed the exact-method ceiling of 15"),
+    (ShapleyStat(signals=("s0", "h"), permutations=3), SchemaError, "'h' is a decision column"),
+    (ShapleyStat(signals=("s0", "s1", "s0")), SchemaError, "duplicate signal in Shapley player list"),
+    (ShapleyStat(signals=("s0", "s1"), permutations=0), ValueError, "need at least one permutation"),
+])
+def test_spec_errors_fail_before_any_block(monkeypatch, brier, stat, error, message):
+    # the plan is built in the caller: with two usable CPUs and one replicate
+    # per block, a statistic that cannot be computed never reaches a worker
+    monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", 1)
+    monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 2)
+    blocks = []
+    monkeypatch.setattr(infogain.bootstrap, "_block_values", lambda *args: blocks.append(args))
+    spec = BootstrapSpec(replicates=2, statistics=(GainStat(v1=("s0",)), stat))
+    with pytest.raises(error, match=message):
+        bootstrap_run(_sixteen_signals_and_a_decision(), brier, spec)
+    assert blocks == []
 
 
 # --- blocks in forked workers against blocks in this process ------------------
@@ -327,16 +458,18 @@ def test_blocks_in_workers_equal_blocks_in_process(monkeypatch, tmp_path, case, 
 
 
 def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, brier):
-    # 16 signals: each block's exact statistic is refused while its sets are recorded
-    names = tuple(f"s{i}" for i in range(16))
-    schema = SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names))
-    data = Dataset(StateSpace.of(("0", "1")), schema, np.random.default_rng(0).integers(0, 2, size=(20, 17)))
-    spec = BootstrapSpec(replicates=2, statistics=(GainStat(v1=names[:2]), ShapleyStat()))
+    # every block's payoffs are refused; with two workers, in the forked
+    # workers, which inherit the replaced family_payoffs
+    def refused(*args):
+        raise EstimationError("no payoffs for this block")
+
+    monkeypatch.setattr(infogain.bootstrap, "family_payoffs", refused)
     monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", 1)
+    spec = BootstrapSpec(replicates=2, statistics=(GainStat(v1=("s1",)), ShapleyStat()))
     messages = []
     for workers in (1, 2):
         monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: workers)
-        with pytest.raises(ShapleyCeilingError) as caught:
-            bootstrap_run(data, brier, spec)
+        with pytest.raises(EstimationError) as caught:
+            bootstrap_run(small_xor_dataset(8), brier, spec)
         messages.append(str(caught.value))
-    assert messages == ["16 signals exceed the exact-method ceiling of 15 (65536 subsets); use shapley_sampled instead"] * 2
+    assert messages == ["no payoffs for this block"] * 2

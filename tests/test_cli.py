@@ -5,7 +5,7 @@ import pytest
 
 import infogain.bootstrap
 from infogain.cli import main, manifest_to_argv
-from infogain.errors import ValidationError
+from infogain.errors import EstimationError, ValidationError
 from infogain.io import parse_schema_doc
 
 XOR_EXACT_CSV = "state,s1,s2\n" + "".join(
@@ -153,10 +153,28 @@ def test_bootstrap_without_signals_to_attribute_is_refused(tmp_path, capsys, spe
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_bootstrap_refused_in_a_worker_exits_1(tmp_path, capsys, monkeypatch, workers):
-    # one replicate per block: with two workers, each of the two blocks is refused in a worker
+def test_bootstrap_refused_in_a_worker_exits_1(xor_files, tmp_path, capsys, monkeypatch, workers):
+    # one replicate per block: with two workers, each of the two blocks is
+    # refused in a worker, which inherits the replaced family_payoffs
+    def refused(*args):
+        raise EstimationError("no payoffs for this block")
+
+    monkeypatch.setattr(infogain.bootstrap, "family_payoffs", refused)
     monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", 1)
     monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: workers)
+    sp, dp = xor_files
+    out = tmp_path / "boot.json"
+    argv = ["bootstrap", "--schema", str(sp), "--data", str(dp), "--replicates", "2", "--shapley", "none",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: no payoffs for this block\n"
+    assert not out.exists()
+
+
+def test_bootstrap_over_the_exact_ceiling_exits_1(tmp_path, capsys, monkeypatch):
+    # refused in the caller, while the statistics' sets are planned, before any worker starts
+    monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", 1)
+    monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 2)
     names = [f"s{i}" for i in range(16)]
     schema = _xor_schema_with(signals=[{"column": name, "values": ["0", "1"]} for name in names])
     sp, dp, out = tmp_path / "s.json", tmp_path / "d.csv", tmp_path / "boot.json"

@@ -25,7 +25,6 @@ from infogain.rational import (
     cross_fit_payoff,
     family_payoffs,
     information_gain,
-    primed_caches,
     rational_payoff,
 )
 from infogain.synth import (
@@ -395,10 +394,9 @@ def test_payoffs_of_probability_rows_equal_those_of_their_joints(alpha):
     joint = estimate_joint(data, alpha)
     # count rows: the tuple weights of four resamples of the n rows
     counts = rng.multinomial(data.n_rows, np.full(len(joint.keys), 1.0 / len(joint.keys)), size=4)
-    caches = primed_caches(joint, problem, counts, {})  # primed with nothing: every payoff is a miss
     for variables in [(), ("x1",), ("x2", "b1"), data.schema.names]:
         key = frozenset(variables)
         batched = family_payoffs(joint, problem, {key: range(len(counts))}, counts)[key]
-        for row, value, cache in zip(counts, batched, caches):
+        for row, value in zip(counts, batched):
             own = JointDistribution(joint.states, joint.schema, joint.keys, row, joint.background, total=joint.total)
-            assert value.hex() == rational_payoff(own, problem, variables).hex() == cache.payoff(variables).hex()
+            assert value.hex() == rational_payoff(own, problem, variables).hex()

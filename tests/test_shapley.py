@@ -6,9 +6,9 @@ import pytest
 
 import infogain.rational
 from infogain.errors import SchemaError, ShapleyCeilingError
-from infogain.joint import JointDistribution, estimate_joint
+from infogain.joint import Dataset, JointDistribution, estimate_joint
 from infogain.model import BasicSignal, DecisionColumn, SignalSchema, StateSpace, brier_problem
-from infogain.rational import RationalCache, information_gain
+from infogain.rational import RationalCache, clamp_gain, information_gain
 from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import (
     SyntheticAgentSpec,
@@ -237,3 +237,59 @@ def test_exact_shapley_groups_the_keys_once_per_ground(monkeypatch):
         sources.clear()
         shapley_exact(joint, problem, ground=ground, cache=cache)
         assert len(sources) == built and sources.count(True) == min(built, 1)
+
+
+def permutation_walk_reference(joint, problem, players, ground, permutations, seed):
+    """Sampled Shapley by walking each drawn order, one cached payoff per coalition.
+
+    Returns the values, standard errors and total gain, as floats.
+    """
+    cache = RationalCache(joint, problem)
+    base = cache.payoff(ground)
+
+    def v(members):
+        return clamp_gain(cache.payoff(set(members) | set(ground)) - base)
+
+    n = len(players)
+    rng = np.random.default_rng(seed)
+    contrib = np.empty((permutations, n), dtype=np.float64)
+    for p in range(permutations):
+        members, prev = set(), v(())
+        for i in rng.permutation(n):
+            members.add(players[i])
+            cur = v(members)
+            contrib[p, i] = cur - prev
+            prev = cur
+    values = [math.fsum(contrib[:, i]) / permutations for i in range(n)]
+    if permutations > 1:
+        errs = [float(np.std(contrib[:, i], ddof=1)) / math.sqrt(permutations) for i in range(n)]
+    else:
+        errs = [0.0] * n
+    return values, errs, v(players)
+
+
+def seventy_signals():
+    """An estimated joint over 70 binary signals and a decision column; the state follows s0 and s1."""
+    names = tuple(f"s{i}" for i in range(70))
+    schema = SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names),
+                          decisions=(DecisionColumn("d", "human", ("0", "1")),))
+    rows = np.random.default_rng(5).integers(0, 2, size=(60, 72))
+    rows[::3, 0] = rows[::3, 1] ^ rows[::3, 2]
+    return estimate_joint(Dataset(StateSpace.of(("0", "1")), schema, rows)), names
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 70])
+@pytest.mark.parametrize("ground", [(), ("d",)])
+@pytest.mark.parametrize("permutations", [1, 6])
+def test_sampled_equals_the_permutation_walk_bit_for_bit(brier, n, ground, permutations):
+    # coalitions are sets of players, so any number of players is one walk;
+    # the visited coalitions are one family, which under counts changes no bit
+    joint, names = seventy_signals()
+    players = names[:n]
+    report = shapley_sampled(joint, brier, players, ground, permutations=permutations, seed=17)
+    values, errs, total = permutation_walk_reference(joint, brier, players, ground, permutations, 17)
+    assert [x.hex() for x in report.values] == [x.hex() for x in values]
+    assert [x.hex() for x in report.standard_errors] == [x.hex() for x in errs]
+    assert report.total_gain.hex() == total.hex()
+    if n == 70:  # the 60 rows are all distinct, so the full set predicts every state
+        assert report.total_gain > 0.1
