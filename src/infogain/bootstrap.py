@@ -7,16 +7,18 @@ results are a pure function of (data, spec).
 
 A replicate's joint only reweights the distinct tuples of the dataset, so a
 replicate is a count vector over those K tuples rather than a resampled
-dataset.  ``_plan`` lists, once, the variable sets each statistic reads and
-how their payoffs become its values (for sampled Shapley, the sets follow
-from the orders each replicate draws).  Replicates are evaluated in blocks of
-at most ``REPLICATE_CELLS // K`` (and at least one): one ``family_payoffs``
-call computes the payoffs of every set the block's replicates read, in one
-walk of their subset lattice, and ``_replicate_values`` maps each
-replicate's payoffs to its statistics (Shapley values through
-``shapley.exact_values`` and ``shapley.sampled_values``, as ``shapley_exact``
-and ``shapley_sampled`` do).  The tables are exact count sums, so the
-samples are those of an estimate on each replicate's resampled rows.
+dataset.  ``_plan`` is the only reader of a statistic: once, it checks every
+variable name the statistic holds and lists the result columns it fills, the
+variable sets it reads and how their payoffs become its values (for sampled
+Shapley, the sets follow from the orders each replicate draws).  Replicates
+are evaluated in blocks of at most ``REPLICATE_CELLS // K`` (and at least
+one): one ``family_payoffs`` call computes the payoffs of every set the
+block's replicates read, in one walk of their subset lattice, and
+``_replicate_values`` maps each replicate's payoffs to its statistics
+(Shapley values through ``shapley.exact_values`` and
+``shapley.sampled_values``, as ``shapley_exact`` and ``shapley_sampled``
+do).  The tables are exact count sums, so the samples are those of an
+estimate on each replicate's resampled rows.
 
 Blocks run in worker processes forked from the caller, one per usable CPU
 and at most one per block, or in the caller when only one would run or the
@@ -39,6 +41,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from .errors import ValidationError
 from .joint import Dataset, JointDistribution, encode, estimate_joint
 from .model import DecisionProblem
 from .rational import family_payoffs, gain_sets, gain_value
@@ -137,35 +140,12 @@ class BootstrapResult:
     statistics: tuple[StatResult, ...]
 
 
-def _ground_role(data: Dataset, ground: tuple[str, ...]) -> str:
+def _ground_role(joint: JointDistribution, ground: tuple[str, ...]) -> str:
     if not ground:
         return "none"
-    if len(ground) == 1 and data.schema.is_decision(ground[0]):
-        return data.schema.entry(ground[0]).role
+    if len(ground) == 1 and joint.schema.is_decision(ground[0]):
+        return joint.schema.entry(ground[0]).role
     return "other"
-
-
-def _expand_layout(data: Dataset, spec: BootstrapSpec) -> list[dict]:
-    """Fixed column layout of scalar statistics produced by each replicate."""
-    layout = []
-    for stat in spec.statistics:
-        if isinstance(stat, GainStat):
-            layout.append(
-                dict(name=stat.name, kind="gain", signal=None, v1=stat.v1, ground=stat.ground,
-                     ground_role=_ground_role(data, stat.ground))
-            )
-        elif isinstance(stat, ShapleyStat):
-            signals = stat.signals if stat.signals is not None else data.schema.signal_names
-            for sig in signals:
-                layout.append(
-                    dict(name=f"{stat.name}.{sig}", kind="shapley", signal=sig, v1=None,
-                         ground=stat.ground, ground_role=_ground_role(data, stat.ground))
-                )
-        else:
-            raise TypeError(f"unknown statistic spec {stat!r}")
-    if not layout:
-        raise ValueError("bootstrap spec requests no statistics")
-    return layout
 
 
 def _draw(data: Dataset, seed: int, b: int) -> np.ndarray:
@@ -175,10 +155,12 @@ def _draw(data: Dataset, seed: int, b: int) -> np.ndarray:
 
 
 class _Reads(NamedTuple):
-    """The variable sets a statistic reads in a replicate, and the map from their payoffs, in order, to its values."""
+    """The variable sets a statistic reads in a replicate, the map from their payoffs, in order, to its values,
+    and the result columns of those values: ``StatResult`` fields from ``name`` to ``ground_role``."""
 
     sets: list[frozenset]
     values: Callable[[list[float]], Sequence[float]]
+    columns: tuple[dict, ...]
 
     def reads(self, seed: int, b: int) -> _Reads:
         return self
@@ -192,33 +174,50 @@ class _Sampled:
     players: tuple[str, ...]
     ground: tuple[str, ...]
     permutations: int
+    columns: tuple[dict, ...]
 
     def reads(self, seed: int, b: int) -> _Reads:
         stream = np.random.SeedSequence(seed, spawn_key=(b, 10_000 + self.stat_index))
         walk = sampled_walk(self.players, self.ground, self.permutations, int(stream.generate_state(1)[0]))
-        return _Reads(walk.sets, lambda payoffs: sampled_values(payoffs, walk)[0])
+        return _Reads(walk.sets, lambda payoffs: sampled_values(payoffs, walk)[0], self.columns)
 
 
 def _plan(joint: JointDistribution, spec: BootstrapSpec) -> list[_Reads | _Sampled]:
-    """What each statistic of ``spec`` reads; ``reads(seed, b)`` of an entry gives replicate b's ``_Reads``.
+    """What each statistic of ``spec`` fills and reads; ``reads(seed, b)`` of an entry gives replicate b's ``_Reads``.
 
-    Player lists, the exact-method ceiling and permutation counts are checked
-    here, so a statistic that cannot be computed fails before any payoff.
+    The only reader of a statistic.  Variable names (unknown ones, and the
+    state column), player lists, the exact-method ceiling and permutation
+    counts are checked here, in the caller, so a statistic that cannot be
+    computed fails before any block.
     """
+    if not spec.statistics:
+        raise ValueError("bootstrap spec requests no statistics")
     plan: list[_Reads | _Sampled] = []
     for stat_index, stat in enumerate(spec.statistics):
+        if not isinstance(stat, (GainStat, ShapleyStat)):
+            raise TypeError(f"unknown statistic spec {stat!r}")
+        joint.columns(stat.ground, allow_state=False)
+        role = _ground_role(joint, stat.ground)
         if isinstance(stat, GainStat):
+            joint.columns(stat.v1, allow_state=False)
+            column = dict(name=stat.name, kind="gain", signal=None, v1=stat.v1, ground=stat.ground, ground_role=role)
             plan.append(_Reads(gain_sets(stat.v1, stat.ground),
-                               lambda payoffs, s=stat: [gain_value(lambda _: payoffs, s.v1, s.ground).value]))
+                               lambda payoffs, s=stat: [gain_value(lambda _: payoffs, s.v1, s.ground).value],
+                               (column,)))
             continue
         players = resolve_signals(joint, stat.signals)
+        columns = tuple(dict(name=f"{stat.name}.{sig}", kind="shapley", signal=sig, v1=None, ground=stat.ground,
+                             ground_role=role) for sig in players)
         if stat.permutations is None:
             sets = coalition_sets(players, stat.ground)  # refuses too many players before any 2^n array
             weights = exact_weights(len(players))
-            plan.append(_Reads(sets, lambda payoffs, weights=weights: exact_values(payoffs, weights)[0]))
+            plan.append(_Reads(sets, lambda payoffs, weights=weights: exact_values(payoffs, weights)[0], columns))
         else:
             check_permutations(stat.permutations)
-            plan.append(_Sampled(stat_index, players, stat.ground, stat.permutations))
+            plan.append(_Sampled(stat_index, players, stat.ground, stat.permutations, columns))
+    if not any(entry.columns for entry in plan):
+        why = "no Shapley statistic lists a signal" if joint.schema.signals else "the schema has no signals"
+        raise ValidationError(f"bootstrap spec requests no statistics: {why}", path="statistics")
     return plan
 
 
@@ -308,7 +307,6 @@ def bootstrap_run(
     alpha: float = 0.0,
 ) -> BootstrapResult:
     """Run the bootstrap; output depends only on (data, problem, spec, alpha)."""
-    layout = _expand_layout(data, spec)
     joint = estimate_joint(data, alpha)
     plan = _plan(joint, spec)
     # the index of each row's tuple among joint.keys, which are sorted by the same codes
@@ -319,17 +317,11 @@ def bootstrap_run(
     samples = np.array([row for rows in block_rows for row in rows], dtype=np.float64)  # (B, n_stats), by replicate
 
     stats = []
-    for j, item in enumerate(layout):
-        col = samples[:, j]
+    for col, column in zip(samples.T, [column for entry in plan for column in entry.columns], strict=True):
         qs = np.quantile(col, [q / 100.0 for q in QUANTILE_LEVELS], method="linear")
         stats.append(
             StatResult(
-                name=item["name"],
-                kind=item["kind"],
-                signal=item["signal"],
-                v1=item["v1"],
-                ground=item["ground"],
-                ground_role=item["ground_role"],
+                **column,
                 samples=tuple(float(x) for x in col),
                 mean=float(np.mean(col)),
                 sd=float(np.std(col, ddof=1)) if len(col) > 1 else 0.0,

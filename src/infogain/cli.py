@@ -180,9 +180,6 @@ def _bootstrap_spec(args, schema: SignalSchema) -> BootstrapSpec:
 def cmd_bootstrap(args) -> int:
     cfg, data, alpha = _inputs(args)
     spec = _bootstrap_spec(args, data.schema)
-    # a Shapley statistic that lists no signals attributes every signal of the schema
-    if not data.schema.signals and all(isinstance(s, ShapleyStat) and s.signals is None for s in spec.statistics):
-        raise ValidationError("bootstrap spec requests no statistics: the schema has no signals", path="statistics")
     result = bootstrap_run(data, cfg.problem, spec, alpha=alpha)
     print(summary_table(result))
     _write_outputs(args, result, seed=spec.seed, alpha=alpha, replicates=spec.replicates,

@@ -125,7 +125,7 @@ class JointDistribution:
         codes = np.sort(encode(keys, sizes))
         if (codes[1:] == codes[:-1]).any():
             raise ValueError("keys must be distinct")
-        mass = math.fsum(probs) + self.background * self.n_cells
+        mass = math.fsum(probs) + (self.background * self.n_cells if self.background else 0.0)
         if not (math.isfinite(self.total) and self.total > 0) or abs(mass - self.total) > MASS_TOL * self.total:
             raise ValueError(f"total weight {mass!r} differs from total {self.total!r} by more than {MASS_TOL} of it")
         keys.setflags(write=False)
@@ -146,7 +146,7 @@ class JointDistribution:
     def columns(self, names: Iterable[str], allow_state: bool = True) -> tuple[int, ...]:
         """Resolve variable names to key-column indices, in schema order."""
         cols = []
-        for name in set(names):
+        for name in sorted(set(names)):  # the first bad name in sorted order is the one reported
             if name == self.state_name:
                 if not allow_state:
                     raise SchemaError(f"{name!r} is the state, not a signal or decision column")
@@ -162,13 +162,25 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
 
     With ``smoothing`` alpha > 0, every cell of the full product space gets an
     add-alpha pseudo-count (see module caution note): the background weight is
-    alpha and the total is n + alpha * n_cells.
+    alpha and the total is n + alpha * n_cells; a total past the float range
+    raises ``EstimationError``.  Without smoothing the total is n, whatever
+    the number of cells.
     """
     if not math.isfinite(smoothing) or smoothing < 0:
         raise ValueError(f"smoothing must be a finite non-negative number, got {smoothing!r}")
     if data is None or data.n_rows == 0:
         raise EstimationError("cannot estimate a joint from an empty dataset")
     sizes = (data.states.size,) + data.schema.domain_sizes()
+    total = float(data.n_rows)
+    if smoothing:
+        cells = math.prod(sizes)
+        try:
+            total += smoothing * cells
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            count = cells if cells < 10**15 else f"~10^{math.log10(cells):.0f}"
+            raise EstimationError(f"smoothing alpha={smoothing!r} over {count} cells overflows the total weight")
     _, first, counts = np.unique(encode(data.rows, sizes), return_index=True, return_counts=True)
     return JointDistribution(
         states=data.states,
@@ -177,7 +189,7 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
         probs=counts,
         background=float(smoothing),
         state_name=data.state_name,
-        total=data.n_rows + smoothing * math.prod(sizes),
+        total=total,
     )
 
 

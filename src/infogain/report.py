@@ -61,6 +61,8 @@ class PlotSpec:
     def __post_init__(self):
         if self.axis[0] >= self.axis[1]:
             raise ReportError(f"axis range {self.axis} must have lo < hi")
+        if not math.isfinite(self.axis[1] - self.axis[0]):
+            raise ReportError(f"axis range {self.axis} is too wide to draw: its span hi - lo overflows")
         if not self.groups or any(not g.strips for g in self.groups):
             raise ReportError("every plot group needs at least one strip")
 
@@ -82,6 +84,8 @@ def _nice_step(span: float) -> float:
 def _nice_axis(lo: float, hi: float) -> tuple[float, float]:
     if hi - lo < MIN_AXIS_SPAN:
         hi = lo + MIN_AXIS_SPAN
+    if not math.isfinite(hi - lo):
+        return lo, hi  # no step fits; PlotSpec refuses the range
     step = _nice_step(hi - lo)
     nlo = math.floor(lo / step) * step
     nhi = math.ceil(hi / step) * step

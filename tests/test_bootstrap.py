@@ -8,7 +8,7 @@ import pytest
 import infogain.bootstrap
 import infogain.rational
 from infogain.bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
-from infogain.errors import EstimationError, SchemaError, ShapleyCeilingError
+from infogain.errors import EstimationError, SchemaError, ShapleyCeilingError, ValidationError
 from infogain.joint import Dataset, estimate_joint
 from infogain.model import (
     BasicSignal,
@@ -128,6 +128,9 @@ def test_spec_validation():
     data = small_xor_dataset(4)
     with pytest.raises(ValueError):
         bootstrap_run(data, xor_problem(), BootstrapSpec(replicates=1, statistics=()))
+    # an explicit empty player list fills no column either
+    with pytest.raises(ValidationError, match="requests no statistics: no Shapley statistic lists a signal"):
+        bootstrap_run(data, xor_problem(), BootstrapSpec(replicates=1, statistics=(ShapleyStat(signals=()),)))
 
 
 def test_stat_names_and_roles(xor_joint, brier):
@@ -413,6 +416,9 @@ def _sixteen_signals_and_a_decision():
     (ShapleyStat(signals=("s0", "h"), permutations=3), SchemaError, "'h' is a decision column"),
     (ShapleyStat(signals=("s0", "s1", "s0")), SchemaError, "duplicate signal in Shapley player list"),
     (ShapleyStat(signals=("s0", "s1"), permutations=0), ValueError, "need at least one permutation"),
+    (GainStat(v1=("nope",)), SchemaError, "unknown variable 'nope'"),
+    (GainStat(v1=("s0",), ground=("h", "state")), SchemaError, "'state' is the state"),
+    (ShapleyStat(ground=("h", "nope"), signals=("s0", "s1")), SchemaError, "unknown variable 'nope'"),
 ])
 def test_spec_errors_fail_before_any_block(monkeypatch, brier, stat, error, message):
     # the plan is built in the caller: with two usable CPUs and one replicate

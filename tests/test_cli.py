@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +213,36 @@ def test_gain_unknown_variable_lists_valid_names(xor_files, capsys):
     assert "nope" in err and "s1" in err and "s2" in err
 
 
+def test_first_unknown_name_in_sorted_order_is_reported_under_any_hash_seed(xor_files):
+    # names are resolved in sorted order, not in the hash order of a set
+    schema, data = xor_files
+    argv = [sys.executable, "-m", "infogain", "gain", "--schema", str(schema), "--data", str(data),
+            "--v1", "nopeC,nopeA,nopeB", "--ground", "none"]
+    package_root = str(Path(infogain.__file__).resolve().parents[1])
+    errs = set()
+    for hash_seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=package_root)
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+        assert run.returncode == 1
+        errs.add(run.stderr)
+    assert errs == {"error: unknown variable 'nopeA'; valid: s1, s2\n"}
+
+
+@pytest.mark.parametrize("command", ["gain", "shapley"])
+def test_smoothing_that_overflows_the_total_exits_1(xor_files, capsys, command):
+    # alpha 1e308 over the 8 cells of XOR: from --alpha for gain, from the schema's options for shapley
+    schema, data = xor_files
+    argv = [command, "--schema", str(schema), "--data", str(data), "--ground", "none"]
+    if command == "gain":
+        argv += ["--v1", "s1", "--alpha", "1e308"]
+    else:
+        schema.write_text(json.dumps(_xor_schema_with(options={"smoothing": 1e308})), encoding="utf-8")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: smoothing alpha=1e+308 over 8 cells overflows the total weight\n"
+    assert captured.out == ""
+
+
 def test_shapley_xor_exact(xor_files, capsys):
     schema, data = xor_files
     assert main(["shapley", "--schema", str(schema), "--data", str(data), "--ground", "none"]) == 0
@@ -389,3 +423,25 @@ def test_synth_xor_preset_matches_exact_distribution(tmp_path, capsys):
                  "--out-dir", str(out_dir)]) == 0
     header = (out_dir / "data.csv").read_text().splitlines()[0]
     assert header == "state,s1,s2"
+
+
+@pytest.mark.parametrize("case", ["axis", "rounded-axis", "samples"])
+def test_report_refuses_a_range_too_wide_to_draw(tmp_path, xor_files, capsys, case):
+    # -8e307:8e307 spans a finite 1.6e308, but rounded out to tick steps it spans 2e308
+    schema, data = xor_files
+    boot = tmp_path / "b.json"
+    assert main(["bootstrap", "--schema", str(schema), "--data", str(data),
+                 "--replicates", "3", "--shapley", "none", "--out", str(boot)]) == 0
+    argv = ["report", "--results", str(boot), "--out", str(tmp_path / "fig.svg")]
+    if case == "samples":
+        doc = json.loads(boot.read_text())
+        for stat, sample in zip(doc["statistics"], (1e308, -1e308)):
+            stat["samples"] = [sample] * 3
+        boot.write_text(json.dumps(doc), encoding="utf-8")
+    else:
+        argv.append({"axis": "--axis=-1e308:1e308", "rounded-axis": "--axis=-8e307:8e307"}[case])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: axis range (-1e+308, 1e+308) is too wide to draw: its span hi - lo overflows\n"
+    assert not (tmp_path / "fig.svg").exists()

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from infogain.errors import SchemaError
+from infogain.bootstrap import BootstrapSpec, GainStat, bootstrap_run
+from infogain.errors import EstimationError, SchemaError
 from infogain.joint import (
     CODE_LIMIT,
     Dataset,
@@ -19,7 +20,14 @@ from infogain.joint import (
     state_mass,
 )
 from infogain.model import BasicSignal, SignalSchema, StateSpace, brier_problem
-from infogain.rational import _group_contributions, _lattice, family_payoffs, rational_payoff
+from infogain.rational import (
+    _group_contributions,
+    _lattice,
+    cross_fit_gain,
+    family_payoffs,
+    information_gain,
+    rational_payoff,
+)
 from infogain.synth import make_deepfake_dataset, random_joint, random_matrix_problem
 from marginals import marginal, posterior, support
 
@@ -459,3 +467,26 @@ def test_lattice_tables_of_a_population_joint_agree_within_the_regrouping_tolera
     payoffs = family_payoffs(joint, problem, family)
     for key in family:
         assert abs(payoffs[key][0] - rational_payoff(joint, problem, key)) <= tolerance
+
+
+def test_unsmoothed_joint_over_more_cells_than_a_float_counts():
+    # 1 100 binary signals make 2^1101 cells: past the float range, yet
+    # without smoothing no mass depends on the cell count, so every result
+    # equals that on the columns it reads alone
+    names = tuple(f"s{i}" for i in range(1100))
+    rows = np.random.default_rng(0).integers(0, 2, size=(50, 1 + len(names)))
+    wide = _dataset(rows, SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names)))
+    read = ("s0", "s1", "s2")
+    narrow = _dataset(rows[:, :4], SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in read)))
+    problem = brier_problem(wide.states.labels)
+    spec = BootstrapSpec(replicates=2, seed=3, statistics=(GainStat(v1=("s0", "s1"), ground=("s2",)),))
+    results = [
+        (information_gain(estimate_joint(data), problem, ("s0", "s1"), ("s2",)),
+         cross_fit_gain(data, problem, ("s0",), ("s1", "s2")),
+         bootstrap_run(data, problem, spec).statistics[0].samples)
+        for data in (wide, narrow)
+    ]
+    assert estimate_joint(wide).total == 50.0
+    assert results[0] == results[1]
+    with pytest.raises(EstimationError, match=r"smoothing alpha=0.5 over ~10\^331 cells overflows"):
+        estimate_joint(wide, 0.5)
