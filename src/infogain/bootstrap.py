@@ -12,9 +12,10 @@ variable name the statistic holds and lists the result columns it fills, the
 variable sets it reads and how their payoffs become its values (for sampled
 Shapley, the sets follow from the orders each replicate draws).  Replicates
 are evaluated in blocks of at most ``REPLICATE_CELLS // K`` (and at least
-one): one ``family_payoffs`` call computes the payoffs of every set the
-block's replicates read, in one walk of their subset lattice, and
-``_replicate_values`` maps each replicate's payoffs to its statistics
+one), near-equal in size and as many as a multiple of the workers that run
+them (see ``_blocks``): one ``family_payoffs`` call computes the payoffs of
+every set the block's replicates read, in one walk of their subset lattice,
+and ``_replicate_values`` maps each replicate's payoffs to its statistics
 (Shapley values through ``shapley.exact_values`` and
 ``shapley.sampled_values``, as ``shapley_exact`` and ``shapley_sampled``
 do).  The tables are exact count sums, so the samples are those of an
@@ -256,6 +257,21 @@ def _block_values(
     return [_replicate_values(row, replicate) for row, replicate in zip(payoffs, reads)]
 
 
+def _blocks(replicates: int, per_block: int, workers: int) -> list[range]:
+    """Consecutive ranges over ``range(replicates)``, at most ``per_block`` long, sizes differing by at most 1.
+
+    Their count, ``ceil(replicates / per_block)``, is rounded up to a multiple
+    of the workers that run them (at most one block per replicate), so every
+    worker runs as many blocks and the longest share is near ``replicates /
+    workers``: 23 replicates at 11 per block on two workers run as 5 + 6 +
+    6 + 6, not 7 + 8 + 8, where one worker would run 15.
+    """
+    n = -(-replicates // per_block)
+    shares = min(workers, n)
+    n = min(replicates, -(-n // shares) * shares)
+    return [range(replicates * i // n, replicates * (i + 1) // n) for i in range(n)]
+
+
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -311,8 +327,7 @@ def bootstrap_run(
     plan = _plan(joint, spec)
     # the index of each row's tuple among joint.keys, which are sorted by the same codes
     _, row_key = np.unique(encode(data.rows, joint.domain_sizes), return_inverse=True)
-    per_block = max(1, REPLICATE_CELLS // len(joint.keys))
-    blocks = [range(start, min(start + per_block, spec.replicates)) for start in range(0, spec.replicates, per_block)]
+    blocks = _blocks(spec.replicates, max(1, REPLICATE_CELLS // len(joint.keys)), usable_cpus())
     block_rows = _run_blocks((data, problem, spec, plan, joint, row_key), blocks)
     samples = np.array([row for rows in block_rows for row in rows], dtype=np.float64)  # (B, n_stats), by replicate
 

@@ -64,6 +64,11 @@ def locate(realizations: np.ndarray, rows: np.ndarray, sizes: Sequence[int]) -> 
     return np.where(np.append(known, -1)[pos] == probe, pos, len(known))
 
 
+def _cell_count(cells: int) -> str:
+    """A cell count for a message: in full below 10^15, else its power of ten."""
+    return str(cells) if cells < 10**15 else f"~10^{math.log10(cells):.0f}"
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Rows of (state index, signal value indices, decision value indices)."""
@@ -125,9 +130,13 @@ class JointDistribution:
         codes = np.sort(encode(keys, sizes))
         if (codes[1:] == codes[:-1]).any():
             raise ValueError("keys must be distinct")
-        mass = math.fsum(probs) + (self.background * self.n_cells if self.background else 0.0)
+        try:
+            mass = math.fsum(probs) + (self.background * self.n_cells if self.background else 0.0)
+        except OverflowError:  # background times a cell count past the float range
+            mass = math.inf
         if not (math.isfinite(self.total) and self.total > 0) or abs(mass - self.total) > MASS_TOL * self.total:
-            raise ValueError(f"total weight {mass!r} differs from total {self.total!r} by more than {MASS_TOL} of it")
+            raise ValueError(f"total weight {mass!r} over {_cell_count(self.n_cells)} cells differs from total "
+                             f"{self.total!r} by more than {MASS_TOL} of it")
         keys.setflags(write=False)
         probs.setflags(write=False)
 
@@ -179,8 +188,8 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
         except OverflowError:
             total = math.inf
         if not math.isfinite(total):
-            count = cells if cells < 10**15 else f"~10^{math.log10(cells):.0f}"
-            raise EstimationError(f"smoothing alpha={smoothing!r} over {count} cells overflows the total weight")
+            raise EstimationError(
+                f"smoothing alpha={smoothing!r} over {_cell_count(cells)} cells overflows the total weight")
     _, first, counts = np.unique(encode(data.rows, sizes), return_index=True, return_counts=True)
     return JointDistribution(
         states=data.states,

@@ -71,6 +71,44 @@ def _times(count: int, value: float) -> list[float]:
     return [math.ldexp(value, k) for k in range(count.bit_length()) if count >> k & 1]
 
 
+def exact_row_sums(terms: np.ndarray, extra: Sequence[float] = ()) -> list[float]:
+    """``math.fsum(row.tolist() + extra)`` of each row of ``terms`` (R, G), bit for bit, in whole-array passes.
+
+    Error-free extraction (Rump, Ogita & Oishi, *Accurate floating-point
+    summation I*, SIAM J. Sci. Comput. 31(1), 2008): where a row's residuals
+    x have max|x| < 2^e and 2^L >= G + 2, sigma = 2^(e + L) splits each x
+    into q = (sigma + x) - sigma, a multiple of ulp(sigma) / 2 with
+    |q| <= 2^e, and the exact remainder x - q.  Every sum of a row's q is
+    exact, so one numpy sum per pass records it, and the remainders shrink
+    by 2^(52 - L) a pass until all are 0.  ``math.fsum`` then rounds each
+    row's few partial sums with ``extra`` once: the same exact sum, so the
+    same bits.  A row where sigma would overflow (or holds a non-finite
+    term), and a row whose sum is zero, whose sign is ``fsum``'s own, are
+    summed by ``math.fsum`` itself.
+    """
+    terms = np.asarray(terms, dtype=np.float64)
+    extra = list(extra)
+    n_rows, n_terms = terms.shape
+    lift = (n_terms + 1).bit_length()  # L = ceil(log2(G + 2))
+    top = np.abs(terms).max(axis=1, initial=0.0)  # max|x| of each row
+    direct = ~np.isfinite(top) | (np.frexp(top)[1] > 1023 - lift)
+    x = np.where(direct[:, None], 0.0, terms) if direct.any() else terms
+    top[direct] = 0.0
+    partials = []
+    while top.any():
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + lift)[:, None]
+        q = sigma + x
+        q -= sigma
+        x = x - q
+        partials.append(q.sum(axis=1))
+        top = np.abs(x).max(axis=1, initial=0.0)
+    sums = []
+    for row, parts, past in zip(terms, np.reshape(partials, (len(partials), n_rows)).T.tolist(), direct.tolist()):
+        total = 0.0 if past else math.fsum(parts + extra)
+        sums.append(total or math.fsum(row.tolist() + extra))
+    return sums
+
+
 def best_response(post: Posterior, problem: DecisionProblem) -> int:
     """Index of the decision maximizing expected payoff under the posterior.
 
@@ -183,9 +221,11 @@ def family_payoffs(
     joint's own weights are the one row 0.  ``family`` maps each set to the
     rows that read its payoff, and the result maps it to those payoffs, in
     the same order.  The sets' tables come from one walk of their subset
-    lattice (see ``_lattice``); each cell is a count sum plus the background,
-    the contributions of all realizations are summed exactly (``math.fsum``)
-    in weight units and divided once by ``joint.total``.
+    lattice (see ``_lattice``); each cell is a count sum plus the background.
+    Each payoff is one correctly rounded exact sum of the contributions of
+    all realizations, in weight units, equal bit for bit to their
+    ``math.fsum`` and computed for all rows at once by error-free extraction
+    (``exact_row_sums``), divided once by ``joint.total``.
     """
     if problem.states.size != joint.states.size:
         raise SchemaError("problem and joint disagree on the number of states")
@@ -198,7 +238,7 @@ def family_payoffs(
         terms = _group_contributions(mass.reshape(-1, width), problem).reshape(mass.shape[:-1])
         # each absent realization contributes the background row's c: absent * c, in exact terms
         extra = _times(absent, _group_contributions(np.full((1, width), background), problem).item()) if absent else []
-        payoffs[key] = [math.fsum(row.tolist() + extra) / joint.total for row in terms]
+        payoffs[key] = [total / joint.total for total in exact_row_sums(terms, extra)]
     return payoffs
 
 

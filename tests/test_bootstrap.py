@@ -266,15 +266,36 @@ def test_exact_shapley_equals_the_subset_weight_formula_bit_for_bit(case, alpha)
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("blocks", ["default", "of three and one", "K over the bound"])
+@pytest.mark.parametrize("blocks", ["default", "of three and one", "at most two", "K over the bound"])
 def test_blocked_replicates_equal_the_per_replicate_loop(monkeypatch, case, alpha, blocks):
+    # on two workers the 7 replicates run as one block; as 3 + 3 + 1, a layout
+    # set here; as blocks of at most two, 1 + 2 + 2 + 2; and as 1 each
     data, problem, stats = CASES[case]()
     n_keys = len(estimate_joint(data).keys)
     cells = {"default": infogain.bootstrap.REPLICATE_CELLS, "of three and one": 3 * n_keys,
-             "K over the bound": n_keys - 1}[blocks]
+             "at most two": 2 * n_keys, "K over the bound": n_keys - 1}[blocks]
     monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", cells)
+    monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 2)
+    if blocks == "of three and one":
+        monkeypatch.setattr(infogain.bootstrap, "_blocks", lambda *args: [range(0, 3), range(3, 6), range(6, 7)])
     spec = BootstrapSpec(replicates=7, seed=5, statistics=stats)
     assert blocked_samples(data, problem, spec, alpha) == reference_samples(data, problem, spec, alpha)
+
+
+def test_blocks_cover_the_replicates_in_order_in_near_equal_sizes():
+    for replicates, per_block, workers in itertools.product(range(1, 60), range(1, 25), range(1, 6)):
+        blocks = infogain.bootstrap._blocks(replicates, per_block, workers)
+        sizes = [len(block) for block in blocks]
+        assert [b for block in blocks for b in block] == list(range(replicates))
+        assert max(sizes) <= per_block and max(sizes) - min(sizes) <= 1
+        # the fewest blocks that is a multiple of the workers that run them, unless one per replicate
+        fewest, shares = -(-replicates // per_block), min(workers, -(-replicates // per_block))
+        assert fewest <= len(blocks) < fewest + shares
+        assert len(blocks) % shares == 0 or len(blocks) == replicates
+    assert infogain.bootstrap._blocks(20, 11, 2) == [range(0, 10), range(10, 20)]
+    assert infogain.bootstrap._blocks(23, 11, 1) == [range(0, 7), range(7, 15), range(15, 23)]
+    assert infogain.bootstrap._blocks(23, 11, 2) == [range(0, 5), range(5, 11), range(11, 17), range(17, 23)]
+    assert infogain.bootstrap._blocks(23, 11, 4) == [range(0, 7), range(7, 15), range(15, 23)]
 
 
 def _collapsing_seed(n_rows):
@@ -460,7 +481,8 @@ def test_blocks_in_workers_equal_blocks_in_process(monkeypatch, tmp_path, case, 
     monkeypatch.setattr(infogain.bootstrap, "_block_values", recording)
     assert _samples_with_workers(monkeypatch, 3, data, problem, spec, alpha) == in_process
     pids = ran_in.read_text(encoding="utf-8").split()
-    assert len(pids) == -(-7 // per_block) and str(os.getpid()) not in pids
+    # ceil(7 / per_block) blocks, rounded up to a multiple of the three workers
+    assert len(pids) == {1: 7, 2: 6, 3: 3}[per_block] and str(os.getpid()) not in pids
 
 
 def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, brier):

@@ -190,6 +190,20 @@ def test_mass_invariant_rejects_bad_total():
         )
 
 
+def test_mass_invariant_of_a_background_past_the_float_range_is_a_value_error():
+    # 1 100 binary signals make 2^1101 cells: the background's weight over
+    # them overflows a float, and the check names the total and the cell count
+    schema = SignalSchema(signals=tuple(BasicSignal(f"s{i}", ("0", "1")) for i in range(1100)))
+    with pytest.raises(ValueError, match=r"total weight inf over ~10\^331 cells differs from total 1\.0 "):
+        JointDistribution(
+            states=StateSpace.of(("0", "1")),
+            schema=schema,
+            keys=np.zeros((1, 1101), dtype=np.int64),
+            probs=np.array([1.0]),
+            background=0.1,
+        )
+
+
 def _subsets(names):
     for r in range(len(names) + 1):
         yield from itertools.combinations(names, r)

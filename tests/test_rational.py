@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from infogain.joint import Dataset, JointDistribution, estimate_joint, state_mass
+from infogain.joint import Dataset, JointDistribution, background_mass, estimate_joint, state_mass
 from infogain.model import (
     BasicSignal,
     DecisionColumn,
@@ -20,9 +21,12 @@ from infogain.model import (
 )
 from infogain.rational import (
     _group_contributions,
+    _lattice,
+    _times,
     best_response,
     cross_fit_gain,
     cross_fit_payoff,
+    exact_row_sums,
     family_payoffs,
     information_gain,
     rational_payoff,
@@ -400,3 +404,108 @@ def test_payoffs_of_probability_rows_equal_those_of_their_joints(alpha):
         for row, value in zip(counts, batched):
             own = JointDistribution(joint.states, joint.schema, joint.keys, row, joint.background, total=joint.total)
             assert value.hex() == rational_payoff(own, problem, variables).hex()
+
+
+# --- exact row sums against math.fsum ------------------------------------------
+
+
+def _spread(low, high):
+    """Terms of either sign with 53-bit significands, in [2^(e - 1), 2^e) for an e in [low, high]."""
+    significands = st.builds(lambda sign, low_bits: sign * (2**52 + low_bits), st.sampled_from([-1, 1]),
+                             st.integers(0, 2**52 - 1))
+    return st.builds(math.ldexp, significands, st.integers(low - 53, high - 53))
+
+
+SPREAD = _spread(-60, 60)
+SUBNORMAL = st.floats(-(2.0**-1022), 2.0**-1022)  # zeros, subnormals and the smallest normals
+NEAR_THE_LIMIT = _spread(1010, 1023)  # past the extraction's range from 2^(1023 - L) on
+ZEROS = st.sampled_from([0.0, -0.0])
+
+
+def _fsums(rows, extra):
+    """Each row's ``math.fsum`` with ``extra``, as hex, or the exception type the first raising row raises."""
+    try:
+        return [math.fsum(list(row) + extra).hex() for row in rows]
+    except (OverflowError, ValueError) as error:
+        return type(error)
+
+
+def _exact_row_sums(rows, n_terms, extra):
+    try:
+        return [x.hex() for x in exact_row_sums(np.array(rows, dtype=np.float64).reshape(len(rows), n_terms), extra)]
+    except (OverflowError, ValueError) as error:
+        return type(error)
+
+
+@pytest.mark.parametrize(
+    "terms, max_terms",
+    [
+        # negative terms, as payoff matrices give, exponents over 2^+-60, subnormals and zeros
+        pytest.param(st.one_of(SPREAD, SUBNORMAL, ZEROS), 40, id="spread"),
+        # many terms of one sign near the row's largest carry the most bits into each pass's sum
+        pytest.param(st.builds(abs, _spread(-2, 2)), 120, id="one scale"),
+        # G = 0 and G = 1 are the narrowest extractions, sigma = 2^(e + 1) and 2^(e + 2)
+        pytest.param(SPREAD, 3, id="few terms"),
+        # the sign of a zero sum is fsum's own, on this interpreter
+        pytest.param(ZEROS, 40, id="signed zeros"),
+        # rows past the extraction's range are summed by fsum itself, which
+        # also keeps its OverflowError for a sum past the float range
+        pytest.param(st.one_of(NEAR_THE_LIMIT, SPREAD), 8, id="near the float limit"),
+    ],
+)
+@given(data=st.data())
+def test_exact_row_sums_equal_fsum(terms, max_terms, data):
+    n_rows, n_terms = data.draw(st.integers(0, 4)), data.draw(st.integers(0, max_terms))
+    rows = data.draw(st.lists(st.lists(terms, min_size=n_terms, max_size=n_terms), min_size=n_rows, max_size=n_rows))
+    extra = data.draw(st.lists(st.one_of(SPREAD, ZEROS), max_size=3))
+    assert _exact_row_sums(rows, n_terms, extra) == _fsums(rows, extra)
+
+
+@pytest.mark.parametrize(
+    "rows, extra",
+    [
+        ([], []),  # R = 0
+        ([[], []], [1.5, -0.25]),  # G = 0
+        ([[-0.0]], []),  # G = 1
+        ([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]], []),
+        ([[-0.0, -0.0]], [-0.0]),
+        ([[1.0, 2.0**-1074, -1.0]], [2.0**-1074]),  # a subnormal left over from cancelling terms
+        ([[2.0**1023, 2.0**1023]], []),  # past the float range: fsum's OverflowError
+        ([[2.0**1023, 2.0**1023, -(2.0**1023)]], []),  # an intermediate overflow in fsum
+        ([[math.inf, 1.0]], []),
+        ([[math.inf, -math.inf]], []),  # fsum's ValueError
+    ],
+)
+def test_exact_row_sums_of_edge_cases_equal_fsum(rows, extra):
+    n_terms = len(rows[0]) if rows else 3
+    assert _exact_row_sums(rows, n_terms, extra) == _fsums(rows, extra)
+
+
+def _fsum_family_payoffs(joint, problem, family, probs):
+    """``family_payoffs`` as it summed before error-free extraction: one ``math.fsum`` per weight row."""
+    width, payoffs = joint.states.size, {}
+    for key, cols, reals, counts in _lattice(joint, family, np.asarray(probs, dtype=np.float64)):
+        absent, background = background_mass(joint, cols, len(reals), width)
+        mass = counts + background if background else counts
+        terms = _group_contributions(mass.reshape(-1, width), problem).reshape(mass.shape[:-1])
+        extra = _times(absent, _group_contributions(np.full((1, width), background), problem).item()) if absent else []
+        payoffs[key] = [math.fsum(row.tolist() + extra) / joint.total for row in terms]
+    return payoffs
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_family_payoffs_of_many_rows_equal_one_fsum_per_row(alpha):
+    # several weight rows per set, some sets read by some rows only, under a
+    # payoff matrix with negative entries and under the quadratic score
+    rng = np.random.default_rng(13)
+    data, brier = make_deepfake_dataset(n_rows=600, seed=11)
+    matrix = random_matrix_problem(rng, n_states=2, n_decisions=4)
+    joint = estimate_joint(data, alpha)
+    counts = rng.multinomial(data.n_rows, np.full(len(joint.keys), 1.0 / len(joint.keys)), size=5)
+    names = data.schema.names
+    family = {frozenset(): range(5), frozenset(names): range(5), frozenset(names[:2]): (0, 2, 4),
+              frozenset(names[1:4]): (1, 3), frozenset(names[2:3]): (0, 1, 2, 3, 4)}
+    for problem in (brier, matrix):
+        got = family_payoffs(joint, problem, family, counts)
+        want = _fsum_family_payoffs(joint, problem, family, counts)
+        assert {k: [x.hex() for x in v] for k, v in got.items()} == {k: [x.hex() for x in v] for k, v in want.items()}
