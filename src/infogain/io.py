@@ -47,11 +47,17 @@ from .shapley import ShapleyReport
 
 FORMAT_VERSION = 1
 MISSING_POLICIES = ("error", "drop")
-# CSV records load_dataset parses per block.  Small blocks measured fastest and
-# left the lowest peak RSS: on a 200k-row file, `gain --cross-fit` peaked 5 MiB
-# higher after loading in 2^14-row blocks than in 2^10-row blocks.
+# Records the csv path of load_dataset parses per block.  Small blocks measured
+# fastest and left the lowest peak RSS: on a 200k-row file, `gain --cross-fit`
+# peaked 5 MiB higher after loading in 2^14-row blocks than in 2^10-row blocks.
 BLOCK_ROWS = 1 << 10
-MISSING, BAD = -1, -2  # load_dataset cell codes: empty after stripping, not in the domain
+# Bytes load_dataset reads per chunk, before cutting the chunk after its last line
+# end.  Larger chunks load faster but leave more heap behind: on a 200k-row file,
+# 2^15-, 2^16- and 2^18-byte chunks loaded in 0.13, 0.10 and 0.083 s, and after a
+# 4k-row load `bootstrap` peaked at 40.0, 40.2 and 41.0 MiB (benchmark boot-4k).
+CHUNK_BYTES = 1 << 16
+# load_dataset cell codes: empty after stripping, not in the domain, holding a byte that is not UTF-8
+MISSING, BAD, UNDECODABLE = -1, -2, -3
 # Most points a decision or payoff grid may list.  Each point is an exact
 # Fraction, so a larger grid is refused before any point is built.
 GRID_POINT_LIMIT = 10_001
@@ -399,7 +405,7 @@ def _bin_domain(domain: tuple, bins: int) -> tuple[tuple, dict[int, int]]:
 
 
 class _CellCodes(dict):
-    """One column's map from a raw cell string to its domain index, ``MISSING`` or ``BAD``.
+    """One column's map from a raw cell string to its domain index or a negative code.
 
     Each distinct string is stripped and parsed once, on its first lookup.
     """
@@ -413,6 +419,8 @@ class _CellCodes(dict):
         cell = raw.strip()
         if cell == "":
             code = MISSING
+        elif not cell.isascii() and _undecodable(cell):
+            code = UNDECODABLE
         elif self.numeric:
             try:
                 code = self.index.get(Fraction(cell), BAD)
@@ -424,6 +432,225 @@ class _CellCodes(dict):
         return code
 
 
+def _undecodable(text: str) -> bool:
+    """Whether ``text`` holds a lone surrogate: the csv path's stand-in for a byte that is not UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def _line_chunks(fh):
+    """A binary file as (offset, bytes) chunks of about ``CHUNK_BYTES``, each cut after a ``\\n`` but the last."""
+    offset, rest = 0, b""
+    while data := fh.read(CHUNK_BYTES):
+        data = rest + data
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield offset, data[:cut]
+            offset += cut
+        rest = data[cut:]
+    if rest:
+        yield offset, rest
+
+
+def _line_ends(data: bytes) -> int:
+    """Line ends in ``data`` as the csv module counts them: ``\\n``, ``\\r\\n`` or a lone ``\\r``."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def _decode_error(path) -> ValidationError:
+    """The error naming the line and byte offset of the first byte of ``path`` that is not UTF-8."""
+    line = 1
+    with open(path, "rb") as fh:
+        for offset, chunk in _line_chunks(fh):
+            try:
+                chunk.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line += _line_ends(chunk[: exc.start])
+                return ValidationError(
+                    f"dataset line {line}, byte offset {offset + exc.start}: "
+                    f"byte 0x{chunk[exc.start]:02x} is not valid UTF-8 ({exc.reason})",
+                    path=f"line {line}",
+                )
+            line += _line_ends(chunk)
+    return ValidationError("dataset: not valid UTF-8", path="")  # the file changed while it was read
+
+
+class _Rows:
+    """The coded rows of one load: every block of either tokenizer passes ``add``."""
+
+    def __init__(self, wanted: list[str], col_pos: list[int], caches: list[_CellCodes], drop: bool):
+        self.wanted, self.col_pos, self.caches, self.drop = wanted, col_pos, caches, drop
+        # the smallest integer type that holds every domain index and the negative codes
+        self.dtype = np.min_scalar_type(-max(len(cache.index) for cache in caches))
+        self.blocks, self.dropped = [], 0
+
+    def add(self, codes: np.ndarray, first_line: int, cell) -> None:
+        """Keep the rows of ``codes`` whose every cell is in its domain; raise at the first fatal row.
+
+        The code in each row's first failing column (``wanted`` order) decides its fate:
+        under the drop policy a missing cell drops the row, any other failing cell is
+        fatal.  Row 0 is record ``first_line``; ``cell(i, j)`` is the raw text of row
+        i's cell in column ``wanted[j]``.
+        """
+        if codes.min(initial=0) >= 0:  # every cell in its domain
+            self.blocks.append(codes)
+            return
+        decisive = np.take_along_axis(codes, (codes < 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+        fatal = decisive == BAD if self.drop else decisive < 0
+        if fatal.any():
+            i = int(fatal.argmax())
+            lineno = first_line + i
+            j = int((codes[i] < 0).argmax())
+            if decisive[i] == MISSING:
+                raise ValidationError(
+                    f"dataset row {lineno}, column {self.wanted[j]!r}: missing value", path=f"row {lineno}"
+                )
+            raise ValidationError(
+                f"dataset row {lineno}, column {self.wanted[j]!r}: value {cell(i, j)!r} not in the declared domain",
+                path=f"row {lineno}",
+            )
+        keep = decisive >= 0
+        self.dropped += len(codes) - int(keep.sum())
+        self.blocks.append(codes[keep])
+
+
+_COMMA, _LF, _CR = ord(","), ord("\n"), ord("\r")
+_KEY_BYTES = 8
+_KEY_MASKS = np.array([(1 << 8 * k) - 1 for k in range(_KEY_BYTES + 1)], dtype=np.uint64)
+# The key of every wider cell; no narrower cell has it, as its bytes are non-zero up to its length.
+_WIDE_KEY = 1 << 8
+
+
+def _plain_rows(path, width: int, rows: _Rows) -> _Rows | None:
+    """``rows`` with the body of a plain CSV file tokenized from its bytes; None if it is not plain.
+
+    A plain file holds no ``"``, no NUL and no ``\\r`` but before a line end, decodes
+    as UTF-8, and has ``width`` cells on every line up to any trailing empty records.
+    Each chunk is split at its commas and line ends in one pass.  A cell's first
+    ``_KEY_BYTES`` bytes make its integer key (no cell holds a NUL, so the zero bytes
+    past its end give its length), and each distinct key of a column is decoded and
+    looked up once.  Wider cells are looked up one by one.
+    """
+    limit = csv.field_size_limit()
+    first_line, trailing = 2, False
+    with open(path, "rb") as fh:
+        for offset, chunk in _line_chunks(fh):
+            if b'"' in chunk or b"\0" in chunk:
+                return None
+            if not chunk.isascii():
+                try:
+                    chunk.decode("utf-8")
+                except UnicodeDecodeError:
+                    return None
+            if offset == 0:
+                header, _, chunk = chunk.partition(b"\n")
+                if b"\r" in header[:-1]:
+                    return None  # a lone \r ends the header record early
+            if trailing:
+                if chunk.strip(b"\r\n"):
+                    return None
+                continue
+            if not chunk:
+                continue
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"
+
+            padded = chunk + bytes(_KEY_BYTES - 1)
+            buf = np.frombuffer(padded, dtype=np.uint8, count=len(chunk))
+            seps = np.flatnonzero((buf == _COMMA) | (buf == _LF))
+            lf_at = np.flatnonzero(buf[seps] == _LF)  # the separator that ends each line
+            lf = seps[lf_at]
+            cr = buf[lf - 1] == _CR  # on a blank line, lf - 1 is the line end before it or the chunk's last byte
+            if np.count_nonzero(buf == _CR) != np.count_nonzero(cr):
+                return None  # a \r that does not end a line
+            starts, ends = np.concatenate(([0], lf[:-1] + 1)), lf - cr
+            wrong = (np.diff(lf_at, prepend=-1) != width) | (starts == ends)
+            n = len(lf)
+            if wrong.any():
+                n = int(wrong.argmax())
+                if starts[n] != ends[n] or chunk[starts[n]:].strip(b"\r\n"):
+                    return None  # a short, long or blank record: the csv path names it
+                trailing = True
+            cell_end = seps[: n * width].reshape(n, width)
+            cell_end[:, -1] = ends[:n]
+            cell_start = np.empty_like(cell_end)
+            cell_start[:, 0] = starts[:n]
+            cell_start[:, 1:] = cell_end[:, :-1] + 1
+            cell_len = cell_end - cell_start
+            if n and cell_len.max() > limit:
+                return None  # the csv path names a cell over the csv module's field limit
+
+            def texts(lines, pos):
+                """The text of the cells of ``lines`` in file column ``pos``."""
+                spans = zip(cell_start[lines, pos].tolist(), cell_end[lines, pos].tolist())
+                return [chunk[a:b].decode() for a, b in spans]
+
+            words = np.ndarray((len(chunk),), dtype="<u8", buffer=padded, strides=(1,))
+            keys = words.take(cell_start) & _KEY_MASKS.take(np.minimum(cell_len, _KEY_BYTES))
+            wide = cell_len > _KEY_BYTES
+            keys[wide] = _WIDE_KEY
+            codes = np.empty((n, len(rows.caches)), dtype=rows.dtype)
+            for j, (pos, cache) in enumerate(zip(rows.col_pos, rows.caches)):
+                distinct, inverse = np.unique(keys[:, pos], return_inverse=True)
+                last = np.empty(len(distinct), dtype=np.intp)  # a line holding each distinct key
+                last[inverse] = np.arange(n)
+                codes[:, j] = np.array([cache[t] for t in texts(last, pos)], dtype=rows.dtype)[inverse]
+                lines = np.flatnonzero(wide[:, pos])
+                codes[lines, j] = [cache[t] for t in texts(lines, pos)]
+            rows.add(codes, first_line, lambda i, j: texts([i], rows.col_pos[j])[0])
+            first_line += n
+    return rows
+
+
+def _csv_rows(reader, path, width: int, rows: _Rows) -> _Rows:
+    """``rows`` with the records of ``reader``, read in blocks of ``BLOCK_ROWS``."""
+    first_line = 2  # line number of the block's first record, counting records
+    while True:
+        records, pending = [], None
+        try:
+            records.extend(islice(reader, BLOCK_ROWS))
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            lineno = first_line + len(records)
+            pending = ValidationError(f"dataset row {lineno}: {exc}", path=f"row {lineno}")
+        # a pending error is raised once the records read before it are checked
+        if not records and pending is None:
+            return rows
+        # Records before the first one with the wrong cell count or a byte that is not
+        # UTF-8 are checked first.
+        lengths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
+        wrong = np.flatnonzero(lengths != width)
+        n = int(wrong[0]) if wrong.size else len(records)
+
+        codes = np.empty((n, len(rows.caches)), dtype=rows.dtype)
+        for j, (pos, cache) in enumerate(zip(rows.col_pos, rows.caches)):
+            column = map(itemgetter(pos), islice(records, n))
+            codes[:, j] = np.fromiter(map(cache.__getitem__, column), dtype=rows.dtype, count=n)
+        undecodable = (codes == UNDECODABLE).any(axis=1)
+        if undecodable.any():
+            n = int(undecodable.argmax())
+            codes = codes[:n]
+        rows.add(codes, first_line, lambda i, j: records[i][rows.col_pos[j]])
+
+        if n < len(records):
+            if _undecodable("".join(records[n])):
+                raise _decode_error(path)
+            if not any(records[n:]):
+                if pending is not None:
+                    raise pending
+                if not any(reader):
+                    return rows  # trailing empty records; an empty record before data fails below
+            lineno = first_line + n
+            raise ValidationError(
+                f"dataset row {lineno}: expected {width} cells, got {len(records[n])}", path=f"row {lineno}"
+            )
+        if pending is not None:
+            raise pending
+        first_line += len(records)
+
+
 def load_dataset(path, cfg: SchemaConfig) -> Dataset:
     """Load a CSV against the schema, mapping labels/values to domain indices.
 
@@ -432,9 +659,14 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
     With decision binning, numeric decision columns are re-domained to bin
     centers after exact matching.
 
-    Records are read in blocks of ``BLOCK_ROWS`` and mapped column by column
-    through per-column caches, so each distinct cell string is parsed once.
-    The first fatal record in file order raises, whatever block it is in.
+    The csv module reads and checks the header.  A plain file (see
+    ``_plain_rows``) is then tokenized from its bytes, in chunks of about
+    ``CHUNK_BYTES`` cut at line ends; every other file, and every file with a
+    short, long or blank record, goes through the csv module in blocks of
+    ``BLOCK_ROWS`` records.  Both map each distinct cell string of a column
+    through one cache, and give the same rows and the same errors.  The first
+    fatal record in file order raises, whatever block it is in; a byte that is
+    not UTF-8 raises naming its line and byte offset.
     """
     entries = list(cfg.schema.entries)
     wanted = [cfg.state_column] + [e.name for e in entries]
@@ -442,9 +674,7 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
         _CellCodes(e.domain, is_numeric_domain(e.domain)) for e in entries
     ]
 
-    blocks = []
-    dropped = 0
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -452,6 +682,8 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
             raise ValidationError("dataset: file has no header row", path="") from None
         except csv.Error as exc:
             raise ValidationError(f"dataset row 1: {exc}", path="row 1") from exc
+        if _undecodable("".join(header)):
+            raise _decode_error(path)
         header = [h.strip() for h in header]
         dupes = sorted({h for h in header if header.count(h) > 1})
         if dupes:
@@ -462,69 +694,16 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
         missing_cols = [c for c in wanted if c not in header]
         if missing_cols:
             raise ValidationError(f"dataset: missing column(s) {missing_cols}", path=",".join(missing_cols))
-        col_pos = [header.index(c) for c in wanted]
 
-        first_line = 2  # line number of the block's first record, counting records
-        while True:
-            records, pending = [], None
-            try:
-                records.extend(islice(reader, BLOCK_ROWS))
-            except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-                lineno = first_line + len(records)
-                pending = ValidationError(f"dataset row {lineno}: {exc}", path=f"row {lineno}")
-            except UnicodeDecodeError as exc:
-                pending = exc
-            # a pending error is raised once the records read before it are checked
-            if not records and pending is None:
-                break
-            # Records before the first one with the wrong cell count are checked first.
-            lengths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
-            wrong = np.flatnonzero(lengths != len(header))
-            n = int(wrong[0]) if wrong.size else len(records)
+        col_pos, drop = [header.index(c) for c in wanted], cfg.missing == "drop"
+        rows = _plain_rows(path, len(header), _Rows(wanted, col_pos, caches, drop)) or _csv_rows(
+            reader, path, len(header), _Rows(wanted, col_pos, caches, drop)
+        )
 
-            codes = np.empty((n, len(wanted)), dtype=np.int64)
-            for j, (pos, cache) in enumerate(zip(col_pos, caches)):
-                column = map(itemgetter(pos), islice(records, n))
-                codes[:, j] = np.fromiter(map(cache.__getitem__, column), dtype=np.int64, count=n)
-            # The code in each row's first failing column (`wanted` order) decides its fate.
-            decisive = np.take_along_axis(codes, (codes < 0).argmax(axis=1)[:, None], axis=1)[:, 0]
-            fatal = decisive == BAD if cfg.missing == "drop" else decisive < 0
-            if fatal.any():
-                i = int(fatal.argmax())
-                lineno = first_line + i
-                j = int((codes[i] < 0).argmax())
-                if decisive[i] == MISSING:
-                    raise ValidationError(
-                        f"dataset row {lineno}, column {wanted[j]!r}: missing value", path=f"row {lineno}"
-                    )
-                cell = records[i][col_pos[j]]
-                raise ValidationError(
-                    f"dataset row {lineno}, column {wanted[j]!r}: value {cell!r} not in the declared domain",
-                    path=f"row {lineno}",
-                )
-            keep = decisive >= 0
-            dropped += n - int(keep.sum())
-            blocks.append(codes[keep])
-
-            if n < len(records):
-                if not any(records[n:]):
-                    if pending is not None:
-                        raise pending
-                    if not any(reader):
-                        break  # trailing empty records; an empty record before data fails below
-                lineno = first_line + n
-                raise ValidationError(
-                    f"dataset row {lineno}: expected {len(header)} cells, got {len(records[n])}",
-                    path=f"row {lineno}",
-                )
-            if pending is not None:
-                raise pending
-            first_line += len(records)
-
-    if not sum(map(len, blocks)):
+    if not sum(map(len, rows.blocks)):
         raise ValidationError("dataset: no rows left after parsing", path="")
 
-    arr = np.concatenate(blocks)
+    arr = np.concatenate(rows.blocks, dtype=np.int64)
     schema = cfg.schema
     if cfg.decision_bins:
         new_decisions = []
@@ -544,7 +723,7 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
         schema=schema,
         rows=arr,
         state_name=cfg.state_column,
-        dropped_rows=dropped,
+        dropped_rows=rows.dropped,
     )
 
 

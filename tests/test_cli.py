@@ -205,6 +205,20 @@ def test_cell_over_the_csv_field_limit_is_located(xor_files, capsys, row):
     assert capsys.readouterr().err == f"error: dataset row {row}: field larger than field limit ({limit})\n"
 
 
+def test_byte_that_is_not_utf8_is_located_and_exits_1(tmp_path, capsys):
+    assert main(["synth", "--preset", "deepfake", "--rows", "4000", "--out-dir", str(tmp_path)]) == 0
+    data = tmp_path / "data.csv"
+    raw = bytearray(data.read_bytes())
+    at = sum(map(len, raw.splitlines(keepends=True)[:300])) + 8  # a byte of record 301, past the first 8 KiB
+    raw[at] = 0xFF
+    data.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["validate", "--schema", str(tmp_path / "schema.json"), "--data", str(data)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset line 301, byte offset {at}: byte 0xff is not valid UTF-8 (invalid start byte)\n"
+    )
+
+
 def test_gain_unknown_variable_lists_valid_names(xor_files, capsys):
     schema, data = xor_files
     code = main(["gain", "--schema", str(schema), "--data", str(data), "--v1", "nope", "--ground", "none"])

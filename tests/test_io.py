@@ -351,6 +351,27 @@ def _numbered_records(reader):
         lineno += 1
 
 
+def _first_bad_byte(path):
+    """The located error for the file's first byte that is not UTF-8, found in its whole bytes; None if none."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        return ValidationError(
+            f"dataset line {line}, byte offset {exc.start}: "
+            f"byte 0x{raw[exc.start]:02x} is not valid UTF-8 ({exc.reason})",
+            path=f"line {line}",
+        )
+    return None
+
+
+def _escaped(cells):
+    """Whether a record read with errors="surrogateescape" holds an escaped byte (U+DC80..U+DCFF)."""
+    return any("\udc80" <= ch <= "\udcff" for cell in cells for ch in cell)
+
+
 def _reference_load(path, cfg):
     """The per-row, per-cell loader that ``load_dataset`` replaced (reference oracle)."""
     entries = list(cfg.schema.entries)
@@ -362,7 +383,8 @@ def _reference_load(path, cfg):
 
     rows = []
     dropped = 0
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    bad_byte = _first_bad_byte(path)
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -370,6 +392,8 @@ def _reference_load(path, cfg):
             raise ValidationError("dataset: file has no header row", path="") from None
         except csv.Error as exc:
             raise ValidationError(f"dataset row 1: {exc}", path="row 1") from None
+        if _escaped(header):
+            raise bad_byte
         header = [h.strip() for h in header]
         dupes = sorted({h for h in header if header.count(h) > 1})
         if dupes:
@@ -384,6 +408,8 @@ def _reference_load(path, cfg):
 
         records = _numbered_records(reader)
         for lineno, record in records:
+            if _escaped(record):
+                raise bad_byte
             if not record and all(not rest for _, rest in records):
                 break
             if len(record) != len(header):
@@ -476,8 +502,22 @@ FUZZ_BAD = {
 }
 
 
+# Quote-free cells for the byte tokenizer, some wider than its 8-byte key.  The bad
+# "0.1000001" shares its first 8 bytes with the good "0.100000".
+PLAIN_GOOD = {
+    "state": ["0", "1", " 1 ", "         0"],
+    "x": ["a", " a", "a         "],
+    "d": ["0.1", "1/10", " 0.5 ", "1", "0", "1e-1", "3/5", "0.100000", "0.1000000000", "100000/1000000"],
+}
+PLAIN_BAD = {
+    "state": ["2", "", "  ", "1         x"],
+    "x": ["b", "z", "", "\u00e9", "\u00e9" * 6, "a       b"],
+    "d": ["0.505", "abc", "1/0", "", "nan", "0.1000001", "0.10000001"],
+}
+
+
 @st.composite
-def fuzz_csv(draw):
+def fuzz_csv(draw, good=FUZZ_GOOD, bad=FUZZ_BAD):
     """CSV text over the fuzz schema's columns; ``noise`` sets how often a cell or record is malformed."""
     header = draw(st.permutations(["state", "x", "d"]))
     noise = draw(st.integers(0, 3))
@@ -487,8 +527,7 @@ def fuzz_csv(draw):
         if kind == "blank":
             records.append("")
             continue
-        cells = [draw(st.sampled_from(FUZZ_BAD[c] if draw(st.integers(0, 9)) < noise else FUZZ_GOOD[c]))
-                 for c in header]
+        cells = [draw(st.sampled_from(bad[c] if draw(st.integers(0, 9)) < noise else good[c])) for c in header]
         if kind == "short":
             cells = cells[: draw(st.integers(1, 2))]
         elif kind == "long":
@@ -516,6 +555,30 @@ def test_block_loader_matches_per_row_reference(tmp_path_factory, text, missing,
     path = tmp / "d.csv"
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(infogain.io, "BLOCK_ROWS", block_rows):
+        _assert_loaders_agree(path, cfg)
+
+
+@st.composite
+def plain_fuzz_csv(draw):
+    """Quote-free CSV bytes over the fuzz schema's columns, with or without a byte-order mark."""
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + draw(fuzz_csv(PLAIN_GOOD, PLAIN_BAD))).encode("utf-8")
+
+
+@settings(max_examples=300)
+@given(
+    plain_fuzz_csv(),
+    st.sampled_from(["error", "drop"]),
+    st.sampled_from([None, 3]),
+    st.sampled_from([1, 2, 7, 40, infogain.io.CHUNK_BYTES]),
+)
+def test_byte_tokenizer_matches_per_row_reference(tmp_path_factory, data, missing, bins, chunk_bytes):
+    assert b'"' not in data
+    tmp = tmp_path_factory.mktemp("plain")
+    cfg = parse_schema_doc({**FUZZ_SCHEMA, "options": {"missing": missing, "decision_bins": bins}})
+    path = tmp / "d.csv"
+    path.write_bytes(data)
+    with mock.patch.object(infogain.io, "CHUNK_BYTES", chunk_bytes):
         _assert_loaders_agree(path, cfg)
 
 
@@ -580,6 +643,133 @@ def test_synthetic_deepfake_loads_like_the_reference(tmp_path):
     path = tmp_path / "d.csv"
     write_dataset(data, path)
     assert _assert_loaders_agree(path, cfg)[1] == data.rows.tolist()
+
+
+# --- the byte tokenizer and its hand-off to the csv path ---------------------
+
+
+def test_plain_file_is_read_from_its_bytes_alone(monkeypatch, tmp_path):
+    data, problem = make_deepfake_dataset(n_rows=4000, seed=101)
+    cfg = SchemaConfig(state_column=data.state_name, states=data.states, schema=data.schema, problem=problem)
+    path = tmp_path / "d.csv"
+    write_dataset(data, path)
+    monkeypatch.setattr(infogain.io, "CHUNK_BYTES", 4096)
+    monkeypatch.setattr(infogain.io, "_csv_rows", mock.Mock(side_effect=AssertionError("csv path taken")))
+    assert _assert_loaders_agree(path, cfg)[1] == data.rows.tolist()
+
+
+PLAIN_HEAD = b"state,x,d\n" + b"0,a,0.1\n1, a ,1/10\n" * 8  # 17 lines, 162 bytes
+# Each tail holds one thing the byte tokenizer leaves to the csv path, well past the
+# first 64-byte chunk, and the start of the outcome the csv path gives.  What it makes
+# of a NUL byte depends on the Python version.
+BAD_BYTE_18 = "dataset line 18, byte offset 164: byte 0xff is not valid UTF-8 (invalid start byte)"
+HAND_OFFS = {
+    "quote": (b'0,"a",0.1\n', ("ok",)),
+    "nul": (b"0,a\x00,0.1\n", ()),
+    "lone-cr": (b"0,a,0.1\r\r\n", ("ValidationError", "dataset row 19: expected 3 cells, got 0", "row 19")),
+    "not-utf8": (b"0,\xffa,0.1\n", ("ValidationError", BAD_BYTE_18, "line 18")),
+    "blank": (b"\n", ("ValidationError", "dataset row 18: expected 3 cells, got 0", "row 18")),
+    "short": (b"0,a\n", ("ValidationError", "dataset row 18: expected 3 cells, got 2", "row 18")),
+}
+
+
+@pytest.mark.parametrize("tail, expected", HAND_OFFS.values(), ids=HAND_OFFS)
+def test_csv_path_takes_over_after_the_first_chunk(monkeypatch, tmp_path, tail, expected):
+    monkeypatch.setattr(infogain.io, "CHUNK_BYTES", 64)
+    for name in ("_csv_rows", "_plain_rows"):
+        monkeypatch.setattr(infogain.io, name, mock.Mock(wraps=getattr(infogain.io, name)))
+    first_lines, add = [], infogain.io._Rows.add
+    monkeypatch.setattr(infogain.io._Rows, "add", lambda rows, codes, first_line, cell: (
+        first_lines.append(first_line), add(rows, codes, first_line, cell)))
+    path = tmp_path / "d.csv"
+    path.write_bytes(PLAIN_HEAD + tail + b"1,a,1\n")
+    outcome = _assert_loaders_agree(path, _fuzz_cfg())
+    assert infogain.io._plain_rows.call_count == infogain.io._csv_rows.call_count == 1
+    assert first_lines[0] == 2 and 2 in first_lines[1:]  # the byte path coded a chunk, then the csv path began again
+    assert outcome[: len(expected)] == expected
+
+
+def test_cells_sharing_their_first_key_bytes_keep_their_own_codes(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("state,x,d\n0,a,0.1000000\n1,a,0.100000\n0,a,0.50000000\n1,a,0.1000000000\n", encoding="utf-8")
+    assert _assert_loaders_agree(path, _fuzz_cfg())[1] == [[0, 0, 1], [1, 0, 1], [0, 0, 5], [1, 0, 1]]
+    path.write_text("state,x,d\n0,a,0.100000\n1,a,0.1000001\n", encoding="utf-8")
+    assert _assert_loaders_agree(path, _fuzz_cfg())[1] == (
+        "dataset row 3, column 'd': value '0.1000001' not in the declared domain"
+    )
+
+
+def test_lone_cr_in_the_header_line_is_a_line_end(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"state,x,d\r0,a,0.1\n1,a,1\n")
+    assert _assert_loaders_agree(path, _fuzz_cfg())[1] == [[0, 0, 1], [1, 0, 10]]
+
+
+@pytest.mark.parametrize("chunk_bytes", [3, infogain.io.CHUNK_BYTES])
+@pytest.mark.parametrize("text, outcome", [
+    ("state\n0\n1\n\n\r\n", [[0], [1]]),
+    ("state\n0\n\n1\n", "dataset row 3: expected 1 cells, got 0"),
+    ("state\r\n0\r\n \r\n1\r\n", "dataset row 3, column 'state': missing value"),
+])
+def test_blank_records_of_a_one_column_file(monkeypatch, tmp_path, chunk_bytes, text, outcome):
+    # a blank line holds one separator, like a one-cell record: only its length tells them apart
+    monkeypatch.setattr(infogain.io, "CHUNK_BYTES", chunk_bytes)
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    cfg = parse_schema_doc({**MINIMAL_SCHEMA, "signals": []})
+    assert _assert_loaders_agree(path, cfg)[1] == outcome
+
+
+def _load_error(path, cfg=None):
+    with pytest.raises(ValidationError) as err:
+        load_dataset(path, cfg or _fuzz_cfg())
+    return str(err.value), err.value.path
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("data, line, offset, detail", [
+    (b"state,x,d\r\n0,a,0.1\r\n1,\xffa,1\r\n", 3, 22, "byte 0xff is not valid UTF-8 (invalid start byte)"),
+    (b"\xef\xbb\xbfstate,x,d\n1,a,\xe9\n", 2, 17, "byte 0xe9 is not valid UTF-8 (invalid continuation byte)"),
+    (b"st\xc0ate,x,d\n1,a,1\n", 1, 2, "byte 0xc0 is not valid UTF-8 (invalid start byte)"),
+])
+def test_byte_that_is_not_utf8_names_its_line_and_offset(tmp_path, quoted, data, line, offset, detail):
+    # a quoted record after the bad byte sends the file down the csv path; the message is the same
+    path = tmp_path / "d.csv"
+    path.write_bytes(data + (b'"0",a,1\n' if quoted else b""))
+    assert _load_error(path) == (f"dataset line {line}, byte offset {offset}: {detail}", f"line {line}")
+    _assert_loaders_agree(path, _fuzz_cfg())
+
+
+def test_truncated_character_at_the_end_of_the_file_is_located(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"state,x,d\n1,a,1\xe2\x82")
+    assert _load_error(path) == (
+        "dataset line 2, byte offset 15: byte 0xe2 is not valid UTF-8 (unexpected end of data)", "line 2"
+    )
+
+
+@pytest.mark.parametrize("first", [b"0", b'"0"'])
+def test_fatal_record_before_a_bad_byte_is_reported_first(tmp_path, first):
+    # both records lie in the first 8 KiB that a text reader decodes at once
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"state,x,d\n" + first + b",a,0.1\n0,z,0.1\n1,\xff,1\n")
+    assert _load_error(path) == ("dataset row 3, column 'x': value 'z' not in the declared domain", "row 3")
+    data = b"state,x,d\n" + first + b",a,0.1\n1,\xff,1\n0,z,0.1\n"
+    path.write_bytes(data)
+    assert _load_error(path) == (
+        f"dataset line 3, byte offset {data.index(0xFF)}: byte 0xff is not valid UTF-8 (invalid start byte)", "line 3"
+    )
+
+
+def test_bad_byte_line_counts_the_lines_of_a_quoted_cell(tmp_path):
+    # the dropped record 3 spans lines 3-4, so record 4 starts on line 5
+    path = tmp_path / "d.csv"
+    path.write_bytes(b'state,x,d\n0,a,0.1\n,"a\nb",0.1\n1,a,\xff\n')
+    cfg = _fuzz_cfg(missing="drop")
+    assert _load_error(path, cfg) == (
+        "dataset line 5, byte offset 33: byte 0xff is not valid UTF-8 (invalid start byte)", "line 5"
+    )
+    _assert_loaders_agree(path, cfg)
 
 
 # --- column-wise writer ------------------------------------------------------
