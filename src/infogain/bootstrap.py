@@ -37,7 +37,7 @@ distribution.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ValidationError
 from .joint import Dataset, JointDistribution, encode, estimate_joint
 from .model import DecisionProblem
-from .rational import family_payoffs, gain_sets, gain_value
+from .rational import clamp_gain, family_payoffs, gain_sets
 from .shapley import check_permutations, coalition_sets, exact_values, exact_weights, resolve_signals, sampled_values
 # shapley_exact is unused here; the benchmark tracer still wraps the site infogain.bootstrap:shapley_exact
 from .shapley import sampled_walk, shapley_exact
@@ -202,8 +202,7 @@ def _plan(joint: JointDistribution, spec: BootstrapSpec) -> list[_Reads | _Sampl
         if isinstance(stat, GainStat):
             joint.columns(stat.v1, allow_state=False)
             column = dict(name=stat.name, kind="gain", signal=None, v1=stat.v1, ground=stat.ground, ground_role=role)
-            plan.append(_Reads(gain_sets(stat.v1, stat.ground),
-                               lambda payoffs, s=stat: [gain_value(lambda _: payoffs, s.v1, s.ground).value],
+            plan.append(_Reads(gain_sets(stat.v1, stat.ground), lambda payoffs: [clamp_gain(payoffs[0] - payoffs[1])],
                                (column,)))
             continue
         players = resolve_signals(joint, stat.signals)
@@ -237,21 +236,17 @@ def _block_values(
     """Statistics of the replicates in ``block``, from one payoff table.
 
     ``joint`` is the dataset's joint and ``row_key`` maps each dataset row to
-    its tuple.  A tuple that no replicate of the block draws is a background
-    cell of each of them, so the block's tables cover only the drawn tuples,
-    weighted by each replicate's count rows.
+    its tuple; each replicate is a count row over all of the joint's tuples.
     """
-    counts = np.array([np.bincount(row_key[_draw(data, spec.seed, b)], minlength=len(joint.keys)) for b in block])
-    support = counts.any(axis=0)
-    counts = counts[:, support].astype(np.float64)
-    block_joint = replace(joint, keys=joint.keys[support], probs=counts[0])
+    counts = np.array([np.bincount(row_key[_draw(data, spec.seed, b)], minlength=len(joint.keys)) for b in block],
+                      dtype=np.float64)
     reads = [[stat.reads(spec.seed, b) for stat in plan] for b in block]
     family: dict[frozenset, list[int]] = {}  # variable set -> the block rows that read its payoff
     for r, replicate in enumerate(reads):
         for key in {key for stat in replicate for key in stat.sets}:
             family.setdefault(key, []).append(r)
     payoffs: list[dict[frozenset, float]] = [{} for _ in block]
-    for key, values in family_payoffs(block_joint, problem, family, counts).items():
+    for key, values in family_payoffs(joint, problem, family, counts).items():
         for r, value in zip(family[key], values):
             payoffs[r][key] = value
     return [_replicate_values(row, replicate) for row, replicate in zip(payoffs, reads)]

@@ -49,9 +49,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 
-IO_ERRORS = (OSError, UnicodeDecodeError)
-
-
 def _write_manifest(args, input_hashes: dict, out_path) -> None:
     """Write ``<out_path>.manifest.json``: subcommand, flags and input hashes, enough to replay the run."""
     doc = {
@@ -158,6 +155,10 @@ def cmd_shapley(args) -> int:
 
 def _bootstrap_spec(args, schema: SignalSchema) -> BootstrapSpec:
     if args.spec:
+        for flag, given in (("--gain", args.gain), ("--shapley", args.shapley)):
+            if given:
+                raise ValidationError(f"{flag}: cannot be combined with --spec; list the statistic in the spec",
+                                      path=flag)
         doc = read_json(args.spec, "bootstrap spec")
         return parse_spec_doc(doc, schema, replicates=args.replicates, seed=args.seed)
     stats: list = []
@@ -335,7 +336,7 @@ def main(argv=None) -> int:
             if isinstance(value, list) and (not value or [] in value):
                 raise ValidationError(f"--{key.replace('_', '-')}: must not be '--'", path=key)
         return args.func(args)
-    except IO_ERRORS as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except InfoGainError as exc:

@@ -6,9 +6,11 @@ inference would guess wrong.  Dataset cells are mapped to declared domain
 values by exact match only; in particular numeric decision values must hit a
 declared grid point exactly (no rounding).
 
-Result documents are versioned JSON with stable key ordering, full float
-precision, and provenance (input hashes, seed, smoothing, mode flags), so
-identical runs produce byte-identical files.
+Result documents are the fields of the result dataclasses as versioned JSON
+with stable key ordering, full float precision, and provenance (input
+hashes, seed, smoothing, mode flags), so identical runs produce
+byte-identical files, and a field added to a result dataclass changes the
+format.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
@@ -26,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .bootstrap import QUANTILE_LEVELS, BootstrapResult, BootstrapSpec, GainStat, ShapleyStat, StatResult, set_label
+from .bootstrap import QUANTILE_LEVELS, BootstrapResult, BootstrapSpec, GainStat, ShapleyStat, StatResult
 from .errors import ValidationError
 from .joint import Dataset
 from .model import (
@@ -87,16 +89,6 @@ class Provenance:
     tool_version: str | None = None
     flags: dict = field(default_factory=dict)
 
-    def to_doc(self) -> dict:
-        return {
-            "schema_sha256": self.schema_sha256,
-            "data_sha256": self.data_sha256,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "tool_version": self.tool_version,
-            "flags": dict(sorted(self.flags.items())),
-        }
-
 
 def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -128,11 +120,10 @@ def domain_value_str(value) -> str:
 
 
 def read_json(path, what: str):
-    """The JSON document at ``path``; invalid JSON raises ValidationError naming ``what``."""
-    text = Path(path).read_text(encoding="utf-8")
+    """The JSON document at ``path``; a file that is not UTF-8 JSON raises ValidationError naming ``what``."""
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{what}: not valid JSON ({exc})", path="") from None
 
 
@@ -392,28 +383,24 @@ def write_schema(cfg: SchemaConfig, path) -> None:
     Path(path).write_text(json.dumps(schema_to_doc(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _bin_domain(domain: tuple, bins: int) -> tuple[tuple, dict[int, int]]:
-    """Equal-width bins over a numeric domain: (bin-center domain, index map)."""
+def _bin_domain(domain: tuple, bins: int) -> tuple[tuple, tuple[int, ...]]:
+    """Equal-width bins over a numeric domain: (bin-center domain, the bin of each point)."""
     lo, hi = domain[0], domain[-1]
     width = (hi - lo) / bins
     centers = tuple(lo + width * Fraction(2 * k + 1, 2) for k in range(bins))
-    mapping = {}
-    for i, v in enumerate(domain):
-        k = int((v - lo) / width) if width > 0 else 0
-        mapping[i] = min(k, bins - 1)
-    return centers, mapping
+    return centers, tuple(min(int((v - lo) / width), bins - 1) if width > 0 else 0 for v in domain)
 
 
 class _CellCodes(dict):
-    """One column's map from a raw cell string to its domain index or a negative code.
+    """One column's map from a raw cell string to its domain index (or its bin's) or a negative code.
 
     Each distinct string is stripped and parsed once, on its first lookup.
     """
 
-    def __init__(self, domain: tuple, numeric: bool):
+    def __init__(self, domain: tuple, numeric: bool, bins: tuple[int, ...] | None = None):
         super().__init__()
         self.numeric = numeric
-        self.index = {v if numeric else str(v): i for i, v in enumerate(domain)}
+        self.index = dict(zip(domain if numeric else map(str, domain), bins or range(len(domain))))
 
     def __missing__(self, raw: str) -> int:
         cell = raw.strip()
@@ -605,17 +592,30 @@ def _plain_rows(path, width: int, rows: _Rows) -> _Rows | None:
     return rows
 
 
+def _records(reader):
+    """The records of a csv reader, the header (row 1) first; a reader error, e.g. a cell longer than
+    ``csv.field_size_limit()``, raises a ValidationError naming the row it stopped at."""
+    lineno = 1
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValidationError(f"dataset row {lineno}: {exc}", path=f"row {lineno}") from None
+        yield record
+        lineno += 1
+
+
 def _csv_rows(reader, path, width: int, rows: _Rows) -> _Rows:
-    """``rows`` with the records of ``reader``, read in blocks of ``BLOCK_ROWS``."""
+    """``rows`` with the records of ``reader`` (see ``_records``), read in blocks of ``BLOCK_ROWS``."""
     first_line = 2  # line number of the block's first record, counting records
     while True:
         records, pending = [], None
         try:
             records.extend(islice(reader, BLOCK_ROWS))
-        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-            lineno = first_line + len(records)
-            pending = ValidationError(f"dataset row {lineno}: {exc}", path=f"row {lineno}")
-        # a pending error is raised once the records read before it are checked
+        except ValidationError as exc:  # raised once the records read before it are checked
+            pending = exc
         if not records and pending is None:
             return rows
         # Records before the first one with the wrong cell count or a byte that is not
@@ -657,7 +657,7 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
     Numeric decision cells parse as exact rationals and must equal a declared
     grid point.  Missing cells ("" after stripping) follow the schema's policy.
     With decision binning, numeric decision columns are re-domained to bin
-    centers after exact matching.
+    centers, and each grid point's cell codes to its bin.
 
     The csv module reads and checks the header.  A plain file (see
     ``_plain_rows``) is then tokenized from its bytes, in chunks of about
@@ -668,20 +668,26 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
     fatal record in file order raises, whatever block it is in; a byte that is
     not UTF-8 raises naming its line and byte offset.
     """
+    schema, bins = cfg.schema, {}
+    if cfg.decision_bins:
+        decisions = []
+        for dec in cfg.schema.decisions:
+            if is_numeric_domain(dec.domain):
+                centers, bins[dec.name] = _bin_domain(dec.domain, cfg.decision_bins)
+                dec = DecisionColumn(dec.name, dec.role, centers)
+            decisions.append(dec)
+        schema = SignalSchema(signals=cfg.schema.signals, decisions=tuple(decisions))
     entries = list(cfg.schema.entries)
     wanted = [cfg.state_column] + [e.name for e in entries]
     caches = [_CellCodes(cfg.states.labels, False)] + [
-        _CellCodes(e.domain, is_numeric_domain(e.domain)) for e in entries
+        _CellCodes(e.domain, is_numeric_domain(e.domain), bins.get(e.name)) for e in entries
     ]
 
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("dataset: file has no header row", path="") from None
-        except csv.Error as exc:
-            raise ValidationError(f"dataset row 1: {exc}", path="row 1") from exc
+        reader = _records(csv.reader(fh))
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError("dataset: file has no header row", path="")
         if _undecodable("".join(header)):
             raise _decode_error(path)
         header = [h.strip() for h in header]
@@ -703,25 +709,10 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
     if not sum(map(len, rows.blocks)):
         raise ValidationError("dataset: no rows left after parsing", path="")
 
-    arr = np.concatenate(rows.blocks, dtype=np.int64)
-    schema = cfg.schema
-    if cfg.decision_bins:
-        new_decisions = []
-        for j, dec in enumerate(cfg.schema.decisions):
-            if not is_numeric_domain(dec.domain):
-                new_decisions.append(dec)
-                continue
-            centers, mapping = _bin_domain(dec.domain, cfg.decision_bins)
-            col = 1 + len(cfg.schema.signals) + j
-            remap = np.array([mapping[i] for i in range(len(dec.domain))], dtype=np.int64)
-            arr[:, col] = remap[arr[:, col]]
-            new_decisions.append(DecisionColumn(dec.name, dec.role, centers))
-        schema = SignalSchema(signals=cfg.schema.signals, decisions=tuple(new_decisions))
-
     return Dataset(
         states=cfg.states,
         schema=schema,
-        rows=arr,
+        rows=np.concatenate(rows.blocks, dtype=np.int64),
         state_name=cfg.state_column,
         dropped_rows=rows.dropped,
     )
@@ -742,73 +733,20 @@ def write_dataset(data: Dataset, path) -> None:
 # --- result documents -------------------------------------------------------
 
 
-def _gain_doc(g: GainValue) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "gain",
-        "value": g.value,
-        "raw": g.raw,
-        "v1": list(g.v1),
-        "ground": list(g.ground),
-    }
-
-
-def _shapley_doc(r: ShapleyReport) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "shapley",
-        "signals": list(r.signals),
-        "values": {s: v for s, v in zip(r.signals, r.values)},
-        "ground": list(r.ground),
-        "method": r.method,
-        "total_gain": r.total_gain,
-        "permutations": r.permutations,
-        "seed": r.seed,
-        "standard_errors": (
-            {s: e for s, e in zip(r.signals, r.standard_errors)} if r.standard_errors is not None else None
-        ),
-        "label": r.label,
-    }
-
-
-def _bootstrap_doc(r: BootstrapResult) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "bootstrap",
-        "replicates": r.replicates,
-        "seed": r.seed,
-        "alpha": r.alpha,
-        "statistics": [
-            {
-                "name": s.name,
-                "kind": s.kind,
-                "signal": s.signal,
-                "v1": list(s.v1) if s.v1 is not None else None,
-                "ground": list(s.ground),
-                "ground_role": s.ground_role,
-                "mean": s.mean,
-                "sd": s.sd,
-                "quantiles": s.quantiles,
-                "samples": list(s.samples),
-            }
-            for s in r.statistics
-        ],
-    }
-
-
 Result = Union[GainValue, ShapleyReport, BootstrapResult]
+_RESULT_KINDS = {GainValue: "gain", ShapleyReport: "shapley", BootstrapResult: "bootstrap"}
 
 
 def result_doc(obj: Result, provenance: Provenance | None = None) -> dict:
-    if isinstance(obj, GainValue):
-        doc = _gain_doc(obj)
-    elif isinstance(obj, ShapleyReport):
-        doc = _shapley_doc(obj)
-    elif isinstance(obj, BootstrapResult):
-        doc = _bootstrap_doc(obj)
-    else:
+    """The fields of ``obj`` and of ``provenance``, with a Shapley report's per-signal values keyed by signal."""
+    if type(obj) not in _RESULT_KINDS:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    doc["provenance"] = provenance.to_doc() if provenance else None
+    doc = {"format_version": FORMAT_VERSION, "kind": _RESULT_KINDS[type(obj)], **asdict(obj),
+           "provenance": asdict(provenance) if provenance else None}
+    if isinstance(obj, ShapleyReport):
+        for key in ("values", "standard_errors"):
+            if doc[key] is not None:
+                doc[key] = dict(zip(obj.signals, doc[key]))
     return doc
 
 
@@ -817,12 +755,12 @@ def _result_csv_rows(obj: Result) -> list[list]:
               "q2.5", "q25", "q50", "q75", "q97.5"]
     rows: list[list] = [header]
     if isinstance(obj, GainValue):
-        rows.append([f"gain({set_label(obj.v1)};{set_label(obj.ground)})", "gain", "",
+        rows.append([GainStat(obj.v1, obj.ground).name, "gain", "",
                      ",".join(obj.v1), ",".join(obj.ground), "", repr(obj.value), "", "", "", "", "", ""])
     elif isinstance(obj, ShapleyReport):
+        name = ShapleyStat(obj.ground).name
         for s, v in zip(obj.signals, obj.values):
-            rows.append([f"shapley(ground={set_label(obj.ground)}).{s}", "shapley", s, "",
-                         ",".join(obj.ground), "", repr(v), "", "", "", "", "", ""])
+            rows.append([f"{name}.{s}", "shapley", s, "", ",".join(obj.ground), "", repr(v), "", "", "", "", "", ""])
     elif isinstance(obj, BootstrapResult):
         for s in obj.statistics:
             rows.append([

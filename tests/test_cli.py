@@ -372,6 +372,22 @@ def test_bootstrap_spec_file(xor_files, tmp_path, capsys):
     assert len(doc["statistics"]) == 1 + 2
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--gain", "s1:none"], "--gain"),
+    (["--shapley", "none"], "--shapley"),
+    (["--shapley", "none", "--gain", "s1:none"], "--gain"),
+])
+def test_bootstrap_spec_file_refuses_statistic_flags(xor_files, tmp_path, capsys, flags, named):
+    schema, data = xor_files
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"statistics": [{"kind": "gain", "v1": ["s1"]}]}), encoding="utf-8")
+    boot = tmp_path / "b.json"
+    assert main(["bootstrap", "--schema", str(schema), "--data", str(data), "--replicates", "2",
+                 "--spec", str(spec_path), *flags, "--out", str(boot)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named}: cannot be combined with --spec")
+    assert not boot.exists()
+
+
 def test_report_mixed_schemas_exit_1(tmp_path, capsys):
     def run_boot(signals, out):
         schema = {

@@ -318,11 +318,12 @@ def test_mutated_schema_fails_with_a_located_message(files, case):
     (["bootstrap", "--schema", "{schema}", "--data", "{data}", "--spec", "{bad}", "--out", "{out}"], "bootstrap spec"),
     (["report", "--results", "{bad}", "--out", "{out}"], "results {bad}"),
 ])
-@pytest.mark.parametrize("text", ["{not json", "[" * 100_000], ids=["malformed", "nested too deep"])
+@pytest.mark.parametrize("text", [b"{not json", b"[" * 100_000, b'{"state": "\xff"}'],
+                         ids=["malformed", "nested too deep", "not UTF-8"])
 def test_invalid_json_names_its_document(files, argv, what, text):
     names = {"bad": files / "bad.json", "schema": files / "schema.json", "data": files / "data.csv",
              "out": files / "unused.out"}
-    names["bad"].write_text(text, encoding="utf-8")
+    names["bad"].write_bytes(text)
     code, err = _run([a.format(**names) for a in argv])
     assert code == 1 and err.startswith(f"error: {what.format(**names)}: not valid JSON ("), err
 

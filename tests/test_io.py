@@ -30,7 +30,7 @@ from infogain.joint import Dataset
 from infogain.model import BasicSignal, DecisionColumn, SignalSchema, StateSpace, is_numeric_domain
 from infogain.rational import GainValue, information_gain
 from infogain.joint import estimate_joint
-from infogain.shapley import shapley_exact
+from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import make_deepfake_dataset, generate_dataset
 
 MINIMAL_SCHEMA = {
@@ -280,6 +280,46 @@ def test_result_writes_are_byte_identical(tmp_path, xor_joint, brier):
     write_results(report, p1, provenance=prov)
     write_results(report, p2, provenance=prov)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Format 1 of each result document: its top-level keys, and the keys of its parts.
+RESULT_KEYS = {
+    "gain": {"format_version", "kind", "provenance", "value", "raw", "v1", "ground"},
+    "shapley": {"format_version", "kind", "provenance", "signals", "values", "ground", "method", "total_gain",
+                "permutations", "seed", "standard_errors", "label"},
+    "bootstrap": {"format_version", "kind", "provenance", "replicates", "seed", "alpha", "statistics"},
+}
+STATISTIC_KEYS = {"name", "kind", "signal", "v1", "ground", "ground_role", "mean", "sd", "quantiles", "samples"}
+PROVENANCE_KEYS = {"schema_sha256", "data_sha256", "seed", "alpha", "tool_version", "flags"}
+
+
+def test_result_documents_hold_exactly_the_keys_of_format_1(tmp_path, xor_joint, brier):
+    data = generate_dataset(xor_joint, brier, n_rows=50, seed=0)
+    results = {
+        "gain": information_gain(xor_joint, brier, ["s1", "s2"]),
+        "exact shapley": shapley_exact(xor_joint, brier),
+        "sampled shapley": shapley_sampled(xor_joint, brier, permutations=5, seed=2),
+        "bootstrap": bootstrap_run(data, brier, BootstrapSpec(replicates=3, statistics=(GainStat(v1=("s1",)),))),
+    }
+    prov = Provenance(schema_sha256="a", data_sha256="b", seed=1, alpha=0.0, tool_version="x", flags={"f": 1})
+    for what, result in results.items():
+        path = tmp_path / "r.json"
+        write_results(result, path, provenance=prov)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["format_version"] == 1, what
+        assert set(doc) == RESULT_KEYS[doc["kind"]], what
+        assert set(doc["provenance"]) == PROVENANCE_KEYS and doc["provenance"]["flags"] == {"f": 1}, what
+    assert doc["kind"] == "bootstrap" and [set(s) for s in doc["statistics"]] == [STATISTIC_KEYS]
+    assert set(doc["statistics"][0]["quantiles"]) == {"2.5", "25", "50", "75", "97.5"}
+
+    sampled = results["sampled shapley"]
+    write_results(sampled, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["provenance"] is None
+    assert doc["values"] == dict(zip(sampled.signals, sampled.values))
+    assert doc["standard_errors"] == dict(zip(sampled.signals, sampled.standard_errors))
+    write_results(results["exact shapley"], path)
+    assert json.loads(path.read_text(encoding="utf-8"))["standard_errors"] is None
 
 
 def test_shapley_csv_has_one_row_per_signal(tmp_path):
@@ -634,6 +674,19 @@ def test_reader_error_is_raised_after_the_records_before_it(tmp_path, bad_first)
     else:
         limit = csv.field_size_limit()
         assert outcome[1:] == (f"dataset row 4: field larger than field limit ({limit})", "row 4")
+
+
+@pytest.mark.parametrize("block_rows, records", [(2, ["0,a,0.1"]), (infogain.io.BLOCK_ROWS, ['"0",a,0.1'] * 1023)])
+def test_reader_error_after_an_empty_record_that_ends_a_block(monkeypatch, tmp_path, block_rows, records):
+    # After an empty record, the loader reads on to see whether only empty records follow.
+    monkeypatch.setattr(infogain.io, "BLOCK_ROWS", block_rows)
+    path = tmp_path / "d.csv"
+    limit = csv.field_size_limit()
+    path.write_text("state,x,d\n" + "".join(r + "\n" for r in records) + f"\n0,{'a' * (limit + 1)},1\n",
+                    encoding="utf-8")
+    row = len(records) + 3
+    outcome = _assert_loaders_agree(path, _fuzz_cfg())
+    assert outcome[1:] == (f"dataset row {row}: field larger than field limit ({limit})", f"row {row}")
 
 
 def test_synthetic_deepfake_loads_like_the_reference(tmp_path):
