@@ -54,9 +54,10 @@ MISSING_POLICIES = ("error", "drop")
 # peaked 5 MiB higher after loading in 2^14-row blocks than in 2^10-row blocks.
 BLOCK_ROWS = 1 << 10
 # Bytes load_dataset reads per chunk, before cutting the chunk after its last line
-# end.  Larger chunks load faster but leave more heap behind: on a 200k-row file,
-# 2^15-, 2^16- and 2^18-byte chunks loaded in 0.13, 0.10 and 0.083 s, and after a
-# 4k-row load `bootstrap` peaked at 40.0, 40.2 and 41.0 MiB (benchmark boot-4k).
+# end.  A chunk's temporaries set the heap's high-water mark, and past 2^15 bytes
+# larger chunks load no faster in a fresh process: on a 200k-row file, 2^14- to
+# 2^18-byte chunks loaded in 151, 120, 122, 115 and 128 ms (medians of 10 fresh
+# processes, 2 vCPUs) and left peaks of 56.0, 56.2, 56.7, 60.3 and 59.5 MiB.
 CHUNK_BYTES = 1 << 16
 # load_dataset cell codes: empty after stripping, not in the domain, holding a byte that is not UTF-8
 MISSING, BAD, UNDECODABLE = -1, -2, -3
@@ -91,7 +92,12 @@ class Provenance:
 
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The SHA-256 of the file at ``path``, read 1 MiB at a time rather than whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def fraction_to_str(value: Fraction) -> str:
@@ -120,9 +126,10 @@ def domain_value_str(value) -> str:
 
 
 def read_json(path, what: str):
-    """The JSON document at ``path``; a file that is not UTF-8 JSON raises ValidationError naming ``what``."""
+    """The JSON document at ``path``, after any leading UTF-8 byte-order mark (as in a dataset);
+    a file that is not UTF-8 JSON raises ValidationError naming ``what``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{what}: not valid JSON ({exc})", path="") from None
 
@@ -506,9 +513,94 @@ class _Rows:
 
 _COMMA, _LF, _CR = ord(","), ord("\n"), ord("\r")
 _KEY_BYTES = 8
-_KEY_MASKS = np.array([(1 << 8 * k) - 1 for k in range(_KEY_BYTES + 1)], dtype=np.uint64)
-# The key of every wider cell; no narrower cell has it, as its bytes are non-zero up to its length.
-_WIDE_KEY = 1 << 8
+# Indexed by a cell's length plus one, the mask of its key bytes; the last serves every wider cell too.
+_KEY_MASKS = np.array([0] + [(1 << 8 * k) - 1 for k in range(_KEY_BYTES + 1)], dtype=np.uint64)
+# The key of every wider cell, and a key no cell has: no narrower cell has either, as its
+# bytes are non-zero up to its length.
+_WIDE_KEY, _NO_KEY = 1 << 8, 1 << 9
+# Multiply-shift hashing: a key's first slot in a table of 2^b is the top b bits of key * _HASH mod 2^64.
+_HASH = 0x9E3779B97F4A7C15
+
+
+class _KeyTable:
+    """The codes of the cell keys of every wanted column, for a whole load.
+
+    Each column has its own region of an open-addressing hash table with linear
+    probing, at most a quarter full.  A key a column's region does not hold is
+    decoded once and coded by the column's ``_CellCodes``; the key of the wide cells
+    maps to 0 (their codes are looked up one by one).  A region holds its keys in
+    the order they were first seen, the commonest of a chunk first, so the keys
+    seen most often sit in their first slot.
+    """
+
+    def __init__(self, caches: list[_CellCodes], dtype):
+        self.caches, self.dtype = caches, dtype
+        self.entries: list[list[tuple[int, int]]] = [[] for _ in caches]  # (key, code) per column
+        self.bits = [4] * len(caches)
+        self._build()
+
+    def _build(self) -> None:
+        """Lay out a region of 2^bits[j] slots per column j and put its entries in."""
+        sizes = [1 << b for b in self.bits]
+        self.offsets = np.cumsum([0] + sizes[:-1])
+        self.masks = np.array(sizes) - 1
+        self.shifts = np.array([64 - b for b in self.bits], dtype=np.uint64)[:, None]
+        self.keys = np.full(sum(sizes), _NO_KEY, dtype=np.uint64)
+        self.codes = np.zeros(sum(sizes), dtype=self.dtype)
+        for j, entries in enumerate(self.entries):
+            self._put(j, entries)
+
+    def _put(self, j: int, entries: list[tuple[int, int]]) -> None:
+        offset, mask, shift = int(self.offsets[j]), int(self.masks[j]), 64 - self.bits[j]
+        for key, code in entries:
+            slot = (key * _HASH & 0xFFFFFFFFFFFFFFFF) >> shift
+            while self.keys[offset + slot] != _NO_KEY:
+                slot = (slot + 1) & mask
+            self.keys[offset + slot], self.codes[offset + slot] = key, code
+
+    def _add(self, j: int, entries: list[tuple[int, int]]) -> None:
+        self.entries[j] += entries
+        if 4 * len(self.entries[j]) <= 1 << self.bits[j]:
+            self._put(j, entries)
+            return
+        while 4 * len(self.entries[j]) > 1 << self.bits[j]:
+            self.bits[j] += 1
+        self._build()
+
+    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slot of each key of ``keys`` (columns, lines), and the flat indices of the
+        keys their column's region does not hold (their slot is a free one)."""
+        slots = keys * np.uint64(_HASH)
+        slots >>= self.shifts
+        slots = slots.view(np.intp)
+        slots += self.offsets[:, None]
+        flat, values = slots.reshape(-1), keys.reshape(-1)
+        todo = np.flatnonzero(self.keys.take(flat) != values)  # not in their first slot
+        if not todo.size:
+            return slots, todo
+        columns = todo // keys.shape[1]
+        start, mask, value = self.offsets.take(columns), self.masks.take(columns), values.take(todo)
+        probe = flat.take(todo)
+        held = self.keys.take(probe)
+        while (on := (held != value) & (held != _NO_KEY)).any():
+            probe = np.where(on, start + ((probe - start + 1) & mask), probe)
+            held = self.keys.take(probe)
+        flat[todo] = probe
+        return slots, todo[held == _NO_KEY]
+
+    def lookup(self, keys: np.ndarray, cell) -> np.ndarray:
+        """The codes (lines, columns) of ``keys`` (columns, lines); ``cell(i, j)`` is the text of key ``[j, i]``."""
+        slots, absent = self._find(keys)
+        if absent.size:
+            columns, lines = np.divmod(absent, keys.shape[1])
+            for j in np.flatnonzero(np.bincount(columns)).tolist():
+                at = lines[columns == j]
+                new, first, counts = np.unique(keys[j, at], return_index=True, return_counts=True)
+                by_count = np.argsort(-counts, kind="stable")
+                pairs = zip(new[by_count].tolist(), at[first[by_count]].tolist())
+                self._add(j, [(key, 0 if key == _WIDE_KEY else self.caches[j][cell(i, j)]) for key, i in pairs])
+            slots, _ = self._find(keys)
+        return self.codes.take(slots.T)
 
 
 def _plain_rows(path, width: int, rows: _Rows) -> _Rows | None:
@@ -518,11 +610,14 @@ def _plain_rows(path, width: int, rows: _Rows) -> _Rows | None:
     as UTF-8, and has ``width`` cells on every line up to any trailing empty records.
     Each chunk is split at its commas and line ends in one pass.  A cell's first
     ``_KEY_BYTES`` bytes make its integer key (no cell holds a NUL, so the zero bytes
-    past its end give its length), and each distinct key of a column is decoded and
-    looked up once.  Wider cells are looked up one by one.
+    past its end give its length), and the keys of a chunk are coded through one
+    ``_KeyTable``, which decodes each distinct key of a column once per load.  Wider
+    cells are looked up one by one.
     """
     limit = csv.field_size_limit()
     first_line, trailing = 2, False
+    cols = np.array(rows.col_pos)
+    table = _KeyTable(rows.caches, rows.dtype)
     with open(path, "rb") as fh:
         for offset, chunk in _line_chunks(fh):
             if b'"' in chunk or b"\0" in chunk:
@@ -545,49 +640,57 @@ def _plain_rows(path, width: int, rows: _Rows) -> _Rows | None:
             if not chunk.endswith(b"\n"):
                 chunk += b"\n"
 
-            padded = chunk + bytes(_KEY_BYTES - 1)
-            buf = np.frombuffer(padded, dtype=np.uint8, count=len(chunk))
-            seps = np.flatnonzero((buf == _COMMA) | (buf == _LF))
-            lf_at = np.flatnonzero(buf[seps] == _LF)  # the separator that ends each line
-            lf = seps[lf_at]
-            cr = buf[lf - 1] == _CR  # on a blank line, lf - 1 is the line end before it or the chunk's last byte
-            if np.count_nonzero(buf == _CR) != np.count_nonzero(cr):
+            # The \n put before the chunk is the separator before its first cell.
+            padded = b"\n" + chunk + bytes(_KEY_BYTES)
+            buf = np.frombuffer(padded, dtype=np.uint8, count=len(chunk) + 1)
+            is_lf = buf == _LF
+            seps = np.flatnonzero(is_lf | (buf == _COMMA))
+            # Where every line has width cells, every width-th separator ends a line.
+            lf, counted = seps[::width], np.count_nonzero(is_lf) - 1
+            if len(seps) != counted * width + 1 or (buf.take(lf) != _LF).any():
+                # counted: the lines before the first whose cell count is not width
+                exact = np.flatnonzero(is_lf)
+                m = min(len(lf), len(exact))
+                wrong = np.flatnonzero(lf[:m] != exact[:m])
+                counted, lf = (int(wrong[0]) if wrong.size else m) - 1, exact
+            cr = buf.take(lf[1:] - 1) == _CR
+            if np.count_nonzero(cr) != np.count_nonzero(buf == _CR):
                 return None  # a \r that does not end a line
-            starts, ends = np.concatenate(([0], lf[:-1] + 1)), lf - cr
-            wrong = (np.diff(lf_at, prepend=-1) != width) | (starts == ends)
-            n = len(lf)
-            if wrong.any():
-                n = int(wrong.argmax())
-                if starts[n] != ends[n] or chunk[starts[n]:].strip(b"\r\n"):
+            starts, ends = lf[:-1] + 1, lf[1:] - cr
+            blank = np.flatnonzero(starts[:counted] == ends[:counted])
+            n = int(blank[0]) if blank.size else counted
+            if n < len(starts):
+                if starts[n] != ends[n] or padded[starts[n] : len(buf)].strip(b"\r\n"):
                     return None  # a short, long or blank record: the csv path names it
                 trailing = True
-            cell_end = seps[: n * width].reshape(n, width)
-            cell_end[:, -1] = ends[:n]
-            cell_start = np.empty_like(cell_end)
-            cell_start[:, 0] = starts[:n]
-            cell_start[:, 1:] = cell_end[:, :-1] + 1
-            cell_len = cell_end - cell_start
-            if n and cell_len.max() > limit:
-                return None  # the csv path names a cell over the csv module's field limit
+            seps = seps[: n * width + 1]
+            if n and (ends[:n] - starts[:n]).max() > limit:
+                cell_len = np.diff(seps) - 1
+                cell_len[width - 1 :: width] -= cr[:n]
+                if cell_len.max() > limit:
+                    return None  # the csv path names a cell over the csv module's field limit
 
-            def texts(lines, pos):
-                """The text of the cells of ``lines`` in file column ``pos``."""
-                spans = zip(cell_start[lines, pos].tolist(), cell_end[lines, pos].tolist())
-                return [chunk[a:b].decode() for a, b in spans]
+            # per wanted column, the separator before each cell and the cell's length plus one
+            before = seps[:-1].reshape(n, width).T[cols]
+            span = seps[1:].reshape(n, width).T[cols] - before
+            span[cols == width - 1] -= cr[:n]
 
-            words = np.ndarray((len(chunk),), dtype="<u8", buffer=padded, strides=(1,))
-            keys = words.take(cell_start) & _KEY_MASKS.take(np.minimum(cell_len, _KEY_BYTES))
-            wide = cell_len > _KEY_BYTES
-            keys[wide] = _WIDE_KEY
-            codes = np.empty((n, len(rows.caches)), dtype=rows.dtype)
-            for j, (pos, cache) in enumerate(zip(rows.col_pos, rows.caches)):
-                distinct, inverse = np.unique(keys[:, pos], return_inverse=True)
-                last = np.empty(len(distinct), dtype=np.intp)  # a line holding each distinct key
-                last[inverse] = np.arange(n)
-                codes[:, j] = np.array([cache[t] for t in texts(last, pos)], dtype=rows.dtype)[inverse]
-                lines = np.flatnonzero(wide[:, pos])
-                codes[lines, j] = [cache[t] for t in texts(lines, pos)]
-            rows.add(codes, first_line, lambda i, j: texts([i], rows.col_pos[j])[0])
+            def cell(i, j):
+                """The text of line i's cell in column ``wanted[j]``."""
+                return padded[before[j, i] + 1 : before[j, i] + span[j, i]].decode()
+
+            words = np.ndarray((len(buf) - 1,), dtype="<u8", buffer=padded, offset=1, strides=(1,))
+            keys = words.take(before)
+            keys &= _KEY_MASKS.take(span, mode="clip")
+            wide = np.flatnonzero(span > _KEY_BYTES + 1)
+            keys.reshape(-1)[wide] = _WIDE_KEY
+            codes = table.lookup(keys, cell)
+            if wide.size:
+                columns, lines = np.divmod(wide, n)
+                at = before.reshape(-1)[wide] + 1
+                spans = zip(columns.tolist(), at.tolist(), (at + span.reshape(-1)[wide] - 1).tolist())
+                codes[lines, columns] = [rows.caches[j][padded[a:b].decode()] for j, a, b in spans]
+            rows.add(codes, first_line, cell)
             first_line += n
     return rows
 

@@ -40,18 +40,24 @@ def encode(table: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     codes sort like the rows do lexicographically and are equal exactly when the
     rows are.  Before a digit that would carry the code past ``CODE_LIMIT``, the
     code so far is replaced by its rank; while the product of sizes fits, the
-    code is the plain mixed-radix value.
+    code is the plain mixed-radix value.  Each run of digits between ranks is
+    one matrix product with its place values.
     """
     table = np.asarray(table, dtype=np.int64)
-    code = np.zeros(table.shape[0], dtype=np.int64)
-    span = 1  # every code lies in range(span)
-    for column, size in zip(table.T, sizes):
+    code, span, start = None, 1, 0  # every code lies in range(span)
+    for j, size in enumerate(sizes):
         if span * size > CODE_LIMIT:
-            uniq, code = np.unique(code, return_inverse=True)
-            span = len(uniq)
-        code = code * size + column
+            uniq, code = np.unique(_fold(code, table[:, start:j], sizes[start:j]), return_inverse=True)
+            span, start = max(len(uniq), 1), j  # a table without rows leaves no code to rank
         span *= size
-    return code
+    return _fold(code, table[:, start:], sizes[start:])
+
+
+def _fold(code: np.ndarray | None, digits: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """``code`` (None for none) followed by the mixed-radix digits ``digits`` of radices ``sizes``."""
+    places = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
+    value = digits @ np.array(places, dtype=np.int64)
+    return value if code is None else code * math.prod(sizes) + value
 
 
 def locate(realizations: np.ndarray, rows: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -131,7 +137,7 @@ class JointDistribution:
         if (codes[1:] == codes[:-1]).any():
             raise ValueError("keys must be distinct")
         try:
-            mass = math.fsum(probs) + (self.background * self.n_cells if self.background else 0.0)
+            mass = math.fsum(memoryview(probs)) + (self.background * self.n_cells if self.background else 0.0)
         except OverflowError:  # background times a cell count past the float range
             mass = math.inf
         if not (math.isfinite(self.total) and self.total > 0) or abs(mass - self.total) > MASS_TOL * self.total:
@@ -165,6 +171,15 @@ class JointDistribution:
         return tuple(sorted(cols))
 
 
+def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, counts)`` of the distinct values of ``codes`` in ascending order: a row
+    holding each, and how many rows hold it; from one unstable sort."""
+    order = np.argsort(codes)
+    ordered = codes[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return order[starts], np.diff(starts, append=len(codes))
+
+
 def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
     """Plug-in estimate of the joint from dataset rows: the count of each
     distinct tuple, over a total of the row count.
@@ -190,11 +205,11 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
         if not math.isfinite(total):
             raise EstimationError(
                 f"smoothing alpha={smoothing!r} over {_cell_count(cells)} cells overflows the total weight")
-    _, first, counts = np.unique(encode(data.rows, sizes), return_index=True, return_counts=True)
+    held_by, counts = _distinct(encode(data.rows, sizes))
     return JointDistribution(
         states=data.states,
         schema=data.schema,
-        keys=data.rows[first],
+        keys=data.rows[held_by],
         probs=counts,
         background=float(smoothing),
         state_name=data.state_name,

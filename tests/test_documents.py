@@ -328,6 +328,20 @@ def test_invalid_json_names_its_document(files, argv, what, text):
     assert code == 1 and err.startswith(f"error: {what.format(**names)}: not valid JSON ("), err
 
 
+def test_documents_may_start_with_a_byte_order_mark(files, result_doc, tmp_path):
+    # like a dataset, a schema, a spec and a results document may start with a UTF-8 byte-order mark
+    bom = b"\xef\xbb\xbf"
+    schema, spec, results = (tmp_path / name for name in ("schema.json", "spec.json", "boot.json"))
+    schema.write_bytes(bom + json.dumps(SCHEMA).encode("utf-8"))
+    assert _run(["validate", "--schema", str(schema), "--data", str(files / "data.csv")]) == (0, "")
+    spec.write_bytes(bom + json.dumps(SPEC).encode("utf-8"))
+    assert _bootstrap(files, spec, tmp_path / "spec_boot.json") == (0, "")
+    spec_doc = json.loads((tmp_path / "spec_boot.json").read_text(encoding="utf-8"))
+    assert spec_doc["statistics"] == result_doc["statistics"]
+    results.write_bytes(bom + (files / "boot.json").read_bytes())
+    assert _run(["report", "--results", str(results), "--out", str(tmp_path / "fig.svg")]) == (0, "")
+
+
 # Text that no typed flag accepts: an int flag wants digits, a number flag a float.
 NOT_A_NUMBER = st.text(alphabet="bcdgxyz,;_ -", max_size=5)
 FLOAT_TEXT = st.floats(allow_nan=True, allow_infinity=True).map(repr)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -16,6 +17,7 @@ from infogain.io import (
     SchemaConfig,
     _bin_domain,
     domain_value_str,
+    file_sha256,
     fraction_to_str,
     load_dataset,
     load_schema,
@@ -280,6 +282,14 @@ def test_result_writes_are_byte_identical(tmp_path, xor_joint, brier):
     write_results(report, p1, provenance=prov)
     write_results(report, p2, provenance=prov)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) + 3])
+def test_file_sha256_is_the_digest_of_the_whole_file(tmp_path, size):
+    data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+    path = tmp_path / "f.bin"
+    path.write_bytes(data)
+    assert file_sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 # Format 1 of each result document: its top-level keys, and the keys of its parts.
@@ -750,6 +760,59 @@ def test_cells_sharing_their_first_key_bytes_keep_their_own_codes(tmp_path):
     assert _assert_loaders_agree(path, _fuzz_cfg())[1] == (
         "dataset row 3, column 'd': value '0.1000001' not in the declared domain"
     )
+
+
+def _grid_spellings(value: Fraction) -> list[str]:
+    """Cells that all parse to ``value``: decimals with trailing zeros and padding, and fractions."""
+    text = fraction_to_str(value)
+    decimal = text if "." in text else text + "."
+    cells = [text, " " + text, text + " ", "  " + text + "  ", "+" + text, text + "e0"]
+    cells += [decimal + "0" * k for k in range(1, 9)]  # 0.5 grows past the 8-byte key: 0.50000000
+    cells += [f"{value.numerator * m}/{value.denominator * m}" for m in range(1, 13)]
+    return cells
+
+
+# The last record of the file, far past the first chunk: no cell, the key 0, blanks, a
+# cell off the grid, a 9-byte cell off the grid whose first 8 bytes are a grid point's,
+# and a 10-byte cell on the grid.
+KEY_TABLE_TAILS = {"none": None, "empty": "", "blank": "   ", "off-grid": "0.55", "wide-bad": "0.5000001",
+                   "wide-good": "0.50000000"}
+
+
+@pytest.mark.parametrize("missing", ["error", "drop"])
+@pytest.mark.parametrize("tail", KEY_TABLE_TAILS.values(), ids=KEY_TABLE_TAILS)
+def test_key_table_codes_like_the_csv_path(monkeypatch, tmp_path, missing, tail):
+    # 11 grid points spelled 26 ways each: the decision column's table grows chunk after chunk
+    cfg = _fuzz_cfg(missing=missing)
+    spellings = [c for v in cfg.schema.decisions[0].domain for c in _grid_spellings(v)]
+    assert len(set(spellings)) == 286 and {8, 9} <= {len(c) for c in spellings}
+    rng = np.random.default_rng(17)
+    records = [(str(rng.integers(2)), ["a", " a", "a "][rng.integers(3)], spellings[rng.integers(len(spellings))])
+               for _ in range(1500)]
+    records += [("1", "a", "1/2"), ("0", "a", "")] if missing == "drop" else []  # a row to drop mid-file
+    records += [("0", "a", tail)] if tail is not None else []
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("state,x,d\n" + "".join(",".join(r) + "\n" for r in records), encoding="utf-8")
+    quoted.write_text('state,x,d\n"' + plain.read_text(encoding="utf-8")[10:].replace(",", '",', 1),
+                      encoding="utf-8")  # one quoted cell sends the whole file through the csv module
+    monkeypatch.setattr(infogain.io, "CHUNK_BYTES", 512)
+    builds = mock.Mock(wraps=infogain.io._KeyTable._build)
+    monkeypatch.setattr(infogain.io._KeyTable, "_build", lambda table: builds(table))
+    csv_rows = mock.Mock(wraps=infogain.io._csv_rows)
+    monkeypatch.setattr(infogain.io, "_csv_rows", csv_rows)
+
+    from_bytes = _assert_loaders_agree(plain, cfg)
+    # laid out, then grown in the first chunk and in a later one
+    assert csv_rows.call_count == 0 and builds.call_count >= 3
+    assert _assert_loaders_agree(quoted, cfg) == from_bytes and csv_rows.call_count == 1
+    last = len(records) + 1
+    if tail in ("", "   ") and missing == "error":
+        assert from_bytes[1:] == (f"dataset row {last}, column 'd': missing value", f"row {last}")
+    elif tail in ("0.55", "0.5000001"):
+        assert from_bytes[1] == f"dataset row {last}, column 'd': value '{tail}' not in the declared domain"
+    else:
+        assert len(from_bytes[1]) == len(records) - from_bytes[4]
+        assert from_bytes[4] == (missing == "drop") + (tail in ("", "   ") and missing == "drop")
 
 
 def test_lone_cr_in_the_header_line_is_a_line_end(tmp_path):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from infogain.bootstrap import BootstrapSpec, GainStat, bootstrap_run
 from infogain.errors import EstimationError, SchemaError
@@ -280,6 +280,7 @@ def code_tables(draw):
 
 
 @given(code_tables())
+@example((np.zeros((0, 3), dtype=np.int64), [2**40] * 3))  # no rows, and a product past 2**63
 def test_encode_orders_like_lexsort_and_separates_distinct_rows(case):
     table, sizes = case
     codes = encode(table, sizes)
@@ -319,6 +320,34 @@ def test_estimate_joint_matches_row_unique_reference(data, smoothing):
     assert np.array_equal(joint.probs, counts)
     assert joint.background == smoothing
     assert joint.total == data.n_rows + smoothing * joint.n_cells
+
+
+@st.composite
+def counted_datasets(draw):
+    """Datasets with repeated rows, over a few small signals or over the huge decision
+    schema, whose 2 * 101**10 cells pass CODE_LIMIT, so that ``encode`` ranks."""
+    if draw(st.booleans()):
+        schema = _huge_decision_schema()
+    else:
+        sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+        schema = SignalSchema(
+            signals=tuple(BasicSignal(f"x{i}", tuple(str(v) for v in range(k))) for i, k in enumerate(sizes))
+        )
+    sizes = (2,) + schema.domain_sizes()
+    pool = draw(st.lists(st.tuples(*(st.integers(0, k - 1) for k in sizes)), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=25))
+    return Dataset(StateSpace.of(("0", "1")), schema, np.array([pool[i] for i in picks], dtype=np.int64))
+
+
+@given(counted_datasets())
+@example(Dataset(StateSpace.of(("0", "1")), _huge_decision_schema(), np.array([[1] + [100] * 10])))
+@example(Dataset(StateSpace.of(("0", "1")), BINARY, np.array([[1, 0]])))
+def test_estimate_joint_counts_each_distinct_row(data):
+    counts = collections.Counter(map(tuple, data.rows.tolist()))
+    joint = estimate_joint(data)
+    assert joint.keys.tolist() == [list(row) for row in sorted(counts)]
+    assert joint.probs.tolist() == [counts[row] for row in sorted(counts)]
+    assert joint.total == sum(counts.values()) == data.n_rows
 
 
 def _reference_posterior(joint, assignment):
