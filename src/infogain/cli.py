@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 success, 1 domain/validation error,
 2 I/O failure.  Variable sets are given by name, comma-separated, with "none"
 for the empty set.  Every randomized command takes --seed and defaults to 0;
 nothing reads wall-clock entropy.  Each command that writes an output also
-writes a run manifest alongside it, from which the run can be replayed.
+writes a run manifest alongside it, which records the command line as ``argv``:
+``main(doc["argv"])`` replays the run.
 """
 
 from __future__ import annotations
@@ -50,37 +51,17 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 def _write_manifest(args, input_hashes: dict, out_path) -> None:
-    """Write ``<out_path>.manifest.json``: subcommand, flags and input hashes, enough to replay the run."""
+    """Write ``<out_path>.manifest.json``: the ``argv`` that ``main`` replays, the parsed flags and input hashes."""
     doc = {
+        "argv": args.argv,
         "subcommand": args.subcommand,
-        "arguments": {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")},
+        "arguments": {k: v for k, v in vars(args).items() if k not in ("argv", "func", "subcommand")},
         "input_hashes": input_hashes,
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     path = Path(str(out_path) + ".manifest.json")
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def manifest_to_argv(doc: dict) -> list[str]:
-    """Rebuild the argv of a run from its manifest document: ``--gain V --gain W``, ``--results V W``."""
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {action.dest: action for action in subparsers.choices[doc["subcommand"]]._actions}
-    argv = [doc["subcommand"]]
-    for key, value in sorted(doc["arguments"].items()):
-        flag = "--" + key.replace("_", "-")
-        if value is None or value is False:
-            continue
-        if value is True:
-            argv.append(flag)
-        elif isinstance(actions.get(key), argparse._AppendAction):  # one flag before each value
-            argv.extend(arg for v in value for arg in (flag, str(v)))
-        elif isinstance(value, list):
-            argv.append(flag)
-            argv.extend(str(v) for v in value)
-        else:
-            argv.extend([flag, str(value)])
-    return argv
 
 
 def _parse_vars(text: str) -> tuple[str, ...]:
@@ -195,7 +176,7 @@ def cmd_report(args) -> int:
         if not hasattr(obj, "statistics"):
             raise ValidationError(f"{path}: not a bootstrap result document", path="kind")
         results.append(obj)
-    spec = build_plot_spec(results, axis=args.axis.bounds if args.axis else None)
+    spec = build_plot_spec(results, axis=args.axis)
     Path(args.out).write_bytes(render_svg(spec))
     print(f"wrote {args.out}")
     hashes = {f"results[{i}]": file_sha256(p) for i, p in enumerate(args.results)}
@@ -247,19 +228,10 @@ def _count(flag: str, minimum: int):
     return _flag(flag, f"an integer >= {minimum}", int, lambda n: n >= minimum)
 
 
-class _Axis(str):
-    """``--axis LO:HI`` as typed, which the manifest records, with its ``bounds``."""
-
-    def __new__(cls, text: str):
-        axis = super().__new__(cls, text)
-        axis.bounds = tuple(float(x) for x in text.split(":"))
-        return axis
-
-
 ALPHA = _flag("--alpha", "a finite non-negative number", float, lambda a: math.isfinite(a) and a >= 0)
 SEED = _count("--seed", 0)
-AXIS = _flag("--axis", "LO:HI with finite LO < HI", _Axis,
-             lambda a: len(a.bounds) == 2 and all(map(math.isfinite, a.bounds)) and a.bounds[0] < a.bounds[1])
+AXIS = _flag("--axis", "LO:HI with finite LO < HI", lambda text: tuple(float(x) for x in text.split(":")),
+             lambda a: len(a) == 2 and all(map(math.isfinite, a)) and a[0] < a[1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_io(p, data_required=True):
+    def add_io(p):
         p.add_argument("--schema", required=True, help="schema JSON path")
-        p.add_argument("--data", required=data_required, help="dataset CSV path")
+        p.add_argument("--data", required=True, help="dataset CSV path")
 
     p = sub.add_parser("validate", help="validate a schema/dataset pair")
     add_io(p)
@@ -329,12 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
         # before Python 3.13, argparse gives "--flag=--" an empty list as its value
         for key, value in vars(args).items():
             if isinstance(value, list) and (not value or [] in value):
                 raise ValidationError(f"--{key.replace('_', '-')}: must not be '--'", path=key)
+        args.argv = argv
         return args.func(args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -231,7 +231,7 @@ def _parse_grid(doc, path: str) -> DecisionSpace:
 def _parse_payoff(doc, path: str) -> tuple[DecisionSpace, PayoffFunction]:
     kind = _string(_require(doc, "kind", path), f"{path}.kind")
     if kind == "brier":
-        grid = _parse_grid(doc["grid"], f"{path}.grid") if "grid" in doc else DecisionSpace.percent_grid()
+        grid = _parse_grid(doc["grid"], f"{path}.grid") if "grid" in doc else DecisionSpace.uniform_grid()
         return grid, PayoffFunction.brier()
     if kind == "matrix":
         at = f"{path}.rows"

@@ -88,16 +88,12 @@ class DecisionSpace:
 
     @classmethod
     def uniform_grid(cls, start=0, stop=1, count: int = 101) -> "DecisionSpace":
+        """``count`` evenly spaced points from ``start`` to ``stop``; by default the percent grid {0.00, ..., 1.00}."""
         start, stop = _as_fraction(start), _as_fraction(stop)
         if count < 2:
             raise ValueError("grid needs at least 2 points")
         step = (stop - start) / (count - 1)
         return cls(tuple(start + k * step for k in range(count)))
-
-    @classmethod
-    def percent_grid(cls) -> "DecisionSpace":
-        """The canonical 101-point grid {0.00, 0.01, ..., 1.00}."""
-        return cls(tuple(Fraction(k, 100) for k in range(101)))
 
     @property
     def size(self) -> int:
@@ -325,5 +321,5 @@ def validate_schema(schema: SignalSchema) -> list[Diagnostic]:
 
 def brier_problem(state_labels: Iterable[str] = ("0", "1"), grid_count: int = 101) -> DecisionProblem:
     """Binary-state problem scored by the quadratic probability score on a uniform grid."""
-    grid = DecisionSpace.percent_grid() if grid_count == 101 else DecisionSpace.uniform_grid(0, 1, grid_count)
+    grid = DecisionSpace.uniform_grid(0, 1, grid_count)
     return DecisionProblem(StateSpace.of(state_labels), grid, PayoffFunction.brier())

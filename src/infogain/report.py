@@ -31,6 +31,9 @@ PALETTE = {
 
 MIN_AXIS_SPAN = 0.05
 DENSITY_POINTS = 121
+WIDTH = 900
+STRIP_HEIGHT = 16
+GROUP_GAP = 10
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,6 @@ class PlotGroup:
 class PlotSpec:
     groups: tuple[PlotGroup, ...]
     axis: tuple[float, float]
-    width: int = 900
-    strip_height: int = 16
-    group_gap: int = 10
 
     def __post_init__(self):
         if self.axis[0] >= self.axis[1]:
@@ -69,7 +69,7 @@ class PlotSpec:
     @property
     def height(self) -> int:
         rows = sum(len(g.strips) for g in self.groups)
-        return 50 + rows * (self.strip_height + 4) + len(self.groups) * self.group_gap + 30
+        return 50 + rows * (STRIP_HEIGHT + 4) + len(self.groups) * GROUP_GAP + 30
 
 
 def _nice_step(span: float) -> float:
@@ -161,7 +161,7 @@ def _fmt(x: float) -> str:
 def render_svg(spec: PlotSpec) -> bytes:
     """Render the spec as SVG 1.1 with no external font dependencies."""
     left, right, top = 190, 30, 40
-    plot_w = spec.width - left - right
+    plot_w = WIDTH - left - right
     lo, hi = spec.axis
 
     def sx(v: float) -> float:
@@ -169,10 +169,10 @@ def render_svg(spec: PlotSpec) -> bytes:
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" '
+        f'height="{spec.height}" viewBox="0 0 {WIDTH} {spec.height}">'
     )
-    out.append(f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>')
+    out.append(f'<rect x="0" y="0" width="{WIDTH}" height="{spec.height}" fill="#ffffff"/>')
     out.append(
         f'<text x="{left}" y="20" font-family="sans-serif" font-size="13" fill="#222222">'
         f"information gain (payoff units)</text>"
@@ -198,18 +198,18 @@ def render_svg(spec: PlotSpec) -> bytes:
     y = float(top + 10)
     grid = np.linspace(lo, hi, DENSITY_POINTS)
     for group in spec.groups:
-        label_y = y + (len(group.strips) * (spec.strip_height + 4)) / 2.0 + 4
+        label_y = y + (len(group.strips) * (STRIP_HEIGHT + 4)) / 2.0 + 4
         out.append(
             f'<text x="{left - 10}" y="{_fmt(label_y)}" text-anchor="end" font-family="sans-serif" '
             f'font-size="12" fill="#222222">{escape(group.label, quote=False)}</text>'
         )
         for strip in group.strips:
             color = PALETTE.get(strip.role, PALETTE["other"])
-            base = y + spec.strip_height
+            base = y + STRIP_HEIGHT
             samples = np.array(strip.samples, dtype=np.float64)
             dens = _density(samples, grid)
             if dens is not None and dens.max() > 0:
-                scale = (spec.strip_height * 0.92) / dens.max()
+                scale = (STRIP_HEIGHT * 0.92) / dens.max()
                 pts = [f"{_fmt(sx(lo))},{_fmt(base)}"]
                 for gx, gy in zip(grid, dens):
                     pts.append(f"{_fmt(sx(float(gx)))},{_fmt(base - float(gy) * scale)}")
@@ -217,11 +217,11 @@ def render_svg(spec: PlotSpec) -> bytes:
                 out.append(f'<path d="M {" L ".join(pts)} Z" fill="{color}" fill-opacity="0.55" stroke="none"/>')
             mx = sx(strip.median)
             out.append(
-                f'<line x1="{_fmt(mx)}" y1="{_fmt(base - spec.strip_height)}" x2="{_fmt(mx)}" '
+                f'<line x1="{_fmt(mx)}" y1="{_fmt(base - STRIP_HEIGHT)}" x2="{_fmt(mx)}" '
                 f'y2="{_fmt(base)}" stroke="{color}" stroke-width="2"/>'
             )
-            y += spec.strip_height + 4
-        y += spec.group_gap
+            y += STRIP_HEIGHT + 4
+        y += GROUP_GAP
 
     # x axis with ticks
     axis_y = y + 6

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import infogain.bootstrap
-from infogain.cli import main, manifest_to_argv
+from infogain.cli import main
 from infogain.errors import EstimationError, ValidationError
-from infogain.io import parse_schema_doc
+from infogain.io import parse_schema_doc, read_results
 
 XOR_EXACT_CSV = "state,s1,s2\n" + "".join(
     f"{s1 ^ s2},{s1},{s2}\n" for s1 in (0, 1) for s2 in (0, 1)
@@ -290,10 +290,18 @@ def test_gain_output_and_manifest_roundtrip(xor_files, tmp_path, capsys):
     assert doc["provenance"]["schema_sha256"]
 
     manifest = json.loads((tmp_path / "gain.json.manifest.json").read_text())
-    assert manifest["subcommand"] == "gain"
-    rebuilt = manifest_to_argv(manifest)
-    assert main(rebuilt) == 0
+    assert manifest["subcommand"] == "gain" and manifest["argv"] == argv
+    assert "argv" not in manifest["arguments"]
+    assert main(manifest["argv"]) == 0
     assert out.read_bytes() == first
+
+
+def _replay(out: Path) -> list[str]:
+    """Delete ``out``, run the argv its manifest records, and return that argv."""
+    argv = json.loads(out.with_name(out.name + ".manifest.json").read_text())["argv"]
+    out.unlink()
+    assert main(argv) == 0
+    return argv
 
 
 def test_manifest_replay_repeats_appended_flags_and_lists_many_valued_ones_once(xor_files, tmp_path, capsys):
@@ -306,13 +314,52 @@ def test_manifest_replay_repeats_appended_flags_and_lists_many_valued_ones_once(
     assert main(["report", "--results", str(boot), str(boot), "--out", str(svg)]) == 0
     for out in (boot, svg):
         first = out.read_bytes()
-        rebuilt = manifest_to_argv(json.loads(out.with_name(out.name + ".manifest.json").read_text()))
-        assert [rebuilt.count(flag) for flag in ("--gain", "--shapley", "--results")] == (
+        argv = _replay(out)
+        assert [argv.count(flag) for flag in ("--gain", "--shapley", "--results")] == (
             [2, 2, 0] if out is boot else [0, 0, 1]
         )
-        out.unlink()
-        assert main(rebuilt) == 0
         assert out.read_bytes() == first
+
+
+def test_manifest_replays_a_value_that_starts_with_a_dash(xor_files, tmp_path, capsys):
+    # "-0.1:0.5" reads as a flag unless it is joined to --axis by "="
+    schema, data = xor_files
+    boot, svg = tmp_path / "boot.json", tmp_path / "boot.svg"
+    assert main(["bootstrap", "--schema", str(schema), "--data", str(data), "--replicates", "3",
+                 "--shapley", "none", "--out", str(boot)]) == 0
+    assert main(["report", "--results", str(boot), str(boot), "--axis=-0.1:0.5", "--out", str(svg)]) == 0
+    first = svg.read_bytes()
+    assert "--axis=-0.1:0.5" in _replay(svg)
+    assert svg.read_bytes() == first
+
+
+def test_manifest_replays_synth_and_sampled_shapley(tmp_path, capsys):
+    out_dir = tmp_path / "synth"
+    assert main(["synth", "--preset", "xor", "--rows", "50", "--seed", "2", "--out-dir", str(out_dir)]) == 0
+    schema, data = out_dir / "schema.json", out_dir / "data.csv"
+    first = [schema.read_bytes(), data.read_bytes()]
+    argv = json.loads((out_dir / "synth.manifest.json").read_text())["argv"]
+    schema.unlink()
+    data.unlink()
+    assert main(argv) == 0
+    assert [schema.read_bytes(), data.read_bytes()] == first
+
+    phi = tmp_path / "phi.json"
+    assert main(["shapley", "--schema", str(schema), "--data", str(data), "--ground", "none",
+                 "--sampled", "20", "--seed", "5", "--out", str(phi)]) == 0
+    first = phi.read_bytes()
+    _replay(phi)
+    assert phi.read_bytes() == first
+
+
+def test_shapley_without_signals_reads_back(xor_files, tmp_path, capsys):
+    schema, data = xor_files
+    out = tmp_path / "phi.json"
+    assert main(["shapley", "--schema", str(schema), "--data", str(data), "--ground", "s1",
+                 "--signals", "none", "--out", str(out)]) == 0
+    report, _ = read_results(out)
+    assert report.signals == () and report.values == () and report.ground == ("s1",)
+    assert report.total_gain == 0.0
 
 
 def test_cross_fit_flag(xor_files, capsys):

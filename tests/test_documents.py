@@ -281,6 +281,8 @@ def test_malformed_spec_names_its_field(files, spec, message):
     (lambda d: d.pop("statistics"), "statistics: missing required field"),
     (lambda d: d["statistics"][1]["samples"].__setitem__(1, math.nan), "statistics[1].samples[1]: must be a finite"),
     (lambda d: d["statistics"][0]["quantiles"].__setitem__("25", 2.0), "statistics[0].quantiles: quantiles out of order"),
+    (lambda d: d["statistics"][0].__setitem__("kind", "mean"), "statistics[0].kind: unknown statistic kind 'mean'"),
+    (lambda d: d.update(kind="shapley", signals=["b"], values={"b": "0.1"}), "values.b: must be a finite number"),
 ])
 def test_malformed_result_names_its_field(files, result_doc, mutate, message):
     doc = copy.deepcopy(result_doc)

@@ -61,7 +61,7 @@ def test_brier_payoff_within_unit_interval():
 def test_validate_brier_needs_binary_state():
     problem = DecisionProblem(
         states=StateSpace.of(("a", "b", "c")),
-        decisions=DecisionSpace.percent_grid(),
+        decisions=DecisionSpace.uniform_grid(),
         payoff=PayoffFunction.brier(),
     )
     codes = [d.code for d in validate_problem(problem)]
@@ -123,7 +123,7 @@ def test_unknown_role_is_error():
 
 
 def test_percent_grid_is_exact_hundredths():
-    grid = DecisionSpace.percent_grid()
+    grid = DecisionSpace.uniform_grid()
     assert grid.size == 101
     assert grid.points[37] == Fraction(37, 100)
     assert grid.is_numeric
@@ -131,7 +131,7 @@ def test_percent_grid_is_exact_hundredths():
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_nearest_index_is_true_nearest(value):
-    grid = DecisionSpace.percent_grid()
+    grid = DecisionSpace.uniform_grid()
     idx = grid.nearest_index(value)
     dists = np.abs(grid.grid_floats - value)
     assert dists[idx] == dists.min()
@@ -147,7 +147,7 @@ def test_nearest_index_ties_resolve_low():
     assert single.nearest_index(np.array([0.0, 1.0])).tolist() == [0, 0]
 
 
-@pytest.mark.parametrize("grid", [DecisionSpace.percent_grid()] + [DecisionSpace.uniform_grid(0, 1, n) for n in (7, 13, 30)])
+@pytest.mark.parametrize("grid", [DecisionSpace.uniform_grid()] + [DecisionSpace.uniform_grid(0, 1, n) for n in (7, 13, 30)])
 def test_nearest_index_sends_every_exact_midpoint_low_and_the_next_float_high(grid):
     mids = [float((a + b) / 2) for a, b in zip(grid.points, grid.points[1:])]
     assert [grid.nearest_index(m) for m in mids] == list(range(grid.size - 1))

@@ -110,7 +110,7 @@ def test_xor_complementation(alpha, brier):
 def _decision_grid_dataset(n_states, n_signals, n_rows, seed):
     """Signals noisily copy the state; two decision columns report noisy guesses on the percent grid."""
     rng = np.random.default_rng(seed)
-    grid = DecisionSpace.percent_grid().points
+    grid = DecisionSpace.uniform_grid().points
     schema = SignalSchema(
         signals=tuple(BasicSignal(f"x{i}", ("0", "1")) for i in range(n_signals)),
         decisions=(DecisionColumn("h1", "human", grid), DecisionColumn("h2", "ai", grid)),
