@@ -18,8 +18,12 @@ every set the block's replicates read, in one walk of their subset lattice,
 and ``_replicate_values`` maps each replicate's payoffs to its statistics
 (Shapley values through ``shapley.exact_values`` and
 ``shapley.sampled_values``, as ``shapley_exact`` and ``shapley_sampled``
-do).  The tables are exact count sums, so the samples are those of an
-estimate on each replicate's resampled rows.
+do).  Every block reweights the same joint, so each set's group index is
+built once per process, on the first block that reads the set, and kept
+on the joint (``joint.group_indexes``); a block then only counts its
+replicates' weights through the indexes and scores the tables.  The tables
+are exact count sums, so the samples are those of an estimate on each
+replicate's resampled rows.
 
 Blocks run in worker processes forked from the caller, one per usable CPU
 and at most one per block, or in the caller when only one would run or the
@@ -43,7 +47,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .joint import Dataset, JointDistribution, encode, estimate_joint
+from .joint import Dataset, JointDistribution, estimate_joint, row_tuples
 from .model import DecisionProblem
 from .rational import clamp_gain, family_payoffs, gain_sets
 from .shapley import check_permutations, coalition_sets, exact_values, exact_weights, resolve_signals, sampled_values
@@ -320,8 +324,7 @@ def bootstrap_run(
     """Run the bootstrap; output depends only on (data, problem, spec, alpha)."""
     joint = estimate_joint(data, alpha)
     plan = _plan(joint, spec)
-    # the index of each row's tuple among joint.keys, which are sorted by the same codes
-    _, row_key = np.unique(encode(data.rows, joint.domain_sizes), return_inverse=True)
+    row_key = row_tuples(data)  # each row's tuple, from the sort of the estimate
     blocks = _blocks(spec.replicates, max(1, REPLICATE_CELLS // len(joint.keys)), usable_cpus())
     block_rows = _run_blocks((data, problem, spec, plan, joint, row_key), blocks)
     samples = np.array([row for rows in block_rows for row in rows], dtype=np.float64)  # (B, n_stats), by replicate

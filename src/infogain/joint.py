@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +32,8 @@ MASS_TOL = 1e-12
 # A posterior is a non-negative probability vector over the state space.
 Posterior = np.ndarray
 CODE_LIMIT = 2**62
+# Bound on the int32 entries of the group indexes a joint keeps (see ``GroupIndexes``).
+INDEX_ENTRIES = 2**22
 
 
 def encode(table: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -101,6 +104,11 @@ class Dataset:
     def n_rows(self) -> int:
         return int(self.rows.shape[0])
 
+    @cached_property
+    def _tuples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_distinct`` of the rows' codes: the one sort of the rows, shared by ``estimate_joint`` and ``row_tuples``."""
+        return _distinct(encode(self.rows, (self.states.size,) + self.schema.domain_sizes()))
+
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -150,6 +158,11 @@ class JointDistribution:
     def domain_sizes(self) -> tuple[int, ...]:
         return (self.states.size,) + self.schema.domain_sizes()
 
+    @cached_property
+    def group_indexes(self) -> GroupIndexes:
+        """The group indexes of this joint's variable sets, built once each (see ``GroupIndexes``)."""
+        return GroupIndexes(self)
+
     @property
     def n_cells(self) -> int:
         return math.prod(self.domain_sizes)
@@ -171,13 +184,17 @@ class JointDistribution:
         return tuple(sorted(cols))
 
 
-def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, counts)`` of the distinct values of ``codes`` in ascending order: a row
-    holding each, and how many rows hold it; from one unstable sort."""
+def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, counts, inverse)`` of the distinct values of ``codes`` in ascending order: a row
+    holding each, how many rows hold it, and the int32 rank of each row's value; from one unstable sort."""
     order = np.argsort(codes)
     ordered = codes[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    return order[starts], np.diff(starts, append=len(codes))
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    del ordered
+    starts = np.flatnonzero(new)
+    inverse = np.empty(len(codes), dtype=np.int32)
+    inverse[order] = np.cumsum(new, dtype=np.int32) - 1
+    return order[starts], np.diff(starts, append=len(codes)), inverse
 
 
 def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
@@ -205,7 +222,7 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
         if not math.isfinite(total):
             raise EstimationError(
                 f"smoothing alpha={smoothing!r} over {_cell_count(cells)} cells overflows the total weight")
-    held_by, counts = _distinct(encode(data.rows, sizes))
+    held_by, counts, _ = data._tuples
     return JointDistribution(
         states=data.states,
         schema=data.schema,
@@ -215,6 +232,17 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
         state_name=data.state_name,
         total=total,
     )
+
+
+def row_tuples(data: Dataset) -> np.ndarray:
+    """Index of each row's tuple among the keys of ``estimate_joint(data)``, from the sort that estimate made."""
+    return data._tuples[2]
+
+
+def _span(sizes: Sequence[int]) -> int | None:
+    """The number of mixed-radix codes over ``sizes``, or None past ``CODE_LIMIT``, where ``encode`` ranks."""
+    span = math.prod(sizes)
+    return span if span <= CODE_LIMIT else None
 
 
 def group_counts(
@@ -248,6 +276,74 @@ def group_counts(
     cells = (np.arange(n_rows)[:, None, None] * n_cells + slots).ravel()
     counts = np.bincount(cells, weights=weights.ravel(), minlength=n_rows * n_cells)
     return realizations[member][:, keep], counts.reshape(n_rows, len(uniq), width)
+
+
+class GroupIndex(NamedTuple):
+    """The groups of a joint's tuples by their values in the key columns ``cols``, in lexicographic order.
+
+    ``parent`` holds the columns of the superset whose groups these group,
+    or None for the joint's keys, and ``inverse`` (int32) this set's group
+    of each of the parent's groups (of each tuple).  ``codes`` holds the
+    realizations of the groups, in order, as ``encode`` codes over the
+    domain sizes of ``cols``: mixed-radix, except past ``CODE_LIMIT``,
+    where they are ranks among the keys' values.
+    """
+
+    parent: tuple[int, ...] | None
+    cols: tuple[int, ...]
+    inverse: np.ndarray
+    codes: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.codes)
+
+
+class GroupIndexes:
+    """The group indexes of one joint, each built at most once per (parent, set) while the budget lasts.
+
+    Indexes depend on the keys alone, so every weight row of the joint (a
+    bootstrap replicate, a cross-fit fold) sums its weights through the same
+    ones.  A set is grouped from a parent's group codes by arithmetic
+    (dropping a column's mixed-radix digit), and from the keys where it has
+    no parent or its parent's codes are ranks.  An index is kept while the
+    kept indexes hold at most ``budget`` entries; past that, it is built
+    again when asked.
+    """
+
+    def __init__(self, joint: JointDistribution, budget: int = INDEX_ENTRIES):
+        self._keys, self._sizes, self._budget = joint.keys, joint.domain_sizes, budget
+        self._kept: dict[tuple, GroupIndex] = {}
+        self._entries = 0
+
+    def get(self, cols: tuple[int, ...], parent: GroupIndex | None) -> GroupIndex:
+        """The index of the key columns ``cols``, grouped from the groups of ``parent`` (the index of
+        ``cols`` and one more column), or from the keys for None."""
+        sizes = [self._sizes[c] for c in cols]
+        if parent is not None and _span([self._sizes[c] for c in parent.cols]) is None:
+            parent = None
+        name = (None if parent is None else parent.cols, cols)
+        index = self._kept.get(name)
+        if index is None:
+            if parent is None and _span(sizes) is not None:  # mixed-radix: weigh the key columns in place
+                places = np.zeros(len(self._sizes), dtype=np.int64)
+                places[list(cols)] = [math.prod(sizes[j + 1 :]) for j in range(len(cols))]
+                codes = self._keys @ places
+            elif parent is None:
+                codes = encode(self._keys[:, cols], sizes)
+            else:
+                (c,) = set(parent.cols) - set(cols)  # a parent holds one more column: drop its digit
+                place = math.prod(self._sizes[k] for k in parent.cols if k > c)
+                codes = parent.codes // (place * self._sizes[c]) * place + parent.codes % place
+            distinct, inverse = np.unique(codes, return_inverse=True)
+            if math.prod(sizes) < 2**31:
+                distinct = distinct.astype(np.int32)
+            index = GroupIndex(name[0], cols, inverse.astype(np.int32), distinct)
+            entries = len(index.inverse) + len(index.codes)
+            if self._entries + entries <= self._budget:
+                self._kept[name] = index
+                self._entries += entries
+        return index
 
 
 def background_mass(joint: JointDistribution, cols: Sequence[int], n_groups: int, width: int) -> tuple[int, float]:

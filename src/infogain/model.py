@@ -8,6 +8,7 @@ tie-breaking never depend on float equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -121,15 +122,63 @@ class DecisionSpace:
         arr.setflags(write=False)
         return arr
 
-    def nearest_index(self, value):
-        """Index of the grid point nearest to ``value`` (lower point on exact ties).
+    @cached_property
+    def _step_rule(self) -> tuple[float, float, np.ndarray] | None:
+        """``(scale, offset, above)`` of the arithmetic rule of ``nearest_index``, or None where it does not hold.
 
-        ``value`` may be an array, giving an index array of its shape.
+        The rule holds on a grid of equal exact steps where, at every
+        midpoint and at the float just above it, ``searchsorted``'s index is
+        the guess or the one after it.  Guess and index both grow with the
+        value, so it is then so for every value.  ``above[i]`` is the
+        midpoint above point i, and NaN, which no value is above, for the last.
         """
-        # side="left": a value exactly on a midpoint resolves to the lower point;
-        # a one-point grid has no midpoints, so every value maps to index 0
-        idx = np.searchsorted(self._midpoints, value, side="left")
+        points = self.points
+        if not self.is_numeric or len(points) < 2:
+            return None
+        step = points[1] - points[0]
+        if step <= 0 or any(b - a != step for a, b in zip(points, points[1:])):
+            return None
+        try:
+            scale, offset = float(1 / step), float(-points[0] / step)
+        except OverflowError:
+            return None
+        if not (math.isfinite(scale) and math.isfinite(offset)):
+            return None
+        mids = self._midpoints
+        rule = (scale, offset, np.concatenate((mids, [np.nan])))
+        probes = np.concatenate((mids, np.nextafter(mids, np.inf)))
+        after = np.searchsorted(mids, probes, side="left") - _guess(probes, rule)
+        return rule if ((after == 0) | (after == 1)).all() else None
+
+    def nearest_index(self, value):
+        """Index of the grid point nearest to ``value`` (lower point on exact ties; the last for NaN).
+
+        This is ``np.searchsorted(midpoints, value, side="left")``, and
+        ``value`` may be an array, giving an index array of its shape.  On a
+        grid of equal steps (see ``_step_rule``) the index is found by
+        arithmetic instead: the guess ``trunc((value - start) / step)``,
+        clipped to the grid, is the point at or below the value, and the
+        index is the one after it where the value is above their midpoint.
+        """
+        rule = self._step_rule
+        if rule is None:
+            # a one-point grid has no midpoints, so every value maps to index 0
+            idx = np.searchsorted(self._midpoints, value, side="left")
+        else:
+            value = np.asarray(value, dtype=np.float64)
+            idx = _guess(value, rule)
+            idx += value > rule[2].take(idx)
         return int(idx) if np.ndim(idx) == 0 else idx
+
+
+def _guess(value: np.ndarray, rule: tuple) -> np.ndarray:
+    """``trunc(value * scale + offset)`` clipped to the grid of ``rule``; NaN guesses the last point."""
+    scale, offset, above = rule
+    x = np.multiply(value, scale, out=np.empty(np.shape(value)))
+    x += offset
+    np.fmin(x, len(above) - 1, out=x)  # fmin and fmax pass NaN over, so NaN lands on the last point
+    np.fmax(x, 0.0, out=x)
+    return x.astype(np.intp)
 
 
 @dataclass(frozen=True)

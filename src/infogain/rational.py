@@ -19,12 +19,13 @@ import numpy as np
 from .errors import SchemaError
 from .joint import (
     Dataset,
+    GroupIndex,
+    GroupIndexes,
     JointDistribution,
     Posterior,
     background_mass,
-    encode,
     estimate_joint,
-    group_counts,
+    row_tuples,
     state_mass,  # unused here; the benchmark tracer still wraps the site infogain.rational:state_mass
 )
 from .model import DecisionProblem
@@ -75,38 +76,37 @@ def exact_row_sums(terms: np.ndarray, extra: Sequence[float] = ()) -> list[float
     """``math.fsum(row.tolist() + extra)`` of each row of ``terms`` (R, G), bit for bit, in whole-array passes.
 
     Error-free extraction (Rump, Ogita & Oishi, *Accurate floating-point
-    summation I*, SIAM J. Sci. Comput. 31(1), 2008): where a row's residuals
-    x have max|x| < 2^e and 2^L >= G + 2, sigma = 2^(e + L) splits each x
-    into q = (sigma + x) - sigma, a multiple of ulp(sigma) / 2 with
-    |q| <= 2^e, and the exact remainder x - q.  Every sum of a row's q is
-    exact, so one numpy sum per pass records it, and the remainders shrink
-    by 2^(52 - L) a pass until all are 0.  ``math.fsum`` then rounds each
-    row's few partial sums with ``extra`` once: the same exact sum, so the
-    same bits.  A row where sigma would overflow (or holds a non-finite
-    term), and a row whose sum is zero, whose sign is ``fsum``'s own, are
-    summed by ``math.fsum`` itself.
+    summation I*, SIAM J. Sci. Comput. 31(1), 2008): where the residuals x
+    have |x| <= 2^e and 2^L >= G + 2, sigma = 2^(e + L) splits each x into
+    q = (sigma + x) - sigma, a multiple of ulp(sigma) / 2 with
+    |q| <= 2^e + ulp(sigma) / 2, and the exact remainder x - q, at most
+    ulp(sigma) / 2 = 2^(e + L - 53).  Every sum of a row's q is exact, so
+    one numpy sum per pass records it, and the bound e drops by 53 - L a
+    pass until all remainders are 0.  ``math.fsum`` then rounds each row's
+    few partial sums with ``extra`` once: the same exact sum, so the same
+    bits.  Where sigma would overflow (or a term is not finite), and for a
+    row whose sum is zero, whose sign is ``fsum``'s own, ``math.fsum``
+    sums the row itself.
     """
     terms = np.asarray(terms, dtype=np.float64)
     extra = list(extra)
     n_rows, n_terms = terms.shape
     lift = (n_terms + 1).bit_length()  # L = ceil(log2(G + 2))
-    top = np.abs(terms).max(axis=1, initial=0.0)  # max|x| of each row
-    direct = ~np.isfinite(top) | (np.frexp(top)[1] > 1023 - lift)
-    x = np.where(direct[:, None], 0.0, terms) if direct.any() else terms
-    top[direct] = 0.0
-    partials = []
-    while top.any():
-        sigma = np.ldexp(1.0, np.frexp(top)[1] + lift)[:, None]
-        q = sigma + x
+    top = max(float(terms.max(initial=0.0)), -float(terms.min(initial=0.0)))  # max|x|, or NaN
+    if not top < math.ldexp(1.0, 1023 - lift):  # past this, sigma overflows
+        return [math.fsum(row + extra) for row in terms.tolist()]
+    e = math.frexp(top)[1]  # |x| < 2^e
+    x, partials, left = terms, [], top > 0
+    while left:
+        sigma = math.ldexp(1.0, e + lift)
+        q = x + sigma
         q -= sigma
-        x = x - q
+        x = x - q if x is terms else np.subtract(x, q, out=x)
         partials.append(q.sum(axis=1))
-        top = np.abs(x).max(axis=1, initial=0.0)
-    sums = []
-    for row, parts, past in zip(terms, np.reshape(partials, (len(partials), n_rows)).T.tolist(), direct.tolist()):
-        total = 0.0 if past else math.fsum(parts + extra)
-        sums.append(total or math.fsum(row.tolist() + extra))
-    return sums
+        left = x.any()
+        e += lift - 53
+    sums = [math.fsum(parts + extra) for parts in np.reshape(partials, (len(partials), n_rows)).T.tolist()]
+    return [total or math.fsum(terms[r].tolist() + extra) for r, total in enumerate(sums)]
 
 
 def best_response(post: Posterior, problem: DecisionProblem) -> int:
@@ -125,87 +125,104 @@ def _brier_closed_form(problem: DecisionProblem) -> bool:
     return problem.payoff.kind == "brier" and problem.decisions.is_numeric and problem.states.size == 2
 
 
-def _best_actions(mass: np.ndarray, problem: DecisionProblem) -> np.ndarray:
-    """Index of the best decision for each row of ``mass``, lowest index on exact ties.
+def _actions(planes: np.ndarray, problem: DecisionProblem) -> np.ndarray:
+    """Index of the best decision for each realization of ``planes``, lowest index on exact ties.
 
-    ``mass[g, w]`` is the unnormalized joint weight of realization g and state
-    w; maximizing the unnormalized expectation is equivalent to maximizing
-    under the posterior.  Each row's action depends on that row alone, never
-    on the rows it is batched with.
+    ``planes[w]`` holds the unnormalized joint weights of state w, one per
+    realization, in any shape; maximizing the unnormalized expectation is
+    equivalent to maximizing under the posterior.  Each realization's action
+    depends on its own weights alone, never on those it is batched with.
     """
     if _brier_closed_form(problem):
         # The optimizer over d of sum_w mass_w (1 - (w - d)^2) is the grid
         # point nearest the posterior mean (the lower point on exact ties).
-        p = mass[:, 0] + mass[:, 1]
+        p = planes[0] + planes[1]
         with np.errstate(invalid="ignore", divide="ignore"):
-            mu = np.where(p > 0, mass[:, 1] / p, 0.0)
+            mu = np.where(p > 0, planes[1] / p, 0.0)
         return problem.decisions.nearest_index(mu)
     # One pass over the decisions with a running argmax; each expectation is
     # a sum of elementwise products, left to right over the states.
-    columns = list(mass.T)
-    best = np.full(len(mass), -np.inf)
-    actions = np.zeros(len(mass), dtype=np.intp)
+    best = np.full(planes.shape[1:], -np.inf)
+    actions = np.zeros(planes.shape[1:], dtype=np.intp)
     for d, payoffs in enumerate(problem.payoff_matrix):
-        expected = functools.reduce(np.add, map(np.multiply, columns, payoffs))
+        expected = functools.reduce(np.add, map(np.multiply, planes, payoffs))
         better = expected > best
         best = np.where(better, expected, best)
         actions[better] = d
     return actions
 
 
-def _group_contributions(mass: np.ndarray, problem: DecisionProblem) -> np.ndarray:
-    """Per-realization contribution mass[g] . S[d*, .] of the best decision d*."""
-    actions = _best_actions(mass, problem)
+def _contributions(planes: np.ndarray, problem: DecisionProblem) -> np.ndarray:
+    """Contribution mass . S[d*, .] of the best decision d* of each realization of ``planes`` (see ``_actions``)."""
+    actions = _actions(planes, problem)
     if _brier_closed_form(problem):
-        d = problem.decisions.grid_floats[actions]
-        return mass[:, 0] + mass[:, 1] - (mass[:, 0] * d * d + mass[:, 1] * (1.0 - d) * (1.0 - d))
-    return functools.reduce(np.add, map(np.multiply, mass.T, problem.payoff_matrix[actions].T))
+        m0, m1 = planes
+        d = problem.decisions.grid_floats.take(actions)
+        e = 1.0 - d
+        return m0 + m1 - (m0 * d * d + m1 * e * e)
+    return functools.reduce(np.add, map(np.multiply, planes, problem.payoff_matrix.T[:, actions]))
 
 
 def _lattice(
-    joint: JointDistribution, family: Mapping[frozenset, Sequence[int]], weights: np.ndarray
-) -> Iterator[tuple[frozenset, tuple[int, ...], np.ndarray, np.ndarray]]:
-    """Yield ``(set, cols, realizations, counts)`` for each variable set of ``family``, depth first.
+    joint: JointDistribution,
+    family: Mapping[frozenset, Sequence[int]],
+    weights: np.ndarray,
+    indexes: GroupIndexes | None = None,
+) -> Iterator[tuple[frozenset, GroupIndex, np.ndarray]]:
+    """Yield ``(set, index, counts)`` for each variable set of ``family``, depth first.
 
     ``family`` maps a set to the rows of ``weights`` (R, K) that read it;
-    ``counts`` (len(rows), G, |states|) holds those rows' count sums over the
-    set's realizations (see ``joint.group_counts``), without the background.
-    A set's parent is ``S + {c}`` for the lowest key column c not in S such
-    that ``S + {c}`` is in the family and reads every row S reads; S is
-    grouped from its parent's table, and a set without a parent from the keys.
-    A table is held only while some child of it is still to be built.
+    ``counts`` (len(rows), |states|, G) holds those rows' weight sums in each
+    state over the set's G realizations, in the order of its group
+    ``index``, without the background.  A set's parent is ``S + {c}`` for
+    the lowest key column c not in S such that ``S + {c}`` is in the family
+    and reads every row S reads; S is grouped from its parent's groups, and
+    a set without a parent from the keys.  The group indexes come from
+    ``indexes``, by default ``joint.group_indexes``, which builds each once
+    per set and process, so a walk only sums each table's weights through
+    its index: one ``bincount`` per set.  A table is held only while some
+    child of it is still to be built.
     """
-    sizes, width = joint.domain_sizes, joint.states.size
+    width = joint.states.size
     nodes = {joint.columns(key, allow_state=False): (key, tuple(rows)) for key, rows in family.items()}
     children: dict[tuple[int, ...] | None, list[tuple[int, ...]]] = {}
     for cols, (_, rows) in sorted(nodes.items()):
-        supersets = (tuple(sorted(cols + (c,))) for c in range(1, len(sizes)) if c not in cols)
+        supersets = (tuple(sorted(cols + (c,))) for c in range(1, len(joint.domain_sizes)) if c not in cols)
         parent = next((p for p in supersets if p in nodes and set(rows) <= set(nodes[p][1])), None)
         children.setdefault(parent, []).append(cols)
 
-    # A source is (columns, weight rows, realizations, (rows, M, w) table,
-    # inner column of each cell): the keys, or a built set's counts table.
-    keys = (tuple(range(len(sizes))), tuple(range(len(weights))), joint.keys, weights[:, :, None], joint.keys[:, :1])
-    own = np.arange(width)
+    indexes = joint.group_indexes if indexes is None else indexes
+    states, planes = joint.keys[:, 0], np.arange(width)[:, None]
 
     def build(cols, source):
-        source_cols, source_rows, realizations, table, inner = source
+        # a source is (index, weight rows, table): None and the keys' (R, K) weights, or a built set's counts
+        parent, source_rows, table = source
+        index = indexes.get(cols, parent)
+        if index.parent is None and parent is not None:  # grouped from the keys after all
+            source_rows, table = keys[1:]
         rows = nodes[cols][1]
         if rows != source_rows:
             position = {r: i for i, r in enumerate(source_rows)}
             table = table[[position[r] for r in rows]]
-        keep = [source_cols.index(c) for c in cols]
-        reals, counts = group_counts(realizations, [sizes[c] for c in source_cols], keep, table, inner, width)
-        return cols, rows, reals, counts, own
+        n_cells = width * index.size
+        # the cell (state, group) of each cell of the source: a tuple's own state, a parent's plane
+        if index.parent is None:
+            cells = index.inverse + states * index.size
+        else:
+            cells = (index.inverse + planes * index.size).ravel()
+        counts = np.bincount((np.arange(len(rows))[:, None] * n_cells + cells).ravel(), weights=table.ravel(),
+                             minlength=len(rows) * n_cells)
+        return index, rows, counts.reshape(len(rows), width, index.size)
 
     # Children are popped in descending column order: a child that drops a
     # higher column has more descendants, so its parent is freed before that walk.
+    keys = (None, tuple(range(len(weights))), weights)
     stack = [(cols, keys) for cols in children.get(None, [])]
     while stack:
-        node = build(*stack.pop())
-        cols, _, reals, counts, _ = node
+        cols, source = stack.pop()
+        node = build(cols, source)
         stack += [(child, node) for child in children.get(cols, [])]
-        yield nodes[cols][0], cols, reals, counts
+        yield nodes[cols][0], node[0], node[2]
 
 
 def family_payoffs(
@@ -222,22 +239,27 @@ def family_payoffs(
     rows that read its payoff, and the result maps it to those payoffs, in
     the same order.  The sets' tables come from one walk of their subset
     lattice (see ``_lattice``); each cell is a count sum plus the background.
-    Each payoff is one correctly rounded exact sum of the contributions of
-    all realizations, in weight units, equal bit for bit to their
-    ``math.fsum`` and computed for all rows at once by error-free extraction
-    (``exact_row_sums``), divided once by ``joint.total``.
+    Given weight rows (a bootstrap block) reweight the joint again in later
+    calls, so their group indexes are kept on the joint; the joint's own
+    weights are read once (``RationalCache`` keeps the payoffs), so their
+    indexes live only while the walk needs them.  Each payoff is one
+    correctly rounded exact sum of the contributions of all realizations,
+    in weight units, equal bit for bit to their ``math.fsum`` and computed
+    for all rows at once by error-free extraction (``exact_row_sums``),
+    divided once by ``joint.total``.
     """
     if problem.states.size != joint.states.size:
         raise SchemaError("problem and joint disagree on the number of states")
     weights = joint.probs[None] if probs is None else np.asarray(probs, dtype=np.float64)
     width = joint.states.size
+    indexes = joint.group_indexes if probs is not None else GroupIndexes(joint, budget=0)
     payoffs = {}
-    for key, cols, reals, counts in _lattice(joint, family, weights):
-        absent, background = background_mass(joint, cols, len(reals), width)
+    for key, index, counts in _lattice(joint, family, weights, indexes):
+        absent, background = background_mass(joint, index.cols, index.size, width)
         mass = counts + background if background else counts
-        terms = _group_contributions(mass.reshape(-1, width), problem).reshape(mass.shape[:-1])
+        terms = _contributions(mass.swapaxes(0, 1), problem)
         # each absent realization contributes the background row's c: absent * c, in exact terms
-        extra = _times(absent, _group_contributions(np.full((1, width), background), problem).item()) if absent else []
+        extra = _times(absent, _contributions(np.full((width, 1), background), problem).item()) if absent else []
         payoffs[key] = [total / joint.total for total in exact_row_sums(terms, extra)]
     return payoffs
 
@@ -248,23 +270,24 @@ def _cross_fit_payoffs(data: Dataset, problem: DecisionProblem, sets: list[froze
     Each fold's actions are fitted on the other row plus the background (without
     it, a realization the fitting row never saw takes that row's prior action);
     its counts are tallied exactly per (action, state), and the sum of tally
-    times payoff over both folds is rounded once and divided by n.
+    times payoff over both folds is rounded once and divided by n.  Each row's
+    tuple comes from the sort that estimated the joint (``row_tuples``).
     """
     if data.n_rows < 2:
         raise ValueError("cross-fit evaluation needs at least 2 rows")
     joint = estimate_joint(data, smoothing)
-    _, row_key = np.unique(encode(data.rows, joint.domain_sizes), return_inverse=True)
+    row_key = row_tuples(data)
     folds = np.array([np.bincount(row_key[f::2], minlength=len(joint.keys)) for f in (0, 1)], dtype=np.float64)
     table, width = problem.payoff_matrix, joint.states.size
     payoffs = {}
-    for key, cols, reals, counts in _lattice(joint, dict.fromkeys(sets, (0, 1)), folds):
-        _, background = background_mass(joint, cols, len(reals), width)
+    for key, index, counts in _lattice(joint, dict.fromkeys(sets, (0, 1)), folds):
+        _, background = background_mass(joint, index.cols, index.size, width)
         terms = []
         for fit, scored in ((counts[1], counts[0]), (counts[0], counts[1])):
-            actions = _best_actions(fit + background, problem)
+            actions = _actions(fit + background, problem)
             if not background:
-                actions[~fit.any(axis=1)] = _best_actions(fit.sum(axis=0, keepdims=True), problem)[0]
-            cells = (actions[:, None] * width + np.arange(width)).ravel()  # (action, state) of each count
+                actions[~fit.any(axis=0)] = _actions(fit.sum(axis=1, keepdims=True), problem)[0]
+            cells = (actions * width + np.arange(width)[:, None]).ravel()  # (action, state) of each count
             tally = np.bincount(cells, scored.ravel(), table.size)
             terms += [t for s, c in zip(table.flat, tally) for t in _times(int(c), s)]
         payoffs[key] = math.fsum(terms) / data.n_rows

@@ -11,7 +11,8 @@ every ground set in a comparison.  ``exact_values`` and ``sampled_values``
 turn the payoffs of the sets read (``coalition_sets``, or a
 ``sampled_walk``'s visited coalitions) into values, for these functions and
 for the bootstrap alike; the functions compute those sets as one family
-through the cache, so each set's table is derived from a superset's.  All
+through the cache, so each set's table is summed from a superset's through
+a group index built once per set (see ``rational.family_payoffs``).  All
 accumulation uses exact float summation, so results do not depend on
 evaluation order.
 """

@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import infogain.bootstrap
+import infogain.joint
 import infogain.rational
 from infogain.bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
 from infogain.errors import EstimationError, SchemaError, ShapleyCeilingError, ValidationError
@@ -23,6 +26,7 @@ from infogain.rational import RationalCache, clamp_gain, information_gain
 from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import (
     SyntheticAgentSpec,
+    brute_force_rational,
     generate_dataset,
     make_deepfake_dataset,
     make_xor_joint,
@@ -341,6 +345,52 @@ def test_every_payoff_is_evaluated_for_a_block(monkeypatch):
     monkeypatch.setattr(infogain.bootstrap, "_block_values", counting)
     bootstrap_run(data, problem, BootstrapSpec(replicates=4, seed=1, statistics=stats))
     assert sum(blocks) == 4 and calls == [2] * len(blocks)
+
+
+def test_a_second_block_in_a_process_builds_no_group_index(monkeypatch):
+    # the blocks of a run share its joint, whose group indexes are built once
+    # per set and process: the first block builds one for each set its
+    # statistics read, the others none; one replicate per block, in process
+    monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", 1)
+    data, problem = make_deepfake_dataset(n_rows=600, seed=11)
+    stats = (ShapleyStat(ground=("human",)), GainStat(v1=("flicker", "dark"), ground=("human_ai",)))
+    built, per_block = [], []
+    group_index, block_values = infogain.joint.GroupIndex, infogain.bootstrap._block_values
+
+    def recording(*args):
+        built.append(args[1])
+        return group_index(*args)
+
+    def counting(*args):
+        before = len(built)
+        rows = block_values(*args)
+        per_block.append(len(built) - before)
+        return rows
+
+    monkeypatch.setattr(infogain.joint, "GroupIndex", recording)
+    monkeypatch.setattr(infogain.bootstrap, "_block_values", counting)
+    result = bootstrap_run(data, problem, BootstrapSpec(replicates=3, seed=1, statistics=stats))
+    n = len(data.schema.signal_names)
+    assert per_block == [2**n + 2, 0, 0] and len(set(built)) == len(built)
+    monkeypatch.undo()
+    assert result == bootstrap_run(data, problem, BootstrapSpec(replicates=3, seed=1, statistics=stats))
+
+
+def test_bootstrap_on_a_grid_of_unequal_steps_matches_the_oracle():
+    # each replicate's gain against the oracle on the joint of its resampled rows
+    grid = DecisionSpace.numeric([0, Fraction(1, 10), Fraction(1, 2), 1])
+    problem = DecisionProblem(StateSpace.of(("0", "1")), grid, PayoffFunction.brier())
+    assert grid._step_rule is None
+    population = random_joint(np.random.default_rng(4), n_signals=3, domain_size=3, n_decision_columns=1)
+    data = generate_dataset(population, problem, n_rows=200, seed=6)
+    stat = GainStat(v1=("x1", "x2"), ground=("b1",))
+    for alpha in (0.0, 0.3):
+        result = bootstrap_run(data, problem, BootstrapSpec(replicates=4, seed=2, statistics=(stat,)), alpha=alpha)
+        for b, sample in enumerate(result.statistics[0].samples):
+            joint = estimate_joint(dataclasses.replace(data, rows=data.rows[infogain.bootstrap._draw(data, 2, b)]), alpha)
+            both, alone = (brute_force_rational(joint, problem, names) for names in (("x1", "x2", "b1"), ("b1",)))
+            assert sample == pytest.approx(clamp_gain(both - alone), abs=1e-12)
 
 
 class _RecordingCache(RationalCache):

@@ -21,7 +21,7 @@ from infogain.joint import (
 )
 from infogain.model import BasicSignal, SignalSchema, StateSpace, brier_problem
 from infogain.rational import (
-    _group_contributions,
+    _contributions,
     _lattice,
     cross_fit_gain,
     family_payoffs,
@@ -448,7 +448,7 @@ def test_masses_are_exact_count_sums_and_payoffs_one_division(alpha, data):
         assert absent == (math.prod(sizes[c] for c in cols) - len(seen) if alpha else 0)
         expect = [[counts[real, w] + alpha * rest for w in range(sizes[0])] for real in seen]
         assert mass.tolist() == expect and background_row.tolist() == [alpha * rest] * sizes[0]
-        terms = _group_contributions(np.vstack([mass] + [background_row] * absent), problem).tolist()
+        terms = _contributions(np.vstack([mass] + [background_row] * absent).T, problem).tolist()
         assert rational_payoff(joint, problem, names) == math.fsum(terms) / joint.total
 
 
@@ -457,6 +457,15 @@ def _family(draw, names, n_weights):
     sets = draw.draw(st.lists(st.sampled_from(list(_subsets(names))), min_size=1, unique=True))
     rows = st.lists(st.integers(0, n_weights - 1), min_size=1, max_size=n_weights, unique=True)
     return {frozenset(subset): tuple(draw.draw(rows)) for subset in sets}
+
+
+def _groups(joint, index):
+    """The (G, len(cols)) values of the groups of ``index``, in order, decoded from their mixed-radix codes."""
+    sizes = [joint.domain_sizes[c] for c in index.cols]
+    values, code = np.empty((index.size, len(sizes)), dtype=np.int64), index.codes
+    for j in reversed(range(len(sizes))):
+        code, values[:, j] = np.divmod(code, sizes[j])
+    return values
 
 
 def _keys_table(joint, cols, weights):
@@ -475,10 +484,11 @@ def test_lattice_tables_are_the_tables_grouped_from_the_keys(alpha, data, draw):
     weights = rng.multinomial(data.n_rows, np.full(len(joint.keys), 1.0 / len(joint.keys)), size=n_weights) * 1.0
     family = _family(draw, joint.schema.names, n_weights)
     seen = []
-    for key, cols, reals, counts in _lattice(joint, family, weights):
-        keys_reals, keys_counts = _keys_table(joint, cols, weights[list(family[key])])
-        assert cols == joint.columns(key) and np.array_equal(reals, keys_reals)
-        assert counts.tobytes() == keys_counts.tobytes()
+    for key, index, counts in _lattice(joint, family, weights):
+        keys_reals, keys_counts = _keys_table(joint, index.cols, weights[list(family[key])])
+        assert index.cols == joint.columns(key) and np.array_equal(_groups(joint, index), keys_reals)
+        assert counts.shape == (len(family[key]), joint.states.size, index.size)
+        assert np.ascontiguousarray(counts.transpose(0, 2, 1)).tobytes() == keys_counts.tobytes()
         seen.append(key)
     assert len(seen) == len(family) and set(seen) == set(family)
     payoffs = family_payoffs(joint, problem, family, weights)
@@ -502,14 +512,40 @@ def test_lattice_tables_of_a_population_joint_agree_within_the_regrouping_tolera
     problem = _problem(n_states)
     relative = len(joint.keys) * 2.0**-52
     family = _family(draw, joint.schema.names, 1)
-    for key, cols, reals, counts in _lattice(joint, family, joint.probs[None]):
-        keys_reals, keys_counts = _keys_table(joint, cols, joint.probs[None])
-        assert np.array_equal(reals, keys_reals)
+    for key, index, counts in _lattice(joint, family, joint.probs[None]):
+        keys_reals, keys_counts = _keys_table(joint, index.cols, joint.probs[None])
+        counts = counts.transpose(0, 2, 1)
+        assert np.array_equal(_groups(joint, index), keys_reals)
         assert (np.abs(counts - keys_counts) <= relative * keys_counts).all()
     tolerance = np.abs(problem.payoff_matrix).max() * (relative + 16 * 2.0**-52)
     payoffs = family_payoffs(joint, problem, family)
     for key in family:
         assert abs(payoffs[key][0] - rational_payoff(joint, problem, key)) <= tolerance
+
+
+def test_a_set_under_a_parent_past_the_code_limit_is_grouped_from_the_keys():
+    # 63 binary signals make 2^63 codes, past CODE_LIMIT, so their codes are
+    # ranks, not mixed-radix digits: the set of the first 62, whose parent
+    # they are, is grouped from the keys instead, with mixed-radix codes
+    names = tuple(f"x{i}" for i in range(63))
+    rows = np.random.default_rng(1).integers(0, 2, size=(40, 64))
+    data = _dataset(rows, SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names)))
+    joint = estimate_joint(data)
+    problem = _problem(joint.states.size)
+    weights = np.random.default_rng(2).multinomial(40, np.full(len(joint.keys), 1.0 / len(joint.keys)), size=2) * 1.0
+    family = {frozenset(names): (0, 1), frozenset(names[:-1]): (0, 1), frozenset(names[:-2]): (0, 1)}
+    parents = {}
+    for key, index, counts in _lattice(joint, family, weights):
+        parents[len(key)] = index.parent
+        keys_reals, keys_counts = _keys_table(joint, index.cols, weights)
+        if len(key) < 63:
+            assert np.array_equal(_groups(joint, index), keys_reals)
+        assert np.ascontiguousarray(counts.transpose(0, 2, 1)).tobytes() == keys_counts.tobytes()
+    assert parents == {63: None, 62: None, 61: joint.columns(names[:-1])}
+    payoffs = family_payoffs(joint, problem, family, weights)
+    for key in family:
+        assert [v.hex() for v in payoffs[key]] == [
+            rational_payoff(dataclasses.replace(joint, probs=row), problem, key).hex() for row in weights]
 
 
 def test_unsmoothed_joint_over_more_cells_than_a_float_counts():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from infogain.model import (
     BasicSignal,
@@ -145,6 +145,38 @@ def test_nearest_index_ties_resolve_low():
     single = DecisionSpace.numeric([Fraction(1, 2)])
     assert single.nearest_index(0.9) == 0
     assert single.nearest_index(np.array([0.0, 1.0])).tolist() == [0, 0]
+
+
+@given(
+    ends=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2, unique=True),
+    count=st.integers(2, 1001),
+    data=st.data(),
+)
+def test_nearest_index_is_the_sorted_search_on_every_uniform_grid(ends, count, data):
+    # the arithmetic rule of an equal-step grid against searchsorted itself:
+    # on each midpoint, on the floats beside it, past both ends, and in a table
+    start, stop = sorted(ends)
+    grid = DecisionSpace.uniform_grid(start, stop, count)
+    mids, points = grid._midpoints, grid.grid_floats
+    outside = [points[0] - 1.0, np.nextafter(points[0], -np.inf), points[-1] + 1.0, np.nextafter(points[-1], np.inf),
+               -np.inf, np.inf]
+    values = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf), outside])
+    assert grid.nearest_index(values).tolist() == np.searchsorted(mids, values, side="left").tolist()
+    for value in values[:: max(1, len(values) // 20)]:
+        assert grid.nearest_index(float(value)) == int(np.searchsorted(mids, value, side="left"))
+    shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 30)))
+    table = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(start - 0.1, stop + 0.1, size=shape)
+    table.flat[: len(mids)] = mids[: table.size]
+    assert np.array_equal(grid.nearest_index(table), np.searchsorted(mids, table, side="left"))
+
+
+def test_nearest_index_finds_the_grid_point_by_arithmetic_where_the_steps_are_equal():
+    assert DecisionSpace.uniform_grid()._step_rule is not None
+    assert DecisionSpace.uniform_grid(Fraction(1, 5), Fraction(4, 5), 7)._step_rule is not None
+    assert DecisionSpace.numeric([0, Fraction(1, 10), Fraction(1, 2), 1])._step_rule is None
+    assert DecisionSpace.numeric([Fraction(1, 2)])._step_rule is None
+    # steps far below the resolution of the floats near the grid: the sorted search
+    assert DecisionSpace.uniform_grid(Fraction(3, 10), Fraction(3, 10) + Fraction(1, 10**15), 1001)._step_rule is None
 
 
 @pytest.mark.parametrize("grid", [DecisionSpace.uniform_grid()] + [DecisionSpace.uniform_grid(0, 1, n) for n in (7, 13, 30)])

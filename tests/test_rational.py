@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import itertools
 import math
@@ -20,7 +21,7 @@ from infogain.model import (
     brier_problem,
 )
 from infogain.rational import (
-    _group_contributions,
+    _contributions,
     _lattice,
     _times,
     best_response,
@@ -166,6 +167,29 @@ def test_oracle_equivalence_on_random_joints(rng):
             assert rational_payoff(joint, problem, vars_) == pytest.approx(
                 brute_force_rational(joint, problem, vars_), abs=1e-12
             )
+
+
+def _unequal_steps_problem():
+    """The quadratic score on the grid 0, 1/10, 1/2, 1, whose unequal steps keep the sorted search."""
+    grid = DecisionSpace.numeric([0, Fraction(1, 10), Fraction(1, 2), 1])
+    assert grid._step_rule is None
+    return DecisionProblem(StateSpace.of(("0", "1")), grid, PayoffFunction.brier())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_family_payoffs_on_a_grid_of_unequal_steps_match_the_oracle(rng, alpha):
+    # whole counts (looked up in the count table) and smoothed ones (scored
+    # directly), several weight rows, every set of a small schema
+    problem = _unequal_steps_problem()
+    population = random_joint(rng, n_signals=3, domain_size=3, n_decision_columns=1, decision_domain_size=4)
+    joint = estimate_joint(generate_dataset(population, problem, n_rows=300, seed=5), alpha)
+    weights = rng.multinomial(300, np.full(len(joint.keys), 1.0 / len(joint.keys)), size=3) * 1.0
+    family = {frozenset(names): (0, 1, 2) for names in _subsets(joint.schema.names)}
+    payoffs = family_payoffs(joint, problem, family, weights)
+    for r, row in enumerate(weights):
+        own = dataclasses.replace(joint, probs=row)
+        for key in family:
+            assert payoffs[key][r] == pytest.approx(brute_force_rational(own, problem, key), abs=1e-12)
 
 
 def test_oracle_equivalence_with_smoothing(rng, brier):
@@ -382,11 +406,11 @@ def test_group_contribution_of_a_row_does_not_depend_on_its_batch(n_states):
     mass = rng.random((257, n_states)) * rng.choice([1e-6, 1.0, 1e3], size=(257, n_states))
     mass[::7] = 0.0
     for problem in problems:
-        batch = _group_contributions(mass, problem)
-        alone = [_group_contributions(mass[i : i + 1], problem)[0] for i in range(len(mass))]
+        batch = _contributions(mass.T, problem)
+        alone = [_contributions(mass[i : i + 1].T, problem)[0] for i in range(len(mass))]
         assert [x.hex() for x in batch] == [x.hex() for x in alone]
         subset = rng.permutation(len(mass))[:100]
-        assert [x.hex() for x in _group_contributions(mass[subset], problem)] == [x.hex() for x in batch[subset]]
+        assert [x.hex() for x in _contributions(mass[subset].T, problem)] == [x.hex() for x in batch[subset]]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
@@ -484,11 +508,11 @@ def test_exact_row_sums_of_edge_cases_equal_fsum(rows, extra):
 def _fsum_family_payoffs(joint, problem, family, probs):
     """``family_payoffs`` as it summed before error-free extraction: one ``math.fsum`` per weight row."""
     width, payoffs = joint.states.size, {}
-    for key, cols, reals, counts in _lattice(joint, family, np.asarray(probs, dtype=np.float64)):
-        absent, background = background_mass(joint, cols, len(reals), width)
-        mass = counts + background if background else counts
-        terms = _group_contributions(mass.reshape(-1, width), problem).reshape(mass.shape[:-1])
-        extra = _times(absent, _group_contributions(np.full((1, width), background), problem).item()) if absent else []
+    for key, index, counts in _lattice(joint, family, np.asarray(probs, dtype=np.float64)):
+        absent, background = background_mass(joint, index.cols, index.size, width)
+        mass = np.moveaxis(counts + background if background else counts, 1, -1)  # (rows, G, |states|)
+        terms = _contributions(mass.reshape(-1, width).T, problem).reshape(mass.shape[:-1])
+        extra = _times(absent, _contributions(np.full((width, 1), background), problem).item()) if absent else []
         payoffs[key] = [math.fsum(row.tolist() + extra) / joint.total for row in terms]
     return payoffs
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-import infogain.rational
+import infogain.joint
 from infogain.errors import SchemaError, ShapleyCeilingError
 from infogain.joint import Dataset, JointDistribution, estimate_joint
 from infogain.model import BasicSignal, DecisionColumn, SignalSchema, StateSpace, brier_problem
@@ -219,24 +219,24 @@ def test_sampled_within_three_standard_errors(rng):
 
 def test_exact_shapley_groups_the_keys_once_per_ground(monkeypatch):
     # every coalition set of a ground nests in the set of all signals, so the
-    # keys are grouped once and the other 2^n - 1 tables come from parents;
-    # a second ground misses only its own sets, and a repeat misses none
+    # keys are grouped once and the other 2^n - 1 indexes group a parent's
+    # groups; a second ground builds only its own, and a repeat builds none
     data, problem = make_deepfake_dataset(n_rows=600, seed=11)
     joint = estimate_joint(data)
-    sources = []
-    group_counts = infogain.rational.group_counts
+    parents = []
+    group_index = infogain.joint.GroupIndex
 
-    def recording(source, *args):
-        sources.append(source is joint.keys)
-        return group_counts(source, *args)
+    def recording(parent, *args):
+        parents.append(parent)
+        return group_index(parent, *args)
 
-    monkeypatch.setattr(infogain.rational, "group_counts", recording)
+    monkeypatch.setattr(infogain.joint, "GroupIndex", recording)
     cache = RationalCache(joint, problem)
     n = len(data.schema.signal_names)
     for ground, built in ((("human",), 2**n), (("ai",), 2**n), (("human",), 0)):
-        sources.clear()
+        parents.clear()
         shapley_exact(joint, problem, ground=ground, cache=cache)
-        assert len(sources) == built and sources.count(True) == min(built, 1)
+        assert len(parents) == built and parents.count(None) == min(built, 1)
 
 
 def permutation_walk_reference(joint, problem, players, ground, permutations, seed):

@@ -25,7 +25,7 @@ from infogain.model import (
     StateSpace,
     brier_problem,
 )
-from infogain.rational import RationalCache, _group_contributions, cross_fit_payoff, information_gain, rational_payoff
+from infogain.rational import RationalCache, _contributions, cross_fit_payoff, information_gain, rational_payoff
 from infogain.shapley import shapley_exact
 from infogain.synth import DEEPFAKE_SIGNALS, generate_dataset, make_xor_joint, random_joint, random_matrix_problem
 
@@ -56,7 +56,7 @@ def dense_reference_payoff(joint, problem, variables):
         group = np.zeros(len(joint.probs), dtype=np.int64)
     np.add.at(mass, (group, joint.keys[:, 0]), joint.probs)
     mass += joint.background * rest
-    return math.fsum(_group_contributions(mass, problem)) / joint.total
+    return math.fsum(_contributions(mass.T, problem)) / joint.total
 
 
 def _sampled(joint, problem, n_rows, seed):
