@@ -27,7 +27,6 @@ from .model import (
 )
 from .rational import (
     GainValue,
-    RationalCache,
     best_response,
     cross_fit_gain,
     cross_fit_payoff,
@@ -59,7 +58,6 @@ __all__ = [
     "GainValue",
     "JointDistribution",
     "PayoffFunction",
-    "RationalCache",
     "ShapleyReport",
     "ShapleyStat",
     "SignalSchema",

@@ -105,9 +105,9 @@ class Dataset:
         return int(self.rows.shape[0])
 
     @cached_property
-    def _tuples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_distinct`` of the rows' codes: the one sort of the rows, shared by ``estimate_joint`` and ``row_tuples``."""
-        return _distinct(encode(self.rows, (self.states.size,) + self.schema.domain_sizes()))
+    def _tuples(self) -> np.ndarray:
+        """``_ranks`` of the rows' codes: the one sort of the rows, shared by ``estimate_joint`` and ``row_tuples``."""
+        return _ranks(encode(self.rows, (self.states.size,) + self.schema.domain_sizes()))
 
 
 @dataclass(frozen=True)
@@ -184,17 +184,15 @@ class JointDistribution:
         return tuple(sorted(cols))
 
 
-def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, counts, inverse)`` of the distinct values of ``codes`` in ascending order: a row
-    holding each, how many rows hold it, and the int32 rank of each row's value; from one unstable sort."""
+def _ranks(codes: np.ndarray) -> np.ndarray:
+    """The int32 rank of each value of ``codes`` among its distinct values in ascending order, from one unstable sort."""
     order = np.argsort(codes)
     ordered = codes[order]
     new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     del ordered
-    starts = np.flatnonzero(new)
     inverse = np.empty(len(codes), dtype=np.int32)
     inverse[order] = np.cumsum(new, dtype=np.int32) - 1
-    return order[starts], np.diff(starts, append=len(codes)), inverse
+    return inverse
 
 
 def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
@@ -222,7 +220,10 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
         if not math.isfinite(total):
             raise EstimationError(
                 f"smoothing alpha={smoothing!r} over {_cell_count(cells)} cells overflows the total weight")
-    held_by, counts, _ = data._tuples
+    inverse = data._tuples
+    counts = np.bincount(inverse)
+    held_by = np.empty(len(counts), dtype=np.intp)
+    held_by[inverse] = np.arange(data.n_rows)  # some row of each tuple; any one holds its values
     return JointDistribution(
         states=data.states,
         schema=data.schema,
@@ -236,7 +237,7 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
 
 def row_tuples(data: Dataset) -> np.ndarray:
     """Index of each row's tuple among the keys of ``estimate_joint(data)``, from the sort that estimate made."""
-    return data._tuples[2]
+    return data._tuples
 
 
 def _span(sizes: Sequence[int]) -> int | None:

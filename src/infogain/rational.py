@@ -241,8 +241,8 @@ def family_payoffs(
     lattice (see ``_lattice``); each cell is a count sum plus the background.
     Given weight rows (a bootstrap block) reweight the joint again in later
     calls, so their group indexes are kept on the joint; the joint's own
-    weights are read once (``RationalCache`` keeps the payoffs), so their
-    indexes live only while the walk needs them.  Each payoff is one
+    weights are read once per call of ``payoffs``, whose sets are one family,
+    so their indexes live only while the walk needs them.  Each payoff is one
     correctly rounded exact sum of the contributions of all realizations,
     in weight units, equal bit for bit to their ``math.fsum`` and computed
     for all rows at once by error-free extraction (``exact_row_sums``),
@@ -294,19 +294,26 @@ def _cross_fit_payoffs(data: Dataset, problem: DecisionProblem, sets: list[froze
     return [payoffs[key] for key in sets]
 
 
+def payoffs(joint: JointDistribution, problem: DecisionProblem, sets: Iterable[Iterable[str]]) -> list[float]:
+    """Benchmark payoffs of the variable ``sets``, in their order, from one ``family_payoffs`` call over the
+    distinct sets: the in-sample mirror of ``_cross_fit_payoffs``.
+
+    The empty set yields the best-fixed-action payoff under the prior.  Under
+    counts a payoff is a pure function of its set, whatever family it is
+    computed in.
+    """
+    sets = [frozenset(s) for s in sets]
+    table = family_payoffs(joint, problem, dict.fromkeys(sets, (0,)))
+    return [table[key][0] for key in sets]
+
+
 def rational_payoff(
     joint: JointDistribution,
     problem: DecisionProblem,
     variables: Iterable[str] = (),
 ) -> float:
-    """Expected payoff of the rational benchmark observing the given variables.
-
-    The empty set yields the best-fixed-action payoff under the prior.  This
-    is ``family_payoffs`` for a family of one set, so its table is grouped
-    from the keys.
-    """
-    key = frozenset(variables)
-    return family_payoffs(joint, problem, {key: (0,)})[key][0]
+    """Expected payoff of the rational benchmark observing the given variables: ``payoffs`` of one set."""
+    return payoffs(joint, problem, [variables])[0]
 
 
 def information_gain(
@@ -315,45 +322,25 @@ def information_gain(
     v1: Iterable[str],
     ground: Iterable[str] = (),
 ) -> GainValue:
-    """Benchmark payoff improvement of ``v1`` over the ground set alone.
+    """Benchmark payoff improvement of ``v1`` over the ground set alone, from ``payoffs`` of V1 | G and G.
 
     Decision columns are ordinary variables here, so this simultaneously covers
     the gain of signals over behavioral decisions, of behavioral decisions over
     signals, and of one decision column over another.
     """
-    return RationalCache(joint, problem).gain(v1, ground)
+    return gain_value(functools.partial(payoffs, joint, problem), v1, ground)
 
 
+# unused here; the benchmark tracer still wraps the site infogain.rational:RationalCache.payoff
 class RationalCache:
-    """Memoized benchmark payoffs for one (joint, problem) pair, keyed by variable set.
-
-    A missing payoff is computed alone, from a table grouped from the keys;
-    ``prime`` computes many as one family, each set's table derived from a
-    cached parent's where it can be, and ``gain`` primes V1 | G with G.
-    Under counts, values are pure functions of the key, so results never
-    depend on evaluation order.
-    """
+    """``rational_payoff`` of one (joint, problem) pair."""
 
     def __init__(self, joint: JointDistribution, problem: DecisionProblem):
         self.joint = joint
         self.problem = problem
-        self._cache: dict[frozenset, float] = {}
 
     def payoff(self, variables: Iterable[str]) -> float:
-        key = frozenset(variables)
-        return self._cache[key] if key in self._cache else self.prime([key])[0]
-
-    def prime(self, sets: Iterable[Iterable[str]]) -> list[float]:
-        """The payoffs of ``sets``, in order; those not yet cached are computed as one family."""
-        sets = [frozenset(s) for s in sets]
-        missing = set(sets) - self._cache.keys()
-        if missing:
-            for key, (value,) in family_payoffs(self.joint, self.problem, dict.fromkeys(missing, (0,))).items():
-                self._cache[key] = value
-        return [self._cache[key] for key in sets]
-
-    def gain(self, v1: Iterable[str], ground: Iterable[str] = ()) -> GainValue:
-        return gain_value(self.prime, v1, ground)
+        return rational_payoff(self.joint, self.problem, variables)
 
 
 def cross_fit_payoff(

@@ -6,13 +6,12 @@ signal's Shapley value is its average marginal contribution across coalitions,
 so individually worthless but jointly valuable signals still get credit.
 
 A coalition's value is the clamped gain of its variable set (the coalition
-joined with the ground set) over the ground set, so one payoff cache serves
-every ground set in a comparison.  ``exact_values`` and ``sampled_values``
-turn the payoffs of the sets read (``coalition_sets``, or a
-``sampled_walk``'s visited coalitions) into values, for these functions and
-for the bootstrap alike; the functions compute those sets as one family
-through the cache, so each set's table is summed from a superset's through
-a group index built once per set (see ``rational.family_payoffs``).  All
+joined with the ground set) over the ground set.  ``exact_values`` and
+``sampled_values`` turn the payoffs of the sets read (``coalition_sets``, or
+a ``sampled_walk``'s visited coalitions) into values, for these functions
+and for the bootstrap alike.  The functions read those payoffs from one
+``rational.payoffs`` call, so the sets are one family and each set's table
+is summed from a superset's (see ``rational.family_payoffs``).  All
 accumulation uses exact float summation, so results do not depend on
 evaluation order.
 """
@@ -28,9 +27,10 @@ import numpy as np
 from .errors import SchemaError, ShapleyCeilingError
 from .joint import JointDistribution
 from .model import DecisionProblem
-from .rational import RationalCache, clamp_gain
+from .rational import clamp_gain, payoffs
 
-EXACT_CEILING_DEFAULT = 15
+# The most players exact enumeration takes: 2^15 coalition sets.
+EXACT_CEILING = 15
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,14 @@ def resolve_signals(joint: JointDistribution, signals: Sequence[str] | None) -> 
     return tuple(out)
 
 
-def coalition_sets(
-    signals: Sequence[str], ground: Iterable[str], ceiling: int = EXACT_CEILING_DEFAULT
-) -> list[frozenset[str]]:
+def coalition_sets(signals: Sequence[str], ground: Iterable[str]) -> list[frozenset[str]]:
     """The 2^n variable sets exact enumeration reads: the ground set joined
-    with each subset of ``signals``, by bitmask.  More than ``ceiling``
+    with each subset of ``signals``, by bitmask.  More than ``EXACT_CEILING``
     signals raise ``ShapleyCeilingError`` before any set is built."""
     n = len(signals)
-    if n > ceiling:
+    if n > EXACT_CEILING:
         raise ShapleyCeilingError(
-            f"{n} signals exceed the exact-method ceiling of {ceiling} "
+            f"{n} signals exceed the exact-method ceiling of {EXACT_CEILING} "
             f"({2 ** n} subsets); use shapley_sampled instead"
         )
     ground = frozenset(ground)
@@ -153,16 +151,13 @@ def shapley_exact(
     signals: Sequence[str] | None = None,
     ground: Iterable[str] = (),
     *,
-    ceiling: int = EXACT_CEILING_DEFAULT,
-    cache: RationalCache | None = None,
     label: str | None = None,
 ) -> ShapleyReport:
     """Exact Shapley values by full subset enumeration (2^n coalition values)."""
     signals = resolve_signals(joint, signals)
     ground = tuple(sorted(set(ground)))
-    sets = coalition_sets(signals, ground, ceiling)
-    cache = cache or RationalCache(joint, problem)
-    values, total = exact_values(cache.prime(sets), exact_weights(len(signals)))
+    sets = coalition_sets(signals, ground)
+    values, total = exact_values(payoffs(joint, problem, sets), exact_weights(len(signals)))
     return ShapleyReport(signals=signals, values=values, ground=ground, method="exact", total_gain=total, label=label)
 
 
@@ -174,7 +169,6 @@ def shapley_sampled(
     *,
     permutations: int,
     seed: int = 0,
-    cache: RationalCache | None = None,
     label: str | None = None,
 ) -> ShapleyReport:
     """Monte Carlo Shapley estimate from uniformly random signal orderings.
@@ -185,7 +179,6 @@ def shapley_sampled(
     signals = resolve_signals(joint, signals)
     ground = tuple(sorted(set(ground)))
     walk = sampled_walk(signals, ground, permutations, seed)
-    cache = cache or RationalCache(joint, problem)
-    values, errs, total = sampled_values(cache.prime(walk.sets), walk)
+    values, errs, total = sampled_values(payoffs(joint, problem, walk.sets), walk)
     return ShapleyReport(signals=signals, values=values, ground=ground, method="sampled", total_gain=total,
                          permutations=permutations, seed=seed, standard_errors=errs, label=label)

@@ -20,7 +20,7 @@ from infogain.model import (
     StateSpace,
     brier_problem,
 )
-from infogain.rational import RationalCache, best_response, information_gain, rational_payoff
+from infogain.rational import best_response, gain_value, information_gain, payoffs, rational_payoff
 from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import (
     SyntheticAgentSpec,
@@ -42,6 +42,13 @@ def _ok(n: int, text: str) -> None:
 def _subsets(names):
     for r in range(len(names) + 1):
         yield from itertools.combinations(names, r)
+
+
+def _payoff_table(joint, problem):
+    """The payoffs of every subset of the schema's variables, from one ``payoffs`` call, and a lookup of them."""
+    subsets = [frozenset(s) for s in _subsets(joint.schema.names)]
+    table = dict(zip(subsets, payoffs(joint, problem, subsets)))
+    return table, lambda sets: [table[key] for key in sets]
 
 
 def _corpus(n_joints=200, seed=20240817):
@@ -113,13 +120,11 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_rationality_properties():
     pairs = 0
     for joint, problem in _corpus(200):
-        names = joint.schema.names
-        cache = RationalCache(joint, problem)
-        values = {s: cache.payoff(s) for s in _subsets(names)}
+        values, lookup = _payoff_table(joint, problem)
         for v1, v2 in itertools.product(values, repeat=2):
-            if set(v1) <= set(v2):
+            if v1 <= v2:
                 assert values[v1] <= values[v2] + TOL
-            raw = cache.gain(v1, v2).raw
+            raw = gain_value(lookup, v1, v2).raw
             assert raw >= -TOL
             pairs += 1
     _ok(4, f"monotonicity and pre-clamp non-negativity hold over {pairs} subset pairs")
@@ -259,14 +264,13 @@ def test_criterion_8_payoff_scale_bounds():
             n_signals=int(rng.integers(1, 4)),
             n_decision_columns=int(rng.integers(0, 2)),
         )
-        names = joint.schema.names
-        cache = RationalCache(joint, problem)
-        for v1, ground in itertools.product(_subsets(names), repeat=2):
-            gain = cache.gain(v1, ground)
+        table, lookup = _payoff_table(joint, problem)
+        for v1, ground in itertools.product(table, repeat=2):
+            gain = gain_value(lookup, v1, ground)
             assert gain.raw >= -1e-9
             assert 0.0 <= gain.value <= 1.0
             checked += 1
-        report = shapley_exact(joint, problem, cache=cache)
+        report = shapley_exact(joint, problem)
         assert all(-1e-9 <= v <= 1.0 for v in report.values)
         assert 0.0 <= report.total_gain <= 1.0
     _ok(8, f"under the quadratic score all {checked} gains lie in [0, 1] and attributions in [-1e-9, 1]")

@@ -10,6 +10,7 @@ import pytest
 import infogain.bootstrap
 import infogain.joint
 import infogain.rational
+import infogain.shapley
 from infogain.bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
 from infogain.errors import EstimationError, SchemaError, ShapleyCeilingError, ValidationError
 from infogain.joint import Dataset, estimate_joint
@@ -22,7 +23,7 @@ from infogain.model import (
     SignalSchema,
     StateSpace,
 )
-from infogain.rational import RationalCache, clamp_gain, information_gain
+from infogain.rational import clamp_gain, information_gain, payoffs
 from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import (
     SyntheticAgentSpec,
@@ -155,20 +156,20 @@ def test_stat_names_and_roles(xor_joint, brier):
 # --- count-reweighted, blocked replicates against the per-replicate loop -----
 
 
-def reference_values(joint, problem, spec, b, cache):
-    """Replicate b's statistics on ``joint``, each through the public function, with payoffs from ``cache``."""
+def reference_values(joint, problem, spec, b):
+    """Replicate b's statistics on ``joint``, each through the public function."""
     values = []
     for stat_index, stat in enumerate(spec.statistics):
         if isinstance(stat, GainStat):
-            values.append(cache.gain(stat.v1, stat.ground).value)
+            values.append(information_gain(joint, problem, stat.v1, stat.ground).value)
             continue
         signals = stat.signals if stat.signals is not None else joint.schema.signal_names
         if stat.permutations is None:
-            report = shapley_exact(joint, problem, signals, stat.ground, cache=cache)
+            report = shapley_exact(joint, problem, signals, stat.ground)
         else:
             sub_seed = np.random.SeedSequence(spec.seed, spawn_key=(b, 10_000 + stat_index))
             report = shapley_sampled(joint, problem, signals, stat.ground, permutations=stat.permutations,
-                                     seed=int(sub_seed.generate_state(1)[0]), cache=cache)
+                                     seed=int(sub_seed.generate_state(1)[0]))
         values.extend(report.values)
     return values
 
@@ -181,7 +182,7 @@ def reference_samples(data, problem, spec, alpha):
         idx = rng.integers(0, data.n_rows, size=data.n_rows)
         resampled = Dataset(data.states, data.schema, data.rows[idx], state_name=data.state_name)
         joint = estimate_joint(resampled, alpha)
-        values = reference_values(joint, problem, spec, b, RationalCache(joint, problem))
+        values = reference_values(joint, problem, spec, b)
         samples.append([x.hex() for x in values])
     return samples
 
@@ -228,16 +229,18 @@ CASES = {"deepfake": _deepfake_case, "xor": _xor_case, "matrix": _matrix_case}
 
 
 def subset_weight_reference(joint, problem, players, ground):
-    """Exact Shapley values and total gain by the subset-weight formula, one cached payoff per set.
+    """Exact Shapley values and total gain by the subset-weight formula, each set's payoff from one table.
 
     phi_i = sum over S without i of w_|S| (v(S + i) - v(S)), w_k = 1 / (n C(n-1, k)),
     v(S) = clamp_gain(P(S | G) - P(G)), each sum exact (fsum).
     """
-    cache = RationalCache(joint, problem)
-    base = cache.payoff(ground)
+    coalitions = [frozenset(c).union(ground) for k in range(len(players) + 1)
+                  for c in itertools.combinations(players, k)]
+    table = dict(zip(coalitions, payoffs(joint, problem, coalitions)))
+    base = table[frozenset(ground)]
 
     def v(members):
-        return clamp_gain(cache.payoff(set(members) | set(ground)) - base)
+        return clamp_gain(table[frozenset(members).union(ground)] - base)
 
     n = len(players)
     values = []
@@ -324,7 +327,7 @@ def test_replicate_drawing_one_tuple(brier, alpha):
 def test_every_payoff_is_evaluated_for_a_block(monkeypatch):
     # the sets a sampled Shapley value reads are drawn before the block's
     # payoffs are computed, so each block evaluates every payoff in one
-    # family and no replicate evaluates a payoff of its own (through a cache,
+    # family and no replicate evaluates a payoff of its own (through payoffs,
     # which looks family_payoffs up in infogain.rational); one worker, so
     # that every block runs in this process, where the calls are counted
     monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 1)
@@ -393,19 +396,6 @@ def test_bootstrap_on_a_grid_of_unequal_steps_matches_the_oracle():
             assert sample == pytest.approx(clamp_gain(both - alone), abs=1e-12)
 
 
-class _RecordingCache(RationalCache):
-    """Records the variable sets whose payoffs are read; every payoff reads as 0."""
-
-    def __init__(self, joint, problem):
-        super().__init__(joint, problem)
-        self.sets = set()
-
-    def prime(self, sets):
-        sets = [frozenset(s) for s in sets]
-        self.sets.update(sets)
-        return [0.0] * len(sets)
-
-
 class _RecordingPayoffs(dict):
     """Payoffs of 0 for ``keys``, recording each key that is looked up."""
 
@@ -419,11 +409,11 @@ class _RecordingPayoffs(dict):
 
 
 @pytest.mark.parametrize("kinds", ["gain", "exact", "sampled", "mixed"])
-def test_payoff_sets_are_exactly_the_sets_a_replicate_reads(kinds):
+def test_payoff_sets_are_exactly_the_sets_a_replicate_reads(monkeypatch, kinds):
     # the plan lists each replicate's sets before any payoff; a set it misses
     # has no payoff in the block's table, and a set it adds is evaluated for
     # nothing.  The sets a replicate's statistics read are those its values
-    # look up, and those the public functions read through a cache.
+    # look up, and those the public functions read through payoffs.
     data, problem, mixed = _deepfake_case()
     stats = {
         "gain": (GainStat(v1=("flicker", "dark"), ground=("human_ai",)), GainStat(v1=("grainy",))),
@@ -439,9 +429,18 @@ def test_payoff_sets_are_exactly_the_sets_a_replicate_reads(kinds):
         planned = {key for stat in reads for key in stat.sets}
         looked_up = _RecordingPayoffs(planned)
         infogain.bootstrap._replicate_values(looked_up, reads)
-        cache = _RecordingCache(joint, problem)
-        reference_values(joint, problem, spec, b, cache)
-        assert looked_up.read == planned == cache.sets
+        recorded = set()
+
+        def recording(joint, problem, sets):  # every payoff reads as 0
+            sets = [frozenset(s) for s in sets]
+            recorded.update(sets)
+            return [0.0] * len(sets)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(infogain.rational, "payoffs", recording)
+            patch.setattr(infogain.shapley, "payoffs", recording)
+            reference_values(joint, problem, spec, b)
+        assert looked_up.read == planned == recorded
 
 
 def test_exact_shapley_over_the_ceiling_fails_before_any_payoff(monkeypatch, brier):

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import infogain.rational
+import infogain.shapley
 from infogain.joint import Dataset, JointDistribution, background_mass, estimate_joint, state_mass
 from infogain.model import (
     BasicSignal,
@@ -29,7 +31,9 @@ from infogain.rational import (
     cross_fit_payoff,
     exact_row_sums,
     family_payoffs,
+    gain_sets,
     information_gain,
+    payoffs,
     rational_payoff,
 )
 from infogain.synth import (
@@ -395,6 +399,75 @@ def test_information_gain_of_counts_equals_the_difference_of_single_set_payoffs(
         joint = estimate_joint(data, alpha)
         raw = rational_payoff(joint, problem, v1 + ground) - rational_payoff(joint, problem, ground)
         assert information_gain(joint, problem, v1, ground).raw.hex() == raw.hex(), (v1, ground)
+
+
+# --- payoffs: the one in-sample entry point ------------------------------------
+
+
+def _oracle_cases(rng, xor_joint, brier):
+    """The XOR joint and a few random population joints, each with its problem."""
+    cases = [(xor_joint, brier)]
+    for n_states in (2, 2, 3):
+        joint = random_joint(rng, n_signals=2, n_states=n_states, domain_size=3, n_decision_columns=1)
+        cases.append((joint, random_matrix_problem(rng, n_states=n_states)))
+    return cases
+
+
+def test_payoffs_equal_the_oracle_in_the_order_given(rng, xor_joint, brier):
+    # every subset, largest first, then three of them again in other spellings
+    for joint, problem in _oracle_cases(rng, xor_joint, brier):
+        names = joint.schema.names
+        sets = list(_subsets(names))[::-1] + [(), tuple(reversed(names)), names[:1] * 2]
+        values = payoffs(joint, problem, sets)
+        assert len(values) == len(sets)
+        for variables, value in zip(sets, values):
+            assert value == pytest.approx(brute_force_rational(joint, problem, variables), abs=1e-12)
+        assert [x.hex() for x in values[-3:]] == [values[i].hex() for i in (-4, 0, -5)]
+    assert payoffs(xor_joint, brier, []) == []
+
+
+def test_every_in_sample_entry_point_makes_one_family_payoffs_call(monkeypatch, xor_joint, brier):
+    # each call of payoffs is one walk over its distinct sets, whoever calls it
+    families = []
+    real = infogain.rational.family_payoffs
+
+    def counting(joint, problem, family, *rest):
+        families.append(set(family))
+        return real(joint, problem, family, *rest)
+
+    monkeypatch.setattr(infogain.rational, "family_payoffs", counting)
+    s1, s2 = frozenset({"s1"}), frozenset({"s2"})
+    payoffs(xor_joint, brier, [s1, (), ("s1",), s1 | s2, ("s2", "s1")])
+    assert families == [{s1, frozenset(), s1 | s2}]
+    for call, family in [
+        (lambda: rational_payoff(xor_joint, brier, ["s2"]), {s2}),
+        (lambda: information_gain(xor_joint, brier, ["s1"], ["s2"]), {s1 | s2, s2}),
+        (lambda: infogain.shapley.shapley_exact(xor_joint, brier), {frozenset(), s1, s2, s1 | s2}),
+        (lambda: infogain.shapley.shapley_sampled(xor_joint, brier, permutations=3, seed=5),
+         set(infogain.shapley.sampled_walk(("s1", "s2"), (), 3, 5).sets)),
+    ]:
+        families.clear()
+        call()
+        assert families == [family]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_single_set_and_gain_entry_points_give_the_bits_of_payoffs(rng, alpha):
+    # the same family gives the same bits; under counts so does any other family,
+    # so each set's payoff within all of the schema's subsets is its payoff alone
+    population = random_joint(rng, n_signals=3, domain_size=3, n_decision_columns=1)
+    problem = random_matrix_problem(rng)
+    joint = estimate_joint(generate_dataset(population, problem, n_rows=120, seed=3), alpha)
+    sets = list(_subsets(joint.schema.names))
+    table = dict(zip(map(frozenset, sets), payoffs(joint, problem, sets)))
+    for variables in sets:
+        assert rational_payoff(joint, problem, variables).hex() == payoffs(joint, problem, [variables])[0].hex()
+        assert rational_payoff(joint, problem, variables).hex() == table[frozenset(variables)].hex()
+    for v1, ground in [(("x1",), ()), (("x1", "x2"), ("b1",)), (("b1",), ("x3",)), ((), ("x2",))]:
+        both, alone = payoffs(joint, problem, gain_sets(v1, ground))
+        gain = information_gain(joint, problem, v1, ground)
+        assert gain.raw.hex() == (both - alone).hex()
+        assert gain.raw.hex() == (table[frozenset(v1 + ground)] - table[frozenset(ground)]).hex()
 
 
 @pytest.mark.parametrize("n_states", [2, 3])

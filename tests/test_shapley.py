@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import infogain.joint
+import infogain.shapley
 from infogain.errors import SchemaError, ShapleyCeilingError
 from infogain.joint import Dataset, JointDistribution, estimate_joint
 from infogain.model import BasicSignal, DecisionColumn, SignalSchema, StateSpace, brier_problem
-from infogain.rational import RationalCache, clamp_gain, information_gain
-from infogain.shapley import shapley_exact, shapley_sampled
+from infogain.rational import clamp_gain, gain_value, information_gain, payoffs, rational_payoff
+from infogain.shapley import EXACT_CEILING, coalition_sets, shapley_exact, shapley_sampled
 from infogain.synth import (
     SyntheticAgentSpec,
     make_deepfake_dataset,
@@ -93,9 +94,18 @@ def test_sampled_deterministic_per_seed(xor_joint, brier):
     assert a == b
 
 
-def test_exact_ceiling_guard(xor_joint, brier):
-    with pytest.raises(ShapleyCeilingError):
-        shapley_exact(xor_joint, brier, ceiling=1)
+def test_exact_ceiling_guard(monkeypatch, brier):
+    # 16 signals are one past the ceiling: coalition_sets refuses them before any set or payoff
+    names = tuple(f"s{i}" for i in range(16))
+    schema = SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names))
+    joint = JointDistribution(StateSpace.of(("0", "1")), schema, np.zeros((1, 17), dtype=np.int64), np.ones(1))
+    calls = []
+    monkeypatch.setattr(infogain.shapley, "payoffs", lambda *args: calls.append(args))
+    assert EXACT_CEILING == 15
+    with pytest.raises(ShapleyCeilingError, match="16 signals exceed the exact-method ceiling of 15"):
+        shapley_exact(joint, brier)
+    assert calls == []
+    assert len(coalition_sets(names[:15], ())) == 2**15
 
 
 def test_players_must_be_signals(brier):
@@ -144,9 +154,8 @@ def test_signal_redundant_given_ai_column(brier):
 
 
 def compare_grounds(joint, problem, grounds):
-    """One exact report per named ground set, all reading one payoff cache."""
-    cache = RationalCache(joint, problem)
-    return [shapley_exact(joint, problem, ground=g, cache=cache, label=name) for name, g in grounds]
+    """One exact report per named ground set."""
+    return [shapley_exact(joint, problem, ground=g, label=name) for name, g in grounds]
 
 
 def test_compare_grounds_matches_single_calls(xor_joint, brier):
@@ -158,11 +167,10 @@ def test_compare_grounds_matches_single_calls(xor_joint, brier):
 
 def test_compare_grounds_three_reports_each_efficient(brier):
     joint = informative_joint_with_agent(brier)
-    cache = RationalCache(joint, brier)
     reports = compare_grounds(joint, brier, grounds=[("none", ()), ("ai", ("ai",)), ("both", ("ai",))])
     assert len(reports) == 3
     for report in reports:
-        full = cache.gain(joint.schema.signal_names, report.ground).value
+        full = information_gain(joint, brier, joint.schema.signal_names, report.ground).value
         assert math.fsum(report.values) == pytest.approx(full, abs=1e-9)
 
 
@@ -179,18 +187,17 @@ def test_axioms_on_random_corpus(rng, brier):
 
 def test_exact_weights_match_full_permutation_average(rng):
     """Subset-weight formula equals the average marginal contribution over all
-    n! orderings, enumerated outright."""
-    from infogain.rational import RationalCache
-
+    n! orderings, enumerated outright; each coalition's payoff read from one table."""
     for n_signals in (2, 3, 4):
         joint = random_joint(rng, n_signals=n_signals)
         problem = random_matrix_problem(rng)
         report = shapley_exact(joint, problem)
         signals = report.signals
-        cache = RationalCache(joint, problem)
+        coalitions = [frozenset(c) for k in range(n_signals + 1) for c in itertools.combinations(signals, k)]
+        table = dict(zip(coalitions, payoffs(joint, problem, coalitions)))
 
         def game(members):
-            return cache.gain(members).value
+            return gain_value(lambda sets: [table[key] for key in sets], members, ()).value
 
         totals = [0.0] * len(signals)
         count = 0
@@ -220,7 +227,8 @@ def test_sampled_within_three_standard_errors(rng):
 def test_exact_shapley_groups_the_keys_once_per_ground(monkeypatch):
     # every coalition set of a ground nests in the set of all signals, so the
     # keys are grouped once and the other 2^n - 1 indexes group a parent's
-    # groups; a second ground builds only its own, and a repeat builds none
+    # groups; the joint's own weights keep no index, so a second ground, and
+    # a repeat of the first, build all of their own again
     data, problem = make_deepfake_dataset(n_rows=600, seed=11)
     joint = estimate_joint(data)
     parents = []
@@ -231,24 +239,22 @@ def test_exact_shapley_groups_the_keys_once_per_ground(monkeypatch):
         return group_index(parent, *args)
 
     monkeypatch.setattr(infogain.joint, "GroupIndex", recording)
-    cache = RationalCache(joint, problem)
     n = len(data.schema.signal_names)
-    for ground, built in ((("human",), 2**n), (("ai",), 2**n), (("human",), 0)):
+    for ground in (("human",), ("ai",), ("human",)):
         parents.clear()
-        shapley_exact(joint, problem, ground=ground, cache=cache)
-        assert len(parents) == built and parents.count(None) == min(built, 1)
+        shapley_exact(joint, problem, ground=ground)
+        assert len(parents) == 2**n and parents.count(None) == 1
 
 
 def permutation_walk_reference(joint, problem, players, ground, permutations, seed):
-    """Sampled Shapley by walking each drawn order, one cached payoff per coalition.
+    """Sampled Shapley by walking each drawn order, each coalition's payoff computed alone.
 
     Returns the values, standard errors and total gain, as floats.
     """
-    cache = RationalCache(joint, problem)
-    base = cache.payoff(ground)
+    base = rational_payoff(joint, problem, ground)
 
     def v(members):
-        return clamp_gain(cache.payoff(set(members) | set(ground)) - base)
+        return clamp_gain(rational_payoff(joint, problem, set(members) | set(ground)) - base)
 
     n = len(players)
     rng = np.random.default_rng(seed)

@@ -25,7 +25,7 @@ from infogain.model import (
     StateSpace,
     brier_problem,
 )
-from infogain.rational import RationalCache, _contributions, cross_fit_payoff, information_gain, rational_payoff
+from infogain.rational import _contributions, cross_fit_payoff, gain_value, information_gain, payoffs, rational_payoff
 from infogain.shapley import shapley_exact
 from infogain.synth import DEEPFAKE_SIGNALS, generate_dataset, make_xor_joint, random_joint, random_matrix_problem
 
@@ -70,12 +70,12 @@ def test_monotonicity_and_nonnegativity(alpha):
         problem = random_matrix_problem(rng)
         population = random_joint(rng, n_signals=int(rng.integers(1, 4)), domain_size=3)
         joint = estimate_joint(_sampled(population, problem, 40, int(rng.integers(1 << 30))), alpha)
-        names = joint.schema.names
-        cache = RationalCache(joint, problem)
-        for v1, v2 in itertools.product(_subsets(names), repeat=2):
-            if set(v1) <= set(v2):
-                assert cache.payoff(v1) <= cache.payoff(v2) + 1e-12
-            assert information_gain(joint, problem, v1, v2).raw >= -1e-12
+        subsets = [frozenset(s) for s in _subsets(joint.schema.names)]
+        table = dict(zip(subsets, payoffs(joint, problem, subsets)))
+        for v1, v2 in itertools.product(subsets, repeat=2):
+            if v1 <= v2:
+                assert table[v1] <= table[v2] + 1e-12
+            assert gain_value(lambda sets: [table[key] for key in sets], v1, v2).raw >= -1e-12
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
