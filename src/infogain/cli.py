@@ -13,9 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run, set_label
@@ -51,13 +54,16 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 def _write_manifest(args, input_hashes: dict, out_path) -> None:
-    """Write ``<out_path>.manifest.json``: the ``argv`` that ``main`` replays, the parsed flags and input hashes."""
+    """Write ``<out_path>.manifest.json``: the ``argv`` that ``main`` replays, the parsed flags, input hashes and
+    the numpy and Python versions, for which byte-identical replays are promised (see README)."""
     doc = {
         "argv": args.argv,
         "subcommand": args.subcommand,
         "arguments": {k: v for k, v in vars(args).items() if k not in ("argv", "func", "subcommand")},
         "input_hashes": input_hashes,
         "tool_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     path = Path(str(out_path) + ".manifest.json")

@@ -63,16 +63,6 @@ def _fold(code: np.ndarray | None, digits: np.ndarray, sizes: Sequence[int]) -> 
     return value if code is None else code * math.prod(sizes) + value
 
 
-def locate(realizations: np.ndarray, rows: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Index of each row of ``rows`` in the sorted, distinct ``realizations``,
-    or ``len(realizations)`` for a row that is not among them."""
-    codes = encode(np.concatenate([realizations, rows]), sizes)
-    known, probe = codes[: len(realizations)], codes[len(realizations) :]
-    pos = np.searchsorted(known, probe)
-    # codes are non-negative, so the appended -1 matches no row past the end
-    return np.where(np.append(known, -1)[pos] == probe, pos, len(known))
-
-
 def _cell_count(cells: int) -> str:
     """A cell count for a message: in full below 10^15, else its power of ten."""
     return str(cells) if cells < 10**15 else f"~10^{math.log10(cells):.0f}"
@@ -246,39 +236,6 @@ def _span(sizes: Sequence[int]) -> int | None:
     return span if span <= CODE_LIMIT else None
 
 
-def group_counts(
-    realizations: np.ndarray,
-    sizes: Sequence[int],
-    keep: Sequence[int],
-    weights: np.ndarray,
-    inner: np.ndarray | int,
-    width: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the weights of a source table by distinct value of its columns ``keep``.
-
-    The source lists M distinct rows ``realizations``, whose column j holds
-    values in range(sizes[j]), and R rows of ``weights`` of shape (R, M, w):
-    ``weights[r, m, j]`` goes to column ``inner[m, j]`` (``inner`` broadcasts
-    against (M, w)) of a table ``width`` wide.  Returns ``(groups, counts)``:
-    the G distinct values of the kept columns, sorted lexicographically, and
-    the (R, G, width) sums, all from one group index and one ``bincount``.
-
-    The source is either a joint's keys (inner column: the state of each
-    tuple) or the counts table of a superset of the kept columns (inner
-    column: the table's own); when the weights are counts, both give the same
-    integer sums, bit for bit.
-    """
-    enc = encode(realizations[:, keep], [sizes[c] for c in keep])
-    uniq, inverse = np.unique(enc, return_inverse=True)
-    member = np.empty(len(uniq), dtype=np.intp)
-    member[inverse] = np.arange(len(inverse))  # some row of each group; any one holds its values
-    n_rows, n_cells = len(weights), len(uniq) * width
-    slots = np.broadcast_to(inverse[:, None] * width + inner, weights.shape[1:])
-    cells = (np.arange(n_rows)[:, None, None] * n_cells + slots).ravel()
-    counts = np.bincount(cells, weights=weights.ravel(), minlength=n_rows * n_cells)
-    return realizations[member][:, keep], counts.reshape(n_rows, len(uniq), width)
-
-
 class GroupIndex(NamedTuple):
     """The groups of a joint's tuples by their values in the key columns ``cols``, in lexicographic order.
 
@@ -360,24 +317,3 @@ def background_mass(joint: JointDistribution, cols: Sequence[int], n_groups: int
     sizes = joint.domain_sizes
     rest = math.prod(s for c, s in enumerate(sizes) if c not in cols) // width
     return math.prod(sizes[c] for c in cols) - n_groups, joint.background * rest
-
-
-def state_mass(joint: JointDistribution, variables: Iterable[str]) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Per-realization state-weight table for the named (non-state) variables, grouped from the keys.
-
-    Returns ``(realizations, mass, absent, background_row)`` where mass has
-    shape (G, |states|) and ``mass[g, w] / joint.total = P(realization g,
-    state w)`` for the G realizations with an explicit tuple, listed in
-    lexicographic order.  Each cell is an exact count sum plus the smoothing
-    weight of the product cells it covers (see ``background_mass``).  Row
-    sums are realization weights and row normalization gives the posterior.
-    Under smoothing each of the ``absent`` other realizations has the
-    state-weight row ``background_row``; without smoothing ``absent`` is 0.
-    """
-    cols = joint.columns(variables, allow_state=False)
-    n_states = joint.states.size
-    reals, counts = group_counts(
-        joint.keys, joint.domain_sizes, cols, joint.probs[None, :, None], joint.keys[:, :1], n_states
-    )
-    absent, background = background_mass(joint, cols, len(reals), n_states)
-    return reals, counts[0] + background, absent, np.full(n_states, background)

@@ -26,7 +26,6 @@ from .joint import (
     background_mass,
     estimate_joint,
     row_tuples,
-    state_mass,  # unused here; the benchmark tracer still wraps the site infogain.rational:state_mass
 )
 from .model import DecisionProblem
 
@@ -223,6 +222,27 @@ def _lattice(
         node = build(cols, source)
         stack += [(child, node) for child in children.get(cols, [])]
         yield nodes[cols][0], node[0], node[2]
+
+
+def state_mass(joint: JointDistribution, variables: Iterable[str]) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Per-realization state-weight table for the named (non-state) variables: the one-set walk of ``_lattice``.
+
+    Returns ``(realizations, mass, absent, background_row)`` where mass has
+    shape (G, |states|) and ``mass[g, w] / joint.total = P(realization g,
+    state w)`` for the G realizations with an explicit tuple, listed in
+    lexicographic order, the order of the set's group index in
+    ``joint.group_indexes``.  Each cell is an exact count sum plus the
+    smoothing weight of the product cells it covers (see ``background_mass``).
+    Row sums are realization weights and row normalization gives the
+    posterior.  Under smoothing each of the ``absent`` other realizations has
+    the state-weight row ``background_row``; without smoothing ``absent`` is 0.
+    """
+    ((_, index, counts),) = _lattice(joint, {frozenset(variables): (0,)}, joint.probs[None])
+    member = np.empty(index.size, dtype=np.intp)
+    member[index.inverse] = np.arange(len(index.inverse))  # some tuple of each group; any one holds its values
+    n_states = joint.states.size
+    absent, background = background_mass(joint, index.cols, index.size, n_states)
+    return joint.keys[member][:, index.cols], counts[0].T + background, absent, np.full(n_states, background)
 
 
 def family_payoffs(

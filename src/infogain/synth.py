@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import OracleError, ProductSpaceError, SchemaError
-from .joint import Dataset, JointDistribution, locate, state_mass
+from .joint import Dataset, JointDistribution
 from .model import (
     BasicSignal,
     DecisionColumn,
@@ -33,7 +33,7 @@ from .model import (
     StateSpace,
     brier_problem,
 )
-from .rational import best_response
+from .rational import best_response, state_mass
 
 REPORTING_RULES = ("posterior_mean_on_grid", "argmax_payoff")
 
@@ -97,17 +97,15 @@ def xor_problem() -> DecisionProblem:
     return brier_problem(("0", "1"))
 
 
-def _informed_decisions(
-    joint: JointDistribution, problem: DecisionProblem, agent: SyntheticAgentSpec, rows: np.ndarray
-) -> np.ndarray:
-    """The agent's informed decision index for each row of ``rows`` (tuples over
-    the joint's columns, state first), or -1 where the used-signal realization
-    has no mass."""
+def _informed_decisions(joint: JointDistribution, problem: DecisionProblem, agent: SyntheticAgentSpec) -> np.ndarray:
+    """The agent's informed decision index for each tuple of ``joint.keys``, or -1 where the
+    used-signal realization has no mass; tuples map to realizations through the group index
+    ``state_mass`` grouped by."""
     for name in agent.used_signals:
         if joint.schema.is_decision(name):
             raise SchemaError(f"agent {agent.name!r} uses {name!r}, which is a decision column")
-    reals, mass, _, _ = state_mass(joint, agent.used_signals)
-    decided = np.full(len(reals) + 1, -1)
+    _, mass, _, _ = state_mass(joint, agent.used_signals)
+    decided = np.full(len(mass), -1)
     for g, row in enumerate(mass):
         total = row.sum()
         if total <= 0:
@@ -120,8 +118,7 @@ def _informed_decisions(
             decided[g] = problem.decisions.nearest_index(mean)
         else:
             decided[g] = best_response(post, problem)
-    cols = list(joint.columns(agent.used_signals, allow_state=False))
-    return decided[locate(reals, rows[:, cols], [joint.domain_sizes[c] for c in cols])]
+    return decided[joint.group_indexes.get(joint.columns(agent.used_signals, allow_state=False), None).inverse]
 
 
 def _extended_schema(schema: SignalSchema, problem: DecisionProblem, agents: Sequence[SyntheticAgentSpec]) -> SignalSchema:
@@ -149,8 +146,9 @@ def with_population_agents(
     n_dec = problem.decisions.size
     schema = _extended_schema(joint.schema, problem, agents)
     keys, probs = joint.keys, joint.probs
+    origin = np.arange(len(keys))  # each current key's tuple in ``joint``
     for agent in agents:
-        informed = _informed_decisions(joint, problem, agent, keys)
+        informed = _informed_decisions(joint, problem, agent)[origin]
         eps = float(agent.noise)
         if eps == 0.0:
             keys = np.column_stack([keys, informed])
@@ -160,7 +158,7 @@ def with_population_agents(
         cell = np.repeat(np.arange(len(keys)), n_dec)  # each cell once per decision
         d = np.tile(np.arange(n_dec), len(keys))
         w = eps / n_dec + np.where(d == informed[cell], 1.0 - eps, 0.0)
-        keys, probs = np.column_stack([keys[cell], d]), probs[cell] * w
+        keys, probs, origin = np.column_stack([keys[cell], d]), probs[cell] * w, origin[cell]
     order = np.lexsort(keys.T[::-1])
     return JointDistribution(
         states=joint.states,
@@ -188,13 +186,15 @@ def generate_dataset(
     """
     if n_rows < 1:
         raise ValueError("need at least one row")
+    if joint.background != 0.0:
+        raise ValueError("generated datasets require an unsmoothed joint")
     row_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_ROW_STREAM,)))
     picks = row_rng.choice(len(joint.probs), size=n_rows, p=joint.probs / joint.total)
     rows = joint.keys[picks]
     n_dec = problem.decisions.size
     columns = [rows]
     for agent in agents:
-        informed = _informed_decisions(joint, problem, agent, rows)
+        informed = _informed_decisions(joint, problem, agent)[picks]
         agent_rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(_AGENT_STREAM, agent.stream_key()))
         )
@@ -289,7 +289,7 @@ def _binarized_accuracy(joint: JointDistribution, problem: DecisionProblem, agen
     states = joint.keys[:, 0]
     # credit[d, w]: report d thresholded at 1/2 names state w; exactly 1/2 earns half
     credit = np.where(grid[:, None] == 0.5, 0.5, (grid[:, None] > 0.5) == (np.arange(joint.states.size) == 1))
-    informed = _informed_decisions(joint, problem, agent, joint.keys)
+    informed = _informed_decisions(joint, problem, agent)
     informed_acc = math.fsum(joint.probs * credit[informed, states])
     noise_acc = math.fsum((joint.probs * credit[:, states]).ravel()) / problem.decisions.size
     return (1.0 - agent.noise) * informed_acc + agent.noise * noise_acc

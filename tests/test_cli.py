@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import infogain.bootstrap
@@ -292,6 +294,8 @@ def test_gain_output_and_manifest_roundtrip(xor_files, tmp_path, capsys):
     manifest = json.loads((tmp_path / "gain.json.manifest.json").read_text())
     assert manifest["subcommand"] == "gain" and manifest["argv"] == argv
     assert "argv" not in manifest["arguments"]
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["python_version"] == platform.python_version()
     assert main(manifest["argv"]) == 0
     assert out.read_bytes() == first
 

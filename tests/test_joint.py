@@ -15,9 +15,6 @@ from infogain.joint import (
     JointDistribution,
     encode,
     estimate_joint,
-    group_counts,
-    locate,
-    state_mass,
 )
 from infogain.model import BasicSignal, SignalSchema, StateSpace, brier_problem
 from infogain.rational import (
@@ -27,6 +24,7 @@ from infogain.rational import (
     family_payoffs,
     information_gain,
     rational_payoff,
+    state_mass,
 )
 from infogain.synth import make_deepfake_dataset, random_joint, random_matrix_problem
 from marginals import marginal, posterior, support
@@ -114,7 +112,7 @@ def test_posterior_empty_assignment_is_prior(xor_joint):
 
 def test_posterior_zero_probability_assignment():
     joint = estimate_joint(_dataset([[0, 0]]))
-    # state_mass lists no realization without mass, and there is no background row
+    # no tuple holds x = 1, and there is no background weight
     assert posterior(joint, {"x": 1}) is None
 
 
@@ -305,13 +303,6 @@ def test_encode_ranks_past_the_code_limit():
     ]
 
 
-def test_locate_marks_unknown_rows_past_the_end():
-    reals = np.array([[0, 1], [1, 0], [1, 1]])
-    rows = np.array([[1, 1], [0, 0], [0, 1], [1, 1]])
-    assert locate(reals, rows, [2, 2]).tolist() == [2, 3, 0, 2]
-    assert locate(reals[:0], rows, [2, 2]).tolist() == [0, 0, 0, 0]
-
-
 @given(small_datasets(), st.sampled_from([0.0, 0.5]))
 def test_estimate_joint_matches_row_unique_reference(data, smoothing):
     keys, counts = np.unique(data.rows, axis=0, return_counts=True)
@@ -469,7 +460,13 @@ def _groups(joint, index):
 
 
 def _keys_table(joint, cols, weights):
-    return group_counts(joint.keys, joint.domain_sizes, cols, weights[:, :, None], joint.keys[:, :1], joint.states.size)
+    """The distinct values of the key columns ``cols``, in lexicographic order, and each weight row's (G, |states|)
+    sums over them, from numpy's row ``unique``: no code shared with ``GroupIndexes``."""
+    reals, inverse = np.unique(joint.keys[:, list(cols)], axis=0, return_inverse=True)
+    width = joint.states.size
+    cells = inverse.ravel() * width + joint.keys[:, 0]
+    counts = [np.bincount(cells, weights=row, minlength=len(reals) * width) for row in weights]
+    return reals, np.reshape(counts, (len(weights), len(reals), width))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import infogain.rational
 import infogain.shapley
-from infogain.joint import Dataset, JointDistribution, background_mass, estimate_joint, state_mass
+from infogain.joint import Dataset, JointDistribution, background_mass, estimate_joint
 from infogain.model import (
     BasicSignal,
     DecisionColumn,
@@ -35,6 +35,7 @@ from infogain.rational import (
     information_gain,
     payoffs,
     rational_payoff,
+    state_mass,
 )
 from infogain.synth import (
     SyntheticAgentSpec,

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from infogain.errors import OracleError, SchemaError
 from infogain.joint import JointDistribution, estimate_joint
@@ -11,6 +12,7 @@ from infogain.rational import best_response, information_gain, rational_payoff
 from infogain.synth import (
     DEEPFAKE_AI_ACCURACY,
     DEEPFAKE_SIGNALS,
+    REPORTING_RULES,
     SyntheticAgentSpec,
     _binarized_accuracy,
     brute_force_rational,
@@ -128,6 +130,31 @@ def test_population_agents_equal_cell_by_cell_reference(xor_joint, brier):
         assert cells == _reference_population_agents(base, prob, agents)
 
 
+@st.composite
+def population_cases(draw):
+    """A random joint, a Brier problem on a small grid, and 1-3 agents of either rule and noise 0, 0.3 or 0.5."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    joint = random_joint(rng, n_signals=draw(st.integers(1, 3)), domain_size=draw(st.integers(2, 3)),
+                         n_decision_columns=draw(st.integers(0, 1)))
+    problem = brier_problem(joint.states.labels, grid_count=draw(st.integers(2, 3)))
+    signals = st.lists(st.sampled_from(joint.schema.signal_names), unique=True)
+    agents = [
+        SyntheticAgentSpec(f"a{i}", draw(signals), draw(st.sampled_from([0.0, 0.3, 0.5])),
+                           rule=draw(st.sampled_from(REPORTING_RULES)))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    return joint, problem, agents
+
+
+@given(population_cases())
+def test_population_agents_over_random_joints_equal_cell_by_cell_reference(case):
+    # two noisy agents in a row read the first joint's tuple of each key through two expansions
+    joint, problem, agents = case
+    extended = with_population_agents(joint, problem, agents)
+    cells = [(tuple(key), p) for key, p in zip(extended.keys.tolist(), extended.probs.tolist())]
+    assert cells == _reference_population_agents(joint, problem, agents)
+
+
 def test_binarized_accuracy_equals_cell_by_cell_reference():
     joint, brier = make_deepfake_joint(), brier_problem(("genuine", "fake"))
     grid = brier.decisions.grid_floats
@@ -141,6 +168,13 @@ def test_binarized_accuracy_equals_cell_by_cell_reference():
         noise = [float(p) * credit(d, int(key[0])) for key, p in zip(joint.keys, joint.probs) for d in range(len(grid))]
         expect = (1.0 - agent.noise) * math.fsum(informed) + agent.noise * (math.fsum(noise) / len(grid))
         assert _binarized_accuracy(joint, brier, agent) == expect
+
+
+def test_generate_dataset_refuses_a_smoothed_joint():
+    data, problem = make_deepfake_dataset(n_rows=200, seed=1)
+    smoothed = estimate_joint(data, 0.5)
+    with pytest.raises(ValueError, match="unsmoothed joint"):
+        generate_dataset(smoothed, problem, n_rows=10)
 
 
 def test_agent_on_decision_column_rejected(xor_joint, brier):
