@@ -9,77 +9,66 @@ bootstrap uncertainty.
 
 __version__ = "0.1.0"
 
-from .bootstrap import BootstrapResult, BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
-from .joint import Dataset, JointDistribution, estimate_joint
-from .model import (
-    BasicSignal,
-    DecisionColumn,
-    DecisionProblem,
-    DecisionSpace,
-    Diagnostic,
-    PayoffFunction,
-    SignalSchema,
-    StateSpace,
-    brier_problem,
-    payoff,
-    validate_problem,
-    validate_schema,
-)
-from .rational import (
-    GainValue,
-    best_response,
-    cross_fit_gain,
-    cross_fit_payoff,
-    information_gain,
-    rational_payoff,
-)
-from .shapley import ShapleyReport, shapley_exact, shapley_sampled
-from .synth import (
-    SyntheticAgentSpec,
-    brute_force_rational,
-    generate_dataset,
-    make_deepfake_dataset,
-    make_deepfake_joint,
-    make_xor_joint,
-    with_population_agents,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "BasicSignal",
-    "BootstrapResult",
-    "BootstrapSpec",
-    "Dataset",
-    "DecisionColumn",
-    "DecisionProblem",
-    "DecisionSpace",
-    "Diagnostic",
-    "GainStat",
-    "GainValue",
-    "JointDistribution",
-    "PayoffFunction",
-    "ShapleyReport",
-    "ShapleyStat",
-    "SignalSchema",
-    "StateSpace",
-    "SyntheticAgentSpec",
-    "best_response",
-    "bootstrap_run",
-    "brier_problem",
-    "brute_force_rational",
-    "cross_fit_gain",
-    "cross_fit_payoff",
-    "estimate_joint",
-    "generate_dataset",
-    "information_gain",
-    "make_deepfake_dataset",
-    "make_deepfake_joint",
-    "make_xor_joint",
-    "payoff",
-    "rational_payoff",
-    "shapley_exact",
-    "shapley_sampled",
-    "validate_problem",
-    "validate_schema",
-    "with_population_agents",
-]
+# Public name -> the submodule that defines it.  Importing the package loads
+# none of them (nor numpy): a name loads its submodule on first use.
+_EXPORTS = {
+    "BootstrapResult": "bootstrap",
+    "BootstrapSpec": "bootstrap",
+    "GainStat": "bootstrap",
+    "ShapleyStat": "bootstrap",
+    "bootstrap_run": "bootstrap",
+    "Dataset": "joint",
+    "JointDistribution": "joint",
+    "estimate_joint": "joint",
+    "BasicSignal": "model",
+    "DecisionColumn": "model",
+    "DecisionProblem": "model",
+    "DecisionSpace": "model",
+    "Diagnostic": "model",
+    "PayoffFunction": "model",
+    "SignalSchema": "model",
+    "StateSpace": "model",
+    "brier_problem": "model",
+    "payoff": "model",
+    "validate_problem": "model",
+    "validate_schema": "model",
+    "GainValue": "rational",
+    "best_response": "rational",
+    "cross_fit_gain": "rational",
+    "cross_fit_payoff": "rational",
+    "information_gain": "rational",
+    "rational_payoff": "rational",
+    "ShapleyReport": "shapley",
+    "shapley_exact": "shapley",
+    "shapley_sampled": "shapley",
+    "SyntheticAgentSpec": "synth",
+    "brute_force_rational": "synth",
+    "generate_dataset": "synth",
+    "make_deepfake_dataset": "synth",
+    "make_deepfake_joint": "synth",
+    "make_xor_joint": "synth",
+    "with_population_agents": "synth",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    """A public name from its submodule, or a submodule (``infogain.rational``) imported on first use."""
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name.isidentifier():
+        try:
+            return importlib.import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import platform
@@ -526,3 +527,74 @@ def test_report_refuses_a_range_too_wide_to_draw(tmp_path, xor_files, capsys, ca
     err = capsys.readouterr().err
     assert err == "error: axis range (-1e+308, 1e+308) is too wide to draw: its span hi - lo overflows\n"
     assert not (tmp_path / "fig.svg").exists()
+
+
+class _ClosedStdout(io.StringIO):
+    """A standard output whose reader has gone, as under ``infogain ... | head -c 10``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["synth", "gain", "shapley", "bootstrap", "report"])
+def test_closed_stdout_loses_no_output_file(tmp_path, capsys, monkeypatch, command):
+    # every file is written before the first print; the broken pipe itself still exits 2
+    xor = tmp_path / "xor"
+    data_flags = ["--schema", str(xor / "schema.json"), "--data", str(xor / "data.csv")]
+    boot = tmp_path / "boot.json"
+    if command != "synth":
+        assert main(["synth", "--preset", "xor", "--rows", "60", "--out-dir", str(xor)]) == 0
+        assert main(["bootstrap", *data_flags, "--replicates", "2", "--shapley", "none", "--out", str(boot)]) == 0
+    out = tmp_path / "out"
+    argv, document, manifest = {
+        "synth": (["synth", "--preset", "xor", "--rows", "60", "--out-dir", str(xor)],
+                  xor / "data.csv", xor / "synth.manifest.json"),
+        "gain": (["gain", *data_flags, "--v1", "s1", "--ground", "none", "--out", str(out)], out, None),
+        "shapley": (["shapley", *data_flags, "--ground", "none", "--out", str(out)], out, None),
+        "bootstrap": (["bootstrap", *data_flags, "--replicates", "2", "--shapley", "none", "--out", str(out)],
+                      out, None),
+        "report": (["report", "--results", str(boot), "--out", str(out)], out, None),
+    }[command]
+    manifest = manifest or Path(str(out) + ".manifest.json")
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(argv) == 2
+    assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
+    assert manifest.exists() and (xor / "schema.json").exists()
+    written = document.read_bytes()
+    assert main(argv) == 0
+    assert document.read_bytes() == written
+
+
+def _imported_modules(*args, cwd=None):
+    """Run ``python -X importtime *args`` against this package; (exit code, names of the modules it imported)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(infogain.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=False)
+    names = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")}
+    return run.returncode, names
+
+
+def _loads_numpy(names) -> bool:
+    return any(name == "numpy" or name.startswith("numpy.") for name in names)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["-c", "import infogain"], 0),
+    (["-m", "infogain", "--version"], 0),
+    (["-m", "infogain", "--help"], 0),
+    (["-m", "infogain", "gain", "--schema", "s.json", "--data", "d.csv", "--v1", "s1", "--ground", "none",
+      "--alpha", "-1"], 1),
+    (["-m", "infogain", "gain", "--schema", "s.json", "--data", "d.csv", "--v1", "s1"], 2),
+], ids=["import", "version", "help", "flag-error", "usage-error"])
+def test_start_without_a_command_to_run_does_not_load_numpy(tmp_path, args, code):
+    returncode, names = _imported_modules(*args, cwd=tmp_path)
+    assert returncode == code
+    assert "infogain" in names and not _loads_numpy(names)
+
+
+def test_a_command_that_runs_loads_numpy(xor_files):
+    schema, data = xor_files
+    returncode, names = _imported_modules("-m", "infogain", "validate", "--schema", str(schema), "--data", str(data))
+    assert returncode == 0 and _loads_numpy(names)
