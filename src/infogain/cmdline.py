@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -117,8 +118,15 @@ def main(argv=None) -> int:
         args.argv = argv
         from . import cli  # numpy and the computing modules load here, once the arguments parse
 
-        return getattr(cli, f"cmd_{args.subcommand}")(args)
+        code = getattr(cli, f"cmd_{args.subcommand}")(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's flush at exit
+        return code
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
+            # the unwritten output stays buffered: send it to the null device, which the flush at exit can write
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except InfoGainError as exc:

@@ -710,6 +710,14 @@ def _records(reader):
         lineno += 1
 
 
+def _only_empty(reader) -> bool:
+    """Whether ``reader`` holds only empty records; one it fails to read is a record too."""
+    try:
+        return not any(reader)
+    except ValidationError:
+        return False
+
+
 def _csv_rows(reader, path, width: int, rows: _Rows) -> _Rows:
     """``rows`` with the records of ``reader`` (see ``_records``), read in blocks of ``BLOCK_ROWS``."""
     first_line = 2  # line number of the block's first record, counting records
@@ -740,11 +748,8 @@ def _csv_rows(reader, path, width: int, rows: _Rows) -> _Rows:
         if n < len(records):
             if _undecodable("".join(records[n])):
                 raise _decode_error(path)
-            if not any(records[n:]):
-                if pending is not None:
-                    raise pending
-                if not any(reader):
-                    return rows  # trailing empty records; an empty record before data fails below
+            if not any(records[n:]) and pending is None and _only_empty(reader):
+                return rows  # trailing empty records; an empty record before any other record fails below
             lineno = first_line + n
             raise ValidationError(
                 f"dataset row {lineno}: expected {width} cells, got {len(records[n])}", path=f"row {lineno}"

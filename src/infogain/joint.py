@@ -36,31 +36,37 @@ CODE_LIMIT = 2**62
 INDEX_ENTRIES = 2**22
 
 
-def encode(table: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """One int64 code per row of ``table``, whose column j holds values in range(sizes[j]).
+def encode(table: np.ndarray, sizes: Sequence[int], cols: Iterable[int] | None = None) -> np.ndarray:
+    """One int64 code per row of ``table`` for its values in the columns ``cols`` (all by default),
+    where column c holds values in range(sizes[c]).
 
-    Columns fold in as mixed-radix digits, first column most significant, so
-    codes sort like the rows do lexicographically and are equal exactly when the
-    rows are.  Before a digit that would carry the code past ``CODE_LIMIT``, the
-    code so far is replaced by its rank; while the product of sizes fits, the
-    code is the plain mixed-radix value.  Each run of digits between ranks is
-    one matrix product with its place values.
+    The columns fold in as mixed-radix digits, first column most significant,
+    so codes sort like the rows' values do lexicographically and are equal
+    exactly when they are.  Before a digit that would carry the code past
+    ``CODE_LIMIT``, the code so far is replaced by its rank; while the
+    product of sizes fits, the code is the plain mixed-radix value.  Each run
+    of digits between ranks is one matrix product of the whole table with
+    int64 place values that are zero outside the run, so no column is
+    gathered and the codes of a narrow table are int64.
     """
-    table = np.asarray(table, dtype=np.int64)
-    code, span, start = None, 1, 0  # every code lies in range(span)
-    for j, size in enumerate(sizes):
-        if span * size > CODE_LIMIT:
-            uniq, code = np.unique(_fold(code, table[:, start:j], sizes[start:j]), return_inverse=True)
-            span, start = max(len(uniq), 1), j  # a table without rows leaves no code to rank
-        span *= size
-    return _fold(code, table[:, start:], sizes[start:])
+    table = np.asarray(table)
+    code, span, run = None, 1, []  # every code lies in range(span)
+    for c in range(len(sizes)) if cols is None else cols:
+        if span * sizes[c] > CODE_LIMIT:
+            uniq, code = np.unique(_fold(code, table, sizes, run), return_inverse=True)
+            span, run = max(len(uniq), 1), []  # a table without rows leaves no code to rank
+        span *= sizes[c]
+        run.append(c)
+    return _fold(code, table, sizes, run)
 
 
-def _fold(code: np.ndarray | None, digits: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """``code`` (None for none) followed by the mixed-radix digits ``digits`` of radices ``sizes``."""
-    places = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
-    value = digits @ np.array(places, dtype=np.int64)
-    return value if code is None else code * math.prod(sizes) + value
+def _fold(code: np.ndarray | None, table: np.ndarray, sizes: Sequence[int], run: Sequence[int]) -> np.ndarray:
+    """``code`` (None for none) followed by the mixed-radix digits of ``table``'s columns ``run``."""
+    places, place = np.zeros(len(sizes), dtype=np.int64), 1
+    for c in reversed(run):
+        places[c], place = place, place * sizes[c]
+    value = table @ places
+    return value if code is None else code * place + value
 
 
 def _cell_count(cells: int) -> str:
@@ -230,31 +236,24 @@ def row_tuples(data: Dataset) -> np.ndarray:
     return data._tuples
 
 
-def _span(sizes: Sequence[int]) -> int | None:
-    """The number of mixed-radix codes over ``sizes``, or None past ``CODE_LIMIT``, where ``encode`` ranks."""
-    span = math.prod(sizes)
-    return span if span <= CODE_LIMIT else None
-
-
 class GroupIndex(NamedTuple):
     """The groups of a joint's tuples by their values in the key columns ``cols``, in lexicographic order.
 
     ``parent`` holds the columns of the superset whose groups these group,
     or None for the joint's keys, and ``inverse`` (int32) this set's group
-    of each of the parent's groups (of each tuple).  ``codes`` holds the
-    realizations of the groups, in order, as ``encode`` codes over the
-    domain sizes of ``cols``: mixed-radix, except past ``CODE_LIMIT``,
-    where they are ranks among the keys' values.
+    of each of the parent's groups (of each tuple).  ``member`` (int32)
+    holds one tuple of each group, in order, as a row of the joint's keys:
+    any tuple of a group holds its values in ``cols``.
     """
 
     parent: tuple[int, ...] | None
     cols: tuple[int, ...]
     inverse: np.ndarray
-    codes: np.ndarray
+    member: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.codes)
+        return len(self.member)
 
 
 class GroupIndexes:
@@ -262,11 +261,10 @@ class GroupIndexes:
 
     Indexes depend on the keys alone, so every weight row of the joint (a
     bootstrap replicate, a cross-fit fold) sums its weights through the same
-    ones.  A set is grouped from a parent's group codes by arithmetic
-    (dropping a column's mixed-radix digit), and from the keys where it has
-    no parent or its parent's codes are ranks.  An index is kept while the
-    kept indexes hold at most ``budget`` entries; past that, it is built
-    again when asked.
+    ones.  A set is grouped by the ``encode`` codes of its columns over the
+    rows of the keys, or, under a parent, over the member tuples of the
+    parent's groups.  An index is kept while the kept indexes hold at most
+    ``budget`` entries; past that, it is built again when asked.
     """
 
     def __init__(self, joint: JointDistribution, budget: int = INDEX_ENTRIES):
@@ -276,28 +274,17 @@ class GroupIndexes:
 
     def get(self, cols: tuple[int, ...], parent: GroupIndex | None) -> GroupIndex:
         """The index of the key columns ``cols``, grouped from the groups of ``parent`` (the index of
-        ``cols`` and one more column), or from the keys for None."""
-        sizes = [self._sizes[c] for c in cols]
-        if parent is not None and _span([self._sizes[c] for c in parent.cols]) is None:
-            parent = None
+        a superset of ``cols``), or from the keys for None."""
         name = (None if parent is None else parent.cols, cols)
         index = self._kept.get(name)
         if index is None:
-            if parent is None and _span(sizes) is not None:  # mixed-radix: weigh the key columns in place
-                places = np.zeros(len(self._sizes), dtype=np.int64)
-                places[list(cols)] = [math.prod(sizes[j + 1 :]) for j in range(len(cols))]
-                codes = self._keys @ places
-            elif parent is None:
-                codes = encode(self._keys[:, cols], sizes)
-            else:
-                (c,) = set(parent.cols) - set(cols)  # a parent holds one more column: drop its digit
-                place = math.prod(self._sizes[k] for k in parent.cols if k > c)
-                codes = parent.codes // (place * self._sizes[c]) * place + parent.codes % place
-            distinct, inverse = np.unique(codes, return_inverse=True)
-            if math.prod(sizes) < 2**31:
-                distinct = distinct.astype(np.int32)
-            index = GroupIndex(name[0], cols, inverse.astype(np.int32), distinct)
-            entries = len(index.inverse) + len(index.codes)
+            rows = np.arange(len(self._keys), dtype=np.int32) if parent is None else parent.member
+            table = self._keys if parent is None else self._keys.take(rows, axis=0)
+            distinct, inverse = np.unique(encode(table, self._sizes, cols), return_inverse=True)
+            member = np.empty(len(distinct), dtype=np.int32)
+            member[inverse] = rows  # any key row of a group holds its values
+            index = GroupIndex(name[0], cols, inverse.astype(np.int32), member)
+            entries = len(index.inverse) + len(index.member)
             if self._entries + entries <= self._budget:
                 self._kept[name] = index
                 self._entries += entries

@@ -8,7 +8,6 @@ tie-breaking never depend on float equality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -140,9 +139,7 @@ class DecisionSpace:
             return None
         try:
             scale, offset = float(1 / step), float(-points[0] / step)
-        except OverflowError:
-            return None
-        if not (math.isfinite(scale) and math.isfinite(offset)):
+        except OverflowError:  # a Fraction past the float range raises rather than giving inf
             return None
         mids = self._midpoints
         rule = (scale, offset, np.concatenate((mids, [np.nan])))

@@ -197,8 +197,6 @@ def _lattice(
         # a source is (index, weight rows, table): None and the keys' (R, K) weights, or a built set's counts
         parent, source_rows, table = source
         index = indexes.get(cols, parent)
-        if index.parent is None and parent is not None:  # grouped from the keys after all
-            source_rows, table = keys[1:]
         rows = nodes[cols][1]
         if rows != source_rows:
             position = {r: i for i, r in enumerate(source_rows)}
@@ -238,11 +236,9 @@ def state_mass(joint: JointDistribution, variables: Iterable[str]) -> tuple[np.n
     the state-weight row ``background_row``; without smoothing ``absent`` is 0.
     """
     ((_, index, counts),) = _lattice(joint, {frozenset(variables): (0,)}, joint.probs[None])
-    member = np.empty(index.size, dtype=np.intp)
-    member[index.inverse] = np.arange(len(index.inverse))  # some tuple of each group; any one holds its values
     n_states = joint.states.size
     absent, background = background_mass(joint, index.cols, index.size, n_states)
-    return joint.keys[member][:, index.cols], counts[0].T + background, absent, np.full(n_states, background)
+    return joint.keys[index.member][:, index.cols], counts[0].T + background, absent, np.full(n_states, background)
 
 
 def family_payoffs(

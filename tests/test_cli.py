@@ -66,6 +66,17 @@ def test_validate_warnings_still_exit_0(tmp_path, capsys):
     assert "signal-domain-constant" in capsys.readouterr().err
 
 
+def test_validate_warns_of_rows_dropped_by_the_missing_value_policy(xor_files, capsys):
+    schema, data = xor_files
+    doc = json.loads(schema.read_text(encoding="utf-8"))
+    schema.write_text(json.dumps({**doc, "options": {"missing": "drop"}}), encoding="utf-8")
+    data.write_text(XOR_EXACT_CSV + "1,,0\n0,1,\n", encoding="utf-8")
+    assert main(["validate", "--schema", str(schema), "--data", str(data)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "[warning] dropped-rows: 2 rows dropped by missing-value policy\n"
+    assert out == "ok: 4 rows, 2 signals, 0 decision columns\n"
+
+
 def test_missing_file_exits_2(xor_files, capsys):
     schema, _ = xor_files
     assert main(["validate", "--schema", str(schema), "--data", "/nonexistent.csv"]) == 2
@@ -407,6 +418,34 @@ def test_bootstrap_gain_stat_flag(xor_files, tmp_path, capsys):
     assert doc["statistics"][0]["name"] == "gain(s1,s2;none)"
 
 
+def test_bootstrap_gain_flag_with_two_colons_exits_1(xor_files, tmp_path, capsys):
+    schema, data = xor_files
+    boot = tmp_path / "b.json"
+    assert main(["bootstrap", "--schema", str(schema), "--data", str(data),
+                 "--replicates", "2", "--gain", "a:b:c", "--out", str(boot)]) == 1
+    assert capsys.readouterr().err == "error: --gain 'a:b:c': expected V1:GROUND\n"
+    assert not boot.exists()
+
+
+def test_bootstrap_csv_rows_match_the_json_document(xor_files, tmp_path, capsys):
+    schema, data = xor_files
+    flags = ["bootstrap", "--schema", str(schema), "--data", str(data), "--replicates", "5", "--seed", "2",
+             "--gain", "s1:s2", "--shapley", "none"]
+    assert main([*flags, "--out", str(tmp_path / "b.json")]) == 0
+    assert main([*flags, "--format", "csv", "--out", str(tmp_path / "b.csv")]) == 0
+    doc = json.loads((tmp_path / "b.json").read_text(encoding="utf-8"))
+    with open(tmp_path / "b.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["statistic", "kind", "signal", "v1", "ground", "ground_role", "value", "sd",
+                      "q2.5", "q25", "q50", "q75", "q97.5"]
+    assert rows == [
+        [s["name"], s["kind"], s.get("signal") or "", ",".join(s.get("v1") or ()), ",".join(s["ground"]),
+         s["ground_role"], repr(s["mean"]), repr(s["sd"])] + [repr(s["quantiles"][q[1:]]) for q in header[8:]]
+        for s in doc["statistics"]
+    ]
+    assert [row[0] for row in rows] == ["gain(s1;s2)", "shapley(ground=none).s1", "shapley(ground=none).s2"]
+
+
 def test_bootstrap_spec_file(xor_files, tmp_path, capsys):
     schema, data = xor_files
     spec_path = tmp_path / "spec.json"
@@ -462,6 +501,17 @@ def test_report_mixed_schemas_exit_1(tmp_path, capsys):
     svg = tmp_path / "fig.svg"
     assert main(["report", "--results", str(b1), str(b2), "--out", str(svg)]) == 1
     assert "signal set" in capsys.readouterr().err
+
+
+def test_report_of_a_gain_document_exits_1(tmp_path, xor_files, capsys):
+    schema, data = xor_files
+    gain, svg = tmp_path / "g.json", tmp_path / "fig.svg"
+    assert main(["gain", "--schema", str(schema), "--data", str(data), "--v1", "s1", "--ground", "none",
+                 "--out", str(gain)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--results", str(gain), "--out", str(svg)]) == 1
+    assert capsys.readouterr().err == f"error: {gain}: not a bootstrap result document\n"
+    assert not svg.exists()
 
 
 def test_report_single_result(tmp_path, xor_files, capsys):
@@ -565,6 +615,29 @@ def test_closed_stdout_loses_no_output_file(tmp_path, capsys, monkeypatch, comma
     written = document.read_bytes()
     assert main(argv) == 0
     assert document.read_bytes() == written
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_2_in_a_real_process(xor_files, tmp_path, unbuffered):
+    # a buffered standard output holds the prints until the command returns:
+    # the broken pipe must fail inside main, not in the interpreter's flush at exit
+    schema, data = xor_files
+    out = tmp_path / "shapley.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(infogain.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "infogain", "shapley", "--schema", str(schema), "--data",
+                              str(data), "--ground", "none", "--out", str(out)],
+                             stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, check=False)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2
+    assert run.stderr == "i/o error: [Errno 32] Broken pipe\n"
+    assert out.exists() and Path(str(out) + ".manifest.json").exists()
 
 
 def _imported_modules(*args, cwd=None):

@@ -368,6 +368,26 @@ def test_schema_doc_roundtrip(tmp_path):
     assert again.problem.decisions == cfg.problem.decisions
 
 
+def test_schema_doc_roundtrip_with_categorical_decisions_and_a_matrix_payoff(tmp_path):
+    doc = {
+        "state": {"column": "truth", "labels": ["0", 1]},
+        "signals": [{"column": "s1", "values": ["0", "1"]}],
+        "decisions": [
+            {"column": "h", "role": "human", "values": ["no", "yes, maybe"]},
+            {"column": "t", "grid": {"count": 3}},
+        ],
+        "payoff": {"kind": "matrix", "rows": [[1.0, 0], [0.25, 1]], "decisions": ["no", "yes"]},
+        "options": {"smoothing": 0.5, "decision_bins": 2, "missing": "drop"},
+    }
+    cfg = parse_schema_doc(doc)
+    written = schema_to_doc(cfg)
+    assert written["decisions"][0] == {"column": "h", "role": "human", "values": ["no", "yes, maybe"]}
+    assert written["payoff"] == {"kind": "matrix", "rows": [[1.0, 0.0], [0.25, 1.0]], "decisions": ["no", "yes"]}
+    again = load_schema(write_json(tmp_path / "s.json", written))
+    assert again == cfg
+    assert schema_to_doc(again) == written
+
+
 @given(st.integers(0, 2), st.sampled_from(["state", "x"]))
 def test_corrupted_cells_report_their_locus(tmp_path_factory, row, column):
     tmp = tmp_path_factory.mktemp("fixtures")
@@ -460,8 +480,13 @@ def _reference_load(path, cfg):
         for lineno, record in records:
             if _escaped(record):
                 raise bad_byte
-            if not record and all(not rest for _, rest in records):
-                break
+            if not record:
+                try:
+                    trailing = all(not rest for _, rest in records)
+                except ValidationError:  # a record the reader fails on still follows this empty one
+                    trailing = False
+                if trailing:
+                    break
             if len(record) != len(header):
                 raise ValidationError(
                     f"dataset row {lineno}: expected {len(header)} cells, got {len(record)}", path=f"row {lineno}"
@@ -689,14 +714,25 @@ def test_reader_error_is_raised_after_the_records_before_it(tmp_path, bad_first)
 @pytest.mark.parametrize("block_rows, records", [(2, ["0,a,0.1"]), (infogain.io.BLOCK_ROWS, ['"0",a,0.1'] * 1023)])
 def test_reader_error_after_an_empty_record_that_ends_a_block(monkeypatch, tmp_path, block_rows, records):
     # After an empty record, the loader reads on to see whether only empty records follow.
+    # The record the reader fails on is not empty, so the empty record before it is the first bad row.
     monkeypatch.setattr(infogain.io, "BLOCK_ROWS", block_rows)
     path = tmp_path / "d.csv"
     limit = csv.field_size_limit()
     path.write_text("state,x,d\n" + "".join(r + "\n" for r in records) + f"\n0,{'a' * (limit + 1)},1\n",
                     encoding="utf-8")
-    row = len(records) + 3
+    row = len(records) + 2
     outcome = _assert_loaders_agree(path, _fuzz_cfg())
-    assert outcome[1:] == (f"dataset row {row}: field larger than field limit ({limit})", f"row {row}")
+    assert outcome[1:] == (f"dataset row {row}: expected 3 cells, got 0", f"row {row}")
+
+
+def test_empty_record_before_a_record_the_reader_fails_on_is_reported_first(tmp_path):
+    # the empty record and the failing one share a block: the reader's error waits, and loses to the empty record
+    cfg = parse_schema_doc({**MINIMAL_SCHEMA, "state": {"column": "state", "labels": ["a", "b"]}})
+    path = tmp_path / "d.csv"
+    path.write_text("state,x\na,0\n\nb," + "1" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"^dataset row 3: expected 2 cells, got 0$"):
+        load_dataset(path, cfg)
+    assert _assert_loaders_agree(path, cfg)[1:] == ("dataset row 3: expected 2 cells, got 0", "row 3")
 
 
 def test_synthetic_deepfake_loads_like_the_reference(tmp_path):

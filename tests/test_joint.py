@@ -451,12 +451,8 @@ def _family(draw, names, n_weights):
 
 
 def _groups(joint, index):
-    """The (G, len(cols)) values of the groups of ``index``, in order, decoded from their mixed-radix codes."""
-    sizes = [joint.domain_sizes[c] for c in index.cols]
-    values, code = np.empty((index.size, len(sizes)), dtype=np.int64), index.codes
-    for j in reversed(range(len(sizes))):
-        code, values[:, j] = np.divmod(code, sizes[j])
-    return values
+    """The (G, len(cols)) values of the groups of ``index``, in order, read from their member tuples."""
+    return joint.keys[index.member][:, list(index.cols)]
 
 
 def _keys_table(joint, cols, weights):
@@ -520,10 +516,10 @@ def test_lattice_tables_of_a_population_joint_agree_within_the_regrouping_tolera
         assert abs(payoffs[key][0] - rational_payoff(joint, problem, key)) <= tolerance
 
 
-def test_a_set_under_a_parent_past_the_code_limit_is_grouped_from_the_keys():
+def test_a_set_under_a_parent_past_the_code_limit_is_grouped_from_its_parent():
     # 63 binary signals make 2^63 codes, past CODE_LIMIT, so their codes are
-    # ranks, not mixed-radix digits: the set of the first 62, whose parent
-    # they are, is grouped from the keys instead, with mixed-radix codes
+    # ranks, not mixed-radix digits; the set of the first 62 is still grouped
+    # from their groups, by the member tuples' values
     names = tuple(f"x{i}" for i in range(63))
     rows = np.random.default_rng(1).integers(0, 2, size=(40, 64))
     data = _dataset(rows, SignalSchema(signals=tuple(BasicSignal(name, ("0", "1")) for name in names)))
@@ -535,10 +531,9 @@ def test_a_set_under_a_parent_past_the_code_limit_is_grouped_from_the_keys():
     for key, index, counts in _lattice(joint, family, weights):
         parents[len(key)] = index.parent
         keys_reals, keys_counts = _keys_table(joint, index.cols, weights)
-        if len(key) < 63:
-            assert np.array_equal(_groups(joint, index), keys_reals)
+        assert np.array_equal(_groups(joint, index), keys_reals)
         assert np.ascontiguousarray(counts.transpose(0, 2, 1)).tobytes() == keys_counts.tobytes()
-    assert parents == {63: None, 62: None, 61: joint.columns(names[:-1])}
+    assert parents == {63: None, 62: joint.columns(names), 61: joint.columns(names[:-1])}
     payoffs = family_payoffs(joint, problem, family, weights)
     for key in family:
         assert [v.hex() for v in payoffs[key]] == [

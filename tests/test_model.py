@@ -179,6 +179,16 @@ def test_nearest_index_finds_the_grid_point_by_arithmetic_where_the_steps_are_eq
     assert DecisionSpace.uniform_grid(Fraction(3, 10), Fraction(3, 10) + Fraction(1, 10**15), 1001)._step_rule is None
 
 
+def test_a_step_whose_inverse_passes_the_float_range_takes_the_sorted_search():
+    # 1 / 1e-400 is past the float range: the rule has no scale, and the midpoints round to 0.0
+    grid = DecisionSpace.numeric([0, Fraction("1e-400"), Fraction("2e-400")])
+    assert grid._step_rule is None
+    values = np.array([-1.0, -0.0, 0.0, 5e-324, 1e-300, 1.0, np.inf, -np.inf, np.nan])
+    expected = np.searchsorted(grid._midpoints, values, side="left")
+    assert grid.nearest_index(values).tolist() == expected.tolist()
+    assert [grid.nearest_index(float(v)) for v in values] == expected.tolist()
+
+
 @pytest.mark.parametrize("grid", [DecisionSpace.uniform_grid()] + [DecisionSpace.uniform_grid(0, 1, n) for n in (7, 13, 30)])
 def test_nearest_index_sends_every_exact_midpoint_low_and_the_next_float_high(grid):
     mids = [float((a + b) / 2) for a, b in zip(grid.points, grid.points[1:])]
