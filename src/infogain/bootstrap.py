@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .joint import Dataset, JointDistribution, estimate_joint, row_tuples
+from .joint import Dataset, JointDistribution, estimate_joint
 from .model import DecisionProblem
 from .rational import clamp_gain, family_payoffs, gain_sets
 from .shapley import check_permutations, coalition_sets, exact_values, exact_weights, resolve_signals, sampled_values
@@ -324,7 +324,7 @@ def bootstrap_run(
     """Run the bootstrap; output depends only on (data, problem, spec, alpha)."""
     joint = estimate_joint(data, alpha)
     plan = _plan(joint, spec)
-    row_key = row_tuples(data)  # each row's tuple, from the sort of the estimate
+    row_key = data.row_tuples  # each row's tuple, from the grouping of the estimate
     blocks = _blocks(spec.replicates, max(1, REPLICATE_CELLS // len(joint.keys)), usable_cpus())
     block_rows = _run_blocks((data, problem, spec, plan, joint, row_key), blocks)
     samples = np.array([row for rows in block_rows for row in rows], dtype=np.float64)  # (B, n_stats), by replicate

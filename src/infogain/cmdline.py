@@ -46,8 +46,18 @@ AXIS = _flag("--axis", "LO:HI with finite LO < HI", lambda text: tuple(float(x) 
              lambda a: len(a) == 2 and all(map(math.isfinite, a)) and a[0] < a[1])
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write to standard output (help, version) raises."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)  # argparse would ignore the error; main reports it as an i/o error
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="infogain",
         description="Quantify unexploited information value in logged human/AI decisions.",
     )
@@ -110,7 +120,11 @@ def main(argv=None) -> int:
     """Parse ``argv``, then run its subcommand through ``cli.cmd_<subcommand>``; returns the exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # --help, --version and usage errors: argparse has printed and exits
+            sys.stdout.flush()
+            raise
         # before Python 3.13, argparse gives "--flag=--" an empty list as its value
         for key, value in vars(args).items():
             if isinstance(value, list) and (not value or [] in value):

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -64,6 +65,12 @@ MISSING, BAD, UNDECODABLE = -1, -2, -3
 # Most points a decision or payoff grid may list.  Each point is an exact
 # Fraction, so a larger grid is refused before any point is built.
 GRID_POINT_LIMIT = 10_001
+# Largest decimal exponent, in magnitude, of a numeric cell or grid value: Python's
+# own limit on the digits of an int read from text.  Fraction builds 10**exponent
+# before anything checks it, so "1e999999999" would take hours; past this it is
+# not a number.
+EXPONENT_LIMIT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -203,9 +210,17 @@ def _labels(value, path: str) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _exact_number(text: str) -> Fraction:
+    """``Fraction(text)``; a ValueError for an exponent past ``EXPONENT_LIMIT``, before any power is built."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > EXPONENT_LIMIT:
+        raise ValueError(f"exponent {exponent[1]} exceeds {EXPONENT_LIMIT} in magnitude")
+    return Fraction(text)
+
+
 def _fraction(value, path: str) -> Fraction:
     try:
-        return Fraction(str(value))
+        return _exact_number(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{path}: not a numeric value ({exc})", path=path) from None
 
@@ -417,7 +432,7 @@ class _CellCodes(dict):
             code = UNDECODABLE
         elif self.numeric:
             try:
-                code = self.index.get(Fraction(cell), BAD)
+                code = self.index.get(_exact_number(cell), BAD)
             except (ValueError, ZeroDivisionError):
                 code = BAD
         else:

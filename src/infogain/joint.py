@@ -74,6 +74,17 @@ def _cell_count(cells: int) -> str:
     return str(cells) if cells < 10**15 else f"~10^{math.log10(cells):.0f}"
 
 
+def _index_table(table, sizes: Sequence[int], what: str) -> np.ndarray:
+    """``table`` as a read-only C-contiguous int64 array of rows whose column c holds values in range(sizes[c])."""
+    table = np.ascontiguousarray(table, dtype=np.int64)
+    if table.ndim != 2 or table.shape[1] != len(sizes):
+        raise ValueError(f"{what} must have shape (n, {len(sizes)})")
+    if table.min(initial=0) < 0 or (table >= np.array(sizes)).any():
+        raise ValueError(f"{what} hold an index out of domain range")
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Rows of (state index, signal value indices, decision value indices)."""
@@ -85,25 +96,20 @@ class Dataset:
     dropped_rows: int = 0
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.int64))
-        object.__setattr__(self, "rows", rows)
         sizes = (self.states.size,) + self.schema.domain_sizes()
-        if rows.ndim != 2 or rows.shape[1] != len(sizes):
-            raise ValueError(f"rows must have shape (N, {len(sizes)})")
-        if rows.shape[0] < 1:
+        object.__setattr__(self, "rows", _index_table(self.rows, sizes, "rows"))
+        if self.rows.shape[0] < 1:
             raise ValueError("dataset needs at least one row")
-        if rows.min(initial=0) < 0 or (rows >= np.array(sizes)).any():
-            raise ValueError("row indices out of domain range")
-        rows.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
         return int(self.rows.shape[0])
 
     @cached_property
-    def _tuples(self) -> np.ndarray:
-        """``_ranks`` of the rows' codes: the one sort of the rows, shared by ``estimate_joint`` and ``row_tuples``."""
-        return _ranks(encode(self.rows, (self.states.size,) + self.schema.domain_sizes()))
+    def row_tuples(self) -> np.ndarray:
+        """Index (int32) of each row's tuple among the keys of ``estimate_joint(self)``: the one grouping of the rows."""
+        sizes = (self.states.size,) + self.schema.domain_sizes()
+        return np.unique(encode(self.rows, sizes), return_inverse=True)[1].astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -124,17 +130,13 @@ class JointDistribution:
     total: float = 1.0
 
     def __post_init__(self):
-        keys = np.ascontiguousarray(np.asarray(self.keys, dtype=np.int64))
-        probs = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
+        sizes = self.domain_sizes
+        keys = _index_table(self.keys, sizes, "keys")
+        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "probs", probs)
-        sizes = self.domain_sizes
-        if keys.ndim != 2 or keys.shape[1] != len(sizes):
-            raise ValueError(f"keys must have shape (K, {len(sizes)})")
         if probs.shape != (keys.shape[0],):
             raise ValueError("probs must align with keys")
-        if keys.shape[0] and (keys.min(initial=0) < 0 or (keys >= np.array(sizes)).any()):
-            raise ValueError("key indices out of domain range")
         if (probs < 0).any() or self.background < 0:
             raise ValueError("weights must be non-negative")
         codes = np.sort(encode(keys, sizes))
@@ -147,7 +149,6 @@ class JointDistribution:
         if not (math.isfinite(self.total) and self.total > 0) or abs(mass - self.total) > MASS_TOL * self.total:
             raise ValueError(f"total weight {mass!r} over {_cell_count(self.n_cells)} cells differs from total "
                              f"{self.total!r} by more than {MASS_TOL} of it")
-        keys.setflags(write=False)
         probs.setflags(write=False)
 
     @property
@@ -180,17 +181,6 @@ class JointDistribution:
         return tuple(sorted(cols))
 
 
-def _ranks(codes: np.ndarray) -> np.ndarray:
-    """The int32 rank of each value of ``codes`` among its distinct values in ascending order, from one unstable sort."""
-    order = np.argsort(codes)
-    ordered = codes[order]
-    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    del ordered
-    inverse = np.empty(len(codes), dtype=np.int32)
-    inverse[order] = np.cumsum(new, dtype=np.int32) - 1
-    return inverse
-
-
 def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
     """Plug-in estimate of the joint from dataset rows: the count of each
     distinct tuple, over a total of the row count.
@@ -216,7 +206,7 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
         if not math.isfinite(total):
             raise EstimationError(
                 f"smoothing alpha={smoothing!r} over {_cell_count(cells)} cells overflows the total weight")
-    inverse = data._tuples
+    inverse = data.row_tuples
     counts = np.bincount(inverse)
     held_by = np.empty(len(counts), dtype=np.intp)
     held_by[inverse] = np.arange(data.n_rows)  # some row of each tuple; any one holds its values
@@ -229,11 +219,6 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
         state_name=data.state_name,
         total=total,
     )
-
-
-def row_tuples(data: Dataset) -> np.ndarray:
-    """Index of each row's tuple among the keys of ``estimate_joint(data)``, from the sort that estimate made."""
-    return data._tuples
 
 
 class GroupIndex(NamedTuple):

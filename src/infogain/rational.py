@@ -25,7 +25,6 @@ from .joint import (
     Posterior,
     background_mass,
     estimate_joint,
-    row_tuples,
 )
 from .model import DecisionProblem
 
@@ -287,12 +286,12 @@ def _cross_fit_payoffs(data: Dataset, problem: DecisionProblem, sets: list[froze
     it, a realization the fitting row never saw takes that row's prior action);
     its counts are tallied exactly per (action, state), and the sum of tally
     times payoff over both folds is rounded once and divided by n.  Each row's
-    tuple comes from the sort that estimated the joint (``row_tuples``).
+    tuple comes from the grouping that estimated the joint (``Dataset.row_tuples``).
     """
     if data.n_rows < 2:
         raise ValueError("cross-fit evaluation needs at least 2 rows")
     joint = estimate_joint(data, smoothing)
-    row_key = row_tuples(data)
+    row_key = data.row_tuples
     folds = np.array([np.bincount(row_key[f::2], minlength=len(joint.keys)) for f in (0, 1)], dtype=np.float64)
     table, width = problem.payoff_matrix, joint.states.size
     payoffs = {}

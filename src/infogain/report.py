@@ -84,6 +84,9 @@ def _nice_step(span: float) -> float:
 def _nice_axis(lo: float, hi: float) -> tuple[float, float]:
     if hi - lo < MIN_AXIS_SPAN:
         hi = lo + MIN_AXIS_SPAN
+        if hi == lo:
+            raise ReportError(f"axis range [{lo!r}, {hi!r}] has no span: widening it by {MIN_AXIS_SPAN} "
+                              f"rounds away at that magnitude")
     if not math.isfinite(hi - lo):
         return lo, hi  # no step fits; PlotSpec refuses the range
     step = _nice_step(hi - lo)

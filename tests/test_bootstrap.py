@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -550,3 +551,30 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, brier):
             bootstrap_run(small_xor_dataset(8), brier, spec)
         messages.append(str(caught.value))
     assert messages == ["no payoffs for this block"] * 2
+
+
+def test_workers_fork_with_no_other_thread_running(monkeypatch, brier):
+    # Python 3.12+ os.fork warns (DeprecationWarning) when the process it forks
+    # runs other threads, and drops that warning even under an "error" filter,
+    # so every warning is recorded.  Where the platform lists a process's
+    # threads, each fork also checks what 3.12 counts, the threads left in the
+    # parent after the fork, so older Pythons run the same check.
+    threads = (lambda: len(os.listdir("/proc/self/task"))) if os.path.isdir("/proc/self/task") else (lambda: 1)
+    fork, counts = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            counts.append(threads())
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", 1)
+    monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 2)
+    spec = BootstrapSpec(replicates=2, statistics=(GainStat(v1=("s1",)), ShapleyStat()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = bootstrap_run(small_xor_dataset(8), brier, spec)
+    assert [str(w.message) for w in caught] == []
+    assert counts == [1, 1]  # two workers, each forked from a process running one thread
+    assert all(len(stat.samples) == 2 for stat in result.statistics)

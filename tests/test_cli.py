@@ -77,6 +77,48 @@ def test_validate_warns_of_rows_dropped_by_the_missing_value_policy(xor_files, c
     assert out == "ok: 4 rows, 2 signals, 0 decision columns\n"
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"payoff": {"kind": "matrix", "rows": [[1.0, 0.0], [0.0, 1.0]], "decisions": ["a"]}},
+     "payoff.decisions: 1 labels for 2 matrix rows"),
+    ({"payoff": {"kind": "log"}}, "payoff.kind: unknown payoff kind 'log'"),
+    ({"decisions": [{"column": "d", "role": "robot", "values": ["a"]}]},
+     "decisions[0].role: 'robot' not in ('human', 'ai', 'human_ai', 'other')"),
+    ({"options": {"missing": "impute"}}, "options.missing: 'impute' not in ('error', 'drop')"),
+], ids=["matrix-decisions", "payoff-kind", "decision-role", "missing-policy"])
+def test_schema_error_exits_1_naming_its_field(xor_files, capsys, change, message):
+    schema, data = xor_files
+    doc = json.loads(schema.read_text(encoding="utf-8"))
+    schema.write_text(json.dumps({**doc, **change}), encoding="utf-8")
+    assert main(["validate", "--schema", str(schema), "--data", str(data)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_empty_data_file_exits_1(xor_files, capsys):
+    schema, data = xor_files
+    data.write_bytes(b"")
+    assert main(["validate", "--schema", str(schema), "--data", str(data)]) == 1
+    assert capsys.readouterr() == ("", "error: dataset: file has no header row\n")
+
+
+@pytest.mark.parametrize("grid, rows, message", [
+    ({"count": 11}, "0,0,0,0.5\n1,0,1,1e999999999\n",
+     "dataset row 3, column 'd': value '1e999999999' not in the declared domain"),
+    ({"points": ["0", "1e-999999999"]}, "0,0,0,0\n",
+     "decisions[0].grid.points[1]: not a numeric value (exponent -999999999 exceeds 4300 in magnitude)"),
+], ids=["cell", "grid-point"])
+def test_a_huge_decimal_exponent_is_refused_before_any_power_is_built(xor_files, grid, rows, message):
+    # Fraction("1e999999999") would build 10**999999999: hours and ~415 MB
+    schema, data = xor_files
+    doc = json.loads(schema.read_text(encoding="utf-8"))
+    schema.write_text(json.dumps({**doc, "decisions": [{"column": "d", "role": "human", "grid": grid}]}),
+                      encoding="utf-8")
+    data.write_text("state,s1,s2,d\n" + rows, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(infogain.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "infogain", "validate", "--schema", str(schema), "--data", str(data)],
+                         capture_output=True, env=env, text=True, check=False, timeout=30)
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {message}\n")
+
+
 def test_missing_file_exits_2(xor_files, capsys):
     schema, _ = xor_files
     assert main(["validate", "--schema", str(schema), "--data", "/nonexistent.csv"]) == 2
@@ -167,6 +209,16 @@ def test_bootstrap_without_signals_to_attribute_is_refused(tmp_path, capsys, spe
         argv += ["--spec", str(tmp_path / "spec.json")]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: bootstrap spec requests no statistics: the schema has no signals\n"
+    assert not out.exists()
+
+
+def test_bootstrap_with_no_decision_columns_and_no_statistics_exits_1(xor_files, tmp_path, capsys):
+    # the default statistics are one Shapley attribution per decision column
+    schema, data = xor_files
+    out = tmp_path / "boot.json"
+    assert main(["bootstrap", "--schema", str(schema), "--data", str(data), "--replicates", "2",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: no decision columns and no statistics requested\n")
     assert not out.exists()
 
 
@@ -579,6 +631,36 @@ def test_report_refuses_a_range_too_wide_to_draw(tmp_path, xor_files, capsys, ca
     assert not (tmp_path / "fig.svg").exists()
 
 
+def test_report_refuses_an_axis_whose_span_rounds_away(tmp_path, xor_files, capsys):
+    # at -1e20 adding the least span of 0.05 leaves the bound where it was
+    schema, data = xor_files
+    boot, svg = tmp_path / "b.json", tmp_path / "fig.svg"
+    assert main(["bootstrap", "--schema", str(schema), "--data", str(data),
+                 "--replicates", "3", "--shapley", "none", "--out", str(boot)]) == 0
+    doc = json.loads(boot.read_text())
+    for stat in doc["statistics"]:
+        stat["samples"] = [-1e20] * 3
+    boot.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--results", str(boot), "--out", str(svg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: axis range [-1e+20, -1e+20] has no span: widening it by 0.05 rounds away at that magnitude\n")
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], "top level must be an object"),
+    ({"format_version": 2, "kind": "gain"}, "format_version: missing or unsupported (2)"),
+    ({"format_version": 1, "kind": "histogram"}, "kind: unknown kind 'histogram'"),
+], ids=["not-an-object", "format-version", "kind"])
+def test_report_of_a_malformed_results_document_exits_1(tmp_path, capsys, doc, message):
+    results, svg = tmp_path / "r.json", tmp_path / "fig.svg"
+    results.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", "--results", str(results), "--out", str(svg)]) == 1
+    assert capsys.readouterr().err == f"error: results {results}: {message}\n"
+    assert not svg.exists()
+
+
 class _ClosedStdout(io.StringIO):
     """A standard output whose reader has gone, as under ``infogain ... | head -c 10``."""
 
@@ -617,27 +699,35 @@ def test_closed_stdout_loses_no_output_file(tmp_path, capsys, monkeypatch, comma
     assert document.read_bytes() == written
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_pipe_exits_2_in_a_real_process(xor_files, tmp_path, unbuffered):
-    # a buffered standard output holds the prints until the command returns:
-    # the broken pipe must fail inside main, not in the interpreter's flush at exit
+@pytest.mark.parametrize("command, unbuffered", [
+    ("shapley", False), ("shapley", True), ("--help", False), ("--help", True), ("--version", False),
+    ("--version", True),
+], ids=["buffered", "unbuffered", "help-buffered", "help-unbuffered", "version-buffered", "version-unbuffered"])
+def test_closed_stdout_pipe_exits_2_in_a_real_process(xor_files, tmp_path, command, unbuffered):
+    # a buffered standard output holds the prints until the command returns, or
+    # until argparse exits after --help or --version: the broken pipe must fail
+    # inside main, not in the interpreter's flush at exit; unbuffered, argparse
+    # itself would ignore the failed write of its help or version text
     schema, data = xor_files
     out = tmp_path / "shapley.json"
     env = dict(os.environ, PYTHONPATH=str(Path(infogain.__file__).resolve().parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    argv = [command]
+    if command == "shapley":
+        argv += ["--schema", str(schema), "--data", str(data), "--ground", "none", "--out", str(out)]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        run = subprocess.run([sys.executable, "-m", "infogain", "shapley", "--schema", str(schema), "--data",
-                              str(data), "--ground", "none", "--out", str(out)],
+        run = subprocess.run([sys.executable, "-m", "infogain", *argv],
                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, check=False)
     finally:
         os.close(write_end)
     assert run.returncode == 2
     assert run.stderr == "i/o error: [Errno 32] Broken pipe\n"
-    assert out.exists() and Path(str(out) + ".manifest.json").exists()
+    if command == "shapley":
+        assert out.exists() and Path(str(out) + ".manifest.json").exists()
 
 
 def _imported_modules(*args, cwd=None):

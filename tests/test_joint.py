@@ -74,6 +74,43 @@ def test_dataset_must_be_nonempty():
         _dataset(np.zeros((0, 2), dtype=np.int64))
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 0, 0]], "rows must have shape (n, 2)"),
+    ([0, 1], "rows must have shape (n, 2)"),
+    ([[-1, 0]], "rows hold an index out of domain range"),
+], ids=["shape", "one-dimensional", "negative"])
+def test_dataset_refuses_a_malformed_row_table(rows, message):
+    with pytest.raises(ValueError) as caught:
+        _dataset(rows)
+    assert str(caught.value) == message
+
+
+def _joint(keys, probs, background=0.0):
+    return JointDistribution(StateSpace.of(("0", "1")), BINARY, np.array(keys), np.array(probs), background)
+
+
+@pytest.mark.parametrize("keys, probs, background, message", [
+    ([[0, 0, 0]], [1.0], 0.0, "keys must have shape (n, 2)"),
+    ([[0, 2]], [1.0], 0.0, "keys hold an index out of domain range"),
+    ([[-1, 0]], [1.0], 0.0, "keys hold an index out of domain range"),
+    ([[0, 0], [1, 1]], [1.0], 0.0, "probs must align with keys"),
+    ([[0, 0], [1, 1]], [1.5, -0.5], 0.0, "weights must be non-negative"),
+    ([[0, 0]], [1.0], -0.0625, "weights must be non-negative"),
+], ids=["shape", "above", "negative", "misaligned", "negative-weight", "negative-background"])
+def test_joint_refuses_a_malformed_table(keys, probs, background, message):
+    with pytest.raises(ValueError) as caught:
+        _joint(keys, probs, background)
+    assert str(caught.value) == message
+
+
+def test_a_valid_table_is_stored_read_only_in_int64():
+    data = Dataset(StateSpace.of(("0", "1")), BINARY, np.array([[1, 0]], dtype=np.int8))
+    joint = _joint([[1, 0]], [1.0])
+    for table in (data.rows, joint.keys, joint.probs):
+        assert not table.flags.writeable and table.flags.c_contiguous
+    assert data.rows.dtype == joint.keys.dtype == np.int64
+
+
 def test_dataset_rejects_out_of_domain_indices():
     with pytest.raises(ValueError):
         _dataset([[0, 2]])
