@@ -921,11 +921,25 @@ def _quantiles(value, path: str) -> dict[str, float]:
     return out
 
 
-def _stat_result(doc, path: str) -> StatResult:
+def _stat_result(doc, path: str, replicates: int) -> StatResult:
+    """One statistic; its samples number ``replicates`` and bound its quantiles, and its ``sd`` is non-negative."""
     kind = _string(_require(doc, "kind", path), f"{path}.kind")
     if kind not in ("gain", "shapley"):
         raise ValidationError(f"{path}.kind: unknown statistic kind {kind!r}", path=f"{path}.kind")
     v1 = doc.get("v1")
+    samples = tuple(
+        _number(x, f"{path}.samples[{i}]")
+        for i, x in enumerate(_nonempty(_require(doc, "samples", path), f"{path}.samples"))
+    )
+    if len(samples) != replicates:
+        raise ValidationError(f"{path}.samples: must hold one sample per replicate ({replicates}), not {len(samples)}",
+                              path=f"{path}.samples")
+    quantiles = _quantiles(_require(doc, "quantiles", path), f"{path}.quantiles")
+    lo, hi = min(samples), max(samples)
+    for key, q in quantiles.items():
+        if not lo <= q <= hi:
+            raise ValidationError(f"{path}.quantiles.{key}: {q!r} lies outside the samples' range [{lo!r}, {hi!r}]",
+                                  path=f"{path}.quantiles.{key}")
     return StatResult(
         name=_string(_require(doc, "name", path), f"{path}.name"),
         kind=kind,
@@ -933,13 +947,10 @@ def _stat_result(doc, path: str) -> StatResult:
         v1=_strings(v1, f"{path}.v1") if v1 is not None else None,
         ground=_strings(_require(doc, "ground", path), f"{path}.ground"),
         ground_role=_string(_require(doc, "ground_role", path), f"{path}.ground_role"),
-        samples=tuple(
-            _number(x, f"{path}.samples[{i}]")
-            for i, x in enumerate(_nonempty(_require(doc, "samples", path), f"{path}.samples"))
-        ),
+        samples=samples,
         mean=_number(_require(doc, "mean", path), f"{path}.mean"),
-        sd=_number(_require(doc, "sd", path), f"{path}.sd"),
-        quantiles=_quantiles(_require(doc, "quantiles", path), f"{path}.quantiles"),
+        sd=_number(_require(doc, "sd", path), f"{path}.sd", non_negative=True),
+        quantiles=quantiles,
     )
 
 
@@ -981,11 +992,12 @@ def _result(doc) -> Result:
         )
     if kind == "bootstrap":
         stats = _nonempty(_require(doc, "statistics", ""), "statistics")
+        replicates = _integer(_require(doc, "replicates", ""), "replicates", 1)
         return BootstrapResult(
-            replicates=_integer(_require(doc, "replicates", ""), "replicates", 1),
+            replicates=replicates,
             seed=_integer(_require(doc, "seed", ""), "seed", 0),
             alpha=_number(_require(doc, "alpha", ""), "alpha", non_negative=True),
-            statistics=tuple(_stat_result(s, f"statistics[{i}]") for i, s in enumerate(stats)),
+            statistics=tuple(_stat_result(s, f"statistics[{i}]", replicates) for i, s in enumerate(stats)),
         )
     raise ValidationError(f"kind: unknown kind {kind!r}", path="kind")
 

@@ -3,9 +3,12 @@
 Each signal gets a row of horizontal density strips, one per decision ground,
 colored by the ground's role.  Strips are kernel-smoothed histograms
 (Silverman bandwidth) with a median tick; a point-mass sample renders as the
-tick alone.  Rendering is a pure function of the plot spec: same spec, same
-bytes.  The mark type is a presentation choice, not a reproduction of any
-particular figure.
+tick alone.  The median tick and the bandwidth come from each statistic's
+stored ``quantiles`` and ``sd``, which ``bootstrap`` computed from the same
+samples, so the chart agrees with the printed table and the CSV; the samples
+feed only the kernel sum.  Rendering is a pure function of the plot spec:
+same spec, same bytes.  The mark type is a presentation choice, not a
+reproduction of any particular figure.
 """
 
 from __future__ import annotations
@@ -37,20 +40,9 @@ GROUP_GAP = 10
 
 
 @dataclass(frozen=True)
-class Strip:
-    ground_label: str
-    role: str
-    samples: tuple[float, ...]
-
-    @property
-    def median(self) -> float:
-        return float(np.quantile(np.array(self.samples), 0.5, method="linear"))
-
-
-@dataclass(frozen=True)
 class PlotGroup:
     label: str  # signal name (or gain label)
-    strips: tuple[Strip, ...]
+    strips: tuple[StatResult, ...]  # one strip per statistic
 
 
 @dataclass(frozen=True)
@@ -110,25 +102,20 @@ def build_plot_spec(results: Sequence[BootstrapResult], axis: tuple[float, float
     """
     if not results:
         raise ReportError("no results to plot")
-    per_label: dict[str, list[Strip]] = {}
+    per_label: dict[str, list[StatResult]] = {}
     label_sets = []
     for res in results:
         labels = set()
         for stat in res.statistics:
             label = _stat_label(stat)
             labels.add(label)
-            per_label.setdefault(label, []).append(
-                Strip(ground_label=set_label(stat.ground), role=stat.ground_role, samples=stat.samples)
-            )
+            per_label.setdefault(label, []).append(stat)
         label_sets.append(labels)
     if any(ls != label_sets[0] for ls in label_sets[1:]):
         raise ReportError("results do not share the same signal set")
 
-    def order_median(strips: list[Strip]) -> float:
-        for strip in strips:
-            if strip.role == "human":
-                return strip.median
-        return strips[0].median
+    def order_median(stats: list[StatResult]) -> float:
+        return next((s for s in stats if s.ground_role == "human"), stats[0]).quantiles["50"]
 
     ordered = sorted(per_label, key=lambda lb: (-order_median(per_label[lb]), lb))
     groups = tuple(PlotGroup(label=lb, strips=tuple(per_label[lb])) for lb in ordered)
@@ -142,14 +129,14 @@ def build_plot_spec(results: Sequence[BootstrapResult], axis: tuple[float, float
     return PlotSpec(groups=groups, axis=_nice_axis(lo, hi))
 
 
-def _density(samples: np.ndarray, grid: np.ndarray) -> np.ndarray | None:
+def _density(stat: StatResult, grid: np.ndarray) -> np.ndarray | None:
     """Gaussian-kernel density on the grid; None for a point mass."""
-    n = len(samples)
-    sd = float(np.std(samples, ddof=1)) if n > 1 else 0.0
+    sd = stat.sd
     if sd == 0.0:
         return None
-    q75, q25 = np.quantile(samples, [0.75, 0.25], method="linear")
-    iqr = float(q75 - q25)
+    samples = np.array(stat.samples, dtype=np.float64)
+    n = len(samples)
+    iqr = stat.quantiles["75"] - stat.quantiles["25"]
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     bw = 0.9 * spread * n ** (-1.0 / 5.0)
     z = (grid[:, None] - samples[None, :]) / bw
@@ -182,12 +169,7 @@ def render_svg(spec: PlotSpec) -> bytes:
     )
 
     # legend: one entry per distinct (ground label, role), in first-seen order
-    seen = []
-    for g in spec.groups:
-        for strip in g.strips:
-            key = (strip.ground_label, strip.role)
-            if key not in seen:
-                seen.append(key)
+    seen = dict.fromkeys((set_label(s.ground), s.ground_role) for g in spec.groups for s in g.strips)
     lx = left
     for ground_label, role in seen:
         color = PALETTE.get(role, PALETTE["other"])
@@ -206,11 +188,10 @@ def render_svg(spec: PlotSpec) -> bytes:
             f'<text x="{left - 10}" y="{_fmt(label_y)}" text-anchor="end" font-family="sans-serif" '
             f'font-size="12" fill="#222222">{escape(group.label, quote=False)}</text>'
         )
-        for strip in group.strips:
-            color = PALETTE.get(strip.role, PALETTE["other"])
+        for stat in group.strips:
+            color = PALETTE.get(stat.ground_role, PALETTE["other"])
             base = y + STRIP_HEIGHT
-            samples = np.array(strip.samples, dtype=np.float64)
-            dens = _density(samples, grid)
+            dens = _density(stat, grid)
             if dens is not None and dens.max() > 0:
                 scale = (STRIP_HEIGHT * 0.92) / dens.max()
                 pts = [f"{_fmt(sx(lo))},{_fmt(base)}"]
@@ -218,7 +199,7 @@ def render_svg(spec: PlotSpec) -> bytes:
                     pts.append(f"{_fmt(sx(float(gx)))},{_fmt(base - float(gy) * scale)}")
                 pts.append(f"{_fmt(sx(hi))},{_fmt(base)}")
                 out.append(f'<path d="M {" L ".join(pts)} Z" fill="{color}" fill-opacity="0.55" stroke="none"/>')
-            mx = sx(strip.median)
+            mx = sx(stat.quantiles["50"])
             out.append(
                 f'<line x1="{_fmt(mx)}" y1="{_fmt(base - STRIP_HEIGHT)}" x2="{_fmt(mx)}" '
                 f'y2="{_fmt(base)}" stroke="{color}" stroke-width="2"/>'

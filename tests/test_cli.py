@@ -621,6 +621,7 @@ def test_report_refuses_a_range_too_wide_to_draw(tmp_path, xor_files, capsys, ca
         doc = json.loads(boot.read_text())
         for stat, sample in zip(doc["statistics"], (1e308, -1e308)):
             stat["samples"] = [sample] * 3
+            stat["quantiles"] = dict.fromkeys(stat["quantiles"], sample)
         boot.write_text(json.dumps(doc), encoding="utf-8")
     else:
         argv.append({"axis": "--axis=-1e308:1e308", "rounded-axis": "--axis=-8e307:8e307"}[case])
@@ -640,6 +641,7 @@ def test_report_refuses_an_axis_whose_span_rounds_away(tmp_path, xor_files, caps
     doc = json.loads(boot.read_text())
     for stat in doc["statistics"]:
         stat["samples"] = [-1e20] * 3
+        stat["quantiles"] = dict.fromkeys(stat["quantiles"], -1e20)
     boot.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert main(["report", "--results", str(boot), "--out", str(svg)]) == 1

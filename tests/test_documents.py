@@ -283,6 +283,11 @@ def test_malformed_spec_names_its_field(files, spec, message):
     (lambda d: d["statistics"][0]["quantiles"].__setitem__("25", 2.0), "statistics[0].quantiles: quantiles out of order"),
     (lambda d: d["statistics"][0].__setitem__("kind", "mean"), "statistics[0].kind: unknown statistic kind 'mean'"),
     (lambda d: d.update(kind="shapley", signals=["b"], values={"b": "0.1"}), "values.b: must be a finite number"),
+    (lambda d: d["statistics"][0].__setitem__("sd", -1), "statistics[0].sd: must be a finite non-negative number"),
+    (lambda d: d["statistics"][0]["quantiles"].update({"50": 5.0, "75": 5.0, "97.5": 5.0}),
+     "statistics[0].quantiles.50: 5.0 lies outside the samples' range"),
+    (lambda d: d["statistics"][1].__setitem__("samples", d["statistics"][1]["samples"][:1]),
+     "statistics[1].samples: must hold one sample per replicate (2), not 1"),
 ])
 def test_malformed_result_names_its_field(files, result_doc, mutate, message):
     doc = copy.deepcopy(result_doc)

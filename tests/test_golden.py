@@ -23,6 +23,7 @@ DIGESTS = {
     "xor/data.csv": "9a16ddd62fcba5c41918f288625283f7836daf700d2b30e0ef05f0667aaae862",
     "bootstrap.json": "0206d4c61aa9bcfa84e1cdce5d5a65a76778c36382da4882c72d5588383646ba",
     "shapley.json": "6dbb7a12c42d6b52d2b1ca036a2218868ae03cf79f701420ee95b3f24c09e4ab",
+    "report.svg": "ed375400b80c59cc19156c9d4ebdfbaf64641162a8937945d65bfd8bc43c87f3",
 }
 
 
@@ -34,6 +35,7 @@ def outputs(tmp_path_factory):
     assert main(["synth", "--preset", "xor", "--rows", "500", "--seed", "2", "--out-dir", str(xor)]) == 0
     assert main(["bootstrap", "--schema", str(deepfake / "schema.json"), "--data", str(deepfake / "data.csv"),
                  "--replicates", "20", "--out", str(out / "bootstrap.json")]) == 0
+    assert main(["report", "--results", str(out / "bootstrap.json"), "--out", str(out / "report.svg")]) == 0
     assert main(["shapley", "--schema", str(xor / "schema.json"), "--data", str(xor / "data.csv"),
                  "--ground", "none", "--sampled", "20", "--seed", "3", "--out", str(out / "shapley.json")]) == 0
     return out

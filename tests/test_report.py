@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infogain
 from infogain.bootstrap import BootstrapResult, BootstrapSpec, ShapleyStat, StatResult, bootstrap_run
 from infogain.errors import ReportError
+from infogain.io import write_results
 from infogain.report import PALETTE, build_plot_spec, render_svg, summary_table
 from infogain.synth import SyntheticAgentSpec, generate_dataset
 
@@ -149,3 +156,22 @@ def test_summary_table_lists_each_statistic():
     assert "shapley(ground=human).a" in text
     assert "shapley(ground=human).b" in text
     assert "mean" in text and "q97.5" in text
+
+
+def test_report_does_not_load_numpy_ma(tmp_path):
+    # the report draws the stored quantiles and sd; np.quantile would load numpy.ma (through np.unique).
+    # The flag is taken after ``import numpy``, since an older numpy loads numpy.ma at import.
+    results = tmp_path / "boot.json"
+    write_results(make_result([make_stat("a", ("human",), "human", [0.1, 0.2, 0.4])]), results)
+    code = f"""
+        import sys
+        import numpy
+        loaded = "numpy.ma" in sys.modules
+        from infogain.cli import main
+        assert main(["report", "--results", {str(results)!r}, "--out", {str(tmp_path / "fig.svg")!r}]) == 0
+        assert ("numpy.ma" in sys.modules) == loaded, "report loaded numpy.ma"
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(infogain.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True,
+                         check=False)
+    assert run.returncode == 0, run.stderr
