@@ -27,10 +27,16 @@ replicate's resampled rows.
 
 Blocks run in worker processes forked from the caller, one per usable CPU
 and at most one per block, or in the caller when only one would run or the
-platform cannot fork; the plan is built in the caller, so a statistic that
-cannot be computed fails before any worker starts.  A block's samples are a
-pure function of its replicate range, so they do not depend on the number
-of workers.
+platform has no ``os.fork``; the plan is built in the caller, so a
+statistic that cannot be computed fails before any worker starts.  Worker
+w inherits every input through the fork, runs the fixed share
+``blocks[w::W]`` of the W workers and writes one pickle, its rows or the
+exception it raised, to its own pipe; the caller reads the pipes in worker
+order and interleaves the shares back into block order.  A worker that
+ends without a complete message raises ``WorkerError``, naming the worker
+and its exit status or signal, and on any error the caller kills and reaps
+the workers still running.  A block's samples are a pure function of its
+replicate range, so they do not depend on the number of workers.
 
 The resampling scheme treats rows as exchangeable.  Datasets with repeated
 measures (the same video or participant on many rows) violate that, so the
@@ -41,12 +47,13 @@ distribution.
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, WorkerError
 from .joint import Dataset, JointDistribution, estimate_joint
 from .model import DecisionProblem
 from .rational import clamp_gain, family_payoffs, gain_sets
@@ -278,18 +285,45 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# A pool worker's (data, problem, spec, plan, joint, row_key), set once in each worker
-# by ``_hold_inputs`` from the arguments it inherits through fork.
-_worker_inputs: tuple = ()
+def _sendable(exc: BaseException, worker: int) -> BaseException:
+    """``exc`` if it survives a pickle round trip, else a ``WorkerError`` that carries its type name and message."""
+    try:
+        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return WorkerError(f"bootstrap worker {worker} raised {type(exc).__name__}: {exc} (the error cannot be pickled)")
+    return exc
 
 
-def _hold_inputs(*inputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
+def _work(inputs: tuple, share: list[range], worker: int, write_fd: int) -> NoReturn:
+    """A forked worker: write one pickle, the rows of ``share`` or the exception that stopped them, to ``write_fd``.
+
+    It leaves by ``os._exit``, with status 0 only once the whole message is
+    written, so none of the caller's cleanup (buffered output, ``atexit``)
+    runs in it twice.
+    """
+    status = 1
+    try:
+        try:
+            message = [_block_values(*inputs, block) for block in share]
+        except BaseException as exc:  # raised again in the caller
+            message = _sendable(exc, worker)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _inherited_block_values(block: range) -> list[list[float]]:
-    return _block_values(*_worker_inputs, block)
+def _received(worker: int, message: bytes, status: int) -> list[list[list[float]]]:
+    """The rows worker ``worker`` sent, from its message and its wait status; raises what it raised."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not message:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise WorkerError(f"bootstrap worker {worker} {how} before it sent its blocks")
+    rows = pickle.loads(message)  # bytes a forked copy of this process wrote
+    if isinstance(rows, BaseException):
+        raise rows
+    return rows
 
 
 def _run_blocks(inputs: tuple, blocks: list[range]) -> list[list[list[float]]]:
@@ -297,21 +331,45 @@ def _run_blocks(inputs: tuple, blocks: list[range]) -> list[list[list[float]]]:
 
     Blocks run in forked workers, one per usable CPU and at most one per
     block; with one worker, or where the platform cannot fork, they run in
-    this process.  Workers inherit ``inputs``, so only block ranges go out
-    and sample rows come back, and a block's rows do not depend on where it
-    ran.  An exception raised in a worker is raised here, with its type.
+    this process.  Worker w runs ``blocks[w::W]`` on the inputs it inherits
+    and sends its rows through its own pipe, so a block's rows do not depend
+    on where it ran.  An exception raised in a worker is raised here, with
+    its type; a worker that dies first raises ``WorkerError``.  Whatever
+    ends this call, no worker is left running or unreaped.
     """
     workers = min(len(blocks), usable_cpus())
-    if workers > 1:
-        # imported here: they would add ~28 ms to every command's start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1 or not hasattr(os, "fork"):
+        return [_block_values(*inputs, block) for block in blocks]
+    import signal  # here: building its enums would add ~1 ms to every command that starts no worker
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_hold_inputs, initargs=inputs) as pool:
-                return list(pool.map(_inherited_block_values, blocks))
-    return [_block_values(*inputs, block) for block in blocks]
+    running = []  # (pid, read end of its pipe) of each worker not yet reaped, in worker order
+    shares = []
+    try:
+        for worker in range(workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _work(inputs, blocks[worker::workers], worker, write_fd)
+            os.close(write_fd)
+            running.append((pid, open(read_fd, "rb")))
+        for worker in range(workers):
+            pid, pipe = running[0]
+            with pipe:
+                message = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del running[0]
+            shares.append(_received(worker, message, status))
+    finally:
+        for pid, pipe in running:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[i % workers][i // workers] for i in range(len(blocks))]
 
 
 def bootstrap_run(

@@ -43,13 +43,6 @@ from .model import SignalSchema, brier_problem, validate_problem, validate_schem
 from .rational import cross_fit_gain, information_gain
 from .report import build_plot_spec, render_svg, summary_table
 from .shapley import shapley_exact, shapley_sampled
-from .synth import (
-    make_deepfake_agents,
-    make_deepfake_joint,
-    make_xor_joint,
-    generate_dataset,
-    xor_problem,
-)
 
 
 def _write_manifest(args, input_hashes: dict, out_path) -> None:
@@ -190,6 +183,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # imported here, so that the other commands do not load (or, without bytecode caches, compile) synth
+    from .synth import generate_dataset, make_deepfake_agents, make_deepfake_joint, make_xor_joint, xor_problem
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.preset == "xor":

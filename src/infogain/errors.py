@@ -39,3 +39,10 @@ class OracleError(InfoGainError):
 
 class ReportError(InfoGainError):
     """Results passed to the plotting layer are inconsistent with each other."""
+
+
+class WorkerError(InfoGainError):
+    """A bootstrap worker process ended without sending its blocks' samples, or raised an error it could not send.
+
+    The message names the worker and how it ended: its exit status, or the signal that killed it.
+    """

@@ -130,7 +130,12 @@ def build_plot_spec(results: Sequence[BootstrapResult], axis: tuple[float, float
 
 
 def _density(stat: StatResult, grid: np.ndarray) -> np.ndarray | None:
-    """Gaussian-kernel density on the grid; None for a point mass."""
+    """Gaussian-kernel density on the grid; None for a point mass.
+
+    A bandwidth too narrow for the kernel to be evaluated in floats (a tiny
+    positive ``sd``, which only a hand-edited document holds) is drawn as a
+    point mass too.
+    """
     sd = stat.sd
     if sd == 0.0:
         return None
@@ -139,9 +144,12 @@ def _density(stat: StatResult, grid: np.ndarray) -> np.ndarray | None:
     iqr = stat.quantiles["75"] - stat.quantiles["25"]
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     bw = 0.9 * spread * n ** (-1.0 / 5.0)
-    z = (grid[:, None] - samples[None, :]) / bw
-    dens = np.exp(-0.5 * z * z).sum(axis=1) / (n * bw * math.sqrt(2 * math.pi))
-    return dens
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            z = (grid[:, None] - samples[None, :]) / bw
+            return np.exp(-0.5 * z * z).sum(axis=1) / (n * bw * math.sqrt(2 * math.pi))
+    except FloatingPointError:
+        return None
 
 
 def _fmt(x: float) -> str:

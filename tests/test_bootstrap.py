@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
 import itertools
 import math
 import os
+import signal
+import time
 import warnings
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ import infogain.joint
 import infogain.rational
 import infogain.shapley
 from infogain.bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
-from infogain.errors import EstimationError, SchemaError, ShapleyCeilingError, ValidationError
+from infogain.errors import EstimationError, SchemaError, ShapleyCeilingError, ValidationError, WorkerError
 from infogain.joint import Dataset, estimate_joint
 from infogain.model import (
     BasicSignal,
@@ -578,3 +581,88 @@ def test_workers_fork_with_no_other_thread_running(monkeypatch, brier):
     assert [str(w.message) for w in caught] == []
     assert counts == [1, 1]  # two workers, each forked from a process running one thread
     assert all(len(stat.samples) == 2 for stat in result.statistics)
+
+
+# --- the worker protocol: one pipe per forked worker ---------------------------
+
+forked = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(signal, "setitimer"),
+                            reason="workers are forked, and the deadline is a SIGALRM timer")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds`` (a hang fails instead of blocking)."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _two_workers(monkeypatch, block_values):
+    """Run a two-replicate bootstrap as two one-block workers whose ``_block_values`` is ``block_values``."""
+    monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", 1)
+    monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(infogain.bootstrap, "_block_values", block_values)
+    spec = BootstrapSpec(replicates=2, statistics=(GainStat(v1=("s1",)), ShapleyStat()))
+    return bootstrap_run(small_xor_dataset(8), xor_problem(), spec)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # no child at all: none running, none unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forked
+@pytest.mark.parametrize("dying", [0, 1])
+@pytest.mark.parametrize("death, how", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {int(signal.SIGKILL)}"),
+], ids=["exit 3", "SIGKILL"])
+def test_a_worker_that_dies_raises_a_worker_error(monkeypatch, death, how, dying):
+    # worker `dying` dies in its block.  When it is worker 0, worker 1 would
+    # sleep for a minute, so the caller must raise at once and kill it; when it
+    # is worker 1, worker 0 sends its rows first.
+    evaluate = infogain.bootstrap._block_values
+
+    def block_values(*args):
+        if args[-1].start == dying:
+            death()
+        if dying == 0:
+            time.sleep(60)
+        return evaluate(*args)
+
+    with _deadline(20):
+        with pytest.raises(WorkerError, match=f"^bootstrap worker {dying} {how} before it sent its blocks$"):
+            _two_workers(monkeypatch, block_values)
+    _assert_no_child_left()
+
+
+class _Unpicklable(Exception):
+    """Pickles, but cannot be rebuilt from its pickle: ``__init__`` takes two arguments and ``args`` holds one."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+@forked
+@pytest.mark.parametrize("kind", ["local class", "cannot be rebuilt"])
+def test_an_error_that_cannot_be_pickled_reaches_the_caller(monkeypatch, kind):
+    class Local(Exception):
+        pass
+
+    def block_values(*args):
+        raise Local("no rows here") if kind == "local class" else _Unpicklable("no rows here", 1)
+
+    name = "Local" if kind == "local class" else "_Unpicklable"
+    with _deadline(20):
+        with pytest.raises(WorkerError, match=f"^bootstrap worker 0 raised {name}: no rows here "):
+            _two_workers(monkeypatch, block_values)
+    _assert_no_child_left()

@@ -650,6 +650,28 @@ def test_report_refuses_an_axis_whose_span_rounds_away(tmp_path, xor_files, caps
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("sd", [5e-324, 1e-310, 1e-300])
+def test_report_draws_a_bandwidth_too_narrow_to_evaluate_as_a_point_mass(tmp_path, xor_files, sd):
+    # only a hand-edited document holds such an sd: its strip is the median tick
+    # alone, as for sd 0.0, and numpy prints no overflow warning on stderr
+    schema, data = xor_files
+    boot = tmp_path / "b.json"
+    assert main(["bootstrap", "--schema", str(schema), "--data", str(data),
+                 "--replicates", "20", "--shapley", "none", "--out", str(boot)]) == 0
+    doc = json.loads(boot.read_text())
+    env = dict(os.environ, PYTHONPATH=str(Path(infogain.__file__).resolve().parents[1]))
+    svgs = []
+    for value in (0.0, sd):
+        doc["statistics"][0]["sd"] = value
+        results, svg = tmp_path / f"sd_{value!r}.json", tmp_path / f"sd_{value!r}.svg"
+        results.write_text(json.dumps(doc), encoding="utf-8")
+        run = subprocess.run([sys.executable, "-m", "infogain", "report", "--results", str(results), "--out", str(svg)],
+                             env=env, capture_output=True, text=True, check=False)
+        assert (run.returncode, run.stderr) == (0, "")
+        svgs.append(svg.read_bytes())
+    assert svgs[1] == svgs[0]
+
+
 @pytest.mark.parametrize("doc, message", [
     ([1], "top level must be an object"),
     ({"format_version": 2, "kind": "gain"}, "format_version: missing or unsupported (2)"),

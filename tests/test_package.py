@@ -54,3 +54,26 @@ def test_unknown_name_raises_attribute_error_naming_it():
             raise AssertionError("infogain.no_such_name resolved")
         assert not hasattr(infogain, "no.such.module")
     """)
+
+
+def test_the_commands_load_neither_synth_nor_a_process_pool():
+    # synth loads only for the synth command; bootstrap workers are forked
+    # directly, so two of them load no multiprocessing either
+    _after_bare_import("""
+        import os
+        import infogain.cli
+        pool = {"multiprocessing", "concurrent.futures"}
+        assert not (pool | {"infogain.synth"}) & set(sys.modules), sorted(sys.modules)
+        import numpy as np
+        from infogain import bootstrap
+        from infogain.joint import Dataset
+        from infogain.model import BasicSignal, SignalSchema, StateSpace, brier_problem
+        schema = SignalSchema(signals=(BasicSignal("s1", ("0", "1")),))
+        data = Dataset(StateSpace.of(("0", "1")), schema, np.array([(0, 0), (1, 1), (1, 0), (0, 1)]))
+        bootstrap.usable_cpus, bootstrap.REPLICATE_CELLS = (lambda: 2), 1
+        fork, forks = os.fork, []
+        os.fork = lambda: forks.append(1) or fork()
+        spec = bootstrap.BootstrapSpec(replicates=2, statistics=(bootstrap.GainStat(v1=("s1",)),))
+        assert len(bootstrap.bootstrap_run(data, brier_problem(), spec).statistics[0].samples) == 2
+        assert len(forks) == 2 and not pool & set(sys.modules), sorted(sys.modules)
+    """)
