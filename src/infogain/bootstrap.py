@@ -18,12 +18,12 @@ every set the block's replicates read, in one walk of their subset lattice,
 and ``_replicate_values`` maps each replicate's payoffs to its statistics
 (Shapley values through ``shapley.exact_values`` and
 ``shapley.sampled_values``, as ``shapley_exact`` and ``shapley_sampled``
-do).  Every block reweights the same joint, so each set's group index is
+do).  Every block reweights the same joint, so the run makes one
+``GroupIndexes`` before any block or fork: each set's group index is
 built once per process, on the first block that reads the set, and kept
-on the joint (``joint.group_indexes``); a block then only counts its
-replicates' weights through the indexes and scores the tables.  The tables
-are exact count sums, so the samples are those of an estimate on each
-replicate's resampled rows.
+there; a block then only counts its replicates' weights through the
+indexes and scores the tables.  The tables are exact count sums, so the
+samples are those of an estimate on each replicate's resampled rows.
 
 Blocks run in worker processes forked from the caller, one per usable CPU
 and at most one per block, or in the caller when only one would run or the
@@ -32,11 +32,12 @@ statistic that cannot be computed fails before any worker starts.  Worker
 w inherits every input through the fork, runs the fixed share
 ``blocks[w::W]`` of the W workers and writes one pickle, its rows or the
 exception it raised, to its own pipe; the caller reads the pipes in worker
-order and interleaves the shares back into block order.  A worker that
-ends without a complete message raises ``WorkerError``, naming the worker
-and its exit status or signal, and on any error the caller kills and reaps
-the workers still running.  A block's samples are a pure function of its
-replicate range, so they do not depend on the number of workers.
+order and interleaves the shares back into block order, raising a
+worker's error from its traceback there.  A worker that ends without a
+complete message raises ``WorkerError``, naming the worker and its exit
+status or signal, and on any error the caller kills and reaps the workers
+still running.  A block's samples are a pure function of its replicate
+range, so they do not depend on the number of workers.
 
 The resampling scheme treats rows as exchangeable.  Datasets with repeated
 measures (the same video or participant on many rows) violate that, so the
@@ -54,7 +55,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence, 
 import numpy as np
 
 from .errors import ValidationError, WorkerError
-from .joint import Dataset, JointDistribution, estimate_joint
+from .joint import Dataset, GroupIndexes, JointDistribution, estimate_joint
 from .model import DecisionProblem
 from .rational import clamp_gain, family_payoffs, gain_sets
 from .shapley import check_permutations, coalition_sets, exact_values, exact_weights, resolve_signals, sampled_values
@@ -242,12 +243,12 @@ def _replicate_values(payoffs: Mapping[frozenset, float], reads: list[_Reads]) -
 
 def _block_values(
     data: Dataset, problem: DecisionProblem, spec: BootstrapSpec, plan: list,
-    joint: JointDistribution, row_key: np.ndarray, block: range,
+    joint: JointDistribution, row_key: np.ndarray, indexes: GroupIndexes, block: range,
 ) -> list[list[float]]:
     """Statistics of the replicates in ``block``, from one payoff table.
 
-    ``joint`` is the dataset's joint and ``row_key`` maps each dataset row to
-    its tuple; each replicate is a count row over all of the joint's tuples.
+    ``joint`` is the dataset's joint, ``indexes`` the run's cache of its group indexes and ``row_key``
+    maps each dataset row to its tuple; each replicate is a count row over all of the joint's tuples.
     """
     counts = np.array([np.bincount(row_key[_draw(data, spec.seed, b)], minlength=len(joint.keys)) for b in block],
                       dtype=np.float64)
@@ -257,7 +258,7 @@ def _block_values(
         for key in {key for stat in replicate for key in stat.sets}:
             family.setdefault(key, []).append(r)
     payoffs: list[dict[frozenset, float]] = [{} for _ in block]
-    for key, values in family_payoffs(joint, problem, family, counts).items():
+    for key, values in family_payoffs(joint, problem, family, counts, indexes).items():
         for r, value in zip(family[key], values):
             payoffs[r][key] = value
     return [_replicate_values(row, replicate) for row, replicate in zip(payoffs, reads)]
@@ -294,8 +295,12 @@ def _sendable(exc: BaseException, worker: int) -> BaseException:
     return exc
 
 
+class _RemoteTraceback(Exception):
+    """The formatted traceback of an error raised in a worker: the ``__cause__`` it is raised from in the caller."""
+
+
 def _work(inputs: tuple, share: list[range], worker: int, write_fd: int) -> NoReturn:
-    """A forked worker: write one pickle, the rows of ``share`` or the exception that stopped them, to ``write_fd``.
+    """A forked worker: write one pickle, the rows of ``share`` or what stopped them and its traceback, to ``write_fd``.
 
     It leaves by ``os._exit``, with status 0 only once the whole message is
     written, so none of the caller's cleanup (buffered output, ``atexit``)
@@ -306,7 +311,8 @@ def _work(inputs: tuple, share: list[range], worker: int, write_fd: int) -> NoRe
         try:
             message = [_block_values(*inputs, block) for block in share]
         except BaseException as exc:  # raised again in the caller
-            message = _sendable(exc, worker)
+            import traceback  # here: only a failing worker formats a traceback
+            message = (_sendable(exc, worker), traceback.format_exc())
         with open(write_fd, "wb") as pipe:
             pipe.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
         status = 0
@@ -321,23 +327,23 @@ def _received(worker: int, message: bytes, status: int) -> list[list[list[float]
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         raise WorkerError(f"bootstrap worker {worker} {how} before it sent its blocks")
     rows = pickle.loads(message)  # bytes a forked copy of this process wrote
-    if isinstance(rows, BaseException):
-        raise rows
+    if isinstance(rows, tuple):  # (the exception the worker raised, its formatted traceback)
+        raise rows[0] from _RemoteTraceback(f'\n"""\n{rows[1]}"""')
     return rows
 
 
-def _run_blocks(inputs: tuple, blocks: list[range]) -> list[list[list[float]]]:
+def _run_blocks(inputs: tuple, blocks: list[range], cpus: int) -> list[list[list[float]]]:
     """``_block_values(*inputs, block)`` of each block, in block order.
 
-    Blocks run in forked workers, one per usable CPU and at most one per
-    block; with one worker, or where the platform cannot fork, they run in
-    this process.  Worker w runs ``blocks[w::W]`` on the inputs it inherits
-    and sends its rows through its own pipe, so a block's rows do not depend
-    on where it ran.  An exception raised in a worker is raised here, with
-    its type; a worker that dies first raises ``WorkerError``.  Whatever
-    ends this call, no worker is left running or unreaped.
+    Blocks run in forked workers, one per usable CPU (``cpus``) and at most
+    one per block; with one worker, or where the platform cannot fork, they
+    run in this process.  Worker w runs ``blocks[w::W]`` on the inputs it
+    inherits and sends its rows through its own pipe, so a block's rows do
+    not depend on where it ran.  An exception raised in a worker is raised
+    here, with its type; a worker that dies first raises ``WorkerError``.
+    Whatever ends this call, no worker is left running or unreaped.
     """
-    workers = min(len(blocks), usable_cpus())
+    workers = min(len(blocks), cpus)
     if workers == 1 or not hasattr(os, "fork"):
         return [_block_values(*inputs, block) for block in blocks]
     import signal  # here: building its enums would add ~1 ms to every command that starts no worker
@@ -383,8 +389,9 @@ def bootstrap_run(
     joint = estimate_joint(data, alpha)
     plan = _plan(joint, spec)
     row_key = data.row_tuples  # each row's tuple, from the grouping of the estimate
-    blocks = _blocks(spec.replicates, max(1, REPLICATE_CELLS // len(joint.keys)), usable_cpus())
-    block_rows = _run_blocks((data, problem, spec, plan, joint, row_key), blocks)
+    cpus = usable_cpus()
+    blocks = _blocks(spec.replicates, max(1, REPLICATE_CELLS // len(joint.keys)), cpus)
+    block_rows = _run_blocks((data, problem, spec, plan, joint, row_key, GroupIndexes(joint)), blocks, cpus)
     samples = np.array([row for rows in block_rows for row in rows], dtype=np.float64)  # (B, n_stats), by replicate
 
     stats = []

@@ -22,7 +22,7 @@ class ValidationError(InfoGainError):
 
 
 class EstimationError(InfoGainError):
-    """The joint distribution could not be estimated (e.g. empty dataset)."""
+    """The joint distribution could not be estimated: its smoothed total weight overflows the float range."""
 
 
 class ProductSpaceError(InfoGainError):

@@ -32,7 +32,7 @@ MASS_TOL = 1e-12
 # A posterior is a non-negative probability vector over the state space.
 Posterior = np.ndarray
 CODE_LIMIT = 2**62
-# Bound on the int32 entries of the group indexes a joint keeps (see ``GroupIndexes``).
+# Bound on the int32 entries of the group indexes one ``GroupIndexes`` keeps.
 INDEX_ENTRIES = 2**22
 
 
@@ -155,11 +155,6 @@ class JointDistribution:
     def domain_sizes(self) -> tuple[int, ...]:
         return (self.states.size,) + self.schema.domain_sizes()
 
-    @cached_property
-    def group_indexes(self) -> GroupIndexes:
-        """The group indexes of this joint's variable sets, built once each (see ``GroupIndexes``)."""
-        return GroupIndexes(self)
-
     @property
     def n_cells(self) -> int:
         return math.prod(self.domain_sizes)
@@ -193,8 +188,6 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
     """
     if not math.isfinite(smoothing) or smoothing < 0:
         raise ValueError(f"smoothing must be a finite non-negative number, got {smoothing!r}")
-    if data is None or data.n_rows == 0:
-        raise EstimationError("cannot estimate a joint from an empty dataset")
     sizes = (data.states.size,) + data.schema.domain_sizes()
     total = float(data.n_rows)
     if smoothing:
@@ -241,36 +234,36 @@ class GroupIndex(NamedTuple):
         return len(self.member)
 
 
+def group_index(joint: JointDistribution, cols: tuple[int, ...], parent: GroupIndex | None) -> GroupIndex:
+    """The index of the key columns ``cols``, grouped from the groups of ``parent`` (the index of a superset
+    of ``cols``), or from the keys for None, by the ``encode`` codes of ``cols`` over the rows of the keys or
+    the parent's member tuples: the one grouping rule of a joint's variable sets, on its keys alone."""
+    keys = joint.keys
+    rows = np.arange(len(keys), dtype=np.int32) if parent is None else parent.member
+    table = keys if parent is None else keys.take(rows, axis=0)
+    distinct, inverse = np.unique(encode(table, joint.domain_sizes, cols), return_inverse=True)
+    member = np.empty(len(distinct), dtype=np.int32)
+    member[inverse] = rows  # any key row of a group holds its values
+    return GroupIndex(None if parent is None else parent.cols, cols, inverse.astype(np.int32), member)
+
+
 class GroupIndexes:
-    """The group indexes of one joint, each built at most once per (parent, set) while the budget lasts.
+    """A cache of ``group_index`` for walks over one joint that share it, as a bootstrap run's blocks do:
+    an index is kept while the kept ones hold at most ``INDEX_ENTRIES`` entries, else built again when asked."""
 
-    Indexes depend on the keys alone, so every weight row of the joint (a
-    bootstrap replicate, a cross-fit fold) sums its weights through the same
-    ones.  A set is grouped by the ``encode`` codes of its columns over the
-    rows of the keys, or, under a parent, over the member tuples of the
-    parent's groups.  An index is kept while the kept indexes hold at most
-    ``budget`` entries; past that, it is built again when asked.
-    """
-
-    def __init__(self, joint: JointDistribution, budget: int = INDEX_ENTRIES):
-        self._keys, self._sizes, self._budget = joint.keys, joint.domain_sizes, budget
+    def __init__(self, joint: JointDistribution):
+        self._joint = joint
         self._kept: dict[tuple, GroupIndex] = {}
         self._entries = 0
 
     def get(self, cols: tuple[int, ...], parent: GroupIndex | None) -> GroupIndex:
-        """The index of the key columns ``cols``, grouped from the groups of ``parent`` (the index of
-        a superset of ``cols``), or from the keys for None."""
+        """``group_index(joint, cols, parent)``, kept while the budget lasts."""
         name = (None if parent is None else parent.cols, cols)
         index = self._kept.get(name)
         if index is None:
-            rows = np.arange(len(self._keys), dtype=np.int32) if parent is None else parent.member
-            table = self._keys if parent is None else self._keys.take(rows, axis=0)
-            distinct, inverse = np.unique(encode(table, self._sizes, cols), return_inverse=True)
-            member = np.empty(len(distinct), dtype=np.int32)
-            member[inverse] = rows  # any key row of a group holds its values
-            index = GroupIndex(name[0], cols, inverse.astype(np.int32), member)
+            index = group_index(self._joint, cols, parent)
             entries = len(index.inverse) + len(index.member)
-            if self._entries + entries <= self._budget:
+            if self._entries + entries <= INDEX_ENTRIES:
                 self._kept[name] = index
                 self._entries += entries
         return index

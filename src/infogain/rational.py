@@ -25,6 +25,7 @@ from .joint import (
     Posterior,
     background_mass,
     estimate_joint,
+    group_index,
 )
 from .model import DecisionProblem
 
@@ -175,11 +176,10 @@ def _lattice(
     ``index``, without the background.  A set's parent is ``S + {c}`` for
     the lowest key column c not in S such that ``S + {c}`` is in the family
     and reads every row S reads; S is grouped from its parent's groups, and
-    a set without a parent from the keys.  The group indexes come from
-    ``indexes``, by default ``joint.group_indexes``, which builds each once
-    per set and process, so a walk only sums each table's weights through
-    its index: one ``bincount`` per set.  A table is held only while some
-    child of it is still to be built.
+    a set without a parent from the keys, by ``group_index``, through whose
+    index its weights are summed: one ``bincount`` per set.  The indexes come
+    from ``indexes``, a cache later walks share, or else live for this walk
+    alone.  A table is held only while some child of it is still to be built.
     """
     width = joint.states.size
     nodes = {joint.columns(key, allow_state=False): (key, tuple(rows)) for key, rows in family.items()}
@@ -189,13 +189,13 @@ def _lattice(
         parent = next((p for p in supersets if p in nodes and set(rows) <= set(nodes[p][1])), None)
         children.setdefault(parent, []).append(cols)
 
-    indexes = joint.group_indexes if indexes is None else indexes
+    index_of = functools.partial(group_index, joint) if indexes is None else indexes.get
     states, planes = joint.keys[:, 0], np.arange(width)[:, None]
 
     def build(cols, source):
         # a source is (index, weight rows, table): None and the keys' (R, K) weights, or a built set's counts
         parent, source_rows, table = source
-        index = indexes.get(cols, parent)
+        index = index_of(cols, parent)
         rows = nodes[cols][1]
         if rows != source_rows:
             position = {r: i for i, r in enumerate(source_rows)}
@@ -227,9 +227,9 @@ def state_mass(joint: JointDistribution, variables: Iterable[str]) -> tuple[np.n
     Returns ``(realizations, mass, absent, background_row)`` where mass has
     shape (G, |states|) and ``mass[g, w] / joint.total = P(realization g,
     state w)`` for the G realizations with an explicit tuple, listed in
-    lexicographic order, the order of the set's group index in
-    ``joint.group_indexes``.  Each cell is an exact count sum plus the
-    smoothing weight of the product cells it covers (see ``background_mass``).
+    lexicographic order, that of the set's ``group_index`` from the keys
+    (built for this call, not kept).  Each cell is an exact count sum plus
+    the smoothing weight of the product cells it covers (see ``background_mass``).
     Row sums are realization weights and row normalization gives the
     posterior.  Under smoothing each of the ``absent`` other realizations has
     the state-weight row ``background_row``; without smoothing ``absent`` is 0.
@@ -245,6 +245,7 @@ def family_payoffs(
     problem: DecisionProblem,
     family: Mapping[frozenset, Sequence[int]],
     probs: np.ndarray | None = None,
+    indexes: GroupIndexes | None = None,
 ) -> dict[frozenset, list[float]]:
     """Benchmark payoffs of a family of variable sets, each for the weight rows that read it.
 
@@ -253,21 +254,18 @@ def family_payoffs(
     joint's own weights are the one row 0.  ``family`` maps each set to the
     rows that read its payoff, and the result maps it to those payoffs, in
     the same order.  The sets' tables come from one walk of their subset
-    lattice (see ``_lattice``); each cell is a count sum plus the background.
-    Given weight rows (a bootstrap block) reweight the joint again in later
-    calls, so their group indexes are kept on the joint; the joint's own
-    weights are read once per call of ``payoffs``, whose sets are one family,
-    so their indexes live only while the walk needs them.  Each payoff is one
-    correctly rounded exact sum of the contributions of all realizations,
-    in weight units, equal bit for bit to their ``math.fsum`` and computed
-    for all rows at once by error-free extraction (``exact_row_sums``),
-    divided once by ``joint.total``.
+    lattice (see ``_lattice``), with the group indexes of ``indexes`` where
+    the caller keeps them for later calls (a bootstrap run's blocks); each
+    cell is a count sum plus the background.  Each payoff is one correctly
+    rounded exact sum of the contributions of all realizations, in weight
+    units, equal bit for bit to their ``math.fsum`` and computed for all
+    rows at once by error-free extraction (``exact_row_sums``), divided once
+    by ``joint.total``.
     """
     if problem.states.size != joint.states.size:
         raise SchemaError("problem and joint disagree on the number of states")
     weights = joint.probs[None] if probs is None else np.asarray(probs, dtype=np.float64)
     width = joint.states.size
-    indexes = joint.group_indexes if probs is not None else GroupIndexes(joint, budget=0)
     payoffs = {}
     for key, index, counts in _lattice(joint, family, weights, indexes):
         absent, background = background_mass(joint, index.cols, index.size, width)

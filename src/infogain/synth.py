@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import OracleError, ProductSpaceError, SchemaError
-from .joint import Dataset, JointDistribution
+from .joint import Dataset, JointDistribution, group_index
 from .model import (
     BasicSignal,
     DecisionColumn,
@@ -99,8 +99,8 @@ def xor_problem() -> DecisionProblem:
 
 def _informed_decisions(joint: JointDistribution, problem: DecisionProblem, agent: SyntheticAgentSpec) -> np.ndarray:
     """The agent's informed decision index for each tuple of ``joint.keys``, or -1 where the
-    used-signal realization has no mass; tuples map to realizations through the group index
-    ``state_mass`` grouped by."""
+    used-signal realization has no mass; tuples map to realizations through the used signals'
+    ``group_index``, in whose order ``state_mass`` lists them."""
     for name in agent.used_signals:
         if joint.schema.is_decision(name):
             raise SchemaError(f"agent {agent.name!r} uses {name!r}, which is a decision column")
@@ -118,7 +118,7 @@ def _informed_decisions(joint: JointDistribution, problem: DecisionProblem, agen
             decided[g] = problem.decisions.nearest_index(mean)
         else:
             decided[g] = best_response(post, problem)
-    return decided[joint.group_indexes.get(joint.columns(agent.used_signals, allow_state=False), None).inverse]
+    return decided[group_index(joint, joint.columns(agent.used_signals, allow_state=False), None).inverse]
 
 
 def _extended_schema(schema: SignalSchema, problem: DecisionProblem, agents: Sequence[SyntheticAgentSpec]) -> SignalSchema:

@@ -2,7 +2,7 @@
 
 They group the joint's tuples with numpy's row ``np.unique`` and a
 mask-and-count, and share no code with the grouping in ``src/``
-(``GroupIndexes``, ``_lattice``, ``state_mass``), so tests that compare that
+(``group_index``, ``_lattice``, ``state_mass``), so tests that compare that
 grouping against them compare two independent computations.
 """
 

@@ -5,6 +5,7 @@ import math
 import os
 import signal
 import time
+import traceback
 import warnings
 from fractions import Fraction
 
@@ -339,9 +340,9 @@ def test_every_payoff_is_evaluated_for_a_block(monkeypatch):
     calls, blocks = [], []
     evaluate, block_values = infogain.bootstrap.family_payoffs, infogain.bootstrap._block_values
 
-    def recording(joint, problem, family, probs=None):
+    def recording(joint, problem, family, probs=None, indexes=None):
         calls.append(None if probs is None else np.ndim(probs))
-        return evaluate(joint, problem, family, probs)
+        return evaluate(joint, problem, family, probs, indexes)
 
     def counting(*args):
         blocks.append(len(args[-1]))
@@ -355,33 +356,49 @@ def test_every_payoff_is_evaluated_for_a_block(monkeypatch):
 
 
 def test_a_second_block_in_a_process_builds_no_group_index(monkeypatch):
-    # the blocks of a run share its joint, whose group indexes are built once
-    # per set and process: the first block builds one for each set its
-    # statistics read, the others none; one replicate per block, in process
+    # the blocks of a run share its one cache of group indexes, which builds
+    # each once per set and process while its budget lasts: the first block
+    # builds one for each set its statistics read, the others none; one
+    # replicate per block, in process.  Under a budget of half what the first
+    # block builds, the later blocks build again exactly the indexes that did
+    # not fit, and the samples do not change.
     monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 1)
     monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", 1)
     data, problem = make_deepfake_dataset(n_rows=600, seed=11)
     stats = (ShapleyStat(ground=("human",)), GainStat(v1=("flicker", "dark"), ground=("human_ai",)))
-    built, per_block = [], []
+    spec = BootstrapSpec(replicates=3, seed=1, statistics=stats)
+    per_block = []  # the (parent, set, entries) of each index each block builds
     group_index, block_values = infogain.joint.GroupIndex, infogain.bootstrap._block_values
 
-    def recording(*args):
-        built.append(args[1])
-        return group_index(*args)
+    def recording(parent, cols, inverse, member):
+        per_block[-1].append((parent, cols, len(inverse) + len(member)))
+        return group_index(parent, cols, inverse, member)
 
     def counting(*args):
-        before = len(built)
-        rows = block_values(*args)
-        per_block.append(len(built) - before)
-        return rows
+        per_block.append([])
+        return block_values(*args)
 
     monkeypatch.setattr(infogain.joint, "GroupIndex", recording)
     monkeypatch.setattr(infogain.bootstrap, "_block_values", counting)
-    result = bootstrap_run(data, problem, BootstrapSpec(replicates=3, seed=1, statistics=stats))
+    result = bootstrap_run(data, problem, spec)
     n = len(data.schema.signal_names)
-    assert per_block == [2**n + 2, 0, 0] and len(set(built)) == len(built)
+    first = per_block[0]
+    assert [len(built) for built in per_block] == [2**n + 2, 0, 0]
+    assert len({cols for _, cols, _ in first}) == len(first)
+
+    budget = sum(entries for _, _, entries in first) // 2
+    kept, left_out = 0, []  # each index is kept while the kept ones fit the budget
+    for parent, cols, entries in first:
+        if kept + entries <= budget:
+            kept += entries
+        else:
+            left_out.append((parent, cols, entries))
+    monkeypatch.setattr(infogain.joint, "INDEX_ENTRIES", budget)
+    per_block.clear()
+    assert bootstrap_run(data, problem, spec) == result
+    assert per_block == [first, left_out, left_out] and 0 < len(left_out) < len(first)
     monkeypatch.undo()
-    assert result == bootstrap_run(data, problem, BootstrapSpec(replicates=3, seed=1, statistics=stats))
+    assert result == bootstrap_run(data, problem, spec)
 
 
 def test_bootstrap_on_a_grid_of_unequal_steps_matches_the_oracle():
@@ -642,6 +659,22 @@ def test_a_worker_that_dies_raises_a_worker_error(monkeypatch, death, how, dying
         with pytest.raises(WorkerError, match=f"^bootstrap worker {dying} {how} before it sent its blocks$"):
             _two_workers(monkeypatch, block_values)
     _assert_no_child_left()
+
+
+@forked
+def test_an_error_in_a_worker_is_raised_from_its_traceback_there(monkeypatch):
+    # the caller raises the worker's error, type and message unchanged, from
+    # the traceback the worker formatted, which names the function that raised
+    def refusing_block(*args):
+        raise EstimationError("no payoffs for this block")
+
+    with _deadline(20):
+        with pytest.raises(EstimationError, match="^no payoffs for this block$") as caught:
+            _two_workers(monkeypatch, refusing_block)
+    _assert_no_child_left()
+    error = caught.value
+    text = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+    assert ", in refusing_block\n" in text and "raise EstimationError" in text
 
 
 class _Unpicklable(Exception):

@@ -63,10 +63,18 @@ def test_duplicate_column_across_sections(tmp_path):
         load_schema(write_json(tmp_path / "s.json", doc))
 
 
-def test_matrix_dimension_mismatch(tmp_path):
+@pytest.mark.parametrize("field, value, code", [
+    ("payoff", {"kind": "matrix", "rows": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]}, "matrix-dimension-mismatch"),
+    ("state", {"column": "state", "labels": ["0"]}, "state-space-too-small"),
+    # 1/2 and 0.5 are one grid point
+    ("decisions", [{"column": "d", "role": "human", "grid": {"points": ["0.5", "1/2", "1"]}}],
+     "domain-values-duplicate"),
+], ids=["matrix-dimension-mismatch", "state-space-too-small", "domain-values-duplicate"])
+def test_matrix_dimension_mismatch(tmp_path, field, value, code):
+    # a problem or schema the model's validators refuse, named by its diagnostic code
     doc = dict(MINIMAL_SCHEMA)
-    doc["payoff"] = {"kind": "matrix", "rows": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]}
-    with pytest.raises(ValidationError, match="matrix-dimension-mismatch"):
+    doc[field] = value
+    with pytest.raises(ValidationError, match=f"^schema: {code}: "):
         load_schema(write_json(tmp_path / "s.json", doc))
 
 

@@ -494,7 +494,7 @@ def _groups(joint, index):
 
 def _keys_table(joint, cols, weights):
     """The distinct values of the key columns ``cols``, in lexicographic order, and each weight row's (G, |states|)
-    sums over them, from numpy's row ``unique``: no code shared with ``GroupIndexes``."""
+    sums over them, from numpy's row ``unique``: no code shared with ``group_index``."""
     reals, inverse = np.unique(joint.keys[:, list(cols)], axis=0, return_inverse=True)
     width = joint.states.size
     cells = inverse.ravel() * width + joint.keys[:, 0]

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import infogain.rational
 import infogain.shapley
-from infogain.joint import Dataset, JointDistribution, background_mass, estimate_joint
+from infogain.joint import Dataset, GroupIndexes, JointDistribution, background_mass, estimate_joint
 from infogain.model import (
     BasicSignal,
     DecisionColumn,
@@ -450,6 +450,22 @@ def test_every_in_sample_entry_point_makes_one_family_payoffs_call(monkeypatch, 
         families.clear()
         call()
         assert families == [family]
+
+
+def test_a_joint_keeps_nothing_its_walks_build():
+    # a joint is a plain value: a walk over it builds its group indexes for
+    # itself, or keeps them in the cache its caller passes, never on the joint
+    data, problem = make_deepfake_dataset(n_rows=600, seed=11)
+    joint = estimate_joint(data)
+    fields = {field.name for field in dataclasses.fields(joint)}
+    rows = np.stack([joint.probs, joint.probs[::-1]])
+    family = {frozenset({"flicker", "dark"}): (0, 1), frozenset({"flicker"}): (1,)}
+    for walk in (lambda: state_mass(joint, ["flicker", "dark"]), lambda: payoffs(joint, problem, [["flicker"], []]),
+                 lambda: family_payoffs(joint, problem, family, rows)):
+        walk()
+        assert set(vars(joint)) == fields
+    cached = family_payoffs(joint, problem, family, rows, GroupIndexes(joint))
+    assert cached == family_payoffs(joint, problem, family, rows)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])

@@ -227,7 +227,7 @@ def test_sampled_within_three_standard_errors(rng):
 def test_exact_shapley_groups_the_keys_once_per_ground(monkeypatch):
     # every coalition set of a ground nests in the set of all signals, so the
     # keys are grouped once and the other 2^n - 1 indexes group a parent's
-    # groups; the joint's own weights keep no index, so a second ground, and
+    # groups; an in-sample walk keeps no index, so a second ground, and
     # a repeat of the first, build all of their own again
     data, problem = make_deepfake_dataset(n_rows=600, seed=11)
     joint = estimate_joint(data)
