@@ -118,6 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Parse ``argv``, then run its subcommand through ``cli.cmd_<subcommand>``; returns the exit code."""
+    # no product here is big enough to use a second BLAS thread; a value the user sets is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:

@@ -181,11 +181,11 @@ def _lattice(
     from ``indexes``, a cache later walks share, or else live for this walk
     alone.  A table is held only while some child of it is still to be built.
     """
-    width = joint.states.size
+    width, n_cols = joint.states.size, len(joint.domain_sizes)
     nodes = {joint.columns(key, allow_state=False): (key, tuple(rows)) for key, rows in family.items()}
     children: dict[tuple[int, ...] | None, list[tuple[int, ...]]] = {}
     for cols, (_, rows) in sorted(nodes.items()):
-        supersets = (tuple(sorted(cols + (c,))) for c in range(1, len(joint.domain_sizes)) if c not in cols)
+        supersets = (tuple(sorted(cols + (c,))) for c in range(1, n_cols) if c not in cols)
         parent = next((p for p in supersets if p in nodes and set(rows) <= set(nodes[p][1])), None)
         children.setdefault(parent, []).append(cols)
 

@@ -6,6 +6,9 @@ decisive bits), behavioral agents with a known subset of used signals and a
 known noise level, and a naive dense-enumeration benchmark payoff that shares
 no code with the production path.
 
+An agent decides from the state weights of its used signals' realizations,
+read with their group index from one walk of the benchmark's subset lattice,
+all realizations at once; one that no tuple weighs is decided under the prior.
 Agents can be materialized two ways: exactly, by extending a population joint
 with their decision column, or empirically, by sampling a dataset.  The exact
 route lets invariants be tested without sampling noise.
@@ -22,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import OracleError, ProductSpaceError, SchemaError
-from .joint import Dataset, JointDistribution, group_index
+from .joint import Dataset, JointDistribution
 from .model import (
     BasicSignal,
     DecisionColumn,
@@ -33,7 +36,7 @@ from .model import (
     StateSpace,
     brier_problem,
 )
-from .rational import best_response, state_mass
+from .rational import _lattice
 
 REPORTING_RULES = ("posterior_mean_on_grid", "argmax_payoff")
 
@@ -98,27 +101,22 @@ def xor_problem() -> DecisionProblem:
 
 
 def _informed_decisions(joint: JointDistribution, problem: DecisionProblem, agent: SyntheticAgentSpec) -> np.ndarray:
-    """The agent's informed decision index for each tuple of ``joint.keys``, or -1 where the
-    used-signal realization has no mass; tuples map to realizations through the used signals'
-    ``group_index``, in whose order ``state_mass`` lists them."""
+    """The agent's informed decision index for each tuple of ``joint.keys``, from one one-set walk of
+    ``_lattice``: all used-signal realizations are decided at once, one without weight under the prior
+    (the state weights of the whole joint), and each tuple takes its realization's decision through the walk's index."""
     for name in agent.used_signals:
         if joint.schema.is_decision(name):
             raise SchemaError(f"agent {agent.name!r} uses {name!r}, which is a decision column")
-    _, mass, _, _ = state_mass(joint, agent.used_signals)
-    decided = np.full(len(mass), -1)
-    for g, row in enumerate(mass):
-        total = row.sum()
-        if total <= 0:
-            continue
-        post = row / total
-        if agent.rule == "posterior_mean_on_grid":
-            if not problem.decisions.is_numeric:
-                raise SchemaError("posterior_mean_on_grid needs a numeric decision grid")
-            mean = float(np.arange(joint.states.size) @ post)
-            decided[g] = problem.decisions.nearest_index(mean)
-        else:
-            decided[g] = best_response(post, problem)
-    return decided[group_index(joint, joint.columns(agent.used_signals, allow_state=False), None).inverse]
+    if agent.rule == "posterior_mean_on_grid" and not problem.decisions.is_numeric:
+        raise SchemaError("posterior_mean_on_grid needs a numeric decision grid")
+    ((_, index, counts),) = _lattice(joint, {frozenset(agent.used_signals): (0,)}, joint.probs[None])
+    mass = np.where(counts[0].any(axis=0), counts[0], counts[0].sum(axis=1, keepdims=True))  # (|states|, G)
+    post = mass / mass.sum(axis=0)
+    if agent.rule == "posterior_mean_on_grid":
+        decided = problem.decisions.nearest_index(np.arange(joint.states.size) @ post)
+    else:
+        decided = np.argmax(problem.payoff_matrix @ post, axis=0)
+    return decided[index.inverse]
 
 
 def _extended_schema(schema: SignalSchema, problem: DecisionProblem, agents: Sequence[SyntheticAgentSpec]) -> SignalSchema:

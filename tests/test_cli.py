@@ -119,6 +119,25 @@ def test_a_huge_decimal_exponent_is_refused_before_any_power_is_built(xor_files,
     assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("user", [None, "2"], ids=["unset", "user-value"])
+def test_a_command_starts_one_blas_thread_unless_the_user_asks_for_more(xor_files, user):
+    # main sets OPENBLAS_NUM_THREADS before numpy loads, and keeps a value already set
+    schema, data = xor_files
+    env = dict(os.environ, PYTHONPATH=str(Path(infogain.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if user is not None:
+        env["OPENBLAS_NUM_THREADS"] = user
+    probe = ("import os, sys; from infogain.cmdline import main; code = main(sys.argv[1:]); "
+             "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None; "
+             "print(code, os.environ.get('OPENBLAS_NUM_THREADS', '-'), tasks)")
+    run = subprocess.run([sys.executable, "-c", probe, "validate", "--schema", str(schema), "--data", str(data)],
+                         capture_output=True, env=env, text=True, check=False, timeout=60)
+    code, value, tasks = run.stdout.splitlines()[-1].split()
+    assert (code, value) == ("0", user or "1")
+    if user is None and tasks != "None":  # without /proc the threads are not counted
+        assert tasks == "1"
+
+
 def test_missing_file_exits_2(xor_files, capsys):
     schema, _ = xor_files
     assert main(["validate", "--schema", str(schema), "--data", "/nonexistent.csv"]) == 2

@@ -468,6 +468,21 @@ def test_a_joint_keeps_nothing_its_walks_build():
     assert cached == family_payoffs(joint, problem, family, rows)
 
 
+def test_a_warm_walk_reads_the_joint_domain_sizes_at_most_once(monkeypatch):
+    # the parent search reads the number of key columns once per walk, not once per set
+    data, problem = make_deepfake_dataset(n_rows=600, seed=11)
+    joint = estimate_joint(data)
+    family = dict.fromkeys(infogain.shapley.coalition_sets(data.schema.signal_names, ["human"]), (0,))
+    indexes = GroupIndexes(joint)
+    cold = family_payoffs(joint, problem, family, indexes=indexes)
+    reads = []
+    sizes = JointDistribution.domain_sizes
+    monkeypatch.setattr(JointDistribution, "domain_sizes", property(lambda self: reads.append(1) or sizes.fget(self)))
+    warm = family_payoffs(joint, problem, family, indexes=indexes)
+    assert len(family) == 128 and len(reads) <= 1
+    assert warm == cold
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 def test_single_set_and_gain_entry_points_give_the_bits_of_payoffs(rng, alpha):
     # the same family gives the same bits; under counts so does any other family,

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from infogain.errors import OracleError, SchemaError
 from infogain.joint import JointDistribution, estimate_joint
-from infogain.model import DecisionColumn, SignalSchema, StateSpace, brier_problem
-from infogain.rational import best_response, information_gain, rational_payoff
+from infogain.model import BasicSignal, DecisionColumn, SignalSchema, StateSpace, brier_problem
+from infogain.rational import best_response, information_gain, payoffs, rational_payoff
 from infogain.synth import (
     DEEPFAKE_AI_ACCURACY,
     DEEPFAKE_SIGNALS,
@@ -155,6 +155,28 @@ def test_population_agents_over_random_joints_equal_cell_by_cell_reference(case)
     assert cells == _reference_population_agents(joint, problem, agents)
 
 
+def _xor_joint_with_a_third_s2_value(zero_weight_tuple: bool) -> JointDistribution:
+    """The XOR joint with the domain of ``s2`` widened to {0, 1, 2}; with the explicit tuple (0, 0, 2) of weight 0."""
+    schema = SignalSchema(signals=(BasicSignal("s1", ("0", "1")), BasicSignal("s2", ("0", "1", "2"))))
+    keys = [(s1 ^ s2, s1, s2) for s1 in (0, 1) for s2 in (0, 1)] + [(0, 0, 2)] * zero_weight_tuple
+    return JointDistribution(states=StateSpace.of(("0", "1")), schema=schema, keys=np.array(keys),
+                             probs=np.array([0.25] * 4 + [0.0] * zero_weight_tuple))
+
+
+@pytest.mark.parametrize("rule", REPORTING_RULES)
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_a_realization_without_weight_is_decided_under_the_prior(brier, rule, noise):
+    # s2 = 2 is held only by a tuple of weight 0: its decision changes no payoff,
+    # and it is the prior's, the middle of the grid under the uniform XOR prior
+    agent = SyntheticAgentSpec("a", ("s2",), noise, rule=rule)
+    plain, padded = (with_population_agents(_xor_joint_with_a_third_s2_value(z), brier, [agent]) for z in (False, True))
+    sets = [(), ("a",), ("s1", "a"), ("s1", "s2", "a")]
+    assert payoffs(padded, brier, sets) == payoffs(plain, brier, sets)
+    if noise == 0.0:
+        held = (padded.keys[:, :3] == (0, 0, 2)).all(axis=1)
+        assert padded.keys[held, 3].tolist() == [50]
+
+
 def test_binarized_accuracy_equals_cell_by_cell_reference():
     joint, brier = make_deepfake_joint(), brier_problem(("genuine", "fake"))
     grid = brier.decisions.grid_floats
@@ -183,6 +205,13 @@ def test_agent_on_decision_column_rejected(xor_joint, brier):
     bad = SyntheticAgentSpec(name="dm2", used_signals=("dm",), noise=0.0)
     with pytest.raises(SchemaError):
         with_population_agents(extended, brier, [bad])
+
+
+def test_posterior_mean_on_a_categorical_grid_is_refused(xor_joint):
+    problem = random_matrix_problem(np.random.default_rng(0))
+    agent = SyntheticAgentSpec(name="dm", used_signals=("s1",))
+    with pytest.raises(SchemaError, match="numeric decision grid"):
+        with_population_agents(xor_joint, problem, [agent])
 
 
 def test_population_agent_is_redundant_given_its_inputs(xor_joint, brier):
