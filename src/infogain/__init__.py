@@ -31,11 +31,9 @@ _EXPORTS = {
     "SignalSchema": "model",
     "StateSpace": "model",
     "brier_problem": "model",
-    "payoff": "model",
     "validate_problem": "model",
     "validate_schema": "model",
     "GainValue": "rational",
-    "best_response": "rational",
     "cross_fit_gain": "rational",
     "cross_fit_payoff": "rational",
     "information_gain": "rational",

@@ -621,13 +621,16 @@ class _KeyTable:
 def _plain_rows(path, width: int, rows: _Rows) -> _Rows | None:
     """``rows`` with the body of a plain CSV file tokenized from its bytes; None if it is not plain.
 
-    A plain file holds no ``"``, no NUL and no ``\\r`` but before a line end, decodes
-    as UTF-8, and has ``width`` cells on every line up to any trailing empty records.
-    Each chunk is split at its commas and line ends in one pass.  A cell's first
-    ``_KEY_BYTES`` bytes make its integer key (no cell holds a NUL, so the zero bytes
-    past its end give its length), and the keys of a chunk are coded through one
-    ``_KeyTable``, which decodes each distinct key of a column once per load.  Wider
-    cells are looked up one by one.
+    A plain file holds no ``"``, no NUL and no ``\\r`` but before a ``\\n`` or in the
+    line ends that close it, and decodes as UTF-8.  Each chunk is tokenized whole, or
+    the file is left to the csv module.  A chunk's closing run of line ends is
+    stripped; a run of more than one begins the trailing empty records, after which
+    only line ends may follow.  The rest must have ``width`` cells on every line, no
+    blank line and no line longer than the csv module's field limit, and is split at
+    its commas and line ends in one pass.  A cell's first ``_KEY_BYTES`` bytes make its
+    integer key (no cell holds a NUL, so the zero bytes past its end give its length),
+    and the keys of a chunk are coded through one ``_KeyTable``, which decodes each
+    distinct key of a column once per load.  Wider cells are looked up one by one.
     """
     limit = csv.field_size_limit()
     first_line, trailing = 2, False
@@ -646,49 +649,36 @@ def _plain_rows(path, width: int, rows: _Rows) -> _Rows | None:
                 header, _, chunk = chunk.partition(b"\n")
                 if b"\r" in header[:-1]:
                     return None  # a lone \r ends the header record early
-            if trailing:
-                if chunk.strip(b"\r\n"):
-                    return None
+                if not chunk:
+                    continue
+            body = chunk.rstrip(b"\r\n")
+            if trailing and body:
+                return None  # a record after a blank one: the csv path names the blank one
+            # the trailing empty records begin at a chunk of line ends alone, or a run of more than one
+            trailing = not body or _line_ends(chunk[len(body) :]) > 1
+            if not body:
                 continue
-            if not chunk:
-                continue
-            if not chunk.endswith(b"\n"):
-                chunk += b"\n"
 
-            # The \n put before the chunk is the separator before its first cell.
-            padded = b"\n" + chunk + bytes(_KEY_BYTES)
-            buf = np.frombuffer(padded, dtype=np.uint8, count=len(chunk) + 1)
+            # The \n put before the body is the separator before its first cell.
+            padded = b"".join((b"\n", body, b"\n", bytes(_KEY_BYTES)))
+            buf = np.frombuffer(padded, dtype=np.uint8, count=len(body) + 2)
             is_lf = buf == _LF
             seps = np.flatnonzero(is_lf | (buf == _COMMA))
             # Where every line has width cells, every width-th separator ends a line.
-            lf, counted = seps[::width], np.count_nonzero(is_lf) - 1
-            if len(seps) != counted * width + 1 or (buf.take(lf) != _LF).any():
-                # counted: the lines before the first whose cell count is not width
-                exact = np.flatnonzero(is_lf)
-                m = min(len(lf), len(exact))
-                wrong = np.flatnonzero(lf[:m] != exact[:m])
-                counted, lf = (int(wrong[0]) if wrong.size else m) - 1, exact
+            lf, n = seps[::width], np.count_nonzero(is_lf) - 1
+            if len(seps) != n * width + 1 or (buf.take(lf) != _LF).any():
+                return None  # a short or long record: the csv path names it
             cr = buf.take(lf[1:] - 1) == _CR
             if np.count_nonzero(cr) != np.count_nonzero(buf == _CR):
                 return None  # a \r that does not end a line
-            starts, ends = lf[:-1] + 1, lf[1:] - cr
-            blank = np.flatnonzero(starts[:counted] == ends[:counted])
-            n = int(blank[0]) if blank.size else counted
-            if n < len(starts):
-                if starts[n] != ends[n] or padded[starts[n] : len(buf)].strip(b"\r\n"):
-                    return None  # a short, long or blank record: the csv path names it
-                trailing = True
-            seps = seps[: n * width + 1]
-            if n and (ends[:n] - starts[:n]).max() > limit:
-                cell_len = np.diff(seps) - 1
-                cell_len[width - 1 :: width] -= cr[:n]
-                if cell_len.max() > limit:
-                    return None  # the csv path names a cell over the csv module's field limit
+            lengths = np.diff(lf) - 1 - cr
+            if not lengths.all() or lengths.max() > limit:
+                return None  # a blank record, or a line past the csv module's field limit
 
             # per wanted column, the separator before each cell and the cell's length plus one
             before = seps[:-1].reshape(n, width).T[cols]
             span = seps[1:].reshape(n, width).T[cols] - before
-            span[cols == width - 1] -= cr[:n]
+            span[cols == width - 1] -= cr
 
             def cell(i, j):
                 """The text of line i's cell in column ``wanted[j]``."""
@@ -784,12 +774,14 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
 
     The csv module reads and checks the header.  A plain file (see
     ``_plain_rows``) is then tokenized from its bytes, in chunks of about
-    ``CHUNK_BYTES`` cut at line ends; every other file, and every file with a
-    short, long or blank record, goes through the csv module in blocks of
-    ``BLOCK_ROWS`` records.  Both map each distinct cell string of a column
-    through one cache, and give the same rows and the same errors.  The first
-    fatal record in file order raises, whatever block it is in; a byte that is
-    not UTF-8 raises naming its line and byte offset.
+    ``CHUNK_BYTES`` cut at line ends, each read whole, and its trailing empty
+    records are stripped; every other file, and every file with a short, long
+    or blank record or a line longer than the csv module's field limit, goes
+    through the csv module in blocks of ``BLOCK_ROWS`` records.  Both map each
+    distinct cell string of a column through one cache, and give the same rows
+    and the same errors.  The first fatal record in file order raises,
+    whatever block it is in; a byte that is not UTF-8 raises naming its line
+    and byte offset.
     """
     schema, bins = cfg.schema, {}
     if cfg.decision_bins:

@@ -17,7 +17,7 @@ information gains; it is an escape hatch for sparse data, not the default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -29,8 +29,6 @@ from .model import SignalSchema, StateSpace
 # Relative tolerance on a joint's weights summing to its total.
 MASS_TOL = 1e-12
 
-# A posterior is a non-negative probability vector over the state space.
-Posterior = np.ndarray
 CODE_LIMIT = 2**62
 # Bound on the int32 entries of the group indexes one ``GroupIndexes`` keeps.
 INDEX_ENTRIES = 2**22
@@ -128,9 +126,11 @@ class JointDistribution:
     background: float = 0.0
     state_name: str = "state"
     total: float = 1.0
+    _sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = self.domain_sizes
+        sizes = (self.states.size,) + self.schema.domain_sizes()
+        object.__setattr__(self, "_sizes", sizes)
         keys = _index_table(self.keys, sizes, "keys")
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
         object.__setattr__(self, "keys", keys)
@@ -153,7 +153,8 @@ class JointDistribution:
 
     @property
     def domain_sizes(self) -> tuple[int, ...]:
-        return (self.states.size,) + self.schema.domain_sizes()
+        """The state space's size, then each schema variable's domain size: built once, as a walk reads it per set."""
+        return self._sizes
 
     @property
     def n_cells(self) -> int:

@@ -48,12 +48,6 @@ class StateSpace:
     def size(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise SchemaError(f"unknown state label {label!r}; valid: {', '.join(self.labels)}") from None
-
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -282,15 +276,6 @@ class DecisionProblem:
             raise SchemaError(f"unknown payoff kind {self.payoff.kind!r}")
         arr.setflags(write=False)
         return arr
-
-
-def payoff(problem: DecisionProblem, d: int, omega: int) -> float:
-    """Payoff of decision index ``d`` against state index ``omega``."""
-    if not (0 <= d < problem.decisions.size):
-        raise IndexError(f"decision index {d} out of range [0, {problem.decisions.size})")
-    if not (0 <= omega < problem.states.size):
-        raise IndexError(f"state index {omega} out of range [0, {problem.states.size})")
-    return float(problem.payoff_matrix[d, omega])
 
 
 def validate_problem(problem: DecisionProblem) -> list[Diagnostic]:

@@ -22,7 +22,6 @@ from .joint import (
     GroupIndex,
     GroupIndexes,
     JointDistribution,
-    Posterior,
     background_mass,
     estimate_joint,
     group_index,
@@ -106,18 +105,6 @@ def exact_row_sums(terms: np.ndarray, extra: Sequence[float] = ()) -> list[float
         e += lift - 53
     sums = [math.fsum(parts + extra) for parts in np.reshape(partials, (len(partials), n_rows)).T.tolist()]
     return [total or math.fsum(terms[r].tolist() + extra) for r, total in enumerate(sums)]
-
-
-def best_response(post: Posterior, problem: DecisionProblem) -> int:
-    """Index of the decision maximizing expected payoff under the posterior.
-
-    Ties break toward the lowest decision index.
-    """
-    post = np.asarray(post, dtype=np.float64)
-    if post.shape != (problem.states.size,):
-        raise ValueError(f"posterior must have shape ({problem.states.size},)")
-    expected = problem.payoff_matrix @ post
-    return int(np.argmax(expected))
 
 
 def _brier_closed_form(problem: DecisionProblem) -> bool:

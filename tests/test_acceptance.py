@@ -20,17 +20,16 @@ from infogain.model import (
     StateSpace,
     brier_problem,
 )
-from infogain.rational import best_response, gain_value, information_gain, payoffs, rational_payoff
+from infogain.rational import gain_value, information_gain, payoffs, rational_payoff
 from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import (
     SyntheticAgentSpec,
     brute_force_rational,
     make_xor_joint,
-    random_joint,
-    random_matrix_problem,
     with_population_agents,
     xor_problem,
 )
+from cases import best_response, random_joint, random_matrix_problem
 
 TOL = 1e-12
 

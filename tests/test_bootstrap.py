@@ -36,9 +36,9 @@ from infogain.synth import (
     generate_dataset,
     make_deepfake_dataset,
     make_xor_joint,
-    random_joint,
     xor_problem,
 )
+from cases import random_joint
 
 
 def small_xor_dataset(n_rows=4):

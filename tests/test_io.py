@@ -777,6 +777,8 @@ HAND_OFFS = {
     "not-utf8": (b"0,\xffa,0.1\n", ("ValidationError", BAD_BYTE_18, "line 18")),
     "blank": (b"\n", ("ValidationError", "dataset row 18: expected 3 cells, got 0", "row 18")),
     "short": (b"0,a\n", ("ValidationError", "dataset row 18: expected 3 cells, got 2", "row 18")),
+    # padded cells in their domains, each within the csv module's field limit and their line past it
+    "long-line": (b",".join(c + b" " * (csv.field_size_limit() // 2) for c in (b"0", b"a", b"1")) + b"\n", ("ok",)),
 }
 
 
@@ -794,6 +796,20 @@ def test_csv_path_takes_over_after_the_first_chunk(monkeypatch, tmp_path, tail, 
     assert infogain.io._plain_rows.call_count == infogain.io._csv_rows.call_count == 1
     assert first_lines[0] == 2 and 2 in first_lines[1:]  # the byte path coded a chunk, then the csv path began again
     assert outcome[: len(expected)] == expected
+
+
+# Ends of the last record that begin trailing empty records, or end it with a lone \r.
+TRAILING_ENDS = {"crlf-lf-crlf": b"\r\n\n\r\n", "lone-cr": b"\r", "cr-crlf": b"\r\r\n", "lf-2^17": b"\n" * 2**17}
+
+
+@pytest.mark.parametrize("chunk_bytes", [7, 40, infogain.io.CHUNK_BYTES])
+@pytest.mark.parametrize("end", TRAILING_ENDS.values(), ids=TRAILING_ENDS)
+def test_trailing_empty_records_are_stripped_on_the_byte_path(monkeypatch, tmp_path, chunk_bytes, end):
+    monkeypatch.setattr(infogain.io, "CHUNK_BYTES", chunk_bytes)
+    path = tmp_path / "d.csv"
+    path.write_bytes(PLAIN_HEAD + b"1,a,1" + end)
+    monkeypatch.setattr(infogain.io, "_csv_rows", mock.Mock(side_effect=AssertionError("csv path taken")))
+    assert _assert_loaders_agree(path, _fuzz_cfg())[1][-2:] == [[1, 0, 1], [1, 0, 10]]
 
 
 def test_cells_sharing_their_first_key_bytes_keep_their_own_codes(tmp_path):

@@ -26,7 +26,8 @@ from infogain.rational import (
     rational_payoff,
     state_mass,
 )
-from infogain.synth import make_deepfake_dataset, random_joint, random_matrix_problem
+from infogain.synth import make_deepfake_dataset
+from cases import random_joint, random_matrix_problem
 from marginals import marginal, posterior, support
 
 BINARY = SignalSchema(signals=(BasicSignal("x", ("0", "1")),))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from infogain.errors import SchemaError
 from infogain.model import (
     BasicSignal,
     DecisionColumn,
@@ -13,7 +14,6 @@ from infogain.model import (
     SignalSchema,
     StateSpace,
     brier_problem,
-    payoff,
     validate_problem,
     validate_schema,
 )
@@ -27,27 +27,21 @@ UMBRELLA = DecisionProblem(
 
 def test_brier_payoff_certainty():
     problem = brier_problem()
-    assert payoff(problem, 100, 1) == 1.0  # d = 1.00 against state 1
+    assert problem.payoff_matrix[100, 1] == 1.0  # d = 1.00 against state 1
 
 
 def test_brier_payoff_midpoint():
     problem = brier_problem()
-    assert payoff(problem, 50, 0) == 0.75  # d = 0.5 against state 0
+    assert problem.payoff_matrix[50, 0] == 0.75  # d = 0.5 against state 0
 
 
 def test_umbrella_matrix_entry():
-    assert payoff(UMBRELLA, 0, 1) == -100.0
-
-
-@pytest.mark.parametrize("d,omega", [(-1, 0), (101, 0), (0, -1), (0, 2)])
-def test_payoff_index_errors(d, omega):
-    with pytest.raises(IndexError):
-        payoff(brier_problem(), d, omega)
+    assert UMBRELLA.payoff_matrix[0, 1] == -100.0
 
 
 def test_payoff_is_pure():
     problem = brier_problem()
-    values = [payoff(problem, 37, 1) for _ in range(3)]
+    values = [problem.payoff_matrix[37, 1] for _ in range(3)]
     assert values[0] == values[1] == values[2]
 
 
@@ -55,7 +49,7 @@ def test_brier_payoff_within_unit_interval():
     problem = brier_problem()
     for d in range(problem.decisions.size):
         for w in range(2):
-            assert 0.0 <= payoff(problem, d, w) <= 1.0
+            assert 0.0 <= problem.payoff_matrix[d, w] <= 1.0
 
 
 def test_validate_brier_needs_binary_state():
@@ -120,6 +114,46 @@ def test_duplicate_variable_name_is_error():
 def test_unknown_role_is_error():
     schema = SignalSchema(decisions=(DecisionColumn("d", "robot", ("0", "1")),), signals=())
     assert "decision-role-unknown" in [d.code for d in validate_schema(schema)]
+
+
+SWAP = PayoffFunction.from_matrix([[0.0, 1.0], [1.0, 0.0]])
+
+
+# Objects the schema reader refuses first, with a located path: only a model
+# object built directly reaches these codes.
+@pytest.mark.parametrize("validate, value, code", [
+    (validate_problem, DecisionProblem(StateSpace(("a", "a")), UMBRELLA.decisions, UMBRELLA.payoff),
+     "state-labels-duplicate"),
+    (validate_problem, DecisionProblem(UMBRELLA.states, DecisionSpace(()), PayoffFunction.from_matrix([])),
+     "decision-space-empty"),
+    (validate_problem, DecisionProblem(UMBRELLA.states, DecisionSpace(("x", Fraction(1, 2))), SWAP),
+     "decision-points-mixed"),
+    (validate_problem, DecisionProblem(UMBRELLA.states, DecisionSpace.categorical(("x", "x")), SWAP),
+     "decision-labels-duplicate"),
+    (validate_problem, DecisionProblem(UMBRELLA.states, UMBRELLA.decisions, PayoffFunction("matrix")),
+     "matrix-missing"),
+    (validate_problem, DecisionProblem(UMBRELLA.states, UMBRELLA.decisions, PayoffFunction.brier()),
+     "brier-requires-numeric-grid"),
+    (validate_problem, DecisionProblem(UMBRELLA.states, UMBRELLA.decisions, PayoffFunction("log")),
+     "payoff-kind-unknown"),
+    (validate_schema, SignalSchema(signals=(BasicSignal("x", ()),)), "domain-empty"),
+])
+def test_model_objects_built_directly_get_their_diagnostic(validate, value, code):
+    assert [d.code for d in validate(value)] == [code]
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: DecisionSpace.uniform_grid(count=1), ValueError, "at least 2 points"),
+    (lambda: UMBRELLA.decisions.grid_floats, SchemaError, "categorical"),
+    (lambda: UMBRELLA.decisions.nearest_index(0.5), SchemaError, "categorical"),
+    (lambda: DecisionProblem(UMBRELLA.states, UMBRELLA.decisions, PayoffFunction("log")).payoff_matrix,
+     SchemaError, "unknown payoff kind 'log'"),
+    (lambda: DecisionProblem(UMBRELLA.states, UMBRELLA.decisions, PayoffFunction("matrix")).payoff_matrix,
+     SchemaError, "matrix payoff has no matrix"),
+])
+def test_model_objects_refuse_what_they_cannot_compute(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_percent_grid_is_exact_hundredths():

@@ -26,7 +26,6 @@ from infogain.rational import (
     _contributions,
     _lattice,
     _times,
-    best_response,
     cross_fit_gain,
     cross_fit_payoff,
     exact_row_sums,
@@ -42,10 +41,9 @@ from infogain.synth import (
     brute_force_rational,
     generate_dataset,
     make_deepfake_dataset,
-    random_joint,
-    random_matrix_problem,
     with_population_agents,
 )
+from cases import best_response, random_joint, random_matrix_problem
 
 UMBRELLA = DecisionProblem(
     states=StateSpace.of(("no_rain", "rain")),
@@ -481,6 +479,31 @@ def test_a_warm_walk_reads_the_joint_domain_sizes_at_most_once(monkeypatch):
     warm = family_payoffs(joint, problem, family, indexes=indexes)
     assert len(family) == 128 and len(reads) <= 1
     assert warm == cold
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01])
+def test_a_walk_of_many_sets_builds_the_domain_sizes_as_often_as_one_of_two(monkeypatch, alpha):
+    # every set of a walk reads the joint's domain sizes, to group it and for
+    # its smoothing weight; the tuple is built with the joint, not per read
+    data, problem = make_deepfake_dataset(n_rows=600, seed=11)
+    joint = estimate_joint(data, alpha)
+    sets = list(infogain.shapley.coalition_sets(data.schema.signal_names, ["human"]))
+    builds, domain_sizes = [], SignalSchema.domain_sizes
+    monkeypatch.setattr(SignalSchema, "domain_sizes", lambda self: builds.append(1) or domain_sizes(self))
+
+    def count(walk):
+        builds.clear()
+        walk()
+        return len(builds)
+
+    def counts(sets):
+        family, indexes = dict.fromkeys(sets, (0,)), GroupIndexes(joint)
+        walk = functools.partial(family_payoffs, joint, problem, family, indexes=indexes)
+        cross_fit = functools.partial(infogain.rational._cross_fit_payoffs, data, problem, sets, alpha)
+        return count(walk), count(walk), count(cross_fit)  # cold, warm, cold
+
+    assert len(sets) == 128
+    assert counts(sets) == counts(sets[:2])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])

@@ -14,10 +14,9 @@ from infogain.shapley import EXACT_CEILING, coalition_sets, shapley_exact, shapl
 from infogain.synth import (
     SyntheticAgentSpec,
     make_deepfake_dataset,
-    random_joint,
-    random_matrix_problem,
     with_population_agents,
 )
+from cases import random_joint, random_matrix_problem
 
 
 def xor_with_dummy():

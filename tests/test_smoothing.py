@@ -27,7 +27,8 @@ from infogain.model import (
 )
 from infogain.rational import _contributions, cross_fit_payoff, gain_value, information_gain, payoffs, rational_payoff
 from infogain.shapley import shapley_exact
-from infogain.synth import DEEPFAKE_SIGNALS, generate_dataset, make_xor_joint, random_joint, random_matrix_problem
+from infogain.synth import DEEPFAKE_SIGNALS, generate_dataset, make_xor_joint
+from cases import random_joint, random_matrix_problem
 
 ALPHAS = (0.0, 0.5)
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from infogain.errors import OracleError, SchemaError
 from infogain.joint import JointDistribution, estimate_joint
 from infogain.model import BasicSignal, DecisionColumn, SignalSchema, StateSpace, brier_problem
-from infogain.rational import best_response, information_gain, payoffs, rational_payoff
+from infogain.rational import information_gain, payoffs, rational_payoff
 from infogain.synth import (
     DEEPFAKE_AI_ACCURACY,
     DEEPFAKE_SIGNALS,
@@ -20,10 +20,9 @@ from infogain.synth import (
     make_deepfake_agents,
     make_deepfake_dataset,
     make_deepfake_joint,
-    random_joint,
-    random_matrix_problem,
     with_population_agents,
 )
+from cases import best_response, random_joint, random_matrix_problem
 from marginals import marginal, posterior
 
 
