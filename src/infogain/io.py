@@ -22,7 +22,8 @@ import math
 import re
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import islice
+from io import StringIO
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Union
@@ -60,8 +61,8 @@ BLOCK_ROWS = 1 << 10
 # 2^18-byte chunks loaded in 151, 120, 122, 115 and 128 ms (medians of 10 fresh
 # processes, 2 vCPUs) and left peaks of 56.0, 56.2, 56.7, 60.3 and 59.5 MiB.
 CHUNK_BYTES = 1 << 16
-# load_dataset cell codes: empty after stripping, not in the domain, holding a byte that is not UTF-8
-MISSING, BAD, UNDECODABLE = -1, -2, -3
+# load_dataset cell codes: empty after stripping, not in the domain
+MISSING, BAD = -1, -2
 # Most points a decision or payoff grid may list.  Each point is an exact
 # Fraction, so a larger grid is refused before any point is built.
 GRID_POINT_LIMIT = 10_001
@@ -428,8 +429,6 @@ class _CellCodes(dict):
         cell = raw.strip()
         if cell == "":
             code = MISSING
-        elif not cell.isascii() and _undecodable(cell):
-            code = UNDECODABLE
         elif self.numeric:
             try:
                 code = self.index.get(_exact_number(cell), BAD)
@@ -441,27 +440,36 @@ class _CellCodes(dict):
         return code
 
 
-def _undecodable(text: str) -> bool:
-    """Whether ``text`` holds a lone surrogate: the csv path's stand-in for a byte that is not UTF-8."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return True
-    return False
-
-
 def _line_chunks(fh):
-    """A binary file as (offset, bytes) chunks of about ``CHUNK_BYTES``, each cut after a ``\\n`` but the last."""
-    offset, rest = 0, b""
+    """A binary file as chunks of about ``CHUNK_BYTES``, all but the last cut after a line end, not in a ``\\r\\n``."""
+    rest = b""
     while data := fh.read(CHUNK_BYTES):
         data = rest + data
-        cut = data.rfind(b"\n") + 1
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
         if cut:
-            yield offset, data[:cut]
-            offset += cut
+            yield data[:cut]
         rest = data[cut:]
     if rest:
-        yield offset, rest
+        yield rest
+
+
+def _utf8_chunks(fh, path):
+    """The chunks of ``fh`` checked as UTF-8: at the first byte that is not, the complete lines before it,
+    then the error naming the byte."""
+    for chunk in _line_chunks(fh):
+        if not chunk.isascii():
+            try:
+                chunk.decode()
+            except UnicodeDecodeError as exc:
+                if cut := max(chunk.rfind(b"\n", 0, exc.start), chunk.rfind(b"\r", 0, exc.start)) + 1:
+                    yield chunk[:cut]
+                raise _decode_error(path) from None
+        yield chunk
+
+
+def _lines(chunks):
+    """The text lines of UTF-8 ``chunks``, each with its line end, for the csv module."""
+    return chain.from_iterable(StringIO(chunk.decode(), newline="") for chunk in chunks)
 
 
 def _line_ends(data: bytes) -> int:
@@ -471,9 +479,9 @@ def _line_ends(data: bytes) -> int:
 
 def _decode_error(path) -> ValidationError:
     """The error naming the line and byte offset of the first byte of ``path`` that is not UTF-8."""
-    line = 1
+    line, offset = 1, 0
     with open(path, "rb") as fh:
-        for offset, chunk in _line_chunks(fh):
+        for chunk in _line_chunks(fh):
             try:
                 chunk.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -484,6 +492,7 @@ def _decode_error(path) -> ValidationError:
                     path=f"line {line}",
                 )
             line += _line_ends(chunk)
+            offset += len(chunk)
     return ValidationError("dataset: not valid UTF-8", path="")  # the file changed while it was read
 
 
@@ -618,92 +627,83 @@ class _KeyTable:
         return self.codes.take(slots.T)
 
 
-def _plain_rows(path, width: int, rows: _Rows) -> _Rows | None:
-    """``rows`` with the body of a plain CSV file tokenized from its bytes; None if it is not plain.
+def _cell_count_error(lineno: int, width: int, got: int) -> ValidationError:
+    return ValidationError(f"dataset row {lineno}: expected {width} cells, got {got}", path=f"row {lineno}")
 
-    A plain file holds no ``"``, no NUL and no ``\\r`` but before a ``\\n`` or in the
-    line ends that close it, and decodes as UTF-8.  Each chunk is tokenized whole, or
-    the file is left to the csv module.  A chunk's closing run of line ends is
-    stripped; a run of more than one begins the trailing empty records, after which
-    only line ends may follow.  The rest must have ``width`` cells on every line, no
-    blank line and no line longer than the csv module's field limit, and is split at
-    its commas and line ends in one pass.  A cell's first ``_KEY_BYTES`` bytes make its
-    integer key (no cell holds a NUL, so the zero bytes past its end give its length),
-    and the keys of a chunk are coded through one ``_KeyTable``, which decodes each
-    distinct key of a column once per load.  Wider cells are looked up one by one.
+
+def _plain_rows(chunks, width: int, rows: _Rows) -> tuple[int, bytes]:
+    """Code the body ``chunks`` into ``rows`` from their bytes while they are plain; return the row
+    number of the next record and the first chunk refused (b"" if none), where the csv module reads on.
+
+    A plain chunk holds no ``"``, no NUL and no ``\\r`` but before a ``\\n`` or in its closing
+    run of line ends, which is stripped.  The rest must have ``width`` cells on every line, no
+    blank line and no line longer than the csv module's field limit, and is split at its commas
+    and line ends in one pass.  A chunk of line ends alone, or a closing run of more than one,
+    begins the trailing empty records; if anything but line ends follows, the first of them is
+    a record of no cells.  A cell's first ``_KEY_BYTES`` bytes make its integer key (no cell
+    holds a NUL, so the zero bytes past its end give its length), and the keys of a chunk are
+    coded through one ``_KeyTable``, which decodes each distinct key of a column once per load.
+    Wider cells are looked up one by one.
     """
     limit = csv.field_size_limit()
-    first_line, trailing = 2, False
+    first_line = 2
     cols = np.array(rows.col_pos)
     table = _KeyTable(rows.caches, rows.dtype)
-    with open(path, "rb") as fh:
-        for offset, chunk in _line_chunks(fh):
-            if b'"' in chunk or b"\0" in chunk:
-                return None
-            if not chunk.isascii():
-                try:
-                    chunk.decode("utf-8")
-                except UnicodeDecodeError:
-                    return None
-            if offset == 0:
-                header, _, chunk = chunk.partition(b"\n")
-                if b"\r" in header[:-1]:
-                    return None  # a lone \r ends the header record early
-                if not chunk:
-                    continue
-            body = chunk.rstrip(b"\r\n")
-            if trailing and body:
-                return None  # a record after a blank one: the csv path names the blank one
-            # the trailing empty records begin at a chunk of line ends alone, or a run of more than one
-            trailing = not body or _line_ends(chunk[len(body) :]) > 1
-            if not body:
-                continue
+    for chunk in chunks:
+        body = chunk.rstrip(b"\r\n")
+        if not body:
+            break  # a chunk of line ends alone begins the trailing empty records
+        if b'"' in body or b"\0" in body:
+            return first_line, chunk
 
-            # The \n put before the body is the separator before its first cell.
-            padded = b"".join((b"\n", body, b"\n", bytes(_KEY_BYTES)))
-            buf = np.frombuffer(padded, dtype=np.uint8, count=len(body) + 2)
-            is_lf = buf == _LF
-            seps = np.flatnonzero(is_lf | (buf == _COMMA))
-            # Where every line has width cells, every width-th separator ends a line.
-            lf, n = seps[::width], np.count_nonzero(is_lf) - 1
-            if len(seps) != n * width + 1 or (buf.take(lf) != _LF).any():
-                return None  # a short or long record: the csv path names it
-            cr = buf.take(lf[1:] - 1) == _CR
-            if np.count_nonzero(cr) != np.count_nonzero(buf == _CR):
-                return None  # a \r that does not end a line
-            lengths = np.diff(lf) - 1 - cr
-            if not lengths.all() or lengths.max() > limit:
-                return None  # a blank record, or a line past the csv module's field limit
+        # The \n put before the body is the separator before its first cell.
+        padded = b"".join((b"\n", body, b"\n", bytes(_KEY_BYTES)))
+        buf = np.frombuffer(padded, dtype=np.uint8, count=len(body) + 2)
+        is_lf = buf == _LF
+        seps = np.flatnonzero(is_lf | (buf == _COMMA))
+        # Where every line has width cells, every width-th separator ends a line.
+        lf, n = seps[::width], np.count_nonzero(is_lf) - 1
+        if len(seps) != n * width + 1 or (buf.take(lf) != _LF).any():
+            return first_line, chunk  # a short or long record: the csv path names it
+        cr = buf.take(lf[1:] - 1) == _CR
+        if np.count_nonzero(cr) != np.count_nonzero(buf == _CR):
+            return first_line, chunk  # a \r that does not end a line
+        lengths = np.diff(lf) - 1 - cr
+        if not lengths.all() or lengths.max() > limit:
+            return first_line, chunk  # a blank record, or a line past the csv module's field limit
 
-            # per wanted column, the separator before each cell and the cell's length plus one
-            before = seps[:-1].reshape(n, width).T[cols]
-            span = seps[1:].reshape(n, width).T[cols] - before
-            span[cols == width - 1] -= cr
+        # per wanted column, the separator before each cell and the cell's length plus one
+        before = seps[:-1].reshape(n, width).T[cols]
+        span = seps[1:].reshape(n, width).T[cols] - before
+        span[cols == width - 1] -= cr
 
-            def cell(i, j):
-                """The text of line i's cell in column ``wanted[j]``."""
-                return padded[before[j, i] + 1 : before[j, i] + span[j, i]].decode()
+        def cell(i, j):
+            """The text of line i's cell in column ``wanted[j]``."""
+            return padded[before[j, i] + 1 : before[j, i] + span[j, i]].decode()
 
-            words = np.ndarray((len(buf) - 1,), dtype="<u8", buffer=padded, offset=1, strides=(1,))
-            keys = words.take(before)
-            keys &= _KEY_MASKS.take(span, mode="clip")
-            wide = np.flatnonzero(span > _KEY_BYTES + 1)
-            keys.reshape(-1)[wide] = _WIDE_KEY
-            codes = table.lookup(keys, cell)
-            if wide.size:
-                columns, lines = np.divmod(wide, n)
-                at = before.reshape(-1)[wide] + 1
-                spans = zip(columns.tolist(), at.tolist(), (at + span.reshape(-1)[wide] - 1).tolist())
-                codes[lines, columns] = [rows.caches[j][padded[a:b].decode()] for j, a, b in spans]
-            rows.add(codes, first_line, cell)
-            first_line += n
-    return rows
+        words = np.ndarray((len(buf) - 1,), dtype="<u8", buffer=padded, offset=1, strides=(1,))
+        keys = words.take(before)
+        keys &= _KEY_MASKS.take(span, mode="clip")
+        wide = np.flatnonzero(span > _KEY_BYTES + 1)
+        keys.reshape(-1)[wide] = _WIDE_KEY
+        codes = table.lookup(keys, cell)
+        if wide.size:
+            columns, lines = np.divmod(wide, n)
+            at = before.reshape(-1)[wide] + 1
+            spans = zip(columns.tolist(), at.tolist(), (at + span.reshape(-1)[wide] - 1).tolist())
+            codes[lines, columns] = [rows.caches[j][padded[a:b].decode()] for j, a, b in spans]
+        rows.add(codes, first_line, cell)
+        first_line += n
+        if _line_ends(chunk[len(body) :]) > 1:
+            break  # so does a closing run of more than one line end
+    if not _only_empty(chunk.strip(b"\r\n") for chunk in chunks):
+        raise _cell_count_error(first_line, width, 0)
+    return first_line, b""
 
 
-def _records(reader):
-    """The records of a csv reader, the header (row 1) first; a reader error, e.g. a cell longer than
-    ``csv.field_size_limit()``, raises a ValidationError naming the row it stopped at."""
-    lineno = 1
+def _records(reader, lineno: int):
+    """The records of a csv reader, the first numbered ``lineno``; a reader error, e.g. a cell longer
+    than ``csv.field_size_limit()``, raises a ValidationError naming the row it stopped at."""
     while True:
         try:
             record = next(reader)
@@ -715,27 +715,28 @@ def _records(reader):
         lineno += 1
 
 
-def _only_empty(reader) -> bool:
-    """Whether ``reader`` holds only empty records; one it fails to read is a record too."""
+def _only_empty(items) -> bool:
+    """Whether ``items`` are all empty; one that fails to be read (a ValidationError) is not."""
     try:
-        return not any(reader)
+        return not any(items)
     except ValidationError:
         return False
 
 
-def _csv_rows(reader, path, width: int, rows: _Rows) -> _Rows:
-    """``rows`` with the records of ``reader`` (see ``_records``), read in blocks of ``BLOCK_ROWS``."""
-    first_line = 2  # line number of the block's first record, counting records
+def _csv_rows(lines, width: int, rows: _Rows, first_line: int) -> None:
+    """Code the records the csv module reads from the text ``lines`` into ``rows``, the first of them
+    row ``first_line``, in blocks of ``BLOCK_ROWS``; a ValidationError raised while reading (see
+    ``_records``) is raised once the records before it are checked."""
+    reader = _records(csv.reader(lines), first_line)
     while True:
         records, pending = [], None
         try:
             records.extend(islice(reader, BLOCK_ROWS))
-        except ValidationError as exc:  # raised once the records read before it are checked
+        except ValidationError as exc:
             pending = exc
         if not records and pending is None:
-            return rows
-        # Records before the first one with the wrong cell count or a byte that is not
-        # UTF-8 are checked first.
+            return
+        # Records before the first one with the wrong cell count are checked first.
         lengths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
         wrong = np.flatnonzero(lengths != width)
         n = int(wrong[0]) if wrong.size else len(records)
@@ -744,21 +745,12 @@ def _csv_rows(reader, path, width: int, rows: _Rows) -> _Rows:
         for j, (pos, cache) in enumerate(zip(rows.col_pos, rows.caches)):
             column = map(itemgetter(pos), islice(records, n))
             codes[:, j] = np.fromiter(map(cache.__getitem__, column), dtype=rows.dtype, count=n)
-        undecodable = (codes == UNDECODABLE).any(axis=1)
-        if undecodable.any():
-            n = int(undecodable.argmax())
-            codes = codes[:n]
         rows.add(codes, first_line, lambda i, j: records[i][rows.col_pos[j]])
 
         if n < len(records):
-            if _undecodable("".join(records[n])):
-                raise _decode_error(path)
             if not any(records[n:]) and pending is None and _only_empty(reader):
-                return rows  # trailing empty records; an empty record before any other record fails below
-            lineno = first_line + n
-            raise ValidationError(
-                f"dataset row {lineno}: expected {width} cells, got {len(records[n])}", path=f"row {lineno}"
-            )
+                return  # trailing empty records; an empty record before any other record fails below
+            raise _cell_count_error(first_line + n, width, len(records[n]))
         if pending is not None:
             raise pending
         first_line += len(records)
@@ -772,16 +764,16 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
     With decision binning, numeric decision columns are re-domained to bin
     centers, and each grid point's cell codes to its bin.
 
-    The csv module reads and checks the header.  A plain file (see
-    ``_plain_rows``) is then tokenized from its bytes, in chunks of about
-    ``CHUNK_BYTES`` cut at line ends, each read whole, and its trailing empty
-    records are stripped; every other file, and every file with a short, long
-    or blank record or a line longer than the csv module's field limit, goes
-    through the csv module in blocks of ``BLOCK_ROWS`` records.  Both map each
-    distinct cell string of a column through one cache, and give the same rows
-    and the same errors.  The first fatal record in file order raises,
-    whatever block it is in; a byte that is not UTF-8 raises naming its line
-    and byte offset.
+    The file is read once, in chunks of about ``CHUNK_BYTES`` cut after line
+    ends and checked as UTF-8 as they are read.  The csv module reads the
+    header.  After a header of one line, the byte tokenizer codes the chunks
+    while they are plain (``_plain_rows``), and the csv module reads on from
+    the first chunk it refuses, in blocks of ``BLOCK_ROWS`` records; a header
+    with a quoted line end leaves the whole body to the csv module.  Both map
+    each distinct cell string of a column through one cache and give the same
+    rows and errors.  The first fatal record in file order raises, whatever
+    block it is in; a byte that is not UTF-8 raises, naming its line and byte
+    offset, once the records before it are checked.
     """
     schema, bins = cfg.schema, {}
     if cfg.decision_bins:
@@ -798,13 +790,14 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
         _CellCodes(e.domain, is_numeric_domain(e.domain), bins.get(e.name)) for e in entries
     ]
 
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        reader = _records(csv.reader(fh))
-        header = next(reader, None)
+    with open(path, "rb") as fh:
+        chunks = _utf8_chunks(fh, path)
+        head = StringIO(next(chunks, b"").decode().removeprefix("\ufeff"), newline="")  # skip a byte-order mark
+        lines = chain(head, _lines(chunks))
+        reader = csv.reader(lines)
+        header = next(_records(reader, 1), None)
         if header is None:
             raise ValidationError("dataset: file has no header row", path="")
-        if _undecodable("".join(header)):
-            raise _decode_error(path)
         header = [h.strip() for h in header]
         dupes = sorted({h for h in header if header.count(h) > 1})
         if dupes:
@@ -816,10 +809,14 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
         if missing_cols:
             raise ValidationError(f"dataset: missing column(s) {missing_cols}", path=",".join(missing_cols))
 
-        col_pos, drop = [header.index(c) for c in wanted], cfg.missing == "drop"
-        rows = _plain_rows(path, len(header), _Rows(wanted, col_pos, caches, drop)) or _csv_rows(
-            reader, path, len(header), _Rows(wanted, col_pos, caches, drop)
-        )
+        rows = _Rows(wanted, [header.index(c) for c in wanted], caches, cfg.missing == "drop")
+        if reader.line_num > 1:  # a quoted line end in the header
+            _csv_rows(lines, len(header), rows, 2)
+        else:
+            body = head.read().encode()  # the rest of the first chunk
+            first_line, rest = _plain_rows(chain([body], chunks) if body else chunks, len(header), rows)
+            if rest:
+                _csv_rows(_lines(chain([rest], chunks)), len(header), rows, first_line)
 
     if not sum(map(len, rows.blocks)):
         raise ValidationError("dataset: no rows left after parsing", path="")

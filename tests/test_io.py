@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import re
 from fractions import Fraction
@@ -665,6 +666,54 @@ def test_byte_tokenizer_matches_per_row_reference(tmp_path_factory, data, missin
         _assert_loaders_agree(path, cfg)
 
 
+@st.composite
+def mid_stream_csv(draw):
+    """A plain fuzz file with one quoted first cell, one 0xff byte or one lone \\r at a random line."""
+    lines = draw(plain_fuzz_csv()).splitlines(keepends=True)
+    at = draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    content = line.rstrip(b"\r\n")
+    kind = draw(st.sampled_from(["quote", "not-utf8", "lone-cr"]))
+    if kind == "quote":
+        first, comma, rest = content.partition(b",")
+        line = b'"' + first + b'"' + comma + rest + line[len(content) :]
+    elif kind == "not-utf8":
+        cut = draw(st.integers(0, len(content)))
+        line = content[:cut] + b"\xff" + line[cut:]
+    else:
+        line = content + b"\r"
+    return b"".join(lines[:at] + [line] + lines[at + 1 :])
+
+
+@settings(max_examples=300)
+@given(
+    mid_stream_csv(),
+    st.sampled_from(["error", "drop"]),
+    st.sampled_from([None, 3]),
+    st.sampled_from([1, 7, 40, infogain.io.CHUNK_BYTES]),
+)
+def test_one_irregular_line_anywhere_loads_like_the_reference(tmp_path_factory, data, missing, bins, chunk_bytes):
+    # the byte tokenizer codes the chunks before the line; the csv module or the UTF-8 check takes the rest
+    tmp = tmp_path_factory.mktemp("mid")
+    cfg = parse_schema_doc({**FUZZ_SCHEMA, "options": {"missing": missing, "decision_bins": bins}})
+    path = tmp / "d.csv"
+    path.write_bytes(data)
+    with mock.patch.object(infogain.io, "CHUNK_BYTES", chunk_bytes):
+        _assert_loaders_agree(path, cfg)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([b"a", b",", b"\r", b"\n"]), max_size=60).map(b"".join), st.integers(1, 9))
+def test_line_chunks_cut_after_line_ends_and_never_inside_crlf(data, chunk_bytes):
+    with mock.patch.object(infogain.io, "CHUNK_BYTES", chunk_bytes):
+        chunks = list(infogain.io._line_chunks(io.BytesIO(data)))
+    assert b"".join(chunks) == data and all(chunks)
+    assert not any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(chunks, chunks[1:]))
+    assert all(chunk.endswith((b"\r", b"\n")) for chunk in chunks[:-1])
+    # each read is cut at its last line end, whichever kind, so only a chunk's first line spans reads
+    assert all(len(chunk) - len(chunk.splitlines(keepends=True)[0]) <= chunk_bytes for chunk in chunks)
+
+
 def _fuzz_cfg(**options):
     return parse_schema_doc({**FUZZ_SCHEMA, "options": options})
 
@@ -774,7 +823,6 @@ HAND_OFFS = {
     "quote": (b'0,"a",0.1\n', ("ok",)),
     "nul": (b"0,a\x00,0.1\n", ()),
     "lone-cr": (b"0,a,0.1\r\r\n", ("ValidationError", "dataset row 19: expected 3 cells, got 0", "row 19")),
-    "not-utf8": (b"0,\xffa,0.1\n", ("ValidationError", BAD_BYTE_18, "line 18")),
     "blank": (b"\n", ("ValidationError", "dataset row 18: expected 3 cells, got 0", "row 18")),
     "short": (b"0,a\n", ("ValidationError", "dataset row 18: expected 3 cells, got 2", "row 18")),
     # padded cells in their domains, each within the csv module's field limit and their line past it
@@ -794,8 +842,37 @@ def test_csv_path_takes_over_after_the_first_chunk(monkeypatch, tmp_path, tail, 
     path.write_bytes(PLAIN_HEAD + tail + b"1,a,1\n")
     outcome = _assert_loaders_agree(path, _fuzz_cfg())
     assert infogain.io._plain_rows.call_count == infogain.io._csv_rows.call_count == 1
-    assert first_lines[0] == 2 and 2 in first_lines[1:]  # the byte path coded a chunk, then the csv path began again
+    # the byte path coded a chunk, then the csv path read on from the chunk it refused: no record is coded twice
+    assert first_lines[0] == 2 and len(first_lines) > 1 and all(np.diff(first_lines) > 0)
     assert outcome[: len(expected)] == expected
+
+
+def test_byte_that_is_not_utf8_past_the_first_chunk_is_raised_from_the_byte_path(monkeypatch, tmp_path):
+    monkeypatch.setattr(infogain.io, "CHUNK_BYTES", 64)
+    monkeypatch.setattr(infogain.io, "_csv_rows", mock.Mock(side_effect=AssertionError("csv path taken")))
+    path = tmp_path / "d.csv"
+    path.write_bytes(PLAIN_HEAD + b"0,\xffa,0.1\n" + b"1,a,1\n")
+    assert _assert_loaders_agree(path, _fuzz_cfg()) == ("ValidationError", BAD_BYTE_18, "line 18")
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_load_opens_the_dataset_once(monkeypatch, tmp_path, quoted):
+    data, problem = make_deepfake_dataset(n_rows=600, seed=101)
+    cfg = SchemaConfig(state_column=data.state_name, states=data.states, schema=data.schema, problem=problem)
+    path = tmp_path / "d.csv"
+    write_dataset(data, path)
+    if quoted:  # the last record's state cell quoted: the csv module reads on from the last chunk
+        head, _, last = path.read_text(encoding="utf-8").rstrip("\r\n").rpartition("\n")
+        state, _, rest = last.partition(",")
+        path.write_text(f'{head}\n"{state}",{rest}\n', encoding="utf-8")
+    monkeypatch.setattr(infogain.io, "CHUNK_BYTES", 4096)
+    csv_rows = mock.Mock(wraps=infogain.io._csv_rows)
+    monkeypatch.setattr(infogain.io, "_csv_rows", csv_rows)
+    opened = []
+    monkeypatch.setattr(infogain.io, "open", lambda *args, **kw: opened.append(args) or open(*args, **kw),
+                        raising=False)
+    assert load_dataset(path, cfg).rows.tolist() == data.rows.tolist()
+    assert opened == [(path, "rb")] and csv_rows.call_count == quoted
 
 
 # Ends of the last record that begin trailing empty records, or end it with a lone \r.
@@ -909,7 +986,7 @@ def _load_error(path, cfg=None):
     (b"st\xc0ate,x,d\n1,a,1\n", 1, 2, "byte 0xc0 is not valid UTF-8 (invalid start byte)"),
 ])
 def test_byte_that_is_not_utf8_names_its_line_and_offset(tmp_path, quoted, data, line, offset, detail):
-    # a quoted record after the bad byte sends the file down the csv path; the message is the same
+    # a quoted record after the bad byte is never read: the UTF-8 check of its chunk raises first
     path = tmp_path / "d.csv"
     path.write_bytes(data + (b'"0",a,1\n' if quoted else b""))
     assert _load_error(path) == (f"dataset line {line}, byte offset {offset}: {detail}", f"line {line}")
@@ -926,7 +1003,7 @@ def test_truncated_character_at_the_end_of_the_file_is_located(tmp_path):
 
 @pytest.mark.parametrize("first", [b"0", b'"0"'])
 def test_fatal_record_before_a_bad_byte_is_reported_first(tmp_path, first):
-    # both records lie in the first 8 KiB that a text reader decodes at once
+    # both records lie in the chunk that holds the bad byte, which is checked before either is read
     path = tmp_path / "d.csv"
     path.write_bytes(b"state,x,d\n" + first + b",a,0.1\n0,z,0.1\n1,\xff,1\n")
     assert _load_error(path) == ("dataset row 3, column 'x': value 'z' not in the declared domain", "row 3")

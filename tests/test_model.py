@@ -150,6 +150,7 @@ def test_model_objects_built_directly_get_their_diagnostic(validate, value, code
      SchemaError, "unknown payoff kind 'log'"),
     (lambda: DecisionProblem(UMBRELLA.states, UMBRELLA.decisions, PayoffFunction("matrix")).payoff_matrix,
      SchemaError, "matrix payoff has no matrix"),
+    (lambda: DecisionSpace.numeric([None]), TypeError, "cannot interpret None as a grid point"),
 ])
 def test_model_objects_refuse_what_they_cannot_compute(make, error, message):
     with pytest.raises(error, match=message):

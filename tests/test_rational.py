@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 import infogain.rational
 import infogain.shapley
+from infogain.errors import SchemaError
 from infogain.joint import Dataset, GroupIndexes, JointDistribution, background_mass, estimate_joint
 from infogain.model import (
     BasicSignal,
@@ -661,3 +662,11 @@ def test_family_payoffs_of_many_rows_equal_one_fsum_per_row(alpha):
         got = family_payoffs(joint, problem, family, counts)
         want = _fsum_family_payoffs(joint, problem, family, counts)
         assert {k: [x.hex() for x in v] for k, v in got.items()} == {k: [x.hex() for x in v] for k, v in want.items()}
+
+
+@pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")])
+def test_family_payoffs_refuses_a_problem_over_other_states(xor_joint, labels):
+    problem = DecisionProblem(StateSpace.of(labels), DecisionSpace.categorical(("x", "y")),
+                              PayoffFunction.from_matrix([[float(i == 0) for i in range(len(labels))]] * 2))
+    with pytest.raises(SchemaError, match="problem and joint disagree on the number of states"):
+        family_payoffs(xor_joint, problem, {frozenset(): ()})

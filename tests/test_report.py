@@ -12,7 +12,7 @@ import infogain
 from infogain.bootstrap import BootstrapResult, BootstrapSpec, ShapleyStat, StatResult, bootstrap_run
 from infogain.errors import ReportError
 from infogain.io import write_results
-from infogain.report import PALETTE, build_plot_spec, render_svg, summary_table
+from infogain.report import PALETTE, PlotGroup, PlotSpec, build_plot_spec, render_svg, summary_table
 from infogain.synth import SyntheticAgentSpec, generate_dataset
 
 QL = ("2.5", "25", "50", "75", "97.5")
@@ -92,6 +92,22 @@ def test_mismatched_signal_sets_rejected():
     r2 = make_result([make_stat("b", (), "none", [0.1])])
     with pytest.raises(ReportError, match="signal set"):
         build_plot_spec([r1, r2])
+
+
+STRIP = make_stat("a", (), "none", [0.0, 1.0])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PlotSpec((PlotGroup("a", (STRIP,)),), (1.0, 1.0)), r"axis range \(1.0, 1.0\) must have lo < hi"),
+    (lambda: PlotSpec((PlotGroup("a", (STRIP,)),), (2.0, 1.0)), r"axis range \(2.0, 1.0\) must have lo < hi"),
+    (lambda: PlotSpec((PlotGroup("a", (STRIP,)), PlotGroup("b", ())), (0.0, 1.0)),
+     "every plot group needs at least one strip"),
+    (lambda: PlotSpec((), (0.0, 1.0)), "every plot group needs at least one strip"),
+    (lambda: build_plot_spec([]), "no results to plot"),
+])
+def test_plot_specs_that_cannot_be_drawn_are_refused(make, message):
+    with pytest.raises(ReportError, match=message):
+        make()
 
 
 def test_svg_is_wellformed_svg11(xor_joint, brier):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from infogain.errors import OracleError, SchemaError
+import infogain.synth
+from infogain.errors import OracleError, ProductSpaceError, SchemaError
 from infogain.joint import JointDistribution, estimate_joint
 from infogain.model import BasicSignal, DecisionColumn, SignalSchema, StateSpace, brier_problem
 from infogain.rational import information_gain, payoffs, rational_payoff
@@ -20,7 +21,9 @@ from infogain.synth import (
     make_deepfake_agents,
     make_deepfake_dataset,
     make_deepfake_joint,
+    make_xor_joint,
     with_population_agents,
+    xor_problem,
 )
 from cases import best_response, random_joint, random_matrix_problem
 from marginals import marginal, posterior
@@ -308,3 +311,32 @@ def test_deepfake_dataset_has_three_behavioral_columns():
     assert roles == ["human", "ai", "human_ai"]
     assert data.n_rows == 200
     assert {name for name, _, _ in DEEPFAKE_SIGNALS} == set(data.schema.signal_names)
+
+
+
+def _xor_agents(*agents):
+    return lambda: with_population_agents(make_xor_joint(), xor_problem(), agents)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SyntheticAgentSpec("a", ("s1",), noise=-0.1), ValueError, r"noise must lie in \[0, 1\]"),
+    (lambda: SyntheticAgentSpec("a", ("s1",), noise=1.5), ValueError, r"noise must lie in \[0, 1\]"),
+    (lambda: SyntheticAgentSpec("a", ("s1",), rule="median"), ValueError, "rule must be one of"),
+    (_xor_agents(SyntheticAgentSpec("s2", ("s1",))), SchemaError, "agent name 's2' collides with an existing variable"),
+    (_xor_agents(SyntheticAgentSpec("a", ("s1",)), SyntheticAgentSpec("a", ("s2",))), SchemaError,
+     "agent name 'a' collides"),
+    (lambda: with_population_agents(estimate_joint(generate_dataset(make_xor_joint(), xor_problem(), n_rows=8), 0.5),
+                                    xor_problem(), ()), ValueError, "population agents require an unsmoothed joint"),
+    # the XOR joint's 4 tuples times 101 grid points make 404 cells after one noisy agent, 40 804 after two
+    (_xor_agents(SyntheticAgentSpec("a", ("s1",), noise=0.1)), None, None),
+    (_xor_agents(SyntheticAgentSpec("a", ("s1",), noise=0.1), SyntheticAgentSpec("b", ("s2",), noise=0.1)),
+     ProductSpaceError, "population joint with agents exceeds the cell limit"),
+    (lambda: generate_dataset(make_xor_joint(), xor_problem(), n_rows=0), ValueError, "need at least one row"),
+])
+def test_synth_refuses_what_it_cannot_build(monkeypatch, make, error, message):
+    monkeypatch.setattr(infogain.synth, "POPULATION_CELL_LIMIT", 404 * 101 - 1)
+    if error is None:  # within the limit
+        make()
+        return
+    with pytest.raises(error, match=message):
+        make()
