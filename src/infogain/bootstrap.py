@@ -10,11 +10,11 @@ replicate is a count vector over those K tuples rather than a resampled
 dataset.  ``_plan`` is the only reader of a statistic: once, it checks every
 variable name the statistic holds and lists the result columns it fills, the
 variable sets it reads and how their payoffs become its values (for sampled
-Shapley, the sets follow from the orders each replicate draws).  Replicates
-are evaluated in blocks of at most ``REPLICATE_CELLS // K`` (and at least
-one), near-equal in size and as many as a multiple of the workers that run
-them (see ``_blocks``): one ``family_payoffs`` call computes the payoffs of
-every set the block's replicates read, in one walk of their subset lattice,
+Shapley, the sets follow from the orders each replicate draws).  The
+replicates are cut into one contiguous share per worker, and each share into
+the fewest near-equal blocks of at most ``REPLICATE_CELLS // K`` (and at
+least one; see ``_shares``): one ``family_payoffs`` call computes the payoffs
+of every set the block's replicates read, in one walk of their subset lattice,
 and ``_replicate_values`` maps each replicate's payoffs to its statistics
 (Shapley values through ``shapley.exact_values`` and
 ``shapley.sampled_values``, as ``shapley_exact`` and ``shapley_sampled``
@@ -25,19 +25,18 @@ there; a block then only counts its replicates' weights through the
 indexes and scores the tables.  The tables are exact count sums, so the
 samples are those of an estimate on each replicate's resampled rows.
 
-Blocks run in worker processes forked from the caller, one per usable CPU
-and at most one per block, or in the caller when only one would run or the
-platform has no ``os.fork``; the plan is built in the caller, so a
-statistic that cannot be computed fails before any worker starts.  Worker
-w inherits every input through the fork, runs the fixed share
-``blocks[w::W]`` of the W workers and writes one pickle, its rows or the
-exception it raised, to its own pipe; the caller reads the pipes in worker
-order and interleaves the shares back into block order, raising a
-worker's error from its traceback there.  A worker that ends without a
-complete message raises ``WorkerError``, naming the worker and its exit
-status or signal, and on any error the caller kills and reaps the workers
-still running.  A block's samples are a pure function of its replicate
-range, so they do not depend on the number of workers.
+Shares run in worker processes forked from the caller, one per usable CPU
+and no more than the fewest blocks that cover the replicates, or in the
+caller when there is one share (one CPU, or no ``os.fork``); the plan is
+built in the caller, so a statistic that cannot be computed fails before
+any worker starts.  Worker w inherits every input through the fork, runs
+share w and writes one pickle, its rows or the exception it raised, to its
+own pipe; the caller reads the pipes in worker order, so the rows join in
+replicate order, and raises a worker's error from its traceback there.  A
+worker that ends without a complete message raises ``WorkerError``, naming
+the worker and its exit status or signal, and on any error the caller kills
+and reaps the workers still running.  A block's samples are a pure function
+of its replicate range, so they do not depend on the number of workers.
 
 The resampling scheme treats rows as exchangeable.  Datasets with repeated
 measures (the same video or participant on many rows) violate that, so the
@@ -264,19 +263,18 @@ def _block_values(
     return [_replicate_values(row, replicate) for row, replicate in zip(payoffs, reads)]
 
 
-def _blocks(replicates: int, per_block: int, workers: int) -> list[range]:
-    """Consecutive ranges over ``range(replicates)``, at most ``per_block`` long, sizes differing by at most 1.
+def _split(span: range, parts: int) -> list[range]:
+    """``span`` cut into ``parts`` consecutive ranges whose lengths differ by at most 1."""
+    return [span[len(span) * i // parts : len(span) * (i + 1) // parts] for i in range(parts)]
 
-    Their count, ``ceil(replicates / per_block)``, is rounded up to a multiple
-    of the workers that run them (at most one block per replicate), so every
-    worker runs as many blocks and the longest share is near ``replicates /
-    workers``: 23 replicates at 11 per block on two workers run as 5 + 6 +
-    6 + 6, not 7 + 8 + 8, where one worker would run 15.
-    """
-    n = -(-replicates // per_block)
-    shares = min(workers, n)
-    n = min(replicates, -(-n // shares) * shares)
-    return [range(replicates * i // n, replicates * (i + 1) // n) for i in range(n)]
+
+def _shares(replicates: int, per_block: int, cpus: int) -> list[list[range]]:
+    """The blocks of each worker: ``range(replicates)`` cut into a share per usable CPU (``cpus``), but no
+    more shares than the fewest blocks that cover it, or one where the platform cannot fork; each share is
+    cut into the fewest blocks of at most ``per_block``.  At 11 per block, 23 replicates run as 7 + 8 + 8
+    on one CPU and as 11 | 6 + 6 on two."""
+    workers = min(cpus, -(-replicates // per_block)) if hasattr(os, "fork") else 1
+    return [_split(share, -(-len(share) // per_block)) for share in _split(range(replicates), workers)]
 
 
 def usable_cpus() -> int:
@@ -299,6 +297,11 @@ class _RemoteTraceback(Exception):
     """The formatted traceback of an error raised in a worker: the ``__cause__`` it is raised from in the caller."""
 
 
+def _share_rows(inputs: tuple, share: list[range]) -> list[list[float]]:
+    """The sample rows of the replicates of ``share``, block after block."""
+    return [row for block in share for row in _block_values(*inputs, block)]
+
+
 def _work(inputs: tuple, share: list[range], worker: int, write_fd: int) -> NoReturn:
     """A forked worker: write one pickle, the rows of ``share`` or what stopped them and its traceback, to ``write_fd``.
 
@@ -309,7 +312,7 @@ def _work(inputs: tuple, share: list[range], worker: int, write_fd: int) -> NoRe
     status = 1
     try:
         try:
-            message = [_block_values(*inputs, block) for block in share]
+            message = _share_rows(inputs, share)
         except BaseException as exc:  # raised again in the caller
             import traceback  # here: only a failing worker formats a traceback
             message = (_sendable(exc, worker), traceback.format_exc())
@@ -320,7 +323,7 @@ def _work(inputs: tuple, share: list[range], worker: int, write_fd: int) -> NoRe
         os._exit(status)
 
 
-def _received(worker: int, message: bytes, status: int) -> list[list[list[float]]]:
+def _received(worker: int, message: bytes, status: int) -> list[list[float]]:
     """The rows worker ``worker`` sent, from its message and its wait status; raises what it raised."""
     code = os.waitstatus_to_exitcode(status)
     if code != 0 or not message:
@@ -332,26 +335,24 @@ def _received(worker: int, message: bytes, status: int) -> list[list[list[float]
     return rows
 
 
-def _run_blocks(inputs: tuple, blocks: list[range], cpus: int) -> list[list[list[float]]]:
-    """``_block_values(*inputs, block)`` of each block, in block order.
+def _run_shares(inputs: tuple, shares: list[list[range]]) -> list[list[float]]:
+    """The sample rows of every replicate of ``shares``, in replicate order.
 
-    Blocks run in forked workers, one per usable CPU (``cpus``) and at most
-    one per block; with one worker, or where the platform cannot fork, they
-    run in this process.  Worker w runs ``blocks[w::W]`` on the inputs it
-    inherits and sends its rows through its own pipe, so a block's rows do
-    not depend on where it ran.  An exception raised in a worker is raised
-    here, with its type; a worker that dies first raises ``WorkerError``.
-    Whatever ends this call, no worker is left running or unreaped.
+    One share runs in this process.  Otherwise worker w, forked from this
+    process, runs ``shares[w]`` on the inputs it inherits and sends its rows
+    through its own pipe, so a block's rows do not depend on where it ran.
+    An exception raised in a worker is raised here, with its type; a worker
+    that dies first raises ``WorkerError``.  Whatever ends this call, no
+    worker is left running or unreaped.
     """
-    workers = min(len(blocks), cpus)
-    if workers == 1 or not hasattr(os, "fork"):
-        return [_block_values(*inputs, block) for block in blocks]
+    if len(shares) == 1:
+        return _share_rows(inputs, shares[0])
     import signal  # here: building its enums would add ~1 ms to every command that starts no worker
 
     running = []  # (pid, read end of its pipe) of each worker not yet reaped, in worker order
-    shares = []
+    rows = []
     try:
-        for worker in range(workers):
+        for worker, share in enumerate(shares):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -360,22 +361,22 @@ def _run_blocks(inputs: tuple, blocks: list[range], cpus: int) -> list[list[list
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _work(inputs, blocks[worker::workers], worker, write_fd)
+                _work(inputs, share, worker, write_fd)
             os.close(write_fd)
             running.append((pid, open(read_fd, "rb")))
-        for worker in range(workers):
+        for worker in range(len(shares)):
             pid, pipe = running[0]
             with pipe:
                 message = pipe.read()
             status = os.waitpid(pid, 0)[1]
             del running[0]
-            shares.append(_received(worker, message, status))
+            rows += _received(worker, message, status)
     finally:
         for pid, pipe in running:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [shares[i % workers][i // workers] for i in range(len(blocks))]
+    return rows
 
 
 def bootstrap_run(
@@ -389,10 +390,9 @@ def bootstrap_run(
     joint = estimate_joint(data, alpha)
     plan = _plan(joint, spec)
     row_key = data.row_tuples  # each row's tuple, from the grouping of the estimate
-    cpus = usable_cpus()
-    blocks = _blocks(spec.replicates, max(1, REPLICATE_CELLS // len(joint.keys)), cpus)
-    block_rows = _run_blocks((data, problem, spec, plan, joint, row_key, GroupIndexes(joint)), blocks, cpus)
-    samples = np.array([row for rows in block_rows for row in rows], dtype=np.float64)  # (B, n_stats), by replicate
+    shares = _shares(spec.replicates, max(1, REPLICATE_CELLS // len(joint.keys)), usable_cpus())
+    rows = _run_shares((data, problem, spec, plan, joint, row_key, GroupIndexes(joint)), shares)
+    samples = np.array(rows, dtype=np.float64)  # (B, n_stats), by replicate
 
     stats = []
     for col, column in zip(samples.T, [column for entry in plan for column in entry.columns], strict=True):

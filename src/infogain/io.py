@@ -442,14 +442,14 @@ class _CellCodes(dict):
 
 def _line_chunks(fh):
     """A binary file as chunks of about ``CHUNK_BYTES``, all but the last cut after a line end, not in a ``\\r\\n``."""
-    rest = b""
+    reads = []  # the reads since the last cut: only the last may end in a \r, which ends a line unless a \n follows
     while data := fh.read(CHUNK_BYTES):
-        data = rest + data
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
-        if cut:
-            yield data[:cut]
-        rest = data[cut:]
-    if rest:
+        if cut or reads and reads[-1].endswith(b"\r"):
+            yield b"".join([*reads, data[:cut]])
+            reads = []
+        reads.append(data[cut:])
+    if rest := b"".join(reads):
         yield rest
 
 
@@ -627,20 +627,15 @@ class _KeyTable:
         return self.codes.take(slots.T)
 
 
-def _cell_count_error(lineno: int, width: int, got: int) -> ValidationError:
-    return ValidationError(f"dataset row {lineno}: expected {width} cells, got {got}", path=f"row {lineno}")
-
-
 def _plain_rows(chunks, width: int, rows: _Rows) -> tuple[int, bytes]:
     """Code the body ``chunks`` into ``rows`` from their bytes while they are plain; return the row
     number of the next record and the first chunk refused (b"" if none), where the csv module reads on.
 
-    A plain chunk holds no ``"``, no NUL and no ``\\r`` but before a ``\\n`` or in its closing
-    run of line ends, which is stripped.  The rest must have ``width`` cells on every line, no
+    A plain chunk holds a record, no ``"``, no NUL and no ``\\r`` but before a ``\\n`` or in its
+    closing line end, which is stripped; a closing run of more than one line end holds empty
+    records, which the csv module reads.  The rest must have ``width`` cells on every line, no
     blank line and no line longer than the csv module's field limit, and is split at its commas
-    and line ends in one pass.  A chunk of line ends alone, or a closing run of more than one,
-    begins the trailing empty records; if anything but line ends follows, the first of them is
-    a record of no cells.  A cell's first ``_KEY_BYTES`` bytes make its integer key (no cell
+    and line ends in one pass.  A cell's first ``_KEY_BYTES`` bytes make its integer key (no cell
     holds a NUL, so the zero bytes past its end give its length), and the keys of a chunk are
     coded through one ``_KeyTable``, which decodes each distinct key of a column once per load.
     Wider cells are looked up one by one.
@@ -651,9 +646,7 @@ def _plain_rows(chunks, width: int, rows: _Rows) -> tuple[int, bytes]:
     table = _KeyTable(rows.caches, rows.dtype)
     for chunk in chunks:
         body = chunk.rstrip(b"\r\n")
-        if not body:
-            break  # a chunk of line ends alone begins the trailing empty records
-        if b'"' in body or b"\0" in body:
+        if not body or b'"' in body or b"\0" in body or _line_ends(chunk[len(body) :]) > 1:
             return first_line, chunk
 
         # The \n put before the body is the separator before its first cell.
@@ -694,10 +687,6 @@ def _plain_rows(chunks, width: int, rows: _Rows) -> tuple[int, bytes]:
             codes[lines, columns] = [rows.caches[j][padded[a:b].decode()] for j, a, b in spans]
         rows.add(codes, first_line, cell)
         first_line += n
-        if _line_ends(chunk[len(body) :]) > 1:
-            break  # so does a closing run of more than one line end
-    if not _only_empty(chunk.strip(b"\r\n") for chunk in chunks):
-        raise _cell_count_error(first_line, width, 0)
     return first_line, b""
 
 
@@ -750,7 +739,9 @@ def _csv_rows(lines, width: int, rows: _Rows, first_line: int) -> None:
         if n < len(records):
             if not any(records[n:]) and pending is None and _only_empty(reader):
                 return  # trailing empty records; an empty record before any other record fails below
-            raise _cell_count_error(first_line + n, width, len(records[n]))
+            lineno = first_line + n
+            raise ValidationError(f"dataset row {lineno}: expected {width} cells, got {len(records[n])}",
+                                  path=f"row {lineno}")
         if pending is not None:
             raise pending
         first_line += len(records)

@@ -1,11 +1,14 @@
-"""Random joints and decision problems for property tests, and the best response to one posterior.
+"""Random joints and decision problems for property tests, the best response to one posterior, and a
+time bound for tests that could hang.
 
 ``best_response`` is the per-realization reference rule: it decides one
 posterior at a time and shares no code with the batched actions in ``src/``.
 """
 
+import contextlib
 import itertools
 import math
+import signal
 
 import numpy as np
 
@@ -75,3 +78,19 @@ def best_response(post: np.ndarray, problem: DecisionProblem) -> int:
         raise ValueError(f"posterior must have shape ({problem.states.size},)")
     expected = problem.payoff_matrix @ post
     return int(np.argmax(expected))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds`` (a hang fails instead of blocking)."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import itertools
 import math
@@ -38,7 +37,7 @@ from infogain.synth import (
     make_xor_joint,
     xor_problem,
 )
-from cases import random_joint
+from cases import deadline, random_joint
 
 
 def small_xor_dataset(n_rows=4):
@@ -280,8 +279,8 @@ def test_exact_shapley_equals_the_subset_weight_formula_bit_for_bit(case, alpha)
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("blocks", ["default", "of three and one", "at most two", "K over the bound"])
 def test_blocked_replicates_equal_the_per_replicate_loop(monkeypatch, case, alpha, blocks):
-    # on two workers the 7 replicates run as one block; as 3 + 3 + 1, a layout
-    # set here; as blocks of at most two, 1 + 2 + 2 + 2; and as 1 each
+    # on two CPUs the 7 replicates run as one block in process; as 3 + 3 | 1, a
+    # layout set here; as blocks of at most two, 1 + 2 | 2 + 2; and as 1 each
     data, problem, stats = CASES[case]()
     n_keys = len(estimate_joint(data).keys)
     cells = {"default": infogain.bootstrap.REPLICATE_CELLS, "of three and one": 3 * n_keys,
@@ -289,25 +288,32 @@ def test_blocked_replicates_equal_the_per_replicate_loop(monkeypatch, case, alph
     monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", cells)
     monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 2)
     if blocks == "of three and one":
-        monkeypatch.setattr(infogain.bootstrap, "_blocks", lambda *args: [range(0, 3), range(3, 6), range(6, 7)])
+        monkeypatch.setattr(infogain.bootstrap, "_shares", lambda *args: [[range(0, 3), range(3, 6)], [range(6, 7)]])
     spec = BootstrapSpec(replicates=7, seed=5, statistics=stats)
     assert blocked_samples(data, problem, spec, alpha) == reference_samples(data, problem, spec, alpha)
 
 
-def test_blocks_cover_the_replicates_in_order_in_near_equal_sizes():
-    for replicates, per_block, workers in itertools.product(range(1, 60), range(1, 25), range(1, 6)):
-        blocks = infogain.bootstrap._blocks(replicates, per_block, workers)
-        sizes = [len(block) for block in blocks]
-        assert [b for block in blocks for b in block] == list(range(replicates))
-        assert max(sizes) <= per_block and max(sizes) - min(sizes) <= 1
-        # the fewest blocks that is a multiple of the workers that run them, unless one per replicate
-        fewest, shares = -(-replicates // per_block), min(workers, -(-replicates // per_block))
-        assert fewest <= len(blocks) < fewest + shares
-        assert len(blocks) % shares == 0 or len(blocks) == replicates
-    assert infogain.bootstrap._blocks(20, 11, 2) == [range(0, 10), range(10, 20)]
-    assert infogain.bootstrap._blocks(23, 11, 1) == [range(0, 7), range(7, 15), range(15, 23)]
-    assert infogain.bootstrap._blocks(23, 11, 2) == [range(0, 5), range(5, 11), range(11, 17), range(17, 23)]
-    assert infogain.bootstrap._blocks(23, 11, 4) == [range(0, 7), range(7, 15), range(15, 23)]
+def test_shares_cover_the_replicates_in_order_in_near_equal_sizes(monkeypatch):
+    shares_of = infogain.bootstrap._shares
+    for replicates, per_block, cpus in itertools.product(range(1, 60), range(1, 25), range(1, 6)):
+        shares = shares_of(replicates, per_block, cpus)
+        assert [b for share in shares for block in share for b in block] == list(range(replicates))
+        # a share per CPU, but no more than the fewest blocks that cover the replicates
+        assert len(shares) == min(cpus, -(-replicates // per_block))
+        sizes = [sum(map(len, share)) for share in shares]
+        assert max(sizes) - min(sizes) <= 1
+        for share, size in zip(shares, sizes):
+            blocks = [len(block) for block in share]
+            # the fewest blocks that cover the share, none empty
+            assert len(share) == -(-size // per_block) and min(blocks) >= 1
+            assert max(blocks) <= per_block and max(blocks) - min(blocks) <= 1
+    assert shares_of(20, 11, 2) == [[range(0, 10)], [range(10, 20)]]
+    assert shares_of(23, 11, 1) == [[range(0, 7), range(7, 15), range(15, 23)]]
+    assert shares_of(23, 11, 2) == [[range(0, 11)], [range(11, 17), range(17, 23)]]
+    assert shares_of(23, 11, 4) == [[range(0, 7)], [range(7, 15)], [range(15, 23)]]
+    assert shares_of(200, 11, 2) == [[range(b, b + 10) for b in range(start, start + 100, 10)] for start in (0, 100)]
+    monkeypatch.delattr(os, "fork", raising=False)  # one share where the platform cannot fork
+    assert shares_of(23, 11, 2) == shares_of(23, 11, 1)
 
 
 def _collapsing_seed(n_rows):
@@ -551,8 +557,8 @@ def test_blocks_in_workers_equal_blocks_in_process(monkeypatch, tmp_path, case, 
     monkeypatch.setattr(infogain.bootstrap, "_block_values", recording)
     assert _samples_with_workers(monkeypatch, 3, data, problem, spec, alpha) == in_process
     pids = ran_in.read_text(encoding="utf-8").split()
-    # ceil(7 / per_block) blocks, rounded up to a multiple of the three workers
-    assert len(pids) == {1: 7, 2: 6, 3: 3}[per_block] and str(os.getpid()) not in pids
+    # three shares of 2, 2 and 3 replicates, each cut into blocks of at most per_block; none in the caller
+    assert len(pids) == {1: 7, 2: 4, 3: 3}[per_block] and str(os.getpid()) not in pids
 
 
 def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, brier):
@@ -606,22 +612,6 @@ forked = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(signal, "seti
                             reason="workers are forked, and the deadline is a SIGALRM timer")
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the block if it runs longer than ``seconds`` (a hang fails instead of blocking)."""
-
-    def expired(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _two_workers(monkeypatch, block_values):
     """Run a two-replicate bootstrap as two one-block workers whose ``_block_values`` is ``block_values``."""
     monkeypatch.setattr(infogain.bootstrap, "REPLICATE_CELLS", 1)
@@ -655,7 +645,7 @@ def test_a_worker_that_dies_raises_a_worker_error(monkeypatch, death, how, dying
             time.sleep(60)
         return evaluate(*args)
 
-    with _deadline(20):
+    with deadline(20):
         with pytest.raises(WorkerError, match=f"^bootstrap worker {dying} {how} before it sent its blocks$"):
             _two_workers(monkeypatch, block_values)
     _assert_no_child_left()
@@ -668,7 +658,7 @@ def test_an_error_in_a_worker_is_raised_from_its_traceback_there(monkeypatch):
     def refusing_block(*args):
         raise EstimationError("no payoffs for this block")
 
-    with _deadline(20):
+    with deadline(20):
         with pytest.raises(EstimationError, match="^no payoffs for this block$") as caught:
             _two_workers(monkeypatch, refusing_block)
     _assert_no_child_left()
@@ -695,7 +685,7 @@ def test_an_error_that_cannot_be_pickled_reaches_the_caller(monkeypatch, kind):
         raise Local("no rows here") if kind == "local class" else _Unpicklable("no rows here", 1)
 
     name = "Local" if kind == "local class" else "_Unpicklable"
-    with _deadline(20):
+    with deadline(20):
         with pytest.raises(WorkerError, match=f"^bootstrap worker 0 raised {name}: no rows here "):
             _two_workers(monkeypatch, block_values)
     _assert_no_child_left()

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import signal
 from fractions import Fraction
 from unittest import mock
 
@@ -35,6 +36,8 @@ from infogain.rational import GainValue, information_gain
 from infogain.joint import estimate_joint
 from infogain.shapley import shapley_exact, shapley_sampled
 from infogain.synth import make_deepfake_dataset, generate_dataset
+
+from cases import deadline
 
 MINIMAL_SCHEMA = {
     "state": {"column": "state", "labels": ["0", "1"]},
@@ -714,6 +717,15 @@ def test_line_chunks_cut_after_line_ends_and_never_inside_crlf(data, chunk_bytes
     assert all(len(chunk) - len(chunk.splitlines(keepends=True)[0]) <= chunk_bytes for chunk in chunks)
 
 
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="the deadline is a SIGALRM timer")
+def test_one_long_line_is_chunked_in_linear_time(monkeypatch):
+    # 2^17 reads with no line end: joined once, not once per read (which takes seconds)
+    monkeypatch.setattr(infogain.io, "CHUNK_BYTES", 8)
+    data = b"a" * 2**20 + b"\n"
+    with deadline(2):
+        assert list(infogain.io._line_chunks(io.BytesIO(data))) == [data]
+
+
 def _fuzz_cfg(**options):
     return parse_schema_doc({**FUZZ_SCHEMA, "options": options})
 
@@ -881,12 +893,19 @@ TRAILING_ENDS = {"crlf-lf-crlf": b"\r\n\n\r\n", "lone-cr": b"\r", "cr-crlf": b"\
 
 @pytest.mark.parametrize("chunk_bytes", [7, 40, infogain.io.CHUNK_BYTES])
 @pytest.mark.parametrize("end", TRAILING_ENDS.values(), ids=TRAILING_ENDS)
-def test_trailing_empty_records_are_stripped_on_the_byte_path(monkeypatch, tmp_path, chunk_bytes, end):
+def test_trailing_empty_records_are_stripped_after_the_byte_path(monkeypatch, tmp_path, chunk_bytes, end):
     monkeypatch.setattr(infogain.io, "CHUNK_BYTES", chunk_bytes)
+    handed, plain_rows = [], infogain.io._plain_rows
+    monkeypatch.setattr(infogain.io, "_plain_rows", lambda *args: handed.append(plain_rows(*args)) or handed[-1])
     path = tmp_path / "d.csv"
     path.write_bytes(PLAIN_HEAD + b"1,a,1" + end)
-    monkeypatch.setattr(infogain.io, "_csv_rows", mock.Mock(side_effect=AssertionError("csv path taken")))
     assert _assert_loaders_agree(path, _fuzz_cfg())[1][-2:] == [[1, 0, 1], [1, 0, 10]]
+    # the byte path coded every record before the chunk that holds the first empty record, and the
+    # csv module read on from that chunk: the records it holds end at the last one, line 18
+    (first_line, rest), = handed
+    body = rest.rstrip(b"\r\n")
+    assert first_line + (infogain.io._line_ends(body) + 1 if body else 0) == 19
+    assert not rest or not body or infogain.io._line_ends(rest[len(body) :]) > 1
 
 
 def test_cells_sharing_their_first_key_bytes_keep_their_own_codes(tmp_path):
@@ -956,6 +975,18 @@ def test_lone_cr_in_the_header_line_is_a_line_end(tmp_path):
     path = tmp_path / "d.csv"
     path.write_bytes(b"state,x,d\r0,a,0.1\n1,a,1\n")
     assert _assert_loaders_agree(path, _fuzz_cfg())[1] == [[0, 0, 1], [1, 0, 10]]
+
+
+@pytest.mark.parametrize("tail, outcome", [
+    (b"", [[0, 0, 1], [1, 0, 10]]),
+    (b"0,a\n", "dataset row 4: expected 3 cells, got 2"),
+])
+def test_quoted_line_end_in_the_header_leaves_the_body_to_the_csv_module(monkeypatch, tmp_path, tail, outcome):
+    # the state cell "state\n" strips to state; records are numbered from the header, one record on two lines
+    monkeypatch.setattr(infogain.io, "_plain_rows", mock.Mock(side_effect=AssertionError("byte path taken")))
+    path = tmp_path / "d.csv"
+    path.write_bytes(b'"state\n",x,d\n0,a,0.1\n1,a,1\n' + tail)
+    assert _assert_loaders_agree(path, _fuzz_cfg())[1] == outcome
 
 
 @pytest.mark.parametrize("chunk_bytes", [3, infogain.io.CHUNK_BYTES])
