@@ -379,6 +379,32 @@ def _run_shares(inputs: tuple, shares: list[list[range]]) -> list[list[float]]:
     return rows
 
 
+def _quantiles(samples: np.ndarray) -> np.ndarray:
+    """The ``QUANTILE_LEVELS`` of each column of the finite ``samples`` (B, n_stats), shape (levels, n_stats).
+
+    These are ``np.quantile``'s ``linear`` values bit for bit, taken step by
+    step as numpy takes them: the virtual index ``(B - 1) * q``; both
+    neighbours at the last value (index -1, weight ``v + 1``) where it
+    reaches ``B - 1``; one partition on the same sorted set of indices, which
+    picks the same zero of two signs; and the two-sided interpolation of
+    numpy's ``_lerp``.  ``np.quantile`` itself builds that set with
+    ``np.unique``, which imports ``numpy.ma``.
+    """
+    n = len(samples)
+    virtual = (n - 1) * np.array([q / 100.0 for q in QUANTILE_LEVELS])
+    below = np.floor(virtual)
+    above = below + 1
+    past = virtual >= n - 1
+    below[past], above[past] = -1, -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    ordered = np.partition(samples, sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
+    a, b, t = ordered[below], ordered[above], (virtual - below)[:, None]
+    diff = b - a
+    values = a + diff * t
+    np.subtract(b, diff * (1 - t), out=values, where=t >= 0.5)
+    return values
+
+
 def bootstrap_run(
     data: Dataset,
     problem: DecisionProblem,
@@ -395,8 +421,8 @@ def bootstrap_run(
     samples = np.array(rows, dtype=np.float64)  # (B, n_stats), by replicate
 
     stats = []
-    for col, column in zip(samples.T, [column for entry in plan for column in entry.columns], strict=True):
-        qs = np.quantile(col, [q / 100.0 for q in QUANTILE_LEVELS], method="linear")
+    columns = [column for entry in plan for column in entry.columns]
+    for col, qs, column in zip(samples.T, _quantiles(samples).T, columns, strict=True):
         stats.append(
             StatResult(
                 **column,

@@ -56,10 +56,11 @@ MISSING_POLICIES = ("error", "drop")
 # peaked 5 MiB higher after loading in 2^14-row blocks than in 2^10-row blocks.
 BLOCK_ROWS = 1 << 10
 # Bytes load_dataset reads per chunk, before cutting the chunk after its last line
-# end.  A chunk's temporaries set the heap's high-water mark, and past 2^15 bytes
-# larger chunks load no faster in a fresh process: on a 200k-row file, 2^14- to
-# 2^18-byte chunks loaded in 151, 120, 122, 115 and 128 ms (medians of 10 fresh
-# processes, 2 vCPUs) and left peaks of 56.0, 56.2, 56.7, 60.3 and 59.5 MiB.
+# end.  A chunk's temporaries set the heap's high-water mark, so larger chunks
+# cost memory for little time: on a 200k-row file, 2^14- to 2^18-byte chunks
+# loaded in 85, 80, 78, 84 and 73 ms and left peaks of 40.9, 41.4, 41.9, 44.8 and
+# 47.9 MiB (medians of 12 alternating fresh processes, 2 shared vCPUs, Python 3.11,
+# numpy 2.4); 20 more alternations read 76 ms at 2^15 against 73 ms at 2^16.
 CHUNK_BYTES = 1 << 16
 # load_dataset cell codes: empty after stripping, not in the domain
 MISSING, BAD = -1, -2
@@ -815,7 +816,7 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
     return Dataset(
         states=cfg.states,
         schema=schema,
-        rows=np.concatenate(rows.blocks, dtype=np.int64),
+        rows=np.concatenate(rows.blocks),
         state_name=cfg.state_column,
         dropped_rows=rows.dropped,
     )

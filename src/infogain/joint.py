@@ -42,10 +42,8 @@ def encode(table: np.ndarray, sizes: Sequence[int], cols: Iterable[int] | None =
     so codes sort like the rows' values do lexicographically and are equal
     exactly when they are.  Before a digit that would carry the code past
     ``CODE_LIMIT``, the code so far is replaced by its rank; while the
-    product of sizes fits, the code is the plain mixed-radix value.  Each run
-    of digits between ranks is one matrix product of the whole table with
-    int64 place values that are zero outside the run, so no column is
-    gathered and the codes of a narrow table are int64.
+    product of sizes fits, the code is the plain mixed-radix value.  The
+    codes are int64 whatever the table's integer type (see ``_fold``).
     """
     table = np.asarray(table)
     code, span, run = None, 1, []  # every code lies in range(span)
@@ -59,12 +57,21 @@ def encode(table: np.ndarray, sizes: Sequence[int], cols: Iterable[int] | None =
 
 
 def _fold(code: np.ndarray | None, table: np.ndarray, sizes: Sequence[int], run: Sequence[int]) -> np.ndarray:
-    """``code`` (None for none) followed by the mixed-radix digits of ``table``'s columns ``run``."""
-    places, place = np.zeros(len(sizes), dtype=np.int64), 1
-    for c in reversed(run):
-        places[c], place = place, place * sizes[c]
-    value = table @ places
-    return value if code is None else code * place + value
+    """``code`` (None for none; updated in place) followed by the mixed-radix digits of ``table``'s columns ``run``.
+
+    The digits fold into one int64 code in place, one column at a time, so a
+    narrow table is never widened whole (a matrix product would cast all of
+    it to int64 first).  Each sum is taken in int64, which an unsigned 64-bit
+    digit would otherwise turn into a float.
+    """
+    for c in run:
+        digit = table[:, c]
+        if code is None:
+            code = digit.astype(np.int64)
+        else:
+            code *= sizes[c]
+            np.add(code, digit, out=code, dtype=np.int64)
+    return np.zeros(len(table), dtype=np.int64) if code is None else code
 
 
 def _cell_count(cells: int) -> str:
@@ -73,12 +80,23 @@ def _cell_count(cells: int) -> str:
 
 
 def _index_table(table, sizes: Sequence[int], what: str) -> np.ndarray:
-    """``table`` as a read-only C-contiguous int64 array of rows whose column c holds values in range(sizes[c])."""
-    table = np.ascontiguousarray(table, dtype=np.int64)
+    """``table`` as a read-only C-contiguous array of rows whose column c holds values in range(sizes[c]).
+
+    The array has the narrowest unsigned integer type that holds every
+    domain index (uint8 up to 256 values), so a caller widens a column
+    before arithmetic that could pass that type's range.  The range check
+    reads the input's own values before the cast, so a negative index is
+    refused, not wrapped; a table that is not of an integer type is cast
+    through int64 first.
+    """
+    table = np.asarray(table)
+    if table.dtype.kind not in "iu":
+        table = table.astype(np.int64)
     if table.ndim != 2 or table.shape[1] != len(sizes):
         raise ValueError(f"{what} must have shape (n, {len(sizes)})")
     if table.min(initial=0) < 0 or (table >= np.array(sizes)).any():
         raise ValueError(f"{what} hold an index out of domain range")
+    table = np.ascontiguousarray(table, dtype=np.min_scalar_type(max(sizes) - 1))
     table.setflags(write=False)
     return table
 
@@ -89,7 +107,7 @@ class Dataset:
 
     states: StateSpace
     schema: SignalSchema
-    rows: np.ndarray  # (N, 1 + n_variables) integer array, column 0 is the state
+    rows: np.ndarray  # (N, 1 + n_variables) domain indices in the narrowest unsigned type, column 0 is the state
     state_name: str = "state"
     dropped_rows: int = 0
 
@@ -121,7 +139,7 @@ class JointDistribution:
 
     states: StateSpace
     schema: SignalSchema
-    keys: np.ndarray  # (K, 1 + n_variables) distinct tuples, column 0 is the state
+    keys: np.ndarray  # (K, 1 + n_variables) distinct tuples, stored like ``Dataset.rows``, column 0 is the state
     probs: np.ndarray  # (K,) weights of the explicit tuples, on top of the background
     background: float = 0.0
     state_name: str = "state"

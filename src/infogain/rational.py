@@ -177,7 +177,8 @@ def _lattice(
         children.setdefault(parent, []).append(cols)
 
     index_of = functools.partial(group_index, joint) if indexes is None else indexes.get
-    states, planes = joint.keys[:, 0], np.arange(width)[:, None]
+    # a state times a group count would wrap in the keys' narrow type (uint8 up to 256 values): widen first
+    states, planes = joint.keys[:, 0].astype(np.intp), np.arange(width)[:, None]
 
     def build(cols, source):
         # a source is (index, weight rows, table): None and the keys' (R, K) weights, or a built set's counts

@@ -89,7 +89,7 @@ def make_xor_joint() -> JointDistribution:
     return JointDistribution(
         states=StateSpace.of(("0", "1")),
         schema=schema,
-        keys=np.array(keys, dtype=np.int64),
+        keys=np.array(keys),
         probs=np.full(4, 0.25),
     )
 
@@ -273,7 +273,7 @@ def make_deepfake_joint() -> JointDistribution:
     return JointDistribution(
         states=StateSpace.of(DEEPFAKE_STATE_LABELS),
         schema=schema,
-        keys=np.array(keys, dtype=np.int64),
+        keys=np.array(keys),
         probs=probs,
     )
 

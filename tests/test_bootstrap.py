@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -10,12 +11,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import infogain.bootstrap
 import infogain.joint
 import infogain.rational
 import infogain.shapley
-from infogain.bootstrap import BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
+from infogain.bootstrap import QUANTILE_LEVELS, BootstrapSpec, GainStat, ShapleyStat, bootstrap_run
+from infogain.cli import main
 from infogain.errors import EstimationError, SchemaError, ShapleyCeilingError, ValidationError, WorkerError
 from infogain.joint import Dataset, estimate_joint
 from infogain.model import (
@@ -93,6 +97,41 @@ def test_quantiles_are_type7_linear_interpolation(brier):
         assert stat.quantiles[f"{level:g}"] == float(np.quantile(samples, level / 100, method="linear"))
     sym = np.array([0.1, 0.2, 0.3, 0.4])
     assert float(np.quantile(sym, 0.5, method="linear")) == pytest.approx(0.25)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 41), st.integers(1, 3)),
+              elements=st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(-1e300, 1e300))))
+@example(np.array([[-0.0, 0.5]]))  # one replicate: every level is numpy's past-the-end value
+@example(np.array([[0.0], [-0.0]]))
+@example(np.array([[-0.0, 0.0], [0.0, -0.0], [0.0, 0.0], [-0.0, -0.0]]))
+def test_quantiles_equal_numpys_linear_quantiles_bit_for_bit(samples):
+    levels = [q / 100.0 for q in QUANTILE_LEVELS]
+    expected = np.array([np.quantile(col, levels, method="linear") for col in samples.T]).T
+    assert infogain.bootstrap._quantiles(samples).tobytes() == expected.tobytes()
+
+
+# sha256 of the `bootstrap --replicates B` documents of the golden test's 4k deepfake sample, recorded when
+# the quantiles came from np.quantile: at B=1 every level is the one sample, at B=2 each lies between the two
+ONE_AND_TWO_REPLICATES = {
+    1: "c9d5635162ef7ed9004017a1f6840e66339e314bfb3d253cf042fe92199aa5a9",
+    2: "062f6ad892cc77b98f3485ad832476091e5408106ebcc927b614fb83d805b949",
+}
+
+
+@pytest.fixture(scope="module")
+def deepfake_4k(tmp_path_factory):
+    out = tmp_path_factory.mktemp("deepfake")
+    assert main(["synth", "--preset", "deepfake", "--rows", "4000", "--seed", "1", "--out-dir", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("replicates", sorted(ONE_AND_TWO_REPLICATES))
+def test_one_and_two_replicate_documents_keep_their_digests(deepfake_4k, replicates):
+    doc = deepfake_4k / f"boot{replicates}.json"
+    assert main(["bootstrap", "--schema", str(deepfake_4k / "schema.json"), "--data", str(deepfake_4k / "data.csv"),
+                 "--replicates", str(replicates), "--out", str(doc)]) == 0
+    digest = hashlib.sha256(doc.read_bytes()).hexdigest()
+    assert digest == ONE_AND_TWO_REPLICATES[replicates], f"numpy {np.__version__}"
 
 
 def test_every_replicate_satisfies_gain_and_efficiency_invariants(xor_joint, brier):

@@ -104,12 +104,26 @@ def test_joint_refuses_a_malformed_table(keys, probs, background, message):
     assert str(caught.value) == message
 
 
-def test_a_valid_table_is_stored_read_only_in_int64():
+def test_a_valid_table_is_stored_read_only_in_the_narrowest_unsigned_type():
     data = Dataset(StateSpace.of(("0", "1")), BINARY, np.array([[1, 0]], dtype=np.int8))
     joint = _joint([[1, 0]], [1.0])
     for table in (data.rows, joint.keys, joint.probs):
         assert not table.flags.writeable and table.flags.c_contiguous
-    assert data.rows.dtype == joint.keys.dtype == np.int64
+    assert data.rows.dtype == joint.keys.dtype == np.uint8
+    for values, dtype in ((256, np.uint8), (257, np.uint16)):
+        wide = SignalSchema(signals=(BasicSignal("x", tuple(map(str, range(values)))),))
+        table = np.asfortranarray([[1, values - 1], [0, 0]])
+        data = Dataset(StateSpace.of(("0", "1")), wide, table)
+        joint = JointDistribution(StateSpace.of(("0", "1")), wide, table, np.array([0.5, 0.5]))
+        for stored in (data.rows, joint.keys):
+            assert stored.dtype == dtype and stored.tolist() == table.tolist()
+            assert not stored.flags.writeable and stored.flags.c_contiguous
+    # the range check reads the input's own values: an int8 -1 is refused, not stored as 255
+    wide = SignalSchema(signals=(BasicSignal("x", tuple(map(str, range(256)))),))
+    with pytest.raises(ValueError, match="rows hold an index out of domain range"):
+        Dataset(StateSpace.of(("0", "1")), wide, np.array([[0, -1]], dtype=np.int8))
+    with pytest.raises(ValueError, match="keys hold an index out of domain range"):
+        JointDistribution(StateSpace.of(("0", "1")), wide, np.array([[0, -1]], dtype=np.int8), np.ones(1))
 
 
 def test_dataset_rejects_out_of_domain_indices():
@@ -306,9 +320,9 @@ def test_total_mass_is_one(data, smoothing):
 
 
 @st.composite
-def code_tables(draw):
+def code_tables(draw, size=st.one_of(st.integers(1, 4), st.integers(1, 2**40))):
     """Tables with repeated rows; wide domains push the product past CODE_LIMIT."""
-    sizes = draw(st.lists(st.one_of(st.integers(1, 4), st.integers(1, 2**40)), min_size=0, max_size=8))
+    sizes = draw(st.lists(size, min_size=0, max_size=8))
     pool = draw(st.lists(st.tuples(*(st.integers(0, k - 1) for k in sizes)), min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=25))
     table = np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), len(sizes))
@@ -339,6 +353,19 @@ def test_encode_ranks_past_the_code_limit():
     assert encode(table, sizes).tolist() == [
         (2**40 + 5) * 3 + 2, (2**40 - 1) * 3, (2**40 + 5) * 3 + 1, (2**40 - 1) * 3
     ]
+
+
+# domain sizes around the 8- and 16-bit edges; eight columns of 256 values, or four of 2**16, pass CODE_LIMIT
+@given(code_tables(st.sampled_from([1, 2, 3, 127, 128, 129, 255, 256, 257, 2**16, 2**16 + 1])))
+@example((np.array([[255] * 8, [0] * 8, [255] * 7 + [1]]), [256] * 8))
+def test_encode_gives_the_same_codes_on_every_integer_type_that_holds_the_table(case):
+    table, sizes = case
+    codes = encode(table, sizes)
+    largest = max(sizes, default=1) - 1
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.uint64):
+        if np.iinfo(dtype).max >= largest:
+            narrow = encode(table.astype(dtype), sizes)
+            assert narrow.dtype == np.int64 and narrow.tolist() == codes.tolist(), dtype
 
 
 @given(small_datasets(), st.sampled_from([0.0, 0.5]))

@@ -77,3 +77,20 @@ def test_the_commands_load_neither_synth_nor_a_process_pool():
         assert len(bootstrap.bootstrap_run(data, brier_problem(), spec).statistics[0].samples) == 2
         assert len(forks) == 2 and not pool & set(sys.modules), sorted(sys.modules)
     """)
+
+
+def test_a_bootstrap_run_loads_no_numpy_ma():
+    # np.quantile groups its indices with np.unique, which imports numpy.ma; the bootstrap's own
+    # quantiles do not (numpy 1.x imports numpy.ma with numpy itself, so there it is loaded anyway)
+    _after_bare_import("""
+        import numpy as np
+        eager = "numpy.ma" in sys.modules
+        from infogain import bootstrap
+        from infogain.joint import Dataset
+        from infogain.model import BasicSignal, SignalSchema, StateSpace, brier_problem
+        schema = SignalSchema(signals=(BasicSignal("s1", ("0", "1")),))
+        data = Dataset(StateSpace.of(("0", "1")), schema, np.array([(0, 0), (1, 1), (1, 0), (0, 1)]))
+        spec = bootstrap.BootstrapSpec(replicates=5, statistics=(bootstrap.GainStat(v1=("s1",)),))
+        assert len(bootstrap.bootstrap_run(data, brier_problem(), spec).statistics[0].quantiles) == 5
+        assert eager or "numpy.ma" not in sys.modules
+    """)

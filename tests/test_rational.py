@@ -27,6 +27,7 @@ from infogain.rational import (
     _contributions,
     _lattice,
     _times,
+    clamp_gain,
     cross_fit_gain,
     cross_fit_payoff,
     exact_row_sums,
@@ -424,6 +425,39 @@ def test_payoffs_equal_the_oracle_in_the_order_given(rng, xor_joint, brier):
             assert value == pytest.approx(brute_force_rational(joint, problem, variables), abs=1e-12)
         assert [x.hex() for x in values[-3:]] == [values[i].hex() for i in (-4, 0, -5)]
     assert payoffs(xor_joint, brier, []) == []
+
+
+@st.composite
+def joints_at_the_uint8_edge(draw):
+    """A joint whose signal ``a`` has a domain on either side of 127/128 or 255/256 values and every value of it
+    in some tuple, with a matrix problem: the set {a, b} has at least |a| groups, so a state times a group count
+    passes 255 wherever there are three states or 256 groups, while the keys are uint8 (below 257 values)."""
+    n_states = draw(st.sampled_from([2, 3]))
+    size_a, size_b = draw(st.sampled_from([127, 128, 129, 255, 256, 257])), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.concatenate([np.arange(size_a), rng.integers(0, size_a, draw(st.integers(0, size_a)))])
+    keys = np.unique(np.column_stack([rng.integers(0, n_states, len(a)), a, rng.integers(0, size_b, len(a))]), axis=0)
+    probs = rng.random(len(keys)) + 0.01
+    background = draw(st.sampled_from([0.0, 1e-3]))
+    schema = SignalSchema(signals=(BasicSignal("a", tuple(map(str, range(size_a)))),
+                                   BasicSignal("b", tuple(map(str, range(size_b))))))
+    states = StateSpace.of(tuple(map(str, range(n_states))))
+    total = math.fsum(probs) + background * n_states * size_a * size_b
+    joint = JointDistribution(states, schema, keys, probs, background=background, total=total)
+    return joint, random_matrix_problem(rng, n_states=n_states)
+
+
+@given(joints_at_the_uint8_edge())
+def test_payoffs_and_shapley_totals_on_narrow_keys_equal_the_oracle(case):
+    joint, problem = case
+    assert joint.keys.dtype == (np.uint8 if max(joint.domain_sizes) <= 256 else np.uint16)
+    sets = [(), ("a",), ("b",), ("a", "b")]
+    oracle = [brute_force_rational(joint, problem, variables) for variables in sets]
+    for value, expected in zip(payoffs(joint, problem, sets), oracle):
+        assert value == pytest.approx(expected, abs=1e-12)
+    report = infogain.shapley.shapley_exact(joint, problem)
+    assert report.total_gain == pytest.approx(clamp_gain(oracle[-1] - oracle[0]), abs=1e-12)
+    assert math.fsum(report.values) == pytest.approx(report.total_gain, abs=1e-12)
 
 
 def test_every_in_sample_entry_point_makes_one_family_payoffs_call(monkeypatch, xor_joint, brier):
