@@ -29,7 +29,7 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     data, problem = make_deepfake_dataset(n_rows=args.rows, seed=args.seed)
-    cfg = SchemaConfig(state_column=data.state_name, states=data.states, schema=data.schema, problem=problem)
+    cfg = SchemaConfig(state_column=data.state_name, schema=data.schema, problem=problem)
     write_dataset(data, out / "data.csv")
     write_schema(cfg, out / "schema.json")
 

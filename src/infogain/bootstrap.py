@@ -208,10 +208,10 @@ def _plan(joint: JointDistribution, spec: BootstrapSpec) -> list[_Reads | _Sampl
     for stat_index, stat in enumerate(spec.statistics):
         if not isinstance(stat, (GainStat, ShapleyStat)):
             raise TypeError(f"unknown statistic spec {stat!r}")
-        joint.columns(stat.ground, allow_state=False)
+        joint.columns(stat.ground)
         role = _ground_role(joint, stat.ground)
         if isinstance(stat, GainStat):
-            joint.columns(stat.v1, allow_state=False)
+            joint.columns(stat.v1)
             column = dict(name=stat.name, kind="gain", signal=None, v1=stat.v1, ground=stat.ground, ground_role=role)
             plan.append(_Reads(gain_sets(stat.v1, stat.ground), lambda payoffs: [clamp_gain(payoffs[0] - payoffs[1])],
                                (column,)))
@@ -242,15 +242,15 @@ def _replicate_values(payoffs: Mapping[frozenset, float], reads: list[_Reads]) -
 
 def _block_values(
     data: Dataset, problem: DecisionProblem, spec: BootstrapSpec, plan: list,
-    joint: JointDistribution, row_key: np.ndarray, indexes: GroupIndexes, block: range,
+    joint: JointDistribution, indexes: GroupIndexes, block: range,
 ) -> list[list[float]]:
     """Statistics of the replicates in ``block``, from one payoff table.
 
-    ``joint`` is the dataset's joint, ``indexes`` the run's cache of its group indexes and ``row_key``
-    maps each dataset row to its tuple; each replicate is a count row over all of the joint's tuples.
+    ``joint`` is the dataset's joint and ``indexes`` the run's cache of its group indexes; each replicate
+    is a count row over all of the joint's tuples, tallied through ``data.row_tuples``.
     """
-    counts = np.array([np.bincount(row_key[_draw(data, spec.seed, b)], minlength=len(joint.keys)) for b in block],
-                      dtype=np.float64)
+    counts = np.array([np.bincount(data.row_tuples[_draw(data, spec.seed, b)], minlength=len(joint.keys))
+                       for b in block], dtype=np.float64)
     reads = [[stat.reads(spec.seed, b) for stat in plan] for b in block]
     family: dict[frozenset, list[int]] = {}  # variable set -> the block rows that read its payoff
     for r, replicate in enumerate(reads):
@@ -413,11 +413,10 @@ def bootstrap_run(
     alpha: float = 0.0,
 ) -> BootstrapResult:
     """Run the bootstrap; output depends only on (data, problem, spec, alpha)."""
-    joint = estimate_joint(data, alpha)
+    joint = estimate_joint(data, alpha)  # caches data.row_tuples before any fork
     plan = _plan(joint, spec)
-    row_key = data.row_tuples  # each row's tuple, from the grouping of the estimate
     shares = _shares(spec.replicates, max(1, REPLICATE_CELLS // len(joint.keys)), usable_cpus())
-    rows = _run_shares((data, problem, spec, plan, joint, row_key, GroupIndexes(joint)), shares)
+    rows = _run_shares((data, problem, spec, plan, joint, GroupIndexes(joint)), shares)
     samples = np.array(rows, dtype=np.float64)  # (B, n_stats), by replicate
 
     stats = []

@@ -39,7 +39,7 @@ from .io import (
     write_schema,
 )
 from .joint import estimate_joint
-from .model import SignalSchema, brier_problem, validate_problem, validate_schema
+from .model import SignalSchema, validate_problem, validate_schema
 from .rational import cross_fit_gain, information_gain
 from .report import build_plot_spec, render_svg, summary_table
 from .shapley import shapley_exact, shapley_sampled
@@ -184,23 +184,16 @@ def cmd_report(args) -> int:
 
 def cmd_synth(args) -> int:
     # imported here, so that the other commands do not load (or, without bytecode caches, compile) synth
-    from .synth import generate_dataset, make_deepfake_agents, make_deepfake_joint, make_xor_joint, xor_problem
+    from .synth import generate_dataset, make_deepfake_dataset, make_xor_joint, xor_problem
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.preset == "xor":
-        joint, problem, agents = make_xor_joint(), xor_problem(), ()
+        problem = xor_problem()
+        data = generate_dataset(make_xor_joint(), problem, n_rows=args.rows, seed=args.seed)
     else:
-        joint = make_deepfake_joint()
-        problem = brier_problem(joint.states.labels)
-        agents = make_deepfake_agents(joint, problem)
-    data = generate_dataset(joint, problem, agents, n_rows=args.rows, seed=args.seed)
-    cfg = SchemaConfig(
-        state_column=data.state_name,
-        states=data.states,
-        schema=data.schema,
-        problem=problem,
-    )
+        data, problem = make_deepfake_dataset(n_rows=args.rows, seed=args.seed)
+    cfg = SchemaConfig(state_column=data.state_name, schema=data.schema, problem=problem)
     data_path, schema_path = out_dir / "data.csv", out_dir / "schema.json"
     write_dataset(data, data_path)
     write_schema(cfg, schema_path)

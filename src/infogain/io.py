@@ -72,7 +72,9 @@ GRID_POINT_LIMIT = 10_001
 # before anything checks it, so "1e999999999" would take hours; past this it is
 # not a number.
 EXPONENT_LIMIT = 4300
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# A number: what Fraction reads on Python 3.10 (a sign and digits, then a /denominator or a .fraction and
+# an exponent), on every release, though later ones read more ("0.5_0" from 3.11, "1 / 2" from 3.12).
+_NUMBER = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|(?:\.\d*)?(?:e(?P<exp>[-+]?\d+))?)\s*", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -80,12 +82,16 @@ class SchemaConfig:
     """Validated schema document: column layout, domains, payoff, and options."""
 
     state_column: str
-    states: StateSpace
     schema: SignalSchema
     problem: DecisionProblem
     smoothing: float = 0.0
     decision_bins: int | None = None
     missing: str = "error"
+
+    @property
+    def states(self) -> StateSpace:
+        """The state space: the decision problem's."""
+        return self.problem.states
 
 
 @dataclass(frozen=True)
@@ -213,10 +219,12 @@ def _labels(value, path: str) -> tuple[str, ...]:
 
 
 def _exact_number(text: str) -> Fraction:
-    """``Fraction(text)``; a ValueError for an exponent past ``EXPONENT_LIMIT``, before any power is built."""
-    exponent = _EXPONENT.search(text)
-    if exponent and abs(int(exponent[1])) > EXPONENT_LIMIT:
-        raise ValueError(f"exponent {exponent[1]} exceeds {EXPONENT_LIMIT} in magnitude")
+    """``Fraction(text)`` of a ``_NUMBER`` within ``EXPONENT_LIMIT``; else a ValueError, before any power is built."""
+    number = _NUMBER.fullmatch(text)
+    if number is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    if number["exp"] and abs(int(number["exp"])) > EXPONENT_LIMIT:
+        raise ValueError(f"exponent {number['exp']} exceeds {EXPONENT_LIMIT} in magnitude")
     return Fraction(text)
 
 
@@ -324,7 +332,6 @@ def parse_schema_doc(doc: dict) -> SchemaConfig:
 
     return SchemaConfig(
         state_column=state_column,
-        states=states,
         schema=schema,
         problem=problem,
         smoothing=smoothing,
@@ -421,9 +428,9 @@ class _CellCodes(dict):
     Each distinct string is stripped and parsed once, on its first lookup.
     """
 
-    def __init__(self, domain: tuple, numeric: bool, bins: tuple[int, ...] | None = None):
+    def __init__(self, domain: tuple, bins: tuple[int, ...] | None = None):
         super().__init__()
-        self.numeric = numeric
+        self.numeric = numeric = is_numeric_domain(domain)
         self.index = dict(zip(domain if numeric else map(str, domain), bins or range(len(domain))))
 
     def __missing__(self, raw: str) -> int:
@@ -552,10 +559,10 @@ class _KeyTable:
 
     Each column has its own region of an open-addressing hash table with linear
     probing, at most a quarter full.  A key a column's region does not hold is
-    decoded once and coded by the column's ``_CellCodes``; the key of the wide cells
-    maps to 0 (their codes are looked up one by one).  A region holds its keys in
-    the order they were first seen, the commonest of a chunk first, so the keys
-    seen most often sit in their first slot.
+    decoded once, from its own bytes, and coded by the column's ``_CellCodes``; the
+    key of the wide cells maps to 0 (their codes are looked up one by one).  A region
+    holds its keys in the order they were first seen, the commonest of a chunk first,
+    so the keys seen most often sit in their first slot.
     """
 
     def __init__(self, caches: list[_CellCodes], dtype):
@@ -613,17 +620,16 @@ class _KeyTable:
         flat[todo] = probe
         return slots, todo[held == _NO_KEY]
 
-    def lookup(self, keys: np.ndarray, cell) -> np.ndarray:
-        """The codes (lines, columns) of ``keys`` (columns, lines); ``cell(i, j)`` is the text of key ``[j, i]``."""
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The codes (lines, columns) of ``keys`` (columns, lines)."""
         slots, absent = self._find(keys)
         if absent.size:
             columns, lines = np.divmod(absent, keys.shape[1])
             for j in np.flatnonzero(np.bincount(columns)).tolist():
-                at = lines[columns == j]
-                new, first, counts = np.unique(keys[j, at], return_index=True, return_counts=True)
-                by_count = np.argsort(-counts, kind="stable")
-                pairs = zip(new[by_count].tolist(), at[first[by_count]].tolist())
-                self._add(j, [(key, 0 if key == _WIDE_KEY else self.caches[j][cell(i, j)]) for key, i in pairs])
+                new, counts = np.unique(keys[j, lines[columns == j]], return_counts=True)
+                new = new[np.argsort(-counts, kind="stable")].tolist()
+                texts = (key.to_bytes(_KEY_BYTES, "little").rstrip(b"\0").decode() for key in new)
+                self._add(j, [(key, 0 if key == _WIDE_KEY else self.caches[j][text]) for key, text in zip(new, texts)])
             slots, _ = self._find(keys)
         return self.codes.take(slots.T)
 
@@ -680,7 +686,7 @@ def _plain_rows(chunks, width: int, rows: _Rows) -> tuple[int, bytes]:
         keys &= _KEY_MASKS.take(span, mode="clip")
         wide = np.flatnonzero(span > _KEY_BYTES + 1)
         keys.reshape(-1)[wide] = _WIDE_KEY
-        codes = table.lookup(keys, cell)
+        codes = table.lookup(keys)
         if wide.size:
             columns, lines = np.divmod(wide, n)
             at = before.reshape(-1)[wide] + 1
@@ -778,9 +784,7 @@ def load_dataset(path, cfg: SchemaConfig) -> Dataset:
         schema = SignalSchema(signals=cfg.schema.signals, decisions=tuple(decisions))
     entries = list(cfg.schema.entries)
     wanted = [cfg.state_column] + [e.name for e in entries]
-    caches = [_CellCodes(cfg.states.labels, False)] + [
-        _CellCodes(e.domain, is_numeric_domain(e.domain), bins.get(e.name)) for e in entries
-    ]
+    caches = [_CellCodes(cfg.states.labels)] + [_CellCodes(e.domain, bins.get(e.name)) for e in entries]
 
     with open(path, "rb") as fh:
         chunks = _utf8_chunks(fh, path)

@@ -182,16 +182,15 @@ class JointDistribution:
     def variables(self) -> tuple[str, ...]:
         return (self.state_name,) + self.schema.names
 
-    def columns(self, names: Iterable[str], allow_state: bool = True) -> tuple[int, ...]:
-        """Resolve variable names to key-column indices, in schema order."""
+    def columns(self, names: Iterable[str]) -> tuple[int, ...]:
+        """Resolve signal and decision-column names to key-column indices, in schema order.
+
+        The state never conditions a payoff: its name raises ``SchemaError``, as an unknown name does."""
         cols = []
         for name in sorted(set(names)):  # the first bad name in sorted order is the one reported
             if name == self.state_name:
-                if not allow_state:
-                    raise SchemaError(f"{name!r} is the state, not a signal or decision column")
-                cols.append(0)
-            else:
-                cols.append(1 + self.schema.position(name))
+                raise SchemaError(f"{name!r} is the state, not a signal or decision column")
+            cols.append(1 + self.schema.position(name))
         return tuple(sorted(cols))
 
 
@@ -236,14 +235,13 @@ def estimate_joint(data: Dataset, smoothing: float = 0.0) -> JointDistribution:
 class GroupIndex(NamedTuple):
     """The groups of a joint's tuples by their values in the key columns ``cols``, in lexicographic order.
 
-    ``parent`` holds the columns of the superset whose groups these group,
-    or None for the joint's keys, and ``inverse`` (int32) this set's group
-    of each of the parent's groups (of each tuple).  ``member`` (int32)
-    holds one tuple of each group, in order, as a row of the joint's keys:
-    any tuple of a group holds its values in ``cols``.
+    ``inverse`` (int32) holds this set's group of each group of the index it
+    was grouped from (see ``group_index``), or of each tuple when grouped
+    from the keys.  ``member`` (int32) holds one tuple of each group, in
+    order, as a row of the joint's keys: any tuple of a group holds its
+    values in ``cols``.
     """
 
-    parent: tuple[int, ...] | None
     cols: tuple[int, ...]
     inverse: np.ndarray
     member: np.ndarray
@@ -263,7 +261,7 @@ def group_index(joint: JointDistribution, cols: tuple[int, ...], parent: GroupIn
     distinct, inverse = np.unique(encode(table, joint.domain_sizes, cols), return_inverse=True)
     member = np.empty(len(distinct), dtype=np.int32)
     member[inverse] = rows  # any key row of a group holds its values
-    return GroupIndex(None if parent is None else parent.cols, cols, inverse.astype(np.int32), member)
+    return GroupIndex(cols, inverse.astype(np.int32), member)
 
 
 class GroupIndexes:
@@ -288,16 +286,15 @@ class GroupIndexes:
         return index
 
 
-def background_mass(joint: JointDistribution, cols: Sequence[int], n_groups: int, width: int) -> tuple[int, float]:
-    """``(absent, background)`` of a table of ``n_groups`` realizations of the key columns ``cols``.
+def background_mass(joint: JointDistribution, cols: Sequence[int], n_groups: int) -> tuple[int, float]:
+    """``(absent, background)`` of a table of ``n_groups`` realizations of the non-state key columns ``cols``.
 
-    Each cell of the table covers ``rest`` product cells of the joint, so it
-    weighs ``background = joint.background * rest`` on top of its tuples'
-    weights; the ``absent`` realizations without a tuple weigh ``background``
-    in each of their ``width`` cells.  Without smoothing both are 0.
+    Each (state, realization) cell covers ``rest`` product cells of the joint, so it weighs ``background =
+    joint.background * rest`` on top of its tuples' weights; the ``absent`` realizations without a tuple
+    weigh ``background`` in each state.  Without smoothing both are 0.
     """
     if joint.background == 0.0:
         return 0, 0.0
     sizes = joint.domain_sizes
-    rest = math.prod(s for c, s in enumerate(sizes) if c not in cols) // width
+    rest = math.prod(s for c, s in enumerate(sizes) if c and c not in cols)
     return math.prod(sizes[c] for c in cols) - n_groups, joint.background * rest

@@ -169,7 +169,7 @@ def _lattice(
     alone.  A table is held only while some child of it is still to be built.
     """
     width, n_cols = joint.states.size, len(joint.domain_sizes)
-    nodes = {joint.columns(key, allow_state=False): (key, tuple(rows)) for key, rows in family.items()}
+    nodes = {joint.columns(key): (key, tuple(rows)) for key, rows in family.items()}
     children: dict[tuple[int, ...] | None, list[tuple[int, ...]]] = {}
     for cols, (_, rows) in sorted(nodes.items()):
         supersets = (tuple(sorted(cols + (c,))) for c in range(1, n_cols) if c not in cols)
@@ -190,7 +190,7 @@ def _lattice(
             table = table[[position[r] for r in rows]]
         n_cells = width * index.size
         # the cell (state, group) of each cell of the source: a tuple's own state, a parent's plane
-        if index.parent is None:
+        if parent is None:
             cells = index.inverse + states * index.size
         else:
             cells = (index.inverse + planes * index.size).ravel()
@@ -224,7 +224,7 @@ def state_mass(joint: JointDistribution, variables: Iterable[str]) -> tuple[np.n
     """
     ((_, index, counts),) = _lattice(joint, {frozenset(variables): (0,)}, joint.probs[None])
     n_states = joint.states.size
-    absent, background = background_mass(joint, index.cols, index.size, n_states)
+    absent, background = background_mass(joint, index.cols, index.size)
     return joint.keys[index.member][:, index.cols], counts[0].T + background, absent, np.full(n_states, background)
 
 
@@ -256,7 +256,7 @@ def family_payoffs(
     width = joint.states.size
     payoffs = {}
     for key, index, counts in _lattice(joint, family, weights, indexes):
-        absent, background = background_mass(joint, index.cols, index.size, width)
+        absent, background = background_mass(joint, index.cols, index.size)
         mass = counts + background if background else counts
         terms = _contributions(mass.swapaxes(0, 1), problem)
         # each absent realization contributes the background row's c: absent * c, in exact terms
@@ -277,12 +277,11 @@ def _cross_fit_payoffs(data: Dataset, problem: DecisionProblem, sets: list[froze
     if data.n_rows < 2:
         raise ValueError("cross-fit evaluation needs at least 2 rows")
     joint = estimate_joint(data, smoothing)
-    row_key = data.row_tuples
-    folds = np.array([np.bincount(row_key[f::2], minlength=len(joint.keys)) for f in (0, 1)], dtype=np.float64)
+    folds = np.array([np.bincount(data.row_tuples[f::2], minlength=len(joint.keys)) for f in (0, 1)], dtype=np.float64)
     table, width = problem.payoff_matrix, joint.states.size
     payoffs = {}
     for key, index, counts in _lattice(joint, dict.fromkeys(sets, (0, 1)), folds):
-        _, background = background_mass(joint, index.cols, index.size, width)
+        _, background = background_mass(joint, index.cols, index.size)
         terms = []
         for fit, scored in ((counts[1], counts[0]), (counts[0], counts[1])):
             actions = _actions(fit + background, problem)

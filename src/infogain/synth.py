@@ -215,7 +215,7 @@ def brute_force_rational(joint: JointDistribution, problem: DecisionProblem, var
     sizes = joint.domain_sizes
     if math.prod(sizes) > 1_000_000:
         raise OracleError(f"dense space of {math.prod(sizes)} cells is over the oracle's 1e6 budget")
-    cols = joint.columns(variables, allow_state=False)
+    cols = joint.columns(variables)
     explicit = {tuple(int(v) for v in key): float(p) for key, p in zip(joint.keys, joint.probs)}
     acc: dict[tuple[int, ...], list[float]] = {}
     for cell in itertools.product(*(range(s) for s in sizes)):

@@ -23,7 +23,8 @@ def marginal(joint, variables):
     """Probability of each realization of the named variables (state allowed),
     in lexicographic index order.  Under smoothing every realization of their
     (small) product space is listed."""
-    cols = list(joint.columns(variables))
+    names = set(variables)  # the state is key column 0, ahead of the columns ``joint.columns`` resolves
+    cols = [0] * (joint.state_name in names) + list(joint.columns(names - {joint.state_name}))
     reals, inverse = np.unique(joint.keys[:, cols], axis=0, return_inverse=True)
     mass = np.bincount(inverse.ravel(), weights=joint.probs, minlength=len(reals))
     background = _background(joint, cols)
@@ -42,7 +43,7 @@ def support(joint, variables):
 def posterior(joint, assignment):
     """Posterior over the state given a realization of some variables (the
     prior for an empty one), or None when the realization has no mass."""
-    cols = list(joint.columns(assignment, allow_state=False))
+    cols = list(joint.columns(assignment))
     values = [assignment[joint.variables[c]] for c in cols]
     mask = (joint.keys[:, cols] == values).all(axis=1)
     row = np.bincount(joint.keys[mask, 0], weights=joint.probs[mask], minlength=joint.states.size)

@@ -413,17 +413,18 @@ def test_a_second_block_in_a_process_builds_no_group_index(monkeypatch):
     stats = (ShapleyStat(ground=("human",)), GainStat(v1=("flicker", "dark"), ground=("human_ai",)))
     spec = BootstrapSpec(replicates=3, seed=1, statistics=stats)
     per_block = []  # the (parent, set, entries) of each index each block builds
-    group_index, block_values = infogain.joint.GroupIndex, infogain.bootstrap._block_values
+    group_index, block_values = infogain.joint.group_index, infogain.bootstrap._block_values
 
-    def recording(parent, cols, inverse, member):
-        per_block[-1].append((parent, cols, len(inverse) + len(member)))
-        return group_index(parent, cols, inverse, member)
+    def recording(joint, cols, parent):
+        index = group_index(joint, cols, parent)
+        per_block[-1].append((None if parent is None else parent.cols, cols, len(index.inverse) + len(index.member)))
+        return index
 
     def counting(*args):
         per_block.append([])
         return block_values(*args)
 
-    monkeypatch.setattr(infogain.joint, "GroupIndex", recording)
+    monkeypatch.setattr(infogain.joint, "group_index", recording)
     monkeypatch.setattr(infogain.bootstrap, "_block_values", counting)
     result = bootstrap_run(data, problem, spec)
     n = len(data.schema.signal_names)
@@ -444,6 +445,40 @@ def test_a_second_block_in_a_process_builds_no_group_index(monkeypatch):
     assert per_block == [first, left_out, left_out] and 0 < len(left_out) < len(first)
     monkeypatch.undo()
     assert result == bootstrap_run(data, problem, spec)
+
+
+def test_each_set_is_evaluated_for_exactly_the_replicates_that_read_it(monkeypatch):
+    # a sampled Shapley statistic reads the coalitions of the orders each
+    # replicate draws, so the replicates of a block read different sets:
+    # family_payoffs gets each set with the block rows of exactly the
+    # replicates that read it.  Evaluating every set for every row gives the
+    # same samples, so only the calls show it; it costs about twice the time.
+    monkeypatch.setattr(infogain.bootstrap, "usable_cpus", lambda: 1)
+    data, problem, stats = _deepfake_case()
+    spec = BootstrapSpec(replicates=6, seed=2, statistics=stats)
+    blocks, calls = [], []  # each block, and the (block, family) of each family_payoffs call
+    evaluate, block_values = infogain.bootstrap.family_payoffs, infogain.bootstrap._block_values
+
+    def recording(joint, problem, family, probs=None, indexes=None):
+        calls.append((blocks[-1], {key: list(rows) for key, rows in family.items()}))
+        return evaluate(joint, problem, family, probs, indexes)
+
+    def counting(*args):
+        blocks.append(args[-1])
+        return block_values(*args)
+
+    monkeypatch.setattr(infogain.bootstrap, "family_payoffs", recording)
+    monkeypatch.setattr(infogain.bootstrap, "_block_values", counting)
+    bootstrap_run(data, problem, spec)
+    plan = infogain.bootstrap._plan(estimate_joint(data), spec)
+    assert len(calls) == len(blocks) and sum(map(len, blocks)) == spec.replicates
+    for block, family in calls:
+        readers = {}
+        for r, b in enumerate(block):
+            for key in {key for stat in plan for key in stat.reads(spec.seed, b).sets}:
+                readers.setdefault(key, []).append(r)
+        assert family == readers
+    assert any(len(rows) < len(block) for block, family in calls for rows in family.values())
 
 
 def test_bootstrap_on_a_grid_of_unequal_steps_matches_the_oracle():

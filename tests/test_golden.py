@@ -20,7 +20,9 @@ RECORDED_NUMPY, RECORDED_PYTHON = "2.4.6", "3.11.7"
 
 DIGESTS = {
     "deepfake/data.csv": "d9813b98fd65e98e2db921804174f127e1d822209eb2fc945ccd18856232bfb6",
+    "deepfake/schema.json": "a953137f80b38e787318f89a5a65b31257bd8f38f4a6aa267e6d9de449efd3e3",
     "xor/data.csv": "9a16ddd62fcba5c41918f288625283f7836daf700d2b30e0ef05f0667aaae862",
+    "xor/schema.json": "13073b045f4348b65f2a070daab88026848458e6ff7c0451fe10b135c644a51b",
     "bootstrap.json": "0206d4c61aa9bcfa84e1cdce5d5a65a76778c36382da4882c72d5588383646ba",
     "shapley.json": "6dbb7a12c42d6b52d2b1ca036a2218868ae03cf79f701420ee95b3f24c09e4ab",
     "report.svg": "ed375400b80c59cc19156c9d4ebdfbaf64641162a8937945d65bfd8bc43c87f3",

@@ -250,9 +250,7 @@ def test_decision_binning(tmp_path):
 
 def test_dataset_roundtrip_is_lossless(tmp_path):
     data, problem = make_deepfake_dataset(n_rows=150, seed=5)
-    cfg = SchemaConfig(
-        state_column=data.state_name, states=data.states, schema=data.schema, problem=problem
-    )
+    cfg = SchemaConfig(state_column=data.state_name, schema=data.schema, problem=problem)
     csv_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
     write_dataset(data, csv_path)
     write_schema(cfg, schema_path)
@@ -371,13 +369,15 @@ def test_fraction_to_str_roundtrips():
 
 def test_schema_doc_roundtrip(tmp_path):
     data, problem = make_deepfake_dataset(n_rows=10, seed=1)
-    cfg = SchemaConfig(state_column="state", states=data.states, schema=data.schema, problem=problem)
+    cfg = SchemaConfig(state_column="state", schema=data.schema, problem=problem)
     doc = schema_to_doc(cfg)
     path = write_json(tmp_path / "s.json", doc)
     again = load_schema(path)
     assert again.schema == cfg.schema
-    assert again.states == cfg.states
+    assert again.states == cfg.states and again.states is again.problem.states
     assert again.problem.decisions == cfg.problem.decisions
+    with pytest.raises(TypeError):  # the states are the problem's, not a second input
+        SchemaConfig(state_column="state", states=data.states, schema=data.schema, problem=problem)
 
 
 def test_schema_doc_roundtrip_with_categorical_decisions_and_a_matrix_payoff(tmp_path):
@@ -454,6 +454,16 @@ def _escaped(cells):
     return any("\udc80" <= ch <= "\udcff" for cell in cells for ch in cell)
 
 
+# The text Python 3.10's Fraction reads (its _RATIONAL_FORMAT): later releases read more,
+# and a numeric cell is read by this grammar on every release.
+_FRACTION_310 = re.compile(r"""
+    \A\s*[-+]?(?=\d|\.\d)\d*      # a sign, then digits or .digits, then
+    (?:/\d+                          # a denominator,
+    |(?:\.\d*)?(?:E[-+]?\d+)?)       # or a fractional part and an exponent
+    \s*\Z
+""", re.VERBOSE | re.IGNORECASE)
+
+
 def _reference_load(path, cfg):
     """The per-row, per-cell loader that ``load_dataset`` replaced (reference oracle)."""
     entries = list(cfg.schema.entries)
@@ -513,6 +523,8 @@ def _reference_load(path, cfg):
                 key = cell
                 if num:
                     try:
+                        if not _FRACTION_310.match(cell):
+                            raise ValueError(cell)
                         key = Fraction(cell)
                     except (ValueError, ZeroDivisionError):
                         bad = ("value", col_name)
@@ -737,6 +749,27 @@ def test_grid_point_spellings_load_to_one_index(tmp_path):
     assert outcome[1] == [[0, 0, 1], [1, 1, 1], [0, 0, 1], [1, 0, 1]]
 
 
+@pytest.mark.parametrize("spelling, accepted", [
+    ("1/2", True), (" +1/2 ", True), ("0.50", True), (".5", True), ("5E-1", True), ("0.05e+1", True),
+    ("\u0660.\u0665", True),  # Arabic-Indic digits, which Fraction reads on every release
+    ("0.5_0", False), ("1_0/2_0", False), ("5e-0_1", False),  # underscores: read from Python 3.11
+    ("1 / 2", False), ("1/ 2", False), ("1 /2", False),  # spaces around the slash: read from Python 3.12
+    ("1/2e0", False), ("0.5/1", False), ("", False),
+])
+def test_a_number_is_spelled_in_one_grammar_on_every_python(tmp_path, spelling, accepted):
+    # as a cell, through both loaders, and as a grid point of the schema
+    path = tmp_path / "d.csv"
+    path.write_text(f"state,x,d\n0,a,{spelling}\n1,a,1\n", encoding="utf-8")
+    outcome = _assert_loaders_agree(path, _fuzz_cfg())
+    assert outcome[:2] == ("ok", [[0, 0, 5], [1, 0, 10]]) if accepted else outcome[0] == "ValidationError"
+    doc = {**FUZZ_SCHEMA, "decisions": [{"column": "d", "role": "human", "grid": {"points": ["0", spelling, "1"]}}]}
+    if accepted:
+        assert parse_schema_doc(doc).schema.decisions[0].domain == (0, Fraction(1, 2), 1)
+    else:
+        with pytest.raises(ValidationError, match=re.escape("decisions[0].grid.points[1]: not a numeric value (")):
+            parse_schema_doc(doc)
+
+
 def test_error_in_a_later_block_names_its_line(monkeypatch, tmp_path):
     monkeypatch.setattr(infogain.io, "BLOCK_ROWS", 4)
     path = tmp_path / "d.csv"
@@ -807,7 +840,7 @@ def test_empty_record_before_a_record_the_reader_fails_on_is_reported_first(tmp_
 def test_synthetic_deepfake_loads_like_the_reference(tmp_path):
     data, problem = make_deepfake_dataset(n_rows=4000, seed=101)
     assert data.n_rows > 2 * infogain.io.BLOCK_ROWS
-    cfg = SchemaConfig(state_column=data.state_name, states=data.states, schema=data.schema, problem=problem)
+    cfg = SchemaConfig(state_column=data.state_name, schema=data.schema, problem=problem)
     path = tmp_path / "d.csv"
     write_dataset(data, path)
     assert _assert_loaders_agree(path, cfg)[1] == data.rows.tolist()
@@ -818,7 +851,7 @@ def test_synthetic_deepfake_loads_like_the_reference(tmp_path):
 
 def test_plain_file_is_read_from_its_bytes_alone(monkeypatch, tmp_path):
     data, problem = make_deepfake_dataset(n_rows=4000, seed=101)
-    cfg = SchemaConfig(state_column=data.state_name, states=data.states, schema=data.schema, problem=problem)
+    cfg = SchemaConfig(state_column=data.state_name, schema=data.schema, problem=problem)
     path = tmp_path / "d.csv"
     write_dataset(data, path)
     monkeypatch.setattr(infogain.io, "CHUNK_BYTES", 4096)
@@ -870,7 +903,7 @@ def test_byte_that_is_not_utf8_past_the_first_chunk_is_raised_from_the_byte_path
 @pytest.mark.parametrize("quoted", [False, True])
 def test_a_load_opens_the_dataset_once(monkeypatch, tmp_path, quoted):
     data, problem = make_deepfake_dataset(n_rows=600, seed=101)
-    cfg = SchemaConfig(state_column=data.state_name, states=data.states, schema=data.schema, problem=problem)
+    cfg = SchemaConfig(state_column=data.state_name, schema=data.schema, problem=problem)
     path = tmp_path / "d.csv"
     write_dataset(data, path)
     if quoted:  # the last record's state cell quoted: the csv module reads on from the last chunk

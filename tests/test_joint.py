@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import infogain.rational
 from infogain.bootstrap import BootstrapSpec, GainStat, bootstrap_run
 from infogain.errors import EstimationError, SchemaError
 from infogain.joint import (
@@ -410,7 +411,7 @@ def _reference_posterior(joint, assignment):
     """Mask-and-count posterior: the counts of the explicit tuples that match
     the assignment, summed per state, plus the background weight of every
     matching cell."""
-    cols = joint.columns(assignment.keys(), allow_state=False)
+    cols = joint.columns(assignment.keys())
     values = np.array([assignment[joint.variables[c]] for c in cols], dtype=np.int64)
     mask = (joint.keys[:, list(cols)] == values).all(axis=1)
     mass = np.zeros(joint.states.size)
@@ -581,7 +582,7 @@ def test_lattice_tables_of_a_population_joint_agree_within_the_regrouping_tolera
         assert abs(payoffs[key][0] - rational_payoff(joint, problem, key)) <= tolerance
 
 
-def test_a_set_under_a_parent_past_the_code_limit_is_grouped_from_its_parent():
+def test_a_set_under_a_parent_past_the_code_limit_is_grouped_from_its_parent(monkeypatch):
     # 63 binary signals make 2^63 codes, past CODE_LIMIT, so their codes are
     # ranks, not mixed-radix digits; the set of the first 62 is still grouped
     # from their groups, by the member tuples' values
@@ -592,9 +593,15 @@ def test_a_set_under_a_parent_past_the_code_limit_is_grouped_from_its_parent():
     problem = _problem(joint.states.size)
     weights = np.random.default_rng(2).multinomial(40, np.full(len(joint.keys), 1.0 / len(joint.keys)), size=2) * 1.0
     family = {frozenset(names): (0, 1), frozenset(names[:-1]): (0, 1), frozenset(names[:-2]): (0, 1)}
-    parents = {}
+    parents = {}  # the columns of the index each set is grouped from, None for the keys
+    group_index = infogain.rational.group_index
+
+    def recording(joint, cols, parent):
+        parents[len(cols)] = None if parent is None else parent.cols
+        return group_index(joint, cols, parent)
+
+    monkeypatch.setattr(infogain.rational, "group_index", recording)
     for key, index, counts in _lattice(joint, family, weights):
-        parents[len(key)] = index.parent
         keys_reals, keys_counts = _keys_table(joint, index.cols, weights)
         assert np.array_equal(_groups(joint, index), keys_reals)
         assert np.ascontiguousarray(counts.transpose(0, 2, 1)).tobytes() == keys_counts.tobytes()

@@ -672,7 +672,7 @@ def _fsum_family_payoffs(joint, problem, family, probs):
     """``family_payoffs`` as it summed before error-free extraction: one ``math.fsum`` per weight row."""
     width, payoffs = joint.states.size, {}
     for key, index, counts in _lattice(joint, family, np.asarray(probs, dtype=np.float64)):
-        absent, background = background_mass(joint, index.cols, index.size, width)
+        absent, background = background_mass(joint, index.cols, index.size)
         mass = np.moveaxis(counts + background if background else counts, 1, -1)  # (rows, G, |states|)
         terms = _contributions(mass.reshape(-1, width).T, problem).reshape(mass.shape[:-1])
         extra = _times(absent, _contributions(np.full((width, 1), background), problem).item()) if absent else []

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-import infogain.joint
+import infogain.rational
 import infogain.shapley
 from infogain.errors import SchemaError, ShapleyCeilingError
 from infogain.joint import Dataset, JointDistribution, estimate_joint
@@ -231,13 +231,13 @@ def test_exact_shapley_groups_the_keys_once_per_ground(monkeypatch):
     data, problem = make_deepfake_dataset(n_rows=600, seed=11)
     joint = estimate_joint(data)
     parents = []
-    group_index = infogain.joint.GroupIndex
+    group_index = infogain.rational.group_index
 
-    def recording(parent, *args):
+    def recording(joint, cols, parent):
         parents.append(parent)
-        return group_index(parent, *args)
+        return group_index(joint, cols, parent)
 
-    monkeypatch.setattr(infogain.joint, "GroupIndex", recording)
+    monkeypatch.setattr(infogain.rational, "group_index", recording)
     n = len(data.schema.signal_names)
     for ground in (("human",), ("ai",), ("human",)):
         parents.clear()

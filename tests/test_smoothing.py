@@ -45,7 +45,7 @@ def dense_reference_payoff(joint, problem, variables):
     weight of the product cells it covers; all rows then go through the same
     per-realization contribution, one exact sum and one division by the total.
     """
-    cols = joint.columns(variables, allow_state=False)
+    cols = joint.columns(variables)
     sizes = joint.domain_sizes
     shape = tuple(sizes[c] for c in cols)
     n_states = joint.states.size
